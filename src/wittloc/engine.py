@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fields as F
+from . import places
 from .errors import (
     BadDimension,
     BadParameters,
@@ -94,13 +95,6 @@ class ResidueResult:
 # coefficient-level exact division in W(k)
 
 
-def _small_integer_value(c: WittClass) -> Optional[int]:
-    for t in range(-12, 13):
-        if c == integer_class(t, c.field):
-            return t
-    return None
-
-
 def _witt_coeff_divide(c: WittClass, d: WittClass) -> List[WittClass]:
     """Verified candidates q with q*d == c."""
     field = c.field
@@ -130,40 +124,25 @@ def _witt_coeff_divide(c: WittClass, d: WittClass) -> List[WittClass]:
         push(c * WittClass.from_entries(field, (u,)))
     push(c)
     push(-c)
-    t = _small_integer_value(d)
-    if t is not None and field.kind == RATIONALS:
-        out.extend(q for q in _divide_rational_by_int(c, t) if q not in seen and (seen.add(q) or True))
+    if field.kind == RATIONALS:
+        t = d.integer_value()
+        if t is not None:
+            out.extend(q for q in _divide_rational_by_int(c, t) if q not in seen and (seen.add(q) or True))
     return out
 
 
 def _divide_rational_by_int(c: WittClass, t: int) -> List[WittClass]:
     """Solutions q of t*q = c in W(Q), via the residue decomposition."""
-    from . import places
-    from .witt import _reconstruct_rationals
-
-    if t == 0:
+    sig, items, dy = c.key
+    if t == 0 or sig % t or (t % 2 == 0 and dy):
         return []
-    key = c.key[1]
-    sig, items, dy = key
-    if sig % t:
-        return []
-    sig_q = sig // t
     per_prime: List[List[Tuple[int, Tuple[int, int]]]] = []
     for p, cls in items:
-        sols = []
-        for w in places.fp_all_classes(p):
-            acc = places.FP_ZERO
-            for _ in range(abs(t)):
-                acc = places.fp_add(acc, w, p)
-            if t < 0:
-                acc = places.fp_neg(acc, p)
-            if acc == cls:
-                sols.append((p, w))
+        fp = F.finite_prime(p)
+        sols = [(p, w) for w in places.fp_all_classes(p) if (t * WittClass(fp, w)).key == cls]
         if not sols:
             return []
         per_prime.append(sols)
-    if t % 2 == 0 and dy:
-        return []
     dys = [dy] if t % 2 else [0, 1]
     combos: List[List[Tuple[int, Tuple[int, int]]]] = [[]]
     for sols in per_prime:
@@ -174,10 +153,8 @@ def _divide_rational_by_int(c: WittClass, t: int) -> List[WittClass]:
     for combo in combos:
         for dq in dys:
             items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
-            kq = (sig_q, items_q, dq)
-            q = WittClass.from_entries(F.rationals(), _reconstruct_rationals(kq))
-            results.append(q)
-    return [q for q in results if (q * integer_class(t, q.field)) == c]
+            results.append(WittClass(c.field, (sig // t, items_q, dq)))
+    return [q for q in results if t * q == c]
 
 
 def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedElement]:
@@ -312,12 +289,11 @@ def _integer_e_poly_to_base(x: GradedElement) -> GradedElement:
     carrier = bsl2n(1, x.pres.ctx.base)
     out: Dict = {}
     for (y, m), c in x.coeffs.items():
-        t = _small_integer_value(c)
-        if y or t is None:
+        if y or c.integer_value() is None:
             raise UnsupportedResidueField(
                 "denominator is not visibly pulled back from the base ring"
             )
-        out[(m,)] = integer_class(t, x.pres.ctx.base)
+        out[(m,)] = c
     return GradedElement(carrier, out)
 
 

@@ -29,10 +29,6 @@ class Undecided(WittlocError):
     """Equality/membership could not be certified either way."""
 
 
-class NonCanonicalInput(WittlocError):
-    """Operation needs a stored diagonal representative that is missing."""
-
-
 class UnknownGenerator(WittlocError):
     """Generator symbol does not belong to the presentation."""
 

@@ -309,9 +309,9 @@ def _ring_atom(p: _Parser, pres) -> GradedElement:
         raise ExprSyntaxError("unexpected end of expression", len(p.text))
     if t[1] == "<":
         p.next()
-        c = _scalar_tokens(p, pres.coefficient_field())
+        c = _scalar_tokens(p, pres.field)
         p.expect(">")
-        return from_witt(pres, square_class(pres.coefficient_field(), c))
+        return from_witt(pres, square_class(pres.field, c))
     if t[1] == "(":
         p.next()
         inner = _ring_expr(p, pres)

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from sympy import isprime
 
-from .errors import FieldMismatch, UnsupportedField, ZeroInput
+from .errors import UnsupportedField, ZeroInput
 
 RATIONALS = "Q"
 REALS = "R"
@@ -162,11 +162,6 @@ def ext_norm(field: FieldDescriptor, x):
     return sub(b, mul(b, x[0], x[0]), mul(b, field.a, mul(b, x[1], x[1])))
 
 
-def conj(field: FieldDescriptor, x):
-    """Galois conjugate u - v*sqrt(a)."""
-    return (x[0], neg(field.base, x[1]))
-
-
 # ---------------------------------------------------------------------------
 # squares and signs
 
@@ -293,11 +288,6 @@ def first_nonsquare(field: FieldDescriptor):
         if not is_zero(field, x) and not is_square(field, x):
             return x
     raise UnsupportedField(f"no non-square found in {field}")
-
-
-def require_same_field(f1: FieldDescriptor, f2: FieldDescriptor) -> None:
-    if f1 != f2:
-        raise FieldMismatch(f"{f1} vs {f2}")
 
 
 def scalar_repr(field: FieldDescriptor, x) -> str:

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from . import fields as F
 from . import places
-from .errors import FieldMismatch, NonCanonicalInput, Undecided
+from .errors import FieldMismatch, Undecided
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 from .witt import (
     QuadraticForm,
@@ -63,8 +63,6 @@ def transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
     """Scharlau trace transfer W(k(sqrt a)) -> W(k), computed entrywise."""
     if x.field != ctx.ext:
         raise FieldMismatch(f"expected class over {ctx.ext}, got {x.field}")
-    if x.entries is None:
-        raise NonCanonicalInput("transfer needs a diagonal representative")
     out: List = []
     for c in x.entries:
         out.extend(trace_form_entries(c, ctx.base, ctx.a))
@@ -98,15 +96,12 @@ def iota_is_zero(x: WittClass, ctx: QuadExtContext) -> bool:
 def all_witt_classes(field: FieldDescriptor) -> List[WittClass]:
     """The four elements of W(F_p) or W(F_{p^2})."""
     if field.kind == FINITE_PRIME:
-        reps = [(), (1,), (F.least_nonresidue(field.p),)]
-        reps.append((1, F.least_nonresidue(field.p)) if field.p % 4 == 1 else (1, 1))
-    elif field.kind == QUAD_EXT and field.base.kind == FINITE_PRIME:
+        return [WittClass(field, k) for k in places.fp_all_classes(field.p)]
+    if field.kind == QUAD_EXT and field.base.kind == FINITE_PRIME:
         s2 = F.first_nonsquare(field)
         o = F.one(field)
-        reps = [(), (o,), (s2,), (o, s2)]
-    else:
-        raise FieldMismatch(f"{field} is not a supported finite field")
-    return [WittClass.from_entries(field, r) for r in reps]
+        return [WittClass.from_entries(field, r) for r in [(), (o,), (s2,), (o, s2)]]
+    raise FieldMismatch(f"{field} is not a supported finite field")
 
 
 def principal_ideal_certificate(
@@ -150,7 +145,7 @@ def principal_ideal_certificate(
                 seen.add(s)
                 atoms.append(s)
 
-    target = places.wq_key(tuple(x.entries))
+    target = x.key
     atom_keys = [places.wq_key((c, -ctx.a * c)) for c in atoms]
 
     def dfs(start: int, depth: int, acc, picks):

@@ -28,7 +28,7 @@ from .errors import (
     ZeroInput,
 )
 from .fields import FieldDescriptor
-from .quadext import QuadExtContext, in_Ia
+from .quadext import QuadExtContext, in_Ia, one_minus_a
 from .witt import WittClass, integer_class, zero_class
 
 BSL2N = "BSL2n"
@@ -44,9 +44,6 @@ class PresentationId:
     field: FieldDescriptor
     ctx: Optional[QuadExtContext] = None
     inverted: bool = False
-
-    def coefficient_field(self) -> FieldDescriptor:
-        return self.field
 
     def __str__(self):
         if self.kind == BSL2N:
@@ -155,7 +152,7 @@ class GradedElement:
 
     def constant_coefficient(self) -> WittClass:
         unit = _unit_key(self.pres)
-        return self.coeffs.get(unit, zero_class(self.pres.coefficient_field()))
+        return self.coeffs.get(unit, zero_class(self.pres.field))
 
     # -- ring operations ----------------------------------------------------
 
@@ -180,7 +177,7 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self * from_witt(self.pres, integer_class(other, self.pres.coefficient_field()))
+            return self * from_witt(self.pres, integer_class(other, self.pres.field))
         if isinstance(other, WittClass):
             return self * from_witt(self.pres, other)
         self._check(other)
@@ -215,7 +212,7 @@ class GradedElement:
         if not isinstance(other, GradedElement) or other.pres != self.pres:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
-        z = zero_class(self.pres.coefficient_field())
+        z = zero_class(self.pres.field)
         return all(
             _coeff_eq(self.pres, k, self.coeffs.get(k, z), other.coeffs.get(k, z))
             for k in keys
@@ -257,11 +254,7 @@ def _key_mul(pres: PresentationId, k1, k2) -> Iterable[Tuple[object, Optional[Wi
 
 
 def _y_square(ctx: QuadExtContext) -> WittClass:
-    import wittloc.fields as F
-
-    one = F.one(ctx.base)
-    na = F.neg(ctx.base, ctx.a)
-    return WittClass.from_entries(ctx.base, (one, one, na, na))
+    return 2 * one_minus_a(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +266,15 @@ def zero_elem(pres: PresentationId) -> GradedElement:
 
 
 def from_witt(pres: PresentationId, w: WittClass) -> GradedElement:
-    if w.field != pres.coefficient_field():
-        raise FieldMismatch(f"{w.field} vs {pres.coefficient_field()}")
+    if w.field != pres.field:
+        raise FieldMismatch(f"{w.field} vs {pres.field}")
     if pres.kind == BN_TWISTED_MODULE:
         raise PresentationMismatch("the twisted module has no scalars")
     return GradedElement(pres, {_unit_key(pres): w})
 
 
 def from_int(pres: PresentationId, n: int) -> GradedElement:
-    return from_witt(pres, integer_class(n, pres.coefficient_field()))
+    return from_witt(pres, integer_class(n, pres.field))
 
 
 def one_elem(pres: PresentationId) -> GradedElement:
@@ -302,7 +295,7 @@ def generator_names(pres: PresentationId) -> List[str]:
 
 
 def gen(pres: PresentationId, name: str) -> GradedElement:
-    one = integer_class(1, pres.coefficient_field())
+    one = integer_class(1, pres.field)
     if pres.kind == BSL2N:
         if name == "e" and pres.n == 1:
             name = "e1"
@@ -533,10 +526,6 @@ def localize(x: GradedElement, s: GradedElement) -> LocalizedElement:
             "in the localized ring"
         )
     return LocalizedElement(carrier, localize_element(x, carrier), s_loc, 0)
-
-
-def loc_div(u: LocalizedElement, extra: int = 1) -> LocalizedElement:
-    return LocalizedElement(u.pres, u.numerator, u.inverted, u.dexp + extra)
 
 
 def loc_eq(u: LocalizedElement, v: LocalizedElement, max_shift: int = 2) -> bool:

@@ -142,9 +142,9 @@ def _random_elem(rng: random.Random, pres) -> GradedElement:
     from .rings import generator_names
 
     names = generator_names(pres)
-    out = from_witt(pres, _random_coeff(rng, pres.coefficient_field()))
+    out = from_witt(pres, _random_coeff(rng, pres.field))
     for _ in range(rng.randint(0, 3)):
-        term = from_witt(pres, _random_coeff(rng, pres.coefficient_field()))
+        term = from_witt(pres, _random_coeff(rng, pres.field))
         for _ in range(rng.randint(0, 2)):
             term = term * gen(pres, rng.choice(names))
         out = out + term

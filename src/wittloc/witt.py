@@ -1,8 +1,13 @@
 """Exact arithmetic in Witt rings W(k) with canonical-form equality.
 
-Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A
-class stores both a diagonal representative (needed by the transfer maps)
-and a field-specific invariant bundle used for equality and hashing.
+Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  Over
+Q, R, F_p, F_{p^2} and C a class is stored as its complete invariant key
+(signature, second residues and dyadic slot over Q; signature over R; rank
+parity and discriminant class over the others); sums, negations, integer
+multiples and equality work on keys, and the diagonal representative that
+transfers, general products and printing read is built from the key on
+first use.  W(Q(sqrt a)) has no key here: its classes store a reduced
+representative, and equality runs a decision procedure.
 """
 
 from __future__ import annotations
@@ -10,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fields as F
 from . import places
@@ -110,18 +116,20 @@ def trace_form_entries(c, base: FieldDescriptor, a) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization per field
+# invariant keys of the keyed fields
+#
+# The first entry of every key is congruent to the rank mod 2; over Q and R
+# it is the signature.
 
 
-def _canon_reals(entries) -> Tuple[Tuple, Tuple]:
-    sig = sum(1 if c > 0 else -1 for c in entries)
-    rep = tuple([Fraction(1 if sig > 0 else -1)] * abs(sig))
-    return rep, ("R", sig)
+class _Keyed(NamedTuple):
+    """Witt-ring arithmetic of one keyed field kind, done on keys."""
 
-
-def _canon_fp(entries, p: int) -> Tuple[Tuple, Tuple]:
-    cls = places.fp_class_of_units(entries, p)
-    return _fp_entries_from_class(cls, p), ("Fp", p, cls)
+    zero: Tuple
+    key: Callable  # (field, diagonal entries) -> key of the form
+    add: Callable  # (field, key, key) -> key of the sum
+    neg: Callable  # (field, key) -> key of the negation
+    rep: Callable  # (field, key) -> diagonal representative of the class
 
 
 def _fp_entries_from_class(cls, p: int) -> Tuple[int, ...]:
@@ -136,24 +144,21 @@ def _fp_entries_from_class(cls, p: int) -> Tuple[int, ...]:
     return (1, s) if p % 4 == 1 else (1, 1)
 
 
-def _canon_fq(entries, field: FieldDescriptor) -> Tuple[Tuple, Tuple]:
-    # F_{p^2}: -1 is always a square, so the signed disc class is the plain
+def _fq_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
+    # F_{p^2} and C: -1 is a square, so the signed disc class is the plain
     # product class; (rank mod 2, disc-is-square) classifies.
-    r2 = len(entries) % 2
     d = F.one(field)
     for c in entries:
         d = F.mul(field, d, c)
-    dsq = F.is_square(field, d)
-    key = ("Fq", field.base.p, r2, dsq)
-    onee = F.one(field)
-    s2 = F.first_nonsquare(field)
-    if r2 == 0 and dsq:
-        rep: Tuple = ()
-    elif r2 == 1:
-        rep = (onee,) if dsq else (s2,)
-    else:
-        rep = (onee, s2)
-    return rep, key
+    return (len(entries) % 2, F.is_square(field, d))
+
+
+def _fq_rep(field: FieldDescriptor, key) -> Tuple:
+    r2, dsq = key
+    one = F.one(field)
+    if r2 == 1:
+        return (one,) if dsq else (F.first_nonsquare(field),)
+    return () if dsq else (one, F.first_nonsquare(field))
 
 
 def _reconstruct_rationals(key) -> Tuple[Fraction, ...]:
@@ -201,9 +206,52 @@ def _reconstruct_rationals(key) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _canon_rationals(entries) -> Tuple[Tuple, Tuple]:
-    key = places.wq_key(entries)
-    return _reconstruct_rationals(key), ("Q", key)
+_RATIONAL_KEYS = _Keyed(
+    places.WQ_ZERO,
+    lambda field, entries: places.wq_key(entries),
+    lambda field, k1, k2: places.wq_key_add(k1, k2),
+    lambda field, k: places.wq_key_neg(k),
+    lambda field, k: _reconstruct_rationals(k),
+)
+_REAL_KEYS = _Keyed(
+    (0,),
+    lambda field, entries: (sum(1 if c > 0 else -1 for c in entries),),
+    lambda field, k1, k2: (k1[0] + k2[0],),
+    lambda field, k: (-k[0],),
+    lambda field, k: (Fraction(1 if k[0] > 0 else -1),) * abs(k[0]),
+)
+_FP_KEYS = _Keyed(
+    places.FP_ZERO,
+    lambda field, entries: places.fp_class_of_units(entries, field.p),
+    lambda field, k1, k2: places.fp_add(k1, k2, field.p),
+    lambda field, k: places.fp_neg(k, field.p),
+    lambda field, k: _fp_entries_from_class(k, field.p),
+)
+# F_{p^2} and C: every class is its own negative, as -1 is a square
+_FQ_KEYS = _Keyed(
+    (0, True),
+    _fq_key,
+    lambda field, k1, k2: ((k1[0] + k2[0]) % 2, k1[1] == k2[1]),
+    lambda field, k: k,
+    _fq_rep,
+)
+_KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FP_KEYS,
+          QUAD_EXT: _FQ_KEYS}
+
+
+def _keyed(field: FieldDescriptor) -> Optional[_Keyed]:
+    """Key arithmetic of the field, or None over Q(sqrt a)."""
+    if field.kind == QUAD_EXT and field.base.kind == RATIONALS:
+        return None
+    if field.kind not in _KEYED:
+        raise UnsupportedField(str(field))
+    return _KEYED[field.kind]
+
+
+@lru_cache(maxsize=None)
+def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
+    """Keys of 0, <1>, 2<1> and 3<1> over a field where 4<1> = 0."""
+    return tuple(integer_class(t, field).key for t in range(4))
 
 
 # --- Q(sqrt a): reduced representative, equality by decision procedure -----
@@ -266,10 +314,6 @@ def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
     return tuple(work)
 
 
-def _canon_qext_q(entries, field: FieldDescriptor) -> Tuple[Tuple, None]:
-    return _reduce_qext(field, entries), None
-
-
 def _qext_q_is_zero(field: FieldDescriptor, entries) -> bool:
     reduced = _reduce_qext(field, entries)
     if not reduced:
@@ -301,46 +345,52 @@ def _qext_q_is_zero(field: FieldDescriptor, entries) -> bool:
     )
 
 
-def _canonicalize(field: FieldDescriptor, entries) -> Tuple[Tuple, Optional[Tuple]]:
-    if field.kind == REALS:
-        return _canon_reals(entries)
-    if field.kind == RATIONALS:
-        return _canon_rationals(entries)
-    if field.kind == FINITE_PRIME:
-        return _canon_fp(entries, field.p)
-    if field.kind == QUAD_EXT:
-        if field.base.kind == FINITE_PRIME:
-            return _canon_fq(entries, field)
-        if field.base.kind == REALS:
-            rep = ((F.one(field),) if len(entries) % 2 else ())
-            return rep, ("C", len(entries) % 2)
-        if field.base.kind == RATIONALS:
-            return _canon_qext_q(entries, field)
-    raise UnsupportedField(str(field))
+def _canonicalize(field: FieldDescriptor, entries):
+    """Canonical state of the class of a diagonal form: its invariant key
+    over a keyed field, its reduced representative over Q(sqrt a)."""
+    kind = _keyed(field)
+    if kind is None:
+        return _reduce_qext(field, entries)
+    return kind.key(field, entries)
 
 
 # ---------------------------------------------------------------------------
 
 
 class WittClass:
-    """Canonical element of W(k); immutable, compares by Witt equivalence."""
+    """Element of W(k); immutable, compares by Witt equivalence.
 
-    __slots__ = ("field", "entries", "key")
+    Over a keyed field (Q, R, F_p, F_{p^2}, C) the state is ``field`` and
+    the invariant ``key``; ``entries``, a diagonal representative, is built
+    from the key on first use and cached.  Over Q(sqrt a) ``key`` is None
+    and ``entries`` is a reduced diagonal representative.
+    """
 
-    def __init__(self, field: FieldDescriptor, entries, key):
+    __slots__ = ("field", "key", "_entries")
+
+    def __init__(self, field: FieldDescriptor, key, entries=None):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_entries", entries)
 
     def __setattr__(self, *_):
         raise AttributeError("WittClass is immutable")
+
+    @property
+    def entries(self) -> Tuple:
+        if self._entries is None:
+            rep = _keyed(self.field).rep(self.field, self.key)
+            object.__setattr__(self, "_entries", rep)
+        return self._entries
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_entries(field: FieldDescriptor, entries) -> "WittClass":
-        rep, key = _canonicalize(field, tuple(entries))
-        return WittClass(field, rep, key)
+        state = _canonicalize(field, tuple(entries))
+        if _keyed(field) is None:
+            return WittClass(field, None, state)
+        return WittClass(field, state)
 
     # -- ring structure ----------------------------------------------------
 
@@ -352,51 +402,43 @@ class WittClass:
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        return WittClass.from_entries(self.field, self.entries + other.entries)
+        kind = _keyed(self.field)
+        if kind is None:
+            return WittClass.from_entries(self.field, self.entries + other.entries)
+        return WittClass(self.field, kind.add(self.field, self.key, other.key))
 
     def __neg__(self) -> "WittClass":
-        negd = tuple(F.neg(self.field, c) for c in self.entries)
-        return WittClass.from_entries(self.field, negd)
+        kind = _keyed(self.field)
+        if kind is None:
+            negd = tuple(F.neg(self.field, c) for c in self.entries)
+            return WittClass.from_entries(self.field, negd)
+        return WittClass(self.field, kind.neg(self.field, self.key))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
-    def _as_int(self):
-        """n when the diagonal is visibly n*<1> or n*<-1>, else None."""
-        one = F.one(self.field)
-        neg_one = F.neg(self.field, one)
-        if all(c == one for c in self.entries):
-            return len(self.entries)
-        if all(c == neg_one for c in self.entries):
-            return -len(self.entries)
-        return None
-
     def _int_scale(self, t: int) -> "WittClass":
-        """t-fold sum computed by doubling, keeping entries canonical."""
-        if t == 0:
-            return WittClass.from_entries(self.field, ())
-        neg = t < 0
+        """t-fold sum, by doubling."""
+        acc = zero_class(self.field)
+        base = -self if t < 0 else self
         t = abs(t)
-        acc = None
-        base = self
         while t:
             if t & 1:
-                acc = base if acc is None else acc + base
+                acc = acc + base
             t >>= 1
             if t:
                 base = base + base
-        return -acc if neg else acc
+        return acc
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._int_scale(other)
         self._check(other)
-        t = other._as_int()
-        if t is not None:
-            return self._int_scale(t)
-        t = self._as_int()
-        if t is not None:
-            return other._int_scale(t)
+        if self.key is not None:
+            for x, y in ((self, other), (other, self)):
+                t = y.integer_value()
+                if t is not None:
+                    return x._int_scale(t)
         prod = tuple(
             F.mul(self.field, c, d) for c in self.entries for d in other.entries
         )
@@ -407,11 +449,25 @@ class WittClass:
             return self.__mul__(other)
         return NotImplemented
 
+    def integer_value(self) -> Optional[int]:
+        """t with self == t*<1>, or None when there is none; exact over the
+        keyed fields (over F_p, F_{p^2} and C, 4*<1> = 0 and t is taken in
+        0..3), UnsupportedField over Q(sqrt a)."""
+        if self.field.kind == RATIONALS:
+            sig, residues, dyadic = self.key
+            return None if residues or dyadic else sig
+        if self.field.kind == REALS:
+            return self.key[0]
+        if self.key is None:
+            raise UnsupportedField(f"no integer test over {self.field}")
+        keys = _torsion_integer_keys(self.field)
+        return keys.index(self.key) if self.key in keys else None
+
     def is_zero(self) -> bool:
-        if self.key is not None:
-            # every keyed field has empty canonical entries exactly on zero
-            return len(self.entries) == 0
-        return _qext_q_is_zero(self.field, self.entries)
+        kind = _keyed(self.field)
+        if kind is None:
+            return _qext_q_is_zero(self.field, self.entries)
+        return self.key == kind.zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WittClass) or other.field != self.field:
@@ -432,11 +488,13 @@ class WittClass:
 
     @property
     def rank_parity(self) -> int:
+        if self.key is not None:
+            return self.key[0] % 2
         return len(self.entries) % 2
 
     def signature(self, positive_root: bool = True) -> int:
         if self.field.kind in (RATIONALS, REALS):
-            return sum(1 if c > 0 else -1 for c in self.entries)
+            return self.key[0]
         if self.field.kind == QUAD_EXT and self.field.base.kind == RATIONALS:
             if self.field.a > 0:
                 return sum(F.real_sign(self.field, c, positive_root) for c in self.entries)
@@ -461,7 +519,10 @@ def witt(field: FieldDescriptor, *entries) -> WittClass:
 
 
 def zero_class(field: FieldDescriptor) -> WittClass:
-    return WittClass.from_entries(field, ())
+    kind = _keyed(field)
+    if kind is None:
+        return WittClass(field, None, ())
+    return WittClass(field, kind.zero)
 
 
 def square_class(field: FieldDescriptor, c) -> WittClass:
@@ -469,18 +530,4 @@ def square_class(field: FieldDescriptor, c) -> WittClass:
 
 
 def integer_class(n: int, field: FieldDescriptor) -> WittClass:
-    entries = (1 if n > 0 else -1,) * abs(n)
-    return witt_class(form(field, entries))
-
-
-def is_zero_divisor_int(n: int, field: FieldDescriptor) -> bool:
-    """Whether multiplication by n has nontrivial kernel on W(field).
-
-    All Z-torsion in these Witt rings is 2-primary, and W(R) = Z is the
-    only torsion-free ring in the supported list.
-    """
-    if n == 0:
-        raise ZeroInput("n must be nonzero")
-    if n % 2:
-        return False
-    return field.kind != REALS
+    return WittClass.from_entries(field, (F.one(field),))._int_scale(n)

@@ -255,9 +255,9 @@ def test_criterion_7_property_suites():
 
     def rand_elem(pres):
         names = generator_names(pres)
-        out = from_witt(pres, rand_class(pres.coefficient_field(), 2))
+        out = from_witt(pres, rand_class(pres.field, 2))
         for _ in range(rng.randint(0, 2)):
-            t = from_witt(pres, rand_class(pres.coefficient_field(), 2))
+            t = from_witt(pres, rand_class(pres.field, 2))
             for _ in range(rng.randint(0, 2)):
                 t = t * gen(pres, rng.choice(names))
             out = out + t

@@ -17,6 +17,7 @@ from wittloc.engine import (
     problem_from_json,
     problem_to_json,
     push_to_base,
+    _integer_e_poly_to_base,
 )
 from wittloc.errors import (
     BadDimension,
@@ -26,7 +27,7 @@ from wittloc.errors import (
 )
 from wittloc.euler import NIrrep, RHO, RHO0, n_rep
 from wittloc.quadext import make_context
-from wittloc.rings import bsl2n, from_int, from_witt, gen, one_elem, twisted_point
+from wittloc.rings import GradedElement, bsl2n, from_int, from_witt, gen, one_elem, twisted_point
 from wittloc.witt import integer_class, square_class, witt
 
 Q = F.rationals()
@@ -105,6 +106,34 @@ def test_mixed_rational_and_twisted_components():
     res = bott_residue(LocalizationProblem(g, (rational, twisted), M=2))
     expected = integer_class(1, Q) + square_class(Q, Fraction(2)) - square_class(Q, Fraction(4))
     assert res.degree_zero == expected
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_euler_coefficient_15_clears(M):
+    """e(rho(3) + rho(5)) = 15 e^2; 15<1> is recognized as an integer class."""
+    g = GroupDescriptor("N", 1, Q)
+    rep = n_rep([NIrrep(RHO, 3), NIrrep(RHO, 5)])
+    rational = FixedComponent("pt", "rational", rep, rep)
+    assert bott_residue(LocalizationProblem(g, (rational,), M=M)).degree_zero == integer_class(1, Q)
+    twisted = FixedComponent("tw", make_context(Q, Fraction(-3)), rep, rep)
+    res = bott_residue(LocalizationProblem(g, (twisted,), M=M))
+    assert res.degree_zero == square_class(Q, Fraction(2)) - square_class(Q, Fraction(-6))
+
+
+def test_two_components_with_euler_coefficient_15():
+    g = GroupDescriptor("N", 1, Q)
+    rep15 = n_rep([NIrrep(RHO, 3), NIrrep(RHO, 5)])
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    rational = FixedComponent("pt", "rational", rep15, rep15)
+    twisted = FixedComponent("tw", make_context(Q, Fraction(2)), rho1, rho1)
+    res = bott_residue(LocalizationProblem(g, (rational, twisted)))
+    assert res.degree_zero == square_class(Q, Fraction(2))
+
+
+def test_integer_denominator_pushes_to_base():
+    ctx = make_context(Q, Fraction(-3))
+    x = GradedElement(twisted_point(ctx, inverted=True), {(0, 1): integer_class(13, Q)})
+    assert _integer_e_poly_to_base(x) == GradedElement(bsl2n(1, Q), {(1,): integer_class(13, Q)})
 
 
 def test_zero_normal_euler_rejected():

@@ -58,9 +58,9 @@ def test_hyperbolic_absorption(field):
 
 def random_ring_elem(rng, pres, max_terms=4):
     names = generator_names(pres)
-    out = from_witt(pres, random_class(rng, pres.coefficient_field(), 2))
+    out = from_witt(pres, random_class(rng, pres.field, 2))
     for _ in range(rng.randint(0, max_terms - 1)):
-        t = from_witt(pres, random_class(rng, pres.coefficient_field(), 2))
+        t = from_witt(pres, random_class(rng, pres.field, 2))
         for _ in range(rng.randint(0, 2)):
             t = t * gen(pres, rng.choice(names))
         out = out + t

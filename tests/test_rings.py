@@ -11,6 +11,7 @@ from wittloc.errors import (
 from wittloc.quadext import make_context, one_minus_a
 from wittloc.rings import (
     GradedElement,
+    LocalizedElement,
     bn_twisted_module,
     bnn,
     bsl2n,
@@ -19,7 +20,6 @@ from wittloc.rings import (
     from_witt,
     gen,
     kunneth,
-    loc_div,
     loc_eq,
     localize,
     localize_element,
@@ -150,7 +150,8 @@ def test_loc_eq_with_shifts():
     pres = bsl2n(1, Q)
     e = gen(pres, "e")
     u = localize(e * e, e)
-    v = loc_div(localize(e * e * e, e), 1)
+    w = localize(e * e * e, e)
+    v = LocalizedElement(w.pres, w.numerator, w.inverted, dexp=1)
     assert loc_eq(u, v)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -136,3 +138,75 @@ def test_quadext_undecidable_cases_raise():
     a = WittClass.from_entries(ext, (F.one(ext),))
     b = WittClass.from_entries(ext, (F.first_nonsquare(ext),))
     assert a != b  # decided by the discriminant, no Undecided here
+
+
+# -- key-first classes --------------------------------------------------------
+
+C = F.quad_ext(R, -1)
+KEYED_FIELDS = [
+    Q,
+    R,
+    F.finite_prime(13),  # p = 1 mod 4
+    F.finite_prime(7),  # p = 3 mod 4
+    F.quad_ext(F.finite_prime(7), 3),
+    C,
+]
+
+
+def random_entries(rng, field, max_rank=5):
+    def scalar():
+        if field.kind == "Fp":
+            return rng.randrange(1, field.p)
+        if field.kind == "QuadExt" and field.base.kind == "Fp":
+            p = field.base.p
+            return rng.choice([(u, v) for u in range(p) for v in range(p) if (u, v) != (0, 0)])
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 300), rng.randint(1, 40))
+        return (q, Fraction(rng.randint(-3, 3))) if field == C else q
+
+    return tuple(F.coerce(field, scalar()) for _ in range(rng.randint(0, max_rank)))
+
+
+@pytest.mark.parametrize("field", KEYED_FIELDS, ids=str)
+def test_key_arithmetic_matches_canonicalized_entries(field):
+    rng = random.Random(str(field))
+    for _ in range(60):
+        ex, ey = random_entries(rng, field), random_entries(rng, field)
+        x, y = WittClass.from_entries(field, ex), WittClass.from_entries(field, ey)
+        assert (x + y).key == WittClass.from_entries(field, ex + ey).key
+        negated = tuple(F.neg(field, c) for c in ex)
+        assert (-x).key == WittClass.from_entries(field, negated).key
+        assert WittClass.from_entries(field, x.entries).key == x.key
+        fold = zero_class(field)
+        for n in range(6):
+            assert n * x == fold and (-n) * x == -fold
+            fold = fold + x
+
+
+@pytest.mark.parametrize("field", KEYED_FIELDS, ids=str)
+def test_integer_value_is_exact(field):
+    one = integer_class(1, field)
+    for n in range(-20, 21):
+        t = (n * one).integer_value()
+        assert t is not None and integer_class(t, field) == n * one
+    assert integer_class(13, Q).integer_value() == 13
+    assert square_class(Q, Fraction(2)).integer_value() is None
+    assert (witt(Q, 3) + witt(Q, 3)).integer_value() is None
+
+
+def test_rational_arithmetic_builds_no_representative(monkeypatch):
+    witt_module = importlib.import_module("wittloc.witt")
+    calls = []
+    real = witt_module._reconstruct_rationals
+
+    def counting(key):
+        calls.append(key)
+        return real(key)
+
+    monkeypatch.setattr(witt_module, "_reconstruct_rationals", counting)
+    x = WittClass.from_entries(Q, (Fraction(3), Fraction(-10), Fraction(7, 2)))
+    y = WittClass.from_entries(Q, (Fraction(5), Fraction(1, 3)))
+    z = (x + y) - (-x) + 5 * y + (-3) * x + x * integer_class(2, Q) + integer_class(-4, Q) * y
+    assert z == z and z != x and hash(z) == hash(z + zero_class(Q))
+    assert not z.is_zero() and (z - z).is_zero()
+    assert calls == []
+    assert x.entries and x.entries == x.entries and len(calls) == 1
