@@ -4,12 +4,16 @@ A problem is a group (SL2^n or N over a base field) plus a list of
 0-dimensional fixed components.  Each component contributes
 push(i^*(class) / e(normal)) and the engine sums the contributions,
 attempting to clear denominators back into the polynomial presentation.
+
+An SL2^n problem whose component fractions all have integer coefficients
+is summed and cleared in Z[e_1..e_n], and the result is mapped into
+W(k)[e_1..e_n] once; the answer is the one W(k) arithmetic would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fields as F
@@ -21,7 +25,15 @@ from .errors import (
     NonInvertibleNormalEuler,
     UnsupportedResidueField,
 )
-from .euler import RepSum, euler_rep, fundamental, generic_euler, sl2n_rep, SL2nIrrep
+from .euler import (
+    RepSum,
+    SL2nIrrep,
+    _sl2n_euler,
+    euler_rep,
+    fundamental,
+    generic_euler,
+    sl2n_rep,
+)
 from .fields import FINITE_PRIME, RATIONALS, REALS, FieldDescriptor
 from .quadext import QuadExtContext
 from .rings import (
@@ -35,12 +47,12 @@ from .rings import (
     bsl2n,
     e_star,
     from_int,
-    from_witt,
     gen,
-    localization_carrier,
+    integral_bsl2n,
     localize_element,
     one_elem,
     twisted_point,
+    witt_image,
     zero_elem,
 )
 from .witt import WittClass, integer_class, zero_class
@@ -127,12 +139,14 @@ def _witt_coeff_divide(c: WittClass, d: WittClass) -> List[WittClass]:
     if field.kind == RATIONALS:
         t = d.integer_value()
         if t is not None:
-            out.extend(q for q in _divide_rational_by_int(c, t) if q not in seen and (seen.add(q) or True))
+            for q in _divide_rational_by_int(c, t):
+                push(q)
     return out
 
 
 def _divide_rational_by_int(c: WittClass, t: int) -> List[WittClass]:
-    """Solutions q of t*q = c in W(Q), via the residue decomposition."""
+    """All solutions q of t*q = c in W(Q), via the residue decomposition:
+    one per choice of a solution at every prime and of the dyadic slot."""
     sig, items, dy = c.key
     if t == 0 or sig % t or (t % 2 == 0 and dy):
         return []
@@ -144,21 +158,23 @@ def _divide_rational_by_int(c: WittClass, t: int) -> List[WittClass]:
             return []
         per_prime.append(sols)
     dys = [dy] if t % 2 else [0, 1]
-    combos: List[List[Tuple[int, Tuple[int, int]]]] = [[]]
-    for sols in per_prime:
-        combos = [prefix + [s] for prefix in combos for s in sols]
-        if len(combos) > 256:
-            combos = combos[:256]
     results = []
-    for combo in combos:
+    for combo in product(*per_prime):
+        items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
         for dq in dys:
-            items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
-            results.append(WittClass(c.field, (sig // t, items_q, dq)))
-    return [q for q in results if t * q == c]
+            q = WittClass(c.field, (sig // t, items_q, dq))
+            if t * q == c:
+                results.append(q)
+    return results
+
+
+def _int_divide(c: int, d: int) -> List[int]:
+    return [c // d] if c % d == 0 else []
 
 
 def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedElement]:
-    """num / den in the polynomial carrier, or None when not exactly divisible."""
+    """num / den in the polynomial carrier, over W(k) or over Z, or None when
+    not exactly divisible."""
     if den.pres != num.pres or den.pres.kind not in (BSL2N,):
         raise BadParameters("exact division works in the polynomial carrier")
     if den.is_zero():
@@ -167,6 +183,7 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
         return zero_elem(num.pres)
     dk = max(den.coeffs)
     dc = den.coeffs[dk]
+    coeff_divide = _int_divide if num.pres.integral else _witt_coeff_divide
 
     def dfs(r: GradedElement, acc: GradedElement) -> Optional[GradedElement]:
         if r.is_zero():
@@ -175,9 +192,8 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
         if any(a < b for a, b in zip(lk, dk)):
             return None
         mono_key = tuple(a - b for a, b in zip(lk, dk))
-        mono = GradedElement(num.pres, {mono_key: integer_class(1, num.pres.field)})
-        for qc in _witt_coeff_divide(r.coeffs[lk], dc):
-            term = from_witt(num.pres, qc) * mono
+        for qc in coeff_divide(r.coeffs[lk], dc):
+            term = GradedElement(num.pres, {mono_key: qc})
             got = dfs(r - term * den, acc + term)
             if got is not None:
                 return got
@@ -303,7 +319,7 @@ def _integer_e_poly_to_base(x: GradedElement) -> GradedElement:
 
 def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement:
     """euler(restricted) / euler(normal) over the component's localized ring."""
-    num, den = _component_fraction(c, g)
+    num, den = _component_fraction(c, g, bsl2n(g.n, g.field))
     carrier = num.pres
     if den.is_zero():
         raise NonInvertibleNormalEuler(f"component {c.id}: normal Euler class is 0")
@@ -311,14 +327,29 @@ def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement
 
 
 def _component_fraction(
-    c: FixedComponent, g: GroupDescriptor
+    c: FixedComponent, g: GroupDescriptor, carrier: PresentationId
 ) -> Tuple[GradedElement, GradedElement]:
-    """(numerator, denominator) over the localized base carrier ring."""
+    """(numerator, denominator) over the localized base carrier ring, which
+    for SL2n may be its integral form (see ``_integral_carrier``)."""
     pres = component_presentation(c, g)
     if generic_euler(c.normal_rep, g.field).is_zero():
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
         )
+    if g.kind == "SL2n":
+        den = _sl2n_euler(c.normal_rep, carrier)
+        if den.is_zero():
+            raise NonInvertibleNormalEuler(
+                f"component {c.id}: normal Euler class has no invertible representative"
+            )
+        if c.restricted == c.normal_rep:
+            return den, den
+        if isinstance(c.restricted, RepSum):
+            return _sl2n_euler(c.restricted, carrier), den
+        if carrier.integral:
+            return _integral_lift(c.restricted, carrier), den
+        return c.restricted, den
+
     den_val = euler_rep(c.normal_rep, g.field).value
     if den_val is None or den_val.is_zero():
         raise NonInvertibleNormalEuler(
@@ -333,10 +364,6 @@ def _component_fraction(
     else:
         r_val = c.restricted
 
-    if g.kind == "SL2n":
-        return r_val, den_val
-
-    carrier = bsl2n(1, g.field)
     den_base = localize_element(den_val, carrier)
     if pres.kind == BNN:
         if isinstance(r_val, GradedElement) and r_val.pres.kind != BNN:
@@ -353,6 +380,80 @@ def _component_fraction(
     return num, den_base
 
 
+def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
+    """The preimage in the integral carrier of a W(k) polynomial whose
+    coefficients are all integer classes, or None."""
+    out: Dict = {}
+    for k, c in x.coeffs.items():
+        t = c.integer_value()
+        if t is None:
+            return None
+        out[k] = t
+    return GradedElement(carrier, out)
+
+
+def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
+    """Z[e_1..e_n] when an SL2n problem can be summed over Z, else None.
+
+    Denominators are Whitney products, hence integral with leading
+    coefficient +-(odd), which no supported W(k) annihilates; so a quotient
+    over Z maps to the only quotient over W(k).  Numerators are integral when
+    they are Whitney products or ring expressions whose coefficients are all
+    integer classes.  Over Q(sqrt a) classes have no key and W(k) division is
+    a search that may miss that quotient, so those problems stay on W(k).
+    """
+    g = p.group
+    if g.kind != "SL2n" or zero_class(g.field).key is None:
+        return None
+    base, carrier = bsl2n(g.n, g.field), integral_bsl2n(g.n, g.field)
+    for c in p.components:
+        if isinstance(c.restricted, GradedElement) and (
+            c.restricted.pres != base or _integral_lift(c.restricted, carrier) is None
+        ):
+            return None
+    return carrier
+
+
+def _divides_only_in_witt(num: GradedElement, den: GradedElement) -> bool:
+    """Whether num / den failed over Z but holds for the W(k) images, as
+    2-torsion allows: over F_7, -e1^2 + e2^2 lifts to 3e1^2 + e2^2."""
+    return num.pres.integral and exact_divide(witt_image(num), witt_image(den)) is not None
+
+
+def _sum_fractions(
+    fractions: List[Tuple[GradedElement, GradedElement]], carrier: PresentationId
+):
+    """Sum the component fractions over carrier: (numerator, common
+    denominator or None when every fraction cleared, numerator / common
+    denominator or None), or None when some division fails over Z only."""
+    one = one_elem(carrier)
+    reduced: List[Tuple[GradedElement, GradedElement]] = []
+    for num, den in fractions:
+        q = exact_divide(num, den)
+        if q is None and _divides_only_in_witt(num, den):
+            return None
+        reduced.append((num, den) if q is None else (q, one))
+
+    dens = [den for _, den in reduced if den != one]
+    total_num = zero_elem(carrier)
+    for i, (num, den) in enumerate(reduced):
+        others = one
+        for j, (_, d2) in enumerate(reduced):
+            if j != i and d2 != one:
+                others = others * d2
+        total_num = total_num + num * others
+
+    if not dens:
+        return total_num, None, total_num
+    D = one
+    for d in dens:
+        D = D * d
+    cleared = exact_divide(total_num, D)
+    if cleared is None and _divides_only_in_witt(total_num, D):
+        return None
+    return total_num, D, cleared
+
+
 def bott_residue(p: LocalizationProblem) -> ResidueResult:
     g = p.group
     flags: Dict[str, bool] = {}
@@ -364,41 +465,23 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     ):
         flags["potentially_vacuous"] = True
 
-    if g.kind == "SL2n":
-        carrier = bsl2n(g.n, g.field)
-        default_s = e_star(g.n, g.field)
-    else:
-        carrier = bsl2n(1, g.field)
-        default_s = from_int(carrier, p.M if p.M else 1) * gen(carrier, "e")
+    # the N-engine has n = 1, and its base carrier is BSL2n(1) too
+    carrier = bsl2n(g.n, g.field)
+    work = _integral_carrier(p) or carrier
+    fractions = [_component_fraction(c, g, work) for c in p.components]
+    summed = _sum_fractions(fractions, work)
+    if summed is None:
+        images = [(witt_image(num), witt_image(den)) for num, den in fractions]
+        summed = _sum_fractions(images, carrier)
+    total_num, D, cleared = (None if x is None else witt_image(x) for x in summed)
 
-    fractions: List[Tuple[GradedElement, GradedElement]] = []
-    one = one_elem(carrier)
-    for c in p.components:
-        num, den = _component_fraction(c, g)
-        q = exact_divide(num, den)
-        if q is not None:
-            fractions.append((q, one))
-        else:
-            fractions.append((num, den))
-
-    dens = [den for _, den in fractions if den != one]
-    total_num = zero_elem(carrier)
-    for i, (num, den) in enumerate(fractions):
-        others = one
-        for j, (_, d2) in enumerate(fractions):
-            if j != i and d2 != one:
-                others = others * d2
-        total_num = total_num + num * others
-
-    if not dens:
-        value = LocalizedElement(carrier, total_num, default_s, 0)
-        cleared: Optional[GradedElement] = total_num
-    else:
-        D = one
-        for d in dens:
-            D = D * d
+    if D is not None:
         value = LocalizedElement(carrier, total_num, D, 1)
-        cleared = exact_divide(total_num, D)
+    elif g.kind == "SL2n":
+        value = LocalizedElement(carrier, total_num, e_star(g.n, g.field), 0)
+    else:
+        default_s = from_int(carrier, p.M if p.M else 1) * gen(carrier, "e")
+        value = LocalizedElement(carrier, total_num, default_s, 0)
 
     degree_zero: Optional[WittClass] = None
     if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):

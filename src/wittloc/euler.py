@@ -3,8 +3,11 @@
 Supported SL2^n shapes: a single Sym^m factor (m odd: m!!*e_i^{m+1}, with
 the fundamental case m = 1 giving e_i; m even: 0 by odd rank), a tensor
 product of two fundamental factors (e_i^2 - e_j^2), and the all-even
-vanishing case.  For N, e(O~(m)) is +-m*e for odd m (sign surfaced as
-determinacy metadata) and only its square m^2 e^2 is available for even m.
+vanishing case.  These formulas, the Whitney products and their squares
+all have integer coefficients, so SL2^n classes are computed in Z[e_1..e_n]
+and mapped into W(k)[e_1..e_n] once, when a public function returns them.
+For N, e(O~(m)) is +-m*e for odd m (sign surfaced as determinacy metadata)
+and only its square m^2 e^2 is available for even m.
 """
 
 from __future__ import annotations
@@ -15,7 +18,18 @@ from typing import Dict, Optional, Tuple
 
 from .errors import BadParameters, UnsupportedIrrep
 from .fields import FieldDescriptor
-from .rings import GradedElement, PresentationId, bnn, bsl2n, from_int, gen, one_elem, zero_elem
+from .rings import (
+    GradedElement,
+    PresentationId,
+    bnn,
+    bsl2n,
+    from_int,
+    gen,
+    integral_bsl2n,
+    one_elem,
+    witt_image,
+    zero_elem,
+)
 
 EXACT = "exact"
 UP_TO_SIGN = "up_to_sign"
@@ -121,6 +135,8 @@ class EulerClassValue:
 
     The square is always well-defined but can be large (double-factorial
     coefficients tensor-square quickly), so it is computed on first use.
+    For SL2^n the value and its square are computed over Z and each is
+    mapped into W(k) once; both fields always hold W(k) classes.
     """
 
     __slots__ = ("value", "determinacy", "_square", "_square_thunk")
@@ -157,36 +173,47 @@ def double_factorial(m: int) -> int:
 
 
 def euler_sl2n_irrep(irrep: SL2nIrrep, n: int, field: FieldDescriptor) -> EulerClassValue:
-    if len(irrep.exponents) != n:
-        raise BadParameters(f"irrep has {len(irrep.exponents)} exponents, group has n={n}")
-    pres = bsl2n(n, field)
+    # RepSum rejects an irrep whose exponent count is not n
+    return euler_rep(RepSum(("SL2n", n), ((irrep, 1),)), field)
+
+
+def euler_tensor_pair(i: int, j: int, n: int, field: FieldDescriptor) -> GradedElement:
+    """e(F_i (x) F_j) = e_i^2 - e_j^2 as written (antisymmetric in i, j)."""
+    return witt_image(_tensor_pair(i, j, integral_bsl2n(n, field)))
+
+
+def _irrep_euler(irrep: SL2nIrrep, pres: PresentationId) -> GradedElement:
     nz = [(i, m) for i, m in enumerate(irrep.exponents, start=1) if m]
     if all(m % 2 == 0 for _, m in nz):
         # includes the single even-exponent case: odd rank forces vanishing
-        z = zero_elem(pres)
-        return EulerClassValue(z, EXACT, z)
+        return zero_elem(pres)
     if len(nz) == 1:
         i, m = nz[0]
         ei = gen(pres, f"e{i}")
         if m == 1:
-            val = ei
-        else:
-            val = from_int(pres, double_factorial(m)) * ei ** (m + 1)
-        return EulerClassValue(val, EXACT, lambda: val * val)
+            return ei
+        return from_int(pres, double_factorial(m)) * ei ** (m + 1)
     if len(nz) == 2 and all(m == 1 for _, m in nz):
-        i, j = nz[0][0], nz[1][0]
-        val = euler_tensor_pair(i, j, n, field)
-        return EulerClassValue(val, EXACT, lambda: val * val)
+        return _tensor_pair(nz[0][0], nz[1][0], pres)
     raise UnsupportedIrrep(
         f"no closed Euler-class formula for exponents {irrep.exponents}"
     )
 
 
-def euler_tensor_pair(i: int, j: int, n: int, field: FieldDescriptor) -> GradedElement:
-    """e(F_i (x) F_j) = e_i^2 - e_j^2 as written (antisymmetric in i, j)."""
-    pres = bsl2n(n, field)
+def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
     ei, ej = gen(pres, f"e{i}"), gen(pres, f"e{j}")
     return ei * ei - ej * ej
+
+
+def _sl2n_euler(rep: RepSum, pres: PresentationId, power: int = 1) -> GradedElement:
+    """e(rep)^power as the Whitney product of the e(irrep)^(power*mult), in
+    the BSL2n presentation pres, over Z or over W(k); the engine works with
+    it over Z.  Squaring factor by factor is cheaper than squaring the
+    product, whose terms multiply pairwise."""
+    val = one_elem(pres)
+    for irrep, mult in rep.summands:
+        val = val * _irrep_euler(irrep, pres) ** (power * mult)
+    return val
 
 
 def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
@@ -206,12 +233,12 @@ def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
 def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
     """Whitney product over the summands with multiplicities."""
     if rep.group[0] == "SL2n":
-        pres = bsl2n(rep.group[1], field)
-        val = one_elem(pres)
-        for irrep, mult in rep.summands:
-            part = euler_sl2n_irrep(irrep, rep.group[1], field).value
-            val = val * part ** mult
-        return EulerClassValue(val, EXACT, lambda: val * val)
+        pres = integral_bsl2n(rep.group[1], field)
+        return EulerClassValue(
+            witt_image(_sl2n_euler(rep, pres)),
+            EXACT,
+            lambda: witt_image(_sl2n_euler(rep, pres, 2)),
+        )
 
     pres = bnn(1, field)
     # group identical rho(m): same-m sign ambiguities square away pairwise

@@ -3,8 +3,10 @@ graded-ring expressions, and representation literals.
 
 expr := term (('+' | '-') term)*
 term := factor ('*' factor)*
-factor := atom ('^' int)*
+factor := '-' factor | atom ('^' int)*
 atom := '<' scalar '>' | int | name | '(' expr ')'
+
+Unary minus binds looser than '^': -e1^2 is -(e1^2).
 """
 
 from __future__ import annotations
@@ -200,6 +202,9 @@ def _witt_term(p: _Parser, field) -> WittClass:
 
 
 def _witt_factor(p: _Parser, field) -> WittClass:
+    if p.at("-"):
+        p.next()
+        return -_witt_factor(p, field)
     base = _witt_atom(p, field)
     while p.at("^"):
         p.next()
@@ -236,9 +241,6 @@ def _witt_atom(p: _Parser, field) -> WittClass:
             # juxtaposition means multiplication: 3<2> = 3 * <2>
             return k * _witt_atom(p, field)
         return k
-    if t[1] == "-":
-        p.next()
-        return -_witt_atom(p, field)
     raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
 
 
@@ -293,6 +295,9 @@ def _ring_term(p: _Parser, pres) -> GradedElement:
 
 
 def _ring_factor(p: _Parser, pres) -> GradedElement:
+    if p.at("-"):
+        p.next()
+        return -_ring_factor(p, pres)
     base = _ring_atom(p, pres)
     while p.at("^"):
         p.next()
@@ -324,9 +329,6 @@ def _ring_atom(p: _Parser, pres) -> GradedElement:
         if nxt is not None and (nxt[1] in ("<", "(") or nxt[0] == "name"):
             return k * _ring_atom(p, pres)
         return k
-    if t[1] == "-":
-        p.next()
-        return -_ring_atom(p, pres)
     if t[0] == "name":
         p.next()
         try:
@@ -465,10 +467,11 @@ def ring_str(x: GradedElement) -> str:
     for key in sorted(x.coeffs):
         c = x.coeffs[key]
         mono = _mono_str(x.pres, key)
-        cs = witt_str(c)
+        # an integral presentation holds int coefficients
+        cs = witt_str(c) if isinstance(c, WittClass) else str(c)
         if not mono:
             terms.append(f"({cs})" if " + " in cs else cs)
-        elif cs == "<1>":
+        elif cs in ("<1>", "1"):
             terms.append(mono)
         elif " + " in cs:
             terms.append(f"({cs})*{mono}")

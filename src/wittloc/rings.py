@@ -1,7 +1,9 @@
 """Normal-form arithmetic in the presented graded W(k)-algebras.
 
 Presentations:
-  * BSL2n(n): polynomial ring W(k)[e_1..e_n], each e_i of degree 2;
+  * BSL2n(n): polynomial ring W(k)[e_1..e_n], each e_i of degree 2, or
+    its integral form Z[e_1..e_n] (``integral_bsl2n``), whose coefficients
+    are Python ints and which ``witt_image`` maps into W(k)[e_1..e_n];
   * BNn(n):   n-fold product of W(k)[x,e]/((1+x)e, x^2-1), x of degree 0;
   * TwistedPoint(ctx): W(k)[e,y]/(y^2 - 2(<1>-<a>), I_a*y, I_a*e) with the
     degree-0 generator x acting as the scalar <a>;
@@ -15,7 +17,8 @@ stored element is in normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
@@ -44,9 +47,12 @@ class PresentationId:
     field: FieldDescriptor
     ctx: Optional[QuadExtContext] = None
     inverted: bool = False
+    integral: bool = False  # BSL2n only: coefficients in Z, not W(field)
 
     def __str__(self):
         if self.kind == BSL2N:
+            if self.integral:
+                return f"BSL2n({self.n})/Z, mapped into W({self.field})"
             return f"BSL2n({self.n})/{self.field}"
         if self.kind == BNN:
             return f"BN^{self.n}/{self.field}"
@@ -60,6 +66,11 @@ def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     if n < 1:
         raise BadParameters("n must be >= 1")
     return PresentationId(BSL2N, n, field)
+
+
+def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
+    """Z[e_1..e_n], whose image under ``witt_image`` is BSL2n(n) over field."""
+    return replace(bsl2n(n, field), integral=True)
 
 
 def bnn(n: int, field: FieldDescriptor) -> PresentationId:
@@ -120,15 +131,23 @@ def _coeff_eq(pres: PresentationId, key, c1: WittClass, c2: WittClass) -> bool:
     return c1 == c2
 
 
+def _zero_coeff(pres: PresentationId):
+    return 0 if pres.integral else zero_class(pres.field)
+
+
 class GradedElement:
-    """Normal-form element: dict from monomial key to nonzero W(k) coefficient."""
+    """Normal-form element: dict from monomial key to nonzero coefficient,
+    a WittClass, or an int when the presentation is integral."""
 
     __slots__ = ("pres", "coeffs")
 
     def __init__(self, pres: PresentationId, coeffs: Dict):
-        clean = {
-            k: c for k, c in coeffs.items() if not _coeff_is_zero(pres, k, c)
-        }
+        if pres.integral:
+            clean = {k: c for k, c in coeffs.items() if c}
+        else:
+            clean = {
+                k: c for k, c in coeffs.items() if not _coeff_is_zero(pres, k, c)
+            }
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "coeffs", clean)
 
@@ -152,7 +171,7 @@ class GradedElement:
 
     def constant_coefficient(self) -> WittClass:
         unit = _unit_key(self.pres)
-        return self.coeffs.get(unit, zero_class(self.pres.field))
+        return self.coeffs.get(unit, _zero_coeff(self.pres))
 
     # -- ring operations ----------------------------------------------------
 
@@ -177,7 +196,7 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self * from_witt(self.pres, integer_class(other, self.pres.field))
+            return self * from_int(self.pres, other)
         if isinstance(other, WittClass):
             return self * from_witt(self.pres, other)
         self._check(other)
@@ -186,6 +205,14 @@ class GradedElement:
                 "products of twisted-module elements are not defined"
             )
         out: Dict = {}
+        if self.pres.kind == BSL2N:
+            # a polynomial ring: exponent vectors add, no extra coefficient
+            for k1, c1 in self.coeffs.items():
+                for k2, c2 in other.coeffs.items():
+                    key = tuple(map(add, k1, k2))
+                    c = c1 * c2
+                    out[key] = out[key] + c if key in out else c
+            return GradedElement(self.pres, out)
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 for key, mult in _key_mul(self.pres, k1, k2):
@@ -212,7 +239,7 @@ class GradedElement:
         if not isinstance(other, GradedElement) or other.pres != self.pres:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
-        z = zero_class(self.pres.field)
+        z = _zero_coeff(self.pres)
         return all(
             _coeff_eq(self.pres, k, self.coeffs.get(k, z), other.coeffs.get(k, z))
             for k in keys
@@ -228,9 +255,8 @@ class GradedElement:
 
 
 def _key_mul(pres: PresentationId, k1, k2) -> Iterable[Tuple[object, Optional[WittClass]]]:
-    """Product of two normal-form monomials: (key, extra coefficient)."""
-    if pres.kind == BSL2N:
-        return [(tuple(a + b for a, b in zip(k1, k2)), None)]
+    """Product of two normal-form monomials of BN^n or the twisted point:
+    (key, extra coefficient)."""
     if pres.kind == BNN:
         key = []
         sign = 1
@@ -266,6 +292,8 @@ def zero_elem(pres: PresentationId) -> GradedElement:
 
 
 def from_witt(pres: PresentationId, w: WittClass) -> GradedElement:
+    if pres.integral:
+        raise PresentationMismatch(f"{pres} has integer coefficients, not W(k)")
     if w.field != pres.field:
         raise FieldMismatch(f"{w.field} vs {pres.field}")
     if pres.kind == BN_TWISTED_MODULE:
@@ -274,6 +302,8 @@ def from_witt(pres: PresentationId, w: WittClass) -> GradedElement:
 
 
 def from_int(pres: PresentationId, n: int) -> GradedElement:
+    if pres.integral:
+        return GradedElement(pres, {_unit_key(pres): n})
     return from_witt(pres, integer_class(n, pres.field))
 
 
@@ -295,7 +325,7 @@ def generator_names(pres: PresentationId) -> List[str]:
 
 
 def gen(pres: PresentationId, name: str) -> GradedElement:
-    one = integer_class(1, pres.field)
+    one = 1 if pres.integral else integer_class(1, pres.field)
     if pres.kind == BSL2N:
         if name == "e" and pres.n == 1:
             name = "e1"
@@ -408,15 +438,32 @@ def _normalize_module(raw, pres: PresentationId) -> GradedElement:
 
 
 def e_star(n: int, field: FieldDescriptor) -> GradedElement:
-    """prod_i e_i * prod_{j<i} (e_i - e_j) in BSL2n(n)."""
-    pres = bsl2n(n, field)
+    """prod_i e_i * prod_{j<i} (e_i - e_j) in BSL2n(n), multiplied out over
+    Z and mapped into W(k) once."""
+    pres = integral_bsl2n(n, field)
     out = one_elem(pres)
     for i in range(1, n + 1):
         out = out * gen(pres, f"e{i}")
     for i in range(1, n + 1):
         for j in range(1, i):
             out = out * (gen(pres, f"e{i}") - gen(pres, f"e{j}"))
-    return out
+    return witt_image(out)
+
+
+def witt_image(x: GradedElement) -> GradedElement:
+    """Image of x under the ring map Z[e_1..e_n] -> W(k)[e_1..e_n]; x itself
+    when its coefficients already lie in W(k).  The class of each distinct
+    integer coefficient is built once."""
+    if not x.pres.integral:
+        return x
+    field = x.pres.field
+    classes: Dict[int, WittClass] = {}
+    out: Dict = {}
+    for k, c in x.coeffs.items():
+        if c not in classes:
+            classes[c] = integer_class(c, field)
+        out[k] = classes[c]
+    return GradedElement(replace(x.pres, integral=False), out)
 
 
 def kunneth(xs: List[GradedElement]) -> GradedElement:

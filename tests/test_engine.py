@@ -17,8 +17,10 @@ from wittloc.engine import (
     problem_from_json,
     problem_to_json,
     push_to_base,
+    _divide_rational_by_int,
     _integer_e_poly_to_base,
 )
+from wittloc import engine
 from wittloc.errors import (
     BadDimension,
     BadParameters,
@@ -26,9 +28,21 @@ from wittloc.errors import (
     UnsupportedResidueField,
 )
 from wittloc.euler import NIrrep, RHO, RHO0, n_rep
+from wittloc.exprs import parse_rep, parse_ring_expr
 from wittloc.quadext import make_context
-from wittloc.rings import GradedElement, bsl2n, from_int, from_witt, gen, one_elem, twisted_point
-from wittloc.witt import integer_class, square_class, witt
+from wittloc.rings import (
+    GradedElement,
+    LocalizedElement,
+    bsl2n,
+    e_star,
+    from_int,
+    from_witt,
+    gen,
+    integral_bsl2n,
+    one_elem,
+    twisted_point,
+)
+from wittloc.witt import integer_class, square_class, witt, zero_class
 
 Q = F.rationals()
 
@@ -192,3 +206,70 @@ def test_unsupported_residue_rejected():
     comp = FixedComponent("bad", "cubic", rep, rep)
     with pytest.raises(UnsupportedResidueField):
         component_residue(comp, g)
+
+
+def test_rational_division_by_an_integer_keeps_every_solution():
+    # 2q = c has two solutions at each of the nine primes and two dyadic slots
+    primes = (3, 7, 11, 19, 23, 31, 43, 47, 59)
+    c = 2 * sum((square_class(Q, Fraction(p)) for p in primes), zero_class(Q))
+    sols = _divide_rational_by_int(c, 2)
+    assert len(set(sols)) == len(sols) == 1024
+    assert len({q.key[1] for q in sols}) == 512
+    assert all(2 * q == c for q in sols)
+
+
+def _spy_on_divisions(monkeypatch):
+    seen = []
+    divide = engine.exact_divide
+
+    def spy(num, den):
+        seen.append(num.pres)
+        return divide(num, den)
+
+    monkeypatch.setattr(engine, "exact_divide", spy)
+    return seen
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)
+def test_builder_problems_are_summed_over_z(monkeypatch, field):
+    seen = _spy_on_divisions(monkeypatch)
+    res = bott_residue(build_grassmannian_problem(2, 5, 2, field))
+    assert seen and all(p == integral_bsl2n(2, field) for p in seen)
+    assert res.degree_zero == integer_class(2, field)
+    assert res.cleared.pres == res.value.pres == bsl2n(2, field)
+
+
+@pytest.mark.parametrize(
+    "field, degree", [(F.finite_prime(7), 3), (Q, -1)], ids=["Fp:7", "Q"]
+)
+def test_division_that_holds_only_in_witt_falls_back(field, degree):
+    pres = bsl2n(2, field)
+    normal = parse_rep("F@1*F@2", "SL2n", 2)
+    restricted = parse_ring_expr("0 - e1^2 + e2^2", pres)
+    if field.kind == F.FINITE_PRIME:
+        # -1 lifts to 3 over F_7, and (3e1^2 + e2^2) / (e1^2 - e2^2) fails over Z
+        zp = integral_bsl2n(2, field)
+        z1, z2 = gen(zp, "e1"), gen(zp, "e2")
+        assert exact_divide(3 * z1 * z1 + z2 * z2, z1 * z1 - z2 * z2) is None
+    g = GroupDescriptor("SL2n", 2, field)
+    res = bott_residue(LocalizationProblem(g, (FixedComponent("c", "rational", normal, restricted),)))
+    assert res.degree_zero == square_class(field, Fraction(degree))
+    assert res.degree_zero == integer_class(-1, field)
+    assert res.cleared == from_int(pres, -1)
+    assert res.value == LocalizedElement(pres, from_int(pres, -1), e_star(2, field), 0)
+
+
+def test_ring_expression_with_a_non_integer_coefficient_stays_on_witt(monkeypatch):
+    seen = _spy_on_divisions(monkeypatch)
+    pres = bsl2n(1, Q)
+    g = GroupDescriptor("SL2n", 1, Q)
+    normal = parse_rep("F@1", "SL2n", 1)
+    comps = (
+        FixedComponent("a", "rational", normal, parse_ring_expr("<2>*e", pres)),
+        FixedComponent("b", "rational", normal, normal),
+    )
+    res = bott_residue(LocalizationProblem(g, comps))
+    assert seen and all(p == pres for p in seen)
+    want = square_class(Q, Fraction(2)) + integer_class(1, Q)
+    assert res.degree_zero == want
+    assert res.value == LocalizedElement(pres, from_witt(pres, want), e_star(1, Q), 0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wittloc import fields as F
@@ -21,7 +23,8 @@ from wittloc.euler import (
     n_rep,
     sl2n_rep,
 )
-from wittloc.rings import bnn, bsl2n, from_int, gen
+from wittloc.rings import bnn, bsl2n, from_int, gen, one_elem, zero_elem
+from wittloc.witt import WittClass
 
 Q = F.rationals()
 
@@ -126,3 +129,41 @@ def test_generic_euler_square():
     pres = bnn(1, Q)
     e = gen(pres, "e")
     assert generic_euler(rep, Q) == from_int(pres, 9) * e * e
+
+
+@pytest.mark.parametrize(
+    "field", [Q, F.reals(), F.finite_prime(7), F.finite_prime(13)], ids=str
+)
+def test_sl2n_euler_over_z_equals_the_witt_product(field):
+    """SL2n classes are multiplied out over Z and mapped into W(k) once; the
+    reference multiplies the factors one by one in W(k)[e_1..e_n]."""
+    rng = random.Random(f"sl2n-euler-{field}")
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        pres = bsl2n(n, field)
+        e = [gen(pres, f"e{i}") for i in range(1, n + 1)]
+        summands, want = [], one_elem(pres)
+        for _ in range(rng.randint(1, 3)):
+            i, mult = rng.randrange(n), rng.randint(1, 2)
+            if n > 1 and rng.random() < 0.5:
+                j = rng.choice([k for k in range(n) if k != i])
+                exps = tuple(1 if k in (i, j) else 0 for k in range(n))
+                a, b = min(i, j), max(i, j)
+                factor = e[a] * e[a] - e[b] * e[b]
+            else:
+                m = rng.choice([1, 2, 3, 5])
+                exps = tuple(m if k == i else 0 for k in range(n))
+                if m % 2 == 0:
+                    factor = zero_elem(pres)
+                elif m == 1:
+                    factor = e[i]
+                else:
+                    factor = from_int(pres, double_factorial(m)) * e[i] ** (m + 1)
+            summands.append((exps, mult))
+            for _ in range(mult):
+                want = want * factor
+        val = euler_rep(sl2n_rep(n, summands), field)
+        assert val.value.pres == pres and val.known_square.pres == pres
+        assert all(isinstance(c, WittClass) for c in val.value.coeffs.values())
+        assert val.value == want
+        assert val.known_square == want * want

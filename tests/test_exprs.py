@@ -15,7 +15,7 @@ from wittloc.exprs import (
     witt_str,
 )
 from wittloc.quadext import make_context
-from wittloc.rings import bnn, bsl2n, twisted_point
+from wittloc.rings import bnn, bsl2n, gen, twisted_point
 from wittloc.witt import integer_class, square_class, witt
 
 Q = F.rationals()
@@ -40,6 +40,16 @@ def test_witt_expr_basics():
     assert parse_witt_expr("3*<2> - 2", Q) == 3 * square_class(Q, Fraction(2)) - integer_class(2, Q)
     # juxtaposed integer multiple
     assert parse_witt_expr("3<2>", Q) == parse_witt_expr("3*<2>", Q)
+
+
+def test_unary_minus_binds_looser_than_power():
+    pres = bsl2n(2, Q)
+    e1, e2 = gen(pres, "e1"), gen(pres, "e2")
+    assert parse_ring_expr("-e1^2", pres) == -(e1 * e1)
+    assert parse_ring_expr("e2*-e1^2", pres) == -(e2 * e1 * e1)
+    assert parse_ring_expr("--e1^2 - e2", pres) == e1 * e1 - e2
+    assert parse_witt_expr("-<2>^2", Q) == -integer_class(1, Q)
+    assert parse_witt_expr("-3<2>", Q) == -3 * square_class(Q, Fraction(2))
 
 
 def test_witt_expr_fraction_scalars():
