@@ -34,7 +34,7 @@ from .euler import (
     generic_euler,
     sl2n_rep,
 )
-from .fields import FINITE_PRIME, RATIONALS, REALS, FieldDescriptor
+from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 from .quadext import QuadExtContext
 from .rings import (
     BNN,
@@ -136,6 +136,9 @@ def _witt_coeff_divide(c: WittClass, d: WittClass) -> List[WittClass]:
         push(c * WittClass.from_entries(field, (u,)))
     push(c)
     push(-c)
+    if field.kind == QUAD_EXT and field.base.kind == RATIONALS:
+        # W(Q(sqrt a)) has no integer test: c = d, e.g. 3<1>/3<1>, needs <1>
+        push(integer_class(1, field))
     if field.kind == RATIONALS:
         t = d.integer_value()
         if t is not None:

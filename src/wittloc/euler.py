@@ -274,4 +274,6 @@ def generic_euler(rep: RepSum, field: FieldDescriptor) -> GradedElement:
     pres = bsl2n(rep.group[1], field) if rep.group[0] == "SL2n" else bnn(1, field)
     if rep.rank % 2:
         return zero_elem(pres)
+    if rep.group[0] == "SL2n":
+        return witt_image(_sl2n_euler(rep, integral_bsl2n(rep.group[1], field), 2))
     return euler_rep(rep, field).known_square

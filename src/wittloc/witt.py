@@ -7,7 +7,14 @@ parity and discriminant class over the others); sums, negations, integer
 multiples and equality work on keys, and the diagonal representative that
 transfers, general products and printing read is built from the key on
 first use.  W(Q(sqrt a)) has no key here: its classes store a reduced
-representative, and equality runs a decision procedure.
+representative, and equality runs a decision procedure.  The reduced
+representative writes each entry c = u + v*sqrt(a) as the first of d, -d,
+d*sqrt(a), -d*sqrt(a) (d squarefree, d <= 50) in its square class, found in
+closed form: c/s is a square for rational s exactly when s lies in the
+square class of (u + w)/2 or (u - w)/2, where w^2 = N(c) = u^2 - a*v^2 (of
+u or u/a when v = 0), and c/(s*sqrt a) is one exactly when a*s lies in a
+class given by the same rule for c*sqrt(a).  Entries are then cancelled in
+hyperbolic pairs by counting.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fields as F
 from . import places
@@ -256,29 +263,52 @@ def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
 
 # --- Q(sqrt a): reduced representative, equality by decision procedure -----
 
-_POOL_CACHE = {}
+# entries are normalized into the pool d, -d, d*sqrt(a), -d*sqrt(a) for
+# squarefree d up to this height when their square class meets it
+_POOL_HEIGHT = 50
 
 
-def _square_class_pool(field: FieldDescriptor):
-    if field not in _POOL_CACHE:
-        pool = []
-        for d in range(1, 51):
-            if places.squarefree_int(d) != d:
-                continue
-            fd = Fraction(d)
-            pool.append((fd, Fraction(0)))
-            pool.append((-fd, Fraction(0)))
-            pool.append((Fraction(0), fd))
-            pool.append((Fraction(0), -fd))
-        _POOL_CACHE[field] = pool
-    return _POOL_CACHE[field]
+def _square_quotient_classes(field: FieldDescriptor, c) -> Tuple[int, ...]:
+    """The squarefree s with c/s a square in Q(sqrt a): the classes of u and
+    u/a when v = 0; else, when N(c) = u^2 - a*v^2 is a rational square w^2,
+    the classes of (u + w)/2 and (u - w)/2 (both nonzero, their product is
+    a*v^2/4); else none."""
+    u, v = c
+    if v == 0:
+        halves = (u, u / field.a)
+    else:
+        w = F._fraction_square_root(F.ext_norm(field, c))
+        if w is None:
+            return ()
+        halves = ((u + w) / 2, (u - w) / 2)
+    return tuple(places.squarefree_part(h) for h in halves)
 
 
 def _normalize_qext_entry(field: FieldDescriptor, c):
-    for r in _square_class_pool(field):
-        if F.is_square(field, F.div(field, c, r)):
-            return r
+    """Representative of the square class of c = u + v*sqrt(a) in Q(sqrt a).
+
+    It is the first of d, -d, d*sqrt(a), -d*sqrt(a) (d squarefree, d <= 50,
+    ascending d) in the class of c, found in closed form: c/s is a square
+    for rational s exactly when s lies in the square class of (u + w)/2 or
+    of (u - w)/2, where w^2 = N(c) = u^2 - a*v^2 (of u or u/a when v = 0;
+    none when N(c) is not a rational square), and c/(s*sqrt a) =
+    (c*sqrt a)/(a*s) is one exactly when a*s lies in a class the same rule
+    gives for c*sqrt(a) = a*v + u*sqrt(a).  A class that holds none of them
+    is represented by c with its rational square factors cleared.
+    """
     u, v = c
+    a = field.a
+    root_classes = (
+        places.squarefree_part(t * a)
+        for t in _square_quotient_classes(field, (a * v, u))
+    )
+    # sorted as the pool: by d, then d, -d, d*sqrt(a), -d*sqrt(a)
+    found = [(abs(s), False, s < 0, s) for s in _square_quotient_classes(field, c)]
+    found += [(abs(s), True, s < 0, s) for s in root_classes]
+    found = [f for f in found if f[0] <= _POOL_HEIGHT]
+    if found:
+        _, on_root, _, s = min(found)
+        return (Fraction(0), Fraction(s)) if on_root else (Fraction(s), Fraction(0))
     L = math.lcm(u.denominator, v.denominator)
     # scaling by the square L^2 keeps the square class and clears denominators
     ui = int(u * L * L)
@@ -294,22 +324,47 @@ def _normalize_qext_entry(field: FieldDescriptor, c):
     return (Fraction(ui), Fraction(vi))
 
 
+def _on_pool(r) -> bool:
+    """Whether a normalized entry is a pool element.  An entry off the pool
+    with a zero coordinate has its other one squarefree, so above 50."""
+    return 0 in r and abs(r[0] + r[1]) <= _POOL_HEIGHT
+
+
 def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
-    work = [_normalize_qext_entry(field, c) for c in entries]
+    """Normalized entries with hyperbolic pairs <c, -c'> (c' in the class of
+    c) cancelled, sorted.  Pool entries are canonical for their class and
+    the pool is closed under negation, so they cancel by count against the
+    normalization of their negative (mod 2 when that is the entry itself, as
+    when -1 is a square) and never against entries off the pool; those
+    cancel pairwise among themselves."""
+    counts: Dict[Tuple, int] = {}
+    rest = []
+    for c in entries:
+        r = _normalize_qext_entry(field, c)
+        if _on_pool(r):
+            counts[r] = counts.get(r, 0) + 1
+        else:
+            rest.append(r)
+    work = []
+    for r, n in counts.items():
+        partner = _normalize_qext_entry(field, F.neg(field, r))
+        left = n % 2 if partner == r else n - counts.get(partner, 0)
+        work.extend([r] * max(left, 0))
     changed = True
     while changed:
         changed = False
-        n = len(work)
+        n = len(rest)
         for i in range(n):
             for j in range(i + 1, n):
-                ratio = F.div(field, F.neg(field, work[i]), work[j])
+                ratio = F.div(field, F.neg(field, rest[i]), rest[j])
                 if F.is_square(field, ratio):
-                    del work[j]
-                    del work[i]
+                    del rest[j]
+                    del rest[i]
                     changed = True
                     break
             if changed:
                 break
+    work += rest
     work.sort(key=lambda c: (c[1] != 0, c[0], c[1]))
     return tuple(work)
 

@@ -3,10 +3,17 @@
 The finite-field oracle decides Witt equivalence of diagonal forms by
 explicit isotropic-vector search and hyperbolic splitting, using only
 hand-rolled modular linear algebra.  The naive presented-ring oracle
-multiplies monomials by literal relation rewriting.
+multiplies monomials by literal relation rewriting.  The W(Q(sqrt a))
+references normalize an entry by scanning the square-class pool with one
+square test per candidate and cancel hyperbolic pairs by a pairwise search.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
+
+from wittloc import fields as F
+from wittloc import places
 
 
 def _inv(x, p):
@@ -134,3 +141,60 @@ def bn_naive_add(t1, t2):
     for k, c in t2.items():
         out[k] = out[k] + c if k in out else c
     return bn_naive_reduce(out)
+
+
+# ---------------------------------------------------------------------------
+# W(Q(sqrt a)) entries by brute force: pool scan and pairwise cancellation
+
+
+def qext_square_class_pool():
+    """d, -d, d*sqrt(a), -d*sqrt(a) for squarefree d = 1..50, in that order."""
+    pool = []
+    for d in range(1, 51):
+        if places.squarefree_int(d) != d:
+            continue
+        fd = Fraction(d)
+        pool += [(fd, Fraction(0)), (-fd, Fraction(0)), (Fraction(0), fd), (Fraction(0), -fd)]
+    return pool
+
+
+def qext_normalize_by_scan(field, c):
+    """The first pool element r with c/r a square, else c with its rational
+    square factors cleared."""
+    for r in qext_square_class_pool():
+        if F.is_square(field, F.div(field, c, r)):
+            return r
+    u, v = c
+    L = math.lcm(u.denominator, v.denominator)
+    ui = int(u * L * L)
+    vi = int(v * L * L)
+    g = math.gcd(abs(ui), abs(vi))
+    k = 2
+    while k * k <= g:
+        while ui % (k * k) == 0 and vi % (k * k) == 0:
+            ui //= k * k
+            vi //= k * k
+            g //= k * k
+        k += 1
+    return (Fraction(ui), Fraction(vi))
+
+
+def qext_reduce_pairwise(field, entries):
+    """Scan-normalized entries; repeatedly delete the first pair (i, j) with
+    -c_i/c_j a square; sort."""
+    work = [qext_normalize_by_scan(field, c) for c in entries]
+    changed = True
+    while changed:
+        changed = False
+        n = len(work)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if F.is_square(field, F.div(field, F.neg(field, work[i]), work[j])):
+                    del work[j]
+                    del work[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    work.sort(key=lambda c: (c[1] != 0, c[0], c[1]))
+    return tuple(work)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from math import comb
 
@@ -273,3 +274,26 @@ def test_ring_expression_with_a_non_integer_coefficient_stays_on_witt(monkeypatc
     want = square_class(Q, Fraction(2)) + integer_class(1, Q)
     assert res.degree_zero == want
     assert res.value == LocalizedElement(pres, from_witt(pres, want), e_star(1, Q), 0)
+
+
+def _sl2n1_problem(field, normal):
+    rep = parse_rep(normal, "SL2n", 1)
+    g = GroupDescriptor("SL2n", 1, field)
+    return LocalizationProblem(g, (FixedComponent("c", "rational", rep, rep),))
+
+
+def test_odd_integer_denominator_clears_over_a_quadratic_extension():
+    """3e^4 / 3e^4 over Q(sqrt 2) is divided by the candidate q = <1>."""
+    field = F.quad_ext(Q, 2)
+    res = bott_residue(_sl2n1_problem(field, "Sym(3)@1"))
+    assert res.cleared == one_elem(bsl2n(1, field))
+    assert res.degree_zero == integer_class(1, field)
+
+
+def test_euler_coefficient_225_clears_over_a_quadratic_extension():
+    """Euler coefficients 15 and 225 over Q(sqrt 2) clear to <1>."""
+    field = F.quad_ext(Q, 2)
+    start = time.perf_counter()
+    res = bott_residue(_sl2n1_problem(field, "Sym(5)@1 + F@1 + 2*F@1"))
+    assert time.perf_counter() - start < 10.0
+    assert res.degree_zero == integer_class(1, field)

@@ -1,8 +1,10 @@
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from oracles import qext_normalize_by_scan, qext_reduce_pairwise
 
 from wittloc import fields as F
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
@@ -210,3 +212,75 @@ def test_rational_arithmetic_builds_no_representative(monkeypatch):
     assert not z.is_zero() and (z - z).is_zero()
     assert calls == []
     assert x.entries and x.entries == x.entries and len(calls) == 1
+
+
+# -- W(Q(sqrt a)): closed-form normalization against the pool scan -------------
+
+witt_module = importlib.import_module("wittloc.witt")
+QEXT_FIELDS = [F.quad_ext(Q, a) for a in (2, 3, 5, 12, -1, -2)]
+
+
+def random_qext_entry(rng, field):
+    """A nonzero entry of Q(sqrt a): a random one, a pool element or an
+    element off the pool (d up to 97, so squarefree d > 50 and primes) times
+    a random square."""
+    def rat(h):
+        return Fraction(rng.randint(-h, h), rng.randint(1, 9))
+
+    while True:
+        if rng.random() < 0.4:
+            c = F.coerce(field, (rat(60), rat(60) if rng.random() < 0.6 else 0))
+        else:
+            d = rng.choice([1, 2, 3, 5, 6, 7, 10, 30, 46, 47, 51, 53, 58, 66, 97])
+            d = Fraction(rng.choice([-d, d]))
+            r = F.coerce(field, (0, d) if rng.random() < 0.5 else (d, 0))
+            s = F.coerce(field, (rat(9), rat(9) if rng.random() < 0.5 else 0))
+            c = F.mul(field, r, F.mul(field, s, s))
+        if not F.is_zero(field, c):
+            return c
+
+
+def random_qext_form(rng, field):
+    """Up to 8 entries, some followed by a negated multiple c' = -c*s^2, so
+    that hyperbolic pairs are present in shuffled order."""
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        c = random_qext_entry(rng, field)
+        out.append(c)
+        if rng.random() < 0.5:
+            s = F.coerce(field, (rng.randint(1, 5), rng.randint(-3, 3)))
+            out.append(F.neg(field, F.mul(field, c, F.mul(field, s, s))))
+    rng.shuffle(out)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
+def test_qext_normalization_matches_the_pool_scan(field):
+    rng = random.Random(f"qext-entry-{field}")
+    for _ in range(60):
+        c = random_qext_entry(rng, field)
+        assert witt_module._normalize_qext_entry(field, c) == qext_normalize_by_scan(field, c)
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
+def test_qext_reduction_matches_pairwise_cancellation(field):
+    rng = random.Random(f"qext-form-{field}")
+    for _ in range(20):
+        entries = random_qext_form(rng, field)
+        assert witt_module._reduce_qext(field, entries) == qext_reduce_pairwise(field, entries)
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
+def test_qext_canonicalization_is_idempotent(field):
+    rng = random.Random(f"qext-idem-{field}")
+    for _ in range(40):
+        x = WittClass.from_entries(field, random_qext_form(rng, field))
+        assert WittClass.from_entries(field, x.entries).entries == x.entries
+
+
+def test_qext_integer_class_225_takes_under_a_second():
+    field = F.quad_ext(Q, 2)
+    start = time.perf_counter()
+    x = integer_class(225, field)
+    assert time.perf_counter() - start < 1.0
+    assert x.entries == (F.one(field),) * 225
