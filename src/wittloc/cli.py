@@ -202,6 +202,12 @@ def _cmd_verify(args) -> int:
         raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}", 0)
     if suite not in SUITES:
         raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", 0)
+    given = [opt for opt in ("field", "a") if getattr(args, opt) is not None]
+    unread = [f"--{opt}" for opt in given if opt not in SUITES[suite]]
+    if unread:
+        raise ExprSyntaxError(f"suite {suite} does not read {' or '.join(unread)}", 0)
+    if given and len(given) < len(SUITES[suite]):
+        raise ExprSyntaxError(f"suite {suite} needs --field and --a together", 0)
     field = parse_field(args.field) if args.field else None
     a = parse_scalar(args.a, field) if args.a and field else None
     ok, lines = run_suite(

@@ -8,21 +8,32 @@ attempting to clear denominators back into the polynomial presentation.
 An SL2^n problem whose component fractions all have integer coefficients
 is summed and cleared in Z[e_1..e_n], and the result is mapped into
 W(k)[e_1..e_n] once; the answer is the one W(k) arithmetic would give.
+
+Denominators clear by ``exact_divide``: long division by the leading term
+in the lex order, one quotient term per step, integer division over Z.
+Over W(k) the leading coefficient must be t<1> with t odd (any t != 0 over
+R), as in every Whitney product of m!!*e^(m+1), e_i^2 - e_j^2 and, for
+odd m, +-m*e; the quotient of c by it is the closed form z + r*(c - t*z),
+with z of signature sig(c)/t at every ordering of k and r = t mod 8 in
+{+-1, +-3}.  It is the only quotient, so a failed step means no quotient
+exists.  Any other leading coefficient is a zero divisor or not
+recognized and raises BadParameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import combinations
+from operator import add, not_
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import fields as F
-from . import places
 from .errors import (
     BadDimension,
     BadParameters,
     InconsistentField,
     NonInvertibleNormalEuler,
+    UnsupportedIrrep,
     UnsupportedResidueField,
 )
 from .euler import (
@@ -81,7 +92,6 @@ class FixedComponent:
     residue: Union[str, QuadExtContext]
     normal_rep: RepSum
     restricted: Union[RepSum, GradedElement]
-    twist: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -104,105 +114,102 @@ class ResidueResult:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level exact division in W(k)
+# exact division in the polynomial carrier
 
 
-def _witt_coeff_divide(c: WittClass, d: WittClass) -> List[WittClass]:
-    """Verified candidates q with q*d == c."""
+def _leading_integer(d: WittClass) -> Optional[int]:
+    """t with d = t<1>, or None.  Over the keyed fields the key decides; over
+    Q(sqrt a) a reduced representative of |t| entries, all <1> or all <-1>,
+    is read as t<1>.  That is the form ``integer_class`` and products of
+    such classes build, and reading it needs no equality decision."""
+    if d.key is not None:
+        return d.integer_value()
+    one = F.one(d.field)
+    for sign, u in ((1, one), (-1, F.neg(d.field, one))):
+        if all(x == u for x in d.entries):
+            return sign * len(d.entries)
+    return None
+
+
+def _witt_quotient(c: WittClass, t: int) -> Optional[WittClass]:
+    """The q with t*q = c, for t odd (any t != 0 over R), or None.
+
+    z has signature sig(c)/t at every ordering of k, so c - t*z is torsion
+    (Pfister) and 8 kills it over every supported k; r = t mod 8 in
+    {+-1, +-3} has t*r = 1 mod 8, so t*(z + r*(c - t*z)) = c.  Two
+    quotients differ by torsion that t kills, so q is the only one.  No
+    equality is tested."""
     field = c.field
-    out: List[WittClass] = []
-    seen = set()
-
-    def push(q: WittClass):
-        if q not in seen and q * d == c:
-            seen.add(q)
-            out.append(q)
-
-    if field.kind == FINITE_PRIME:
-        from .quadext import all_witt_classes
-
-        for q in all_witt_classes(field):
-            push(q)
-        return out
-
-    if field.kind == REALS:
-        t = d.signature()
-        if t != 0 and c.signature() % t == 0:
-            push(integer_class(c.signature() // t, field))
-        return out
-
-    # unit-multiplier guesses: q = c * <u> for square classes u of d
-    for u in d.entries:
-        push(c * WittClass.from_entries(field, (u,)))
-    push(c)
-    push(-c)
-    if field.kind == QUAD_EXT and field.base.kind == RATIONALS:
-        # W(Q(sqrt a)) has no integer test: c = d, e.g. 3<1>/3<1>, needs <1>
-        push(integer_class(1, field))
-    if field.kind == RATIONALS:
-        t = d.integer_value()
-        if t is not None:
-            for q in _divide_rational_by_int(c, t):
-                push(q)
-    return out
+    one = integer_class(1, field)
+    if field.kind in (RATIONALS, REALS):
+        s = c.signature()
+        if s % t:
+            return None
+        z = s // t * one
+        if field.kind == REALS:
+            return z
+    elif field.kind == QUAD_EXT and field.base.kind == RATIONALS and field.a > 0:
+        sp, sm = c.signature(True), c.signature(False)
+        if sp % t or sm % t:
+            return None
+        sqrt_a = WittClass.from_entries(field, (F.coerce(field, (0, 1)),))
+        z = (sp + sm) // (2 * t) * one + (sp - sm) // (2 * t) * sqrt_a
+    else:
+        z = zero_class(field)  # k has no ordering: W(k) is torsion
+    r = (t + 3) % 8 - 3
+    return z + r * (c - t * z)
 
 
-def _divide_rational_by_int(c: WittClass, t: int) -> List[WittClass]:
-    """All solutions q of t*q = c in W(Q), via the residue decomposition:
-    one per choice of a solution at every prime and of the dyadic slot."""
-    sig, items, dy = c.key
-    if t == 0 or sig % t or (t % 2 == 0 and dy):
-        return []
-    per_prime: List[List[Tuple[int, Tuple[int, int]]]] = []
-    for p, cls in items:
-        fp = F.finite_prime(p)
-        sols = [(p, w) for w in places.fp_all_classes(p) if (t * WittClass(fp, w)).key == cls]
-        if not sols:
-            return []
-        per_prime.append(sols)
-    dys = [dy] if t % 2 else [0, 1]
-    results = []
-    for combo in product(*per_prime):
-        items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
-        for dq in dys:
-            q = WittClass(c.field, (sig // t, items_q, dq))
-            if t * q == c:
-                results.append(q)
-    return results
-
-
-def _int_divide(c: int, d: int) -> List[int]:
-    return [c // d] if c % d == 0 else []
+def _coefficient_divider(d, integral: bool) -> Callable:
+    """c -> c / d or None, for the leading coefficient d of a denominator."""
+    if integral:
+        return lambda c: c // d if c % d == 0 else None
+    t = _leading_integer(d)
+    if t is None or (t % 2 == 0 and d.field.kind != REALS):
+        raise BadParameters(
+            f"cannot divide by the leading coefficient {d!r}: a quotient is "
+            "unique and certified only for t<1> with t odd"
+        )
+    return lambda c: _witt_quotient(c, t)
 
 
 def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedElement]:
     """num / den in the polynomial carrier, over W(k) or over Z, or None when
-    not exactly divisible."""
-    if den.pres != num.pres or den.pres.kind not in (BSL2N,):
+    den does not divide num.
+
+    Long division by the leading term of den in the lex order: each step
+    divides the remainder's leading coefficient by den's (integer division
+    over Z, ``_witt_quotient`` over W(k)) and subtracts that multiple of den.
+    The quotient is unique, so a failed step means den does not divide num.
+    Over W(k) den's leading coefficient must be t<1> with t odd (any t != 0
+    over R); any other one raises BadParameters.
+    """
+    if den.pres != num.pres or den.pres.kind != BSL2N:
         raise BadParameters("exact division works in the polynomial carrier")
     if den.is_zero():
         return None
-    if num.is_zero():
-        return zero_elem(num.pres)
     dk = max(den.coeffs)
-    dc = den.coeffs[dk]
-    coeff_divide = _int_divide if num.pres.integral else _witt_coeff_divide
-
-    def dfs(r: GradedElement, acc: GradedElement) -> Optional[GradedElement]:
-        if r.is_zero():
-            return acc
-        lk = max(r.coeffs)
-        if any(a < b for a, b in zip(lk, dk)):
+    divide = _coefficient_divider(den.coeffs[dk], num.pres.integral)
+    is_zero = not_ if num.pres.integral else WittClass.is_zero
+    tail = [(k, c) for k, c in den.coeffs.items() if k != dk]
+    rem = dict(num.coeffs)
+    quotient: Dict = {}
+    while rem:
+        lk = max(rem)
+        mono = tuple(a - b for a, b in zip(lk, dk))
+        # the leading term cancels by construction, so it is dropped untested
+        q = None if min(mono) < 0 else divide(rem.pop(lk))
+        if q is None:
             return None
-        mono_key = tuple(a - b for a, b in zip(lk, dk))
-        for qc in coeff_divide(r.coeffs[lk], dc):
-            term = GradedElement(num.pres, {mono_key: qc})
-            got = dfs(r - term * den, acc + term)
-            if got is not None:
-                return got
-        return None
-
-    return dfs(num, zero_elem(num.pres))
+        quotient[mono] = q
+        for k, c in tail:
+            key = tuple(map(add, mono, k))
+            v = rem[key] - q * c if key in rem else -(q * c)
+            if is_zero(v):
+                rem.pop(key, None)
+            else:
+                rem[key] = v
+    return GradedElement(num.pres, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +409,9 @@ def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
     coefficient +-(odd), which no supported W(k) annihilates; so a quotient
     over Z maps to the only quotient over W(k).  Numerators are integral when
     they are Whitney products or ring expressions whose coefficients are all
-    integer classes.  Over Q(sqrt a) classes have no key and W(k) division is
-    a search that may miss that quotient, so those problems stay on W(k).
+    integer classes.  Over Q(sqrt a) classes have no key, so no coefficient
+    has an exact integer test; those problems stay on W(k), where the same
+    long division finds the same unique quotient.
     """
     g = p.group
     if g.kind != "SL2n" or zero_class(g.field).key is None:
@@ -567,8 +575,6 @@ def problem_to_json(p: LocalizationProblem) -> dict:
             entry["restricted"] = rep_str(c.restricted)
         else:
             entry["restricted"] = ring_str(c.restricted)
-        if c.twist:
-            entry["twist"] = c.twist
         comps.append(entry)
     out = {
         "group": {"kind": p.group.kind, "n": p.group.n, "field": str(p.group.field)},
@@ -590,6 +596,11 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
     g = GroupDescriptor(gdoc["kind"], int(gdoc.get("n", 1)), field)
     comps: List[FixedComponent] = []
     for i, cdoc in enumerate(doc.get("components", [])):
+        cid = cdoc.get("id", f"component-{i}")
+        if "twist" in cdoc:
+            raise UnsupportedIrrep(
+                f"component {cid}: 'twist' (twisted-module coefficients) is not supported"
+            )
         residue = cdoc.get("residue", RATIONAL_POINT)
         if isinstance(residue, dict) and "twisted" in residue:
             a = parse_scalar(residue["twisted"]["a"], field)
@@ -610,15 +621,7 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
             else:
                 pres = _bnn(1, field)
             restricted = parse_ring_expr(restricted_text, pres)
-        comps.append(
-            FixedComponent(
-                cdoc.get("id", f"component-{i}"),
-                residue,
-                normal,
-                restricted,
-                cdoc.get("twist"),
-            )
-        )
+        comps.append(FixedComponent(cid, residue, normal, restricted))
     M = None
     if "invert" in doc and doc["invert"].get("M") is not None:
         M = int(doc["invert"]["M"])

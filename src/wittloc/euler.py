@@ -7,7 +7,9 @@ vanishing case.  These formulas, the Whitney products and their squares
 all have integer coefficients, so SL2^n classes are computed in Z[e_1..e_n]
 and mapped into W(k)[e_1..e_n] once, when a public function returns them.
 For N, e(O~(m)) is +-m*e for odd m (sign surfaced as determinacy metadata)
-and only its square m^2 e^2 is available for even m.
+and only its square m^2 e^2 is available for even m; a sum with k_m copies
+of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
+K = sum k_m, written down directly.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .rings import (
     witt_image,
     zero_elem,
 )
+from .witt import integer_class
 
 EXACT = "exact"
 UP_TO_SIGN = "up_to_sign"
@@ -130,39 +133,16 @@ def fundamental(n: int, i: int) -> SL2nIrrep:
     return SL2nIrrep(tuple(1 if j == i - 1 else 0 for j in range(n)))
 
 
+@dataclass(frozen=True)
 class EulerClassValue:
-    """An Euler class together with how well-defined it is.
+    """An Euler class together with how well-defined it is, and its square,
+    which is always well-defined.  For SL2^n the value and its square are
+    computed over Z and each is mapped into W(k) once; both fields always
+    hold W(k) classes."""
 
-    The square is always well-defined but can be large (double-factorial
-    coefficients tensor-square quickly), so it is computed on first use.
-    For SL2^n the value and its square are computed over Z and each is
-    mapped into W(k) once; both fields always hold W(k) classes.
-    """
-
-    __slots__ = ("value", "determinacy", "_square", "_square_thunk")
-
-    def __init__(self, value: Optional[GradedElement], determinacy: str, known_square):
-        self.value = value
-        self.determinacy = determinacy
-        if callable(known_square):
-            self._square = None
-            self._square_thunk = known_square
-        else:
-            self._square = known_square
-            self._square_thunk = None
-
-    @property
-    def known_square(self) -> GradedElement:
-        if self._square is None:
-            self._square = self._square_thunk()
-        return self._square
-
-    def require_exact(self) -> GradedElement:
-        if self.determinacy != EXACT or self.value is None:
-            raise UnsupportedIrrep(
-                f"Euler class only known {self.determinacy}; exact value required"
-            )
-        return self.value
+    value: Optional[GradedElement]
+    determinacy: str
+    known_square: GradedElement
 
 
 def double_factorial(m: int) -> int:
@@ -217,17 +197,7 @@ def _sl2n_euler(rep: RepSum, pres: PresentationId, power: int = 1) -> GradedElem
 
 
 def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
-    pres = bnn(1, field)
-    if irrep.tag in (RHO0, RHO0_MINUS):
-        z = zero_elem(pres)
-        return EulerClassValue(z, EXACT, z)
-    m = irrep.m
-    e = gen(pres, "e")
-    square = from_int(pres, m * m) * e * e
-    if m % 2:
-        return EulerClassValue(from_int(pres, m) * e, UP_TO_SIGN, square)
-    # the honest class lives in the twisted module; only its square is known
-    return EulerClassValue(None, SQUARE_ONLY, square)
+    return euler_rep(n_rep([irrep]), field)
 
 
 def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
@@ -237,36 +207,28 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
         return EulerClassValue(
             witt_image(_sl2n_euler(rep, pres)),
             EXACT,
-            lambda: witt_image(_sl2n_euler(rep, pres, 2)),
+            witt_image(_sl2n_euler(rep, pres, 2)),
         )
 
+    # with k_m summands rho(m): value c*e^K and square c^2*e^(2K), where
+    # c = prod m^(k_m) and K = sum k_m; same-m sign ambiguities square away
+    # pairwise, and an odd count of an even m leaves only the square
     pres = bnn(1, field)
-    # group identical rho(m): same-m sign ambiguities square away pairwise
+    if any(irrep.tag in (RHO0, RHO0_MINUS) for irrep, _ in rep.summands):
+        z = zero_elem(pres)
+        return EulerClassValue(z, EXACT, z)
     counts: Dict[int, int] = {}
     for irrep, mult in rep.summands:
-        if irrep.tag in (RHO0, RHO0_MINUS):
-            z = zero_elem(pres)
-            return EulerClassValue(z, EXACT, z)
         counts[irrep.m] = counts.get(irrep.m, 0) + mult
-    value: Optional[GradedElement] = one_elem(pres)
-    square = one_elem(pres)
-    determinacy = EXACT
-    e = gen(pres, "e")
-    for m, k in sorted(counts.items()):
-        sq_m = from_int(pres, m * m) * e * e
-        square = square * sq_m ** k
-        if m % 2:
-            if value is not None:
-                value = value * (from_int(pres, m) * e) ** k
-            if k % 2 and determinacy == EXACT:
-                determinacy = UP_TO_SIGN
-        else:
-            if k % 2:
-                value = None
-                determinacy = SQUARE_ONLY
-            elif value is not None:
-                value = value * sq_m ** (k // 2)
-    return EulerClassValue(value, determinacy, square)
+    c = prod(m ** k for m, k in counts.items())
+    K = sum(counts.values())
+    square = GradedElement(pres, {((0, 2 * K),): integer_class(c * c, field)})
+    if any(m % 2 == 0 and k % 2 for m, k in counts.items()):
+        return EulerClassValue(None, SQUARE_ONLY, square)
+    value = GradedElement(pres, {((0, K),): integer_class(c, field)})
+    if any(k % 2 for k in counts.values()):
+        return EulerClassValue(value, UP_TO_SIGN, square)
+    return EulerClassValue(value, EXACT, square)
 
 
 def generic_euler(rep: RepSum, field: FieldDescriptor) -> GradedElement:

@@ -378,62 +378,6 @@ def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# normalize: formal polynomials in named generators
-
-
-def normalize(raw, pres: PresentationId) -> GradedElement:
-    """Evaluate a formal polynomial into normal form.
-
-    `raw` is either a GradedElement (re-normalized as-is) or an iterable of
-    terms (coefficient, [(generator_name, exponent), ...]) with integer or
-    WittClass coefficients.
-    """
-    if isinstance(raw, GradedElement):
-        if raw.pres != pres:
-            raise PresentationMismatch(f"{raw.pres} vs {pres}")
-        return GradedElement(pres, dict(raw.coeffs))
-    if pres.kind == BN_TWISTED_MODULE:
-        return _normalize_module(raw, pres)
-    total = zero_elem(pres)
-    for coeff, powers in raw:
-        term = _coeff_elem(pres, coeff)
-        for name, exp in powers:
-            if exp < 0:
-                raise ZeroInput("negative exponents need localization")
-            term = term * (gen(pres, name) ** exp)
-        total = total + term
-    return total
-
-
-def _coeff_elem(pres: PresentationId, coeff) -> GradedElement:
-    if isinstance(coeff, WittClass):
-        return from_witt(pres, coeff)
-    if isinstance(coeff, int):
-        return from_int(pres, coeff)
-    raise UnknownGenerator(f"bad coefficient {coeff!r}")
-
-
-def _normalize_module(raw, pres: PresentationId) -> GradedElement:
-    bn_pres = bnn(1, pres.field)
-    total = GradedElement(pres, {})
-    for coeff, powers in raw:
-        scalar = _coeff_elem(bn_pres, coeff)
-        et_count = 0
-        for name, exp in powers:
-            if name == "eT":
-                et_count += exp
-            else:
-                scalar = scalar * (gen(bn_pres, name) ** exp)
-        if et_count != 1:
-            raise PresentationMismatch(
-                "twisted-module terms need exactly one factor eT (products of "
-                "eT are not defined)"
-            )
-        total = total + module_action(scalar, GradedElement(pres, {0: integer_class(1, pres.field)}))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # distinguished elements
 
 

@@ -23,7 +23,9 @@ from .quadext import lam_exactness_check, make_context
 from .rings import GradedElement, bnn, bsl2n, from_witt, gen, one_elem, twisted_point
 from .witt import WittClass, integer_class, witt
 
-SUITES = ("witt-fp", "lam", "ring-laws", "paper-table")
+# each suite and the field options it reads; lam reads --field and --a
+# together, paper-table --field alone
+SUITES = {"witt-fp": (), "lam": ("field", "a"), "ring-laws": (), "paper-table": ("field",)}
 
 
 def run_suite(

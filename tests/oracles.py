@@ -6,6 +6,8 @@ hand-rolled modular linear algebra.  The naive presented-ring oracle
 multiplies monomials by literal relation rewriting.  The W(Q(sqrt a))
 references normalize an entry by scanning the square-class pool with one
 square test per candidate and cancel hyperbolic pairs by a pairwise search.
+The W(k) division reference collects the verified quotients of a candidate
+search (every class over F_p, every solution of t*q = c over Q).
 """
 
 import math
@@ -198,3 +200,72 @@ def qext_reduce_pairwise(field, entries):
                 break
     work.sort(key=lambda c: (c[1] != 0, c[0], c[1]))
     return tuple(work)
+
+
+# ---------------------------------------------------------------------------
+# W(k) coefficient division by candidate search
+
+
+def witt_divide_candidates(c, d):
+    """Verified candidates q with q*d == c: every class over F_p; the
+    signature quotient over R; over the other fields the guesses c*<u> for
+    the entries u of d, c, -c, <1> over Q(sqrt a), and over Q every solution
+    of t*q = c when d = t<1>.  Complete over Q, R and the finite fields, not
+    over Q(sqrt a)."""
+    from wittloc.quadext import all_witt_classes
+    from wittloc.witt import WittClass, integer_class
+
+    field = c.field
+    out = []
+
+    def push(q):
+        if q not in out and q * d == c:
+            out.append(q)
+
+    if field.kind == F.FINITE_PRIME:
+        for q in all_witt_classes(field):
+            push(q)
+        return out
+    if field.kind == F.REALS:
+        t = d.signature()
+        if t != 0 and c.signature() % t == 0:
+            push(integer_class(c.signature() // t, field))
+        return out
+    for u in d.entries:
+        push(c * WittClass.from_entries(field, (u,)))
+    push(c)
+    push(-c)
+    if field.kind == F.QUAD_EXT and field.base.kind == F.RATIONALS:
+        push(integer_class(1, field))
+    if field.kind == F.RATIONALS:
+        t = d.integer_value()
+        if t is not None:
+            for q in rational_divide_by_int(c, t):
+                push(q)
+    return out
+
+
+def rational_divide_by_int(c, t):
+    """All solutions q of t*q = c in W(Q), via the residue decomposition:
+    one per choice of a solution at every prime and of the dyadic slot."""
+    from wittloc.witt import WittClass
+
+    sig, items, dy = c.key
+    if t == 0 or sig % t or (t % 2 == 0 and dy):
+        return []
+    per_prime = []
+    for p, cls in items:
+        fp = F.finite_prime(p)
+        sols = [(p, w) for w in places.fp_all_classes(p) if (t * WittClass(fp, w)).key == cls]
+        if not sols:
+            return []
+        per_prime.append(sols)
+    dys = [dy] if t % 2 else [0, 1]
+    results = []
+    for combo in product(*per_prime):
+        items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
+        for dq in dys:
+            q = WittClass(c.field, (sig // t, items_q, dq))
+            if t * q == c:
+                results.append(q)
+    return results

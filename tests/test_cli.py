@@ -112,3 +112,62 @@ def test_verify_suites_pass(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lam", "--a", "3"],
+        ["lam", "--field", "Q"],
+        ["witt-fp", "--field", "Q"],
+        ["witt-fp", "--a", "3"],
+        ["ring-laws", "--field", "Q"],
+        ["ring-laws", "--a", "3"],
+        ["paper-table", "--a", "2"],
+        ["paper-table", "--field", "Q", "--a", "2"],
+    ],
+    ids=" ".join,
+)
+def test_verify_rejects_options_the_suite_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and "parse error" in err
+
+
+def test_verify_field_options_the_suite_reads(capsys):
+    code, out, _ = run(capsys, "verify", "lam", "--field", "F5", "--a", "2", "--samples", "4")
+    assert code == 0 and "suite lam: pass" in out
+    code, out, _ = run(capsys, "verify", "paper-table", "--field", "Fp:7", "--n-max", "2")
+    assert code == 0 and "suite paper-table: pass" in out
+
+
+def _localize_doc(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "localize", "--problem", str(path))
+
+
+def test_localize_quotient_with_over_a_thousand_terms(tmp_path, capsys):
+    """The cleared class has 64 * 32 = 2048 terms with coefficient 1; long
+    division takes one step per term and keeps no stack."""
+    pairs = [f"(e1^{2 ** i}+e2^{2 ** i})" for i in range(6)]
+    pairs += [f"(e3^{2 ** i}+e4^{2 ** i})" for i in range(5)]
+    doc = {
+        "group": {"kind": "SL2n", "n": 4, "field": "Q"},
+        "components": [{"id": "c", "normal": "F@1 + F@2 + F@3 + F@4",
+                        "restricted": "e1*e2*e3*e4*" + "*".join(pairs)}],
+    }
+    code, out, _ = _localize_doc(tmp_path, capsys, doc)
+    assert code == 0
+    cleared = [line for line in out.splitlines() if line.startswith("cleared: ")]
+    assert len(cleared) == 1 and cleared[0].count("+") == 2047
+
+
+def test_localize_quotient_with_a_sqrt_a_coefficient(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:5)"},
+        "components": [{"id": "c", "normal": "Sym(3)@1", "restricted": "3<r>*e^4"}],
+    }
+    code, out, _ = _localize_doc(tmp_path, capsys, doc)
+    assert code == 0
+    assert "degree_zero: <r>" in out.splitlines()

@@ -169,3 +169,40 @@ def test_sl2n_euler_over_z_equals_the_witt_product(field):
         assert val.value == want
         assert val.known_square == want * want
         assert generic_euler(rep, field) == (zero_elem(pres) if rep.rank % 2 else want * want)
+
+
+@pytest.mark.parametrize(
+    "field", [Q, F.reals(), F.finite_prime(7), F.finite_prime(13)], ids=str
+)
+def test_n_euler_closed_form_equals_the_witt_product(field):
+    """The N-group class is c*e^K with its square c^2*e^(2K); the reference
+    multiplies the summands' classes +-m*e and squares m^2*e^2 one by one in
+    W(k)[x,e]/(x^2 - 1, (1 + x)e)."""
+    rng = random.Random(f"n-euler-{field}")
+    pres = bnn(1, field)
+    e = gen(pres, "e")
+    for _ in range(40):
+        summands = []
+        for _ in range(rng.randint(0, 4)):
+            m = rng.randint(1, 6)
+            irrep = NIrrep(RHO, m) if rng.random() < 0.9 else NIrrep(rng.choice([RHO0, RHO0_MINUS]))
+            summands.append((irrep, rng.randint(1, 3)))
+        rep = n_rep(summands)
+        val = euler_rep(rep, field)
+        if any(irrep.tag != RHO for irrep, _ in summands):
+            assert val.value.is_zero() and val.known_square.is_zero()
+            assert val.determinacy == EXACT
+            continue
+        value, square, odd_counts = one_elem(pres), one_elem(pres), {}
+        for irrep, mult in summands:
+            m = irrep.m
+            odd_counts[m] = (odd_counts.get(m, 0) + mult) % 2
+            value = value * (from_int(pres, m) * e) ** mult
+            square = square * (from_int(pres, m * m) * e * e) ** mult
+        assert val.known_square == square
+        if any(k and m % 2 == 0 for m, k in odd_counts.items()):
+            assert val.determinacy == SQUARE_ONLY and val.value is None
+        else:
+            want = UP_TO_SIGN if any(odd_counts.values()) else EXACT
+            assert val.determinacy == want
+            assert val.value == value
