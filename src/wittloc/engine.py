@@ -6,18 +6,16 @@ push(i^*(class) / e(normal)) and the engine sums the contributions,
 attempting to clear denominators back into the polynomial presentation.
 
 An SL2^n problem whose component fractions all have integer coefficients
-is summed and cleared in Z[e_1..e_n], and the result is mapped into
-W(k)[e_1..e_n] once; the answer is the one W(k) arithmetic would give.
+is summed and cleared once in (Z/N)[e_1..e_n], N the additive order of <1>
+in W(k), and mapped into W(k)[e_1..e_n] once; Z/N -> W(k) is injective,
+so the answer is the one W(k) arithmetic would give.
 
 Denominators clear by ``exact_divide``: long division by the leading term
-in the lex order, one quotient term per step, integer division over Z.
-Over W(k) the leading coefficient must be t<1> with t odd (any t != 0 over
-R), as in every Whitney product of m!!*e^(m+1), e_i^2 - e_j^2 and, for
-odd m, +-m*e; the quotient of c by it is the closed form z + r*(c - t*z),
-with z of signature sig(c)/t at every ordering of k and r = t mod 8 in
-{+-1, +-3}.  It is the only quotient, so a failed step means no quotient
-exists.  Any other leading coefficient is a zero divisor or not
-recognized and raises BadParameters.
+in the lex order, one quotient term per step, over Z, Z/N or W(k).  Every
+Euler-class denominator leads with t<1>, t odd, and the quotient by it is
+unique (``_witt_quotient``), so a failed step means no quotient exists; a
+leading coefficient that is a zero divisor or not recognized raises
+BadParameters.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from .euler import (
     RepSum,
     SL2nIrrep,
     _sl2n_euler,
+    double_factorial,
     euler_rep,
     fundamental,
     generic_euler,
@@ -160,36 +159,45 @@ def _witt_quotient(c: WittClass, t: int) -> Optional[WittClass]:
     return z + r * (c - t * z)
 
 
-def _coefficient_divider(d, integral: bool) -> Callable:
-    """c -> c / d or None, for the leading coefficient d of a denominator."""
-    if integral:
+def _coefficient_divider(d, pres: PresentationId) -> Callable:
+    """c -> c / d or None, for the leading coefficient d of a denominator in
+    pres: integer division over Z, multiplication by the inverse of d over
+    Z/N, ``_witt_quotient`` over W(k)."""
+    modulus = pres.modulus
+    if pres.integral and not modulus:
         return lambda c: c // d if c % d == 0 else None
-    t = _leading_integer(d)
-    if t is None or (t % 2 == 0 and d.field.kind != REALS):
+    t = d if pres.integral else _leading_integer(d)
+    # Z/N has no ordering, so an even t is a zero divisor there too
+    if t is None or (t % 2 == 0 and pres.field.kind != REALS):
         raise BadParameters(
             f"cannot divide by the leading coefficient {d!r}: a quotient is "
             "unique and certified only for t<1> with t odd"
         )
+    if pres.integral:
+        inverse = pow(t, -1, modulus)
+        return lambda c: c * inverse % modulus
     return lambda c: _witt_quotient(c, t)
 
 
 def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedElement]:
-    """num / den in the polynomial carrier, over W(k) or over Z, or None when
+    """num / den in the polynomial carrier, over W(k), Z or Z/N, or None when
     den does not divide num.
 
     Long division by the leading term of den in the lex order: each step
     divides the remainder's leading coefficient by den's (integer division
-    over Z, ``_witt_quotient`` over W(k)) and subtracts that multiple of den.
-    The quotient is unique, so a failed step means den does not divide num.
-    Over W(k) den's leading coefficient must be t<1> with t odd (any t != 0
-    over R); any other one raises BadParameters.
+    over Z, the inverse of an odd residue over Z/N, ``_witt_quotient`` over
+    W(k)) and subtracts that multiple of den, reducing mod N over Z/N.  The
+    quotient is unique, so a failed step means den does not divide num.
+    Over W(k) and Z/N den's leading coefficient must be t<1> with t odd (any
+    t != 0 over R); any other one raises BadParameters.
     """
     if den.pres != num.pres or den.pres.kind != BSL2N:
         raise BadParameters("exact division works in the polynomial carrier")
     if den.is_zero():
         return None
     dk = max(den.coeffs)
-    divide = _coefficient_divider(den.coeffs[dk], num.pres.integral)
+    divide = _coefficient_divider(den.coeffs[dk], num.pres)
+    modulus = num.pres.modulus
     is_zero = not_ if num.pres.integral else WittClass.is_zero
     tail = [(k, c) for k, c in den.coeffs.items() if k != dk]
     rem = dict(num.coeffs)
@@ -205,6 +213,8 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
         for k, c in tail:
             key = tuple(map(add, mono, k))
             v = rem[key] - q * c if key in rem else -(q * c)
+            if modulus:
+                v %= modulus
             if is_zero(v):
                 rem.pop(key, None)
             else:
@@ -392,10 +402,10 @@ def _component_fraction(
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
     """The preimage in the integral carrier of a W(k) polynomial whose
-    coefficients are all integer classes, or None."""
+    coefficients all read as integer classes (``_leading_integer``), or None."""
     out: Dict = {}
     for k, c in x.coeffs.items():
-        t = c.integer_value()
+        t = _leading_integer(c)
         if t is None:
             return None
         out[k] = t
@@ -403,18 +413,14 @@ def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[Graded
 
 
 def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
-    """Z[e_1..e_n] when an SL2n problem can be summed over Z, else None.
-
-    Denominators are Whitney products, hence integral with leading
-    coefficient +-(odd), which no supported W(k) annihilates; so a quotient
-    over Z maps to the only quotient over W(k).  Numerators are integral when
-    they are Whitney products or ring expressions whose coefficients are all
-    integer classes.  Over Q(sqrt a) classes have no key, so no coefficient
-    has an exact integer test; those problems stay on W(k), where the same
-    long division finds the same unique quotient.
-    """
+    """(Z/N)[e_1..e_n], N = ``integer_modulus(k)``, when an SL2n problem can be
+    summed there, else None.  Z/N -> W(k) is injective and Whitney-product
+    denominators lead with +-(odd), a unit of Z/N (over Z the signature
+    forces the quotient), so each division step stays in the image of Z/N
+    and maps to the only quotient over W(k).  Numerators must be Whitney
+    products or ring expressions whose coefficients read as integers."""
     g = p.group
-    if g.kind != "SL2n" or zero_class(g.field).key is None:
+    if g.kind != "SL2n":
         return None
     base, carrier = bsl2n(g.n, g.field), integral_bsl2n(g.n, g.field)
     for c in p.components:
@@ -425,24 +431,16 @@ def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
     return carrier
 
 
-def _divides_only_in_witt(num: GradedElement, den: GradedElement) -> bool:
-    """Whether num / den failed over Z but holds for the W(k) images, as
-    2-torsion allows: over F_7, -e1^2 + e2^2 lifts to 3e1^2 + e2^2."""
-    return num.pres.integral and exact_divide(witt_image(num), witt_image(den)) is not None
-
-
 def _sum_fractions(
     fractions: List[Tuple[GradedElement, GradedElement]], carrier: PresentationId
 ):
     """Sum the component fractions over carrier: (numerator, common
     denominator or None when every fraction cleared, numerator / common
-    denominator or None), or None when some division fails over Z only."""
+    denominator or None)."""
     one = one_elem(carrier)
     reduced: List[Tuple[GradedElement, GradedElement]] = []
     for num, den in fractions:
         q = exact_divide(num, den)
-        if q is None and _divides_only_in_witt(num, den):
-            return None
         reduced.append((num, den) if q is None else (q, one))
 
     dens = [den for _, den in reduced if den != one]
@@ -459,10 +457,7 @@ def _sum_fractions(
     D = one
     for d in dens:
         D = D * d
-    cleared = exact_divide(total_num, D)
-    if cleared is None and _divides_only_in_witt(total_num, D):
-        return None
-    return total_num, D, cleared
+    return total_num, D, exact_divide(total_num, D)
 
 
 def bott_residue(p: LocalizationProblem) -> ResidueResult:
@@ -481,9 +476,6 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     work = _integral_carrier(p) or carrier
     fractions = [_component_fraction(c, g, work) for c in p.components]
     summed = _sum_fractions(fractions, work)
-    if summed is None:
-        images = [(witt_image(num), witt_image(den)) for num, den in fractions]
-        summed = _sum_fractions(images, carrier)
     total_num, D, cleared = (None if x is None else witt_image(x) for x in summed)
 
     if D is not None:
@@ -555,6 +547,26 @@ def build_grassmannian_problem(
     return LocalizationProblem(g, tuple(comps))
 
 
+def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> LocalizationProblem:
+    """Lines on a degree-(2N-3) hypersurface in P^N, N odd, of degree
+    (2N-3)!!<1>: Gr(2, 2m), m = (N+1)/2, with SL2^m acting on F_1 + ... + F_m,
+    fixed at each plane F_i.  The numerator there is (-1)^#{j<i} times
+    e(Sym^(2N-3) F_i): normal classes are stored as prod (e_lo^2 - e_hi^2),
+    and the sign turns each into the class prod_{j != i} (e_i^2 - e_j^2) of
+    the normal bundle sum_j Hom(F_i, F_j)."""
+    if N < 3 or N % 2 == 0:
+        raise BadParameters(f"N must be odd and at least 3, got {N}")
+    m = (N + 1) // 2
+    pres = bsl2n(m, field)
+    comps = []
+    for i in range(1, m + 1):
+        normal = sl2n_rep(m, [_tensor_irrep(m, i, j) for j in range(1, m + 1) if j != i])
+        num = from_int(pres, (-1) ** (i - 1) * double_factorial(2 * N - 3))
+        num = num * gen(pres, f"e{i}") ** (N - 1)
+        comps.append(FixedComponent(f"F{i}", RATIONAL_POINT, normal, num))
+    return LocalizationProblem(GroupDescriptor("SL2n", m, field), tuple(comps))
+
+
 # ---------------------------------------------------------------------------
 # JSON problem files
 
@@ -589,7 +601,6 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
     from .errors import ExprSyntaxError
     from .exprs import parse_field, parse_rep, parse_ring_expr, parse_scalar
     from .quadext import make_context
-    from .rings import bnn as _bnn
 
     gdoc = doc["group"]
     field = parse_field(gdoc["field"])
@@ -619,7 +630,7 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
             elif isinstance(residue, QuadExtContext):
                 pres = twisted_point(residue)
             else:
-                pres = _bnn(1, field)
+                pres = bnn(1, field)
             restricted = parse_ring_expr(restricted_text, pres)
         comps.append(FixedComponent(cid, residue, normal, restricted))
     M = None

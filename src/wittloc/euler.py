@@ -1,11 +1,12 @@
 """Euler classes of SL2^n- and N-representations.
 
-Supported SL2^n shapes: a single Sym^m factor (m odd: m!!*e_i^{m+1}, with
-the fundamental case m = 1 giving e_i; m even: 0 by odd rank), a tensor
-product of two fundamental factors (e_i^2 - e_j^2), and the all-even
-vanishing case.  These formulas, the Whitney products and their squares
-all have integer coefficients, so SL2^n classes are computed in Z[e_1..e_n]
-and mapped into W(k)[e_1..e_n] once, when a public function returns them.
+Supported SL2^n shapes: a single Sym^m factor (m odd: m!!*e_i^((m+1)/2),
+of degree m + 1 = rank (Levine, Nagoya Math. J. 2019), which is e_i for
+m = 1; m even: 0 by odd rank), a tensor product of two fundamental factors
+(e_i^2 - e_j^2), and the all-even vanishing case.  These formulas, the
+Whitney products and their squares all have integer coefficients, so
+SL2^n classes are computed in (Z/N)[e_1..e_n] (``integral_bsl2n``) and
+mapped into W(k)[e_1..e_n] once, when a public function returns them.
 For N, e(O~(m)) is +-m*e for odd m (sign surfaced as determinacy metadata)
 and only its square m^2 e^2 is available for even m; a sum with k_m copies
 of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
@@ -137,7 +138,7 @@ def fundamental(n: int, i: int) -> SL2nIrrep:
 class EulerClassValue:
     """An Euler class together with how well-defined it is, and its square,
     which is always well-defined.  For SL2^n the value and its square are
-    computed over Z and each is mapped into W(k) once; both fields always
+    computed over Z/N and each is mapped into W(k) once; both fields always
     hold W(k) classes."""
 
     value: Optional[GradedElement]
@@ -170,9 +171,7 @@ def _irrep_euler(irrep: SL2nIrrep, pres: PresentationId) -> GradedElement:
     if len(nz) == 1:
         i, m = nz[0]
         ei = gen(pres, f"e{i}")
-        if m == 1:
-            return ei
-        return from_int(pres, double_factorial(m)) * ei ** (m + 1)
+        return ei if m == 1 else from_int(pres, double_factorial(m)) * ei ** ((m + 1) // 2)
     if len(nz) == 2 and all(m == 1 for _, m in nz):
         return _tensor_pair(nz[0][0], nz[1][0], pres)
     raise UnsupportedIrrep(
@@ -187,8 +186,8 @@ def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
 
 def _sl2n_euler(rep: RepSum, pres: PresentationId, power: int = 1) -> GradedElement:
     """e(rep)^power as the Whitney product of the e(irrep)^(power*mult), in
-    the BSL2n presentation pres, over Z or over W(k); the engine works with
-    it over Z.  Squaring factor by factor is cheaper than squaring the
+    the BSL2n presentation pres, over Z/N or over W(k); the engine works
+    with it over Z/N.  Squaring factor by factor is cheaper than squaring the
     product, whose terms multiply pairwise."""
     val = one_elem(pres)
     for irrep, mult in rep.summands:

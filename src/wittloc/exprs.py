@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
 from .errors import ExprSyntaxError, UnknownGenerator
 from .fields import (
     FINITE_PRIME,
     QUAD_EXT,
-    RATIONALS,
-    REALS,
     FieldDescriptor,
     finite_prime,
     quad_ext,
@@ -29,16 +28,7 @@ from .fields import (
     reals,
 )
 from .witt import WittClass, integer_class, square_class
-from .rings import (
-    GradedElement,
-    PresentationId,
-    from_int,
-    from_witt,
-    gen,
-    generator_names,
-    one_elem,
-    zero_elem,
-)
+from .rings import GradedElement, PresentationId, from_witt, gen
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
 
@@ -174,73 +164,95 @@ def _parse_quadext_scalar(text: str, field: FieldDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# Witt-class expressions
+# Witt-class and graded-ring expressions: one grammar, two atom rules
+
+
+class _Atoms(NamedTuple):
+    """What the atoms of an expression stand for."""
+
+    field: FieldDescriptor
+    lift: Callable  # a class <c> or t<1> -> value
+    name: Optional[Callable]  # generator name -> value; None: names are not atoms
 
 
 def parse_witt_expr(text: str, field: FieldDescriptor) -> WittClass:
+    return _parse(text, _Atoms(field, lambda w: w, None))
+
+
+def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
+    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres)))
+
+
+def _parse(text: str, atoms: _Atoms):
     p = _Parser(text)
-    out = _witt_expr(p, field)
+    out = _expr(p, atoms)
     p.done()
     return out
 
 
-def _witt_expr(p: _Parser, field) -> WittClass:
-    acc = _witt_term(p, field)
+def _expr(p: _Parser, atoms: _Atoms):
+    acc = _term(p, atoms)
     while p.at("+") or p.at("-"):
         op = p.next()[1]
-        t = _witt_term(p, field)
+        t = _term(p, atoms)
         acc = acc + t if op == "+" else acc - t
     return acc
 
 
-def _witt_term(p: _Parser, field) -> WittClass:
-    acc = _witt_factor(p, field)
+def _term(p: _Parser, atoms: _Atoms):
+    acc = _factor(p, atoms)
     while p.at("*"):
         p.next()
-        acc = acc * _witt_factor(p, field)
+        acc = acc * _factor(p, atoms)
     return acc
 
 
-def _witt_factor(p: _Parser, field) -> WittClass:
+def _factor(p: _Parser, atoms: _Atoms):
     if p.at("-"):
         p.next()
-        return -_witt_factor(p, field)
-    base = _witt_atom(p, field)
+        return -_factor(p, atoms)
+    base = _atom(p, atoms)
     while p.at("^"):
         p.next()
         t = p.next()
         if t[0] != "int":
             raise ExprSyntaxError("exponent must be a nonnegative integer", t[2])
-        n = int(t[1])
-        acc = integer_class(1, field)
-        for _ in range(n):
+        acc = atoms.lift(integer_class(1, atoms.field))
+        for _ in range(int(t[1])):
             acc = acc * base
         base = acc
     return base
 
 
-def _witt_atom(p: _Parser, field) -> WittClass:
+def _atom(p: _Parser, atoms: _Atoms):
     t = p.peek()
     if t is None:
         raise ExprSyntaxError("unexpected end of expression", len(p.text))
     if t[1] == "<":
         p.next()
-        c = _scalar_tokens(p, field)
+        c = _scalar_tokens(p, atoms.field)
         p.expect(">")
-        return square_class(field, c)
+        return atoms.lift(square_class(atoms.field, c))
     if t[1] == "(":
         p.next()
-        inner = _witt_expr(p, field)
+        inner = _expr(p, atoms)
         p.expect(")")
         return inner
+    names = atoms.name is not None
     if t[0] == "int":
         p.next()
-        k = integer_class(int(t[1]), field)
+        k = atoms.lift(integer_class(int(t[1]), atoms.field))
         nxt = p.peek()
-        if nxt is not None and nxt[1] in ("<", "("):
-            # juxtaposition means multiplication: 3<2> = 3 * <2>
-            return k * _witt_atom(p, field)
+        if nxt is not None and (nxt[1] in ("<", "(") or (names and nxt[0] == "name")):
+            # juxtaposition means multiplication: 3<2> = 3 * <2>, 2e1 = 2 * e1
+            return k * _atom(p, atoms)
         return k
+    if names and t[0] == "name":
+        p.next()
+        try:
+            return atoms.name(t[1])
+        except UnknownGenerator:
+            raise ExprSyntaxError(f"unknown generator {t[1]!r}", t[2])
     raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
 
 
@@ -248,7 +260,6 @@ def _scalar_tokens(p: _Parser, field):
     """Collect tokens until the matching '>' and hand them to parse_scalar."""
     depth = 0
     parts = []
-    start = None
     while True:
         t = p.peek()
         if t is None:
@@ -259,83 +270,9 @@ def _scalar_tokens(p: _Parser, field):
             depth += 1
         elif t[1] == ")":
             depth -= 1
-        if start is None:
-            start = t[2]
         parts.append(t[1])
         p.next()
     return parse_scalar("".join(parts), field)
-
-
-# ---------------------------------------------------------------------------
-# graded-ring expressions
-
-
-def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
-    p = _Parser(text)
-    out = _ring_expr(p, pres)
-    p.done()
-    return out
-
-
-def _ring_expr(p: _Parser, pres) -> GradedElement:
-    acc = _ring_term(p, pres)
-    while p.at("+") or p.at("-"):
-        op = p.next()[1]
-        t = _ring_term(p, pres)
-        acc = acc + t if op == "+" else acc - t
-    return acc
-
-
-def _ring_term(p: _Parser, pres) -> GradedElement:
-    acc = _ring_factor(p, pres)
-    while p.at("*"):
-        p.next()
-        acc = acc * _ring_factor(p, pres)
-    return acc
-
-
-def _ring_factor(p: _Parser, pres) -> GradedElement:
-    if p.at("-"):
-        p.next()
-        return -_ring_factor(p, pres)
-    base = _ring_atom(p, pres)
-    while p.at("^"):
-        p.next()
-        t = p.next()
-        if t[0] != "int":
-            raise ExprSyntaxError("exponent must be a nonnegative integer", t[2])
-        base = base ** int(t[1])
-    return base
-
-
-def _ring_atom(p: _Parser, pres) -> GradedElement:
-    t = p.peek()
-    if t is None:
-        raise ExprSyntaxError("unexpected end of expression", len(p.text))
-    if t[1] == "<":
-        p.next()
-        c = _scalar_tokens(p, pres.field)
-        p.expect(">")
-        return from_witt(pres, square_class(pres.field, c))
-    if t[1] == "(":
-        p.next()
-        inner = _ring_expr(p, pres)
-        p.expect(")")
-        return inner
-    if t[0] == "int":
-        p.next()
-        k = from_int(pres, int(t[1]))
-        nxt = p.peek()
-        if nxt is not None and (nxt[1] in ("<", "(") or nxt[0] == "name"):
-            return k * _ring_atom(p, pres)
-        return k
-    if t[0] == "name":
-        p.next()
-        try:
-            return gen(pres, t[1])
-        except UnknownGenerator:
-            raise ExprSyntaxError(f"unknown generator {t[1]!r}", t[2])
-    raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
 
 
 # ---------------------------------------------------------------------------

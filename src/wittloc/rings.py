@@ -2,8 +2,9 @@
 
 Presentations:
   * BSL2n(n): polynomial ring W(k)[e_1..e_n], each e_i of degree 2, or
-    its integral form Z[e_1..e_n] (``integral_bsl2n``), whose coefficients
-    are Python ints and which ``witt_image`` maps into W(k)[e_1..e_n];
+    its integral form (Z/N)[e_1..e_n] (``integral_bsl2n``; Z when N = 0),
+    whose coefficients are Python ints and which ``witt_image`` maps
+    injectively into W(k)[e_1..e_n];
   * BNn(n):   n-fold product of W(k)[x,e]/((1+x)e, x^2-1), x of degree 0;
   * TwistedPoint(ctx): W(k)[e,y]/(y^2 - 2(<1>-<a>), I_a*y, I_a*e) with the
     degree-0 generator x acting as the scalar <a>;
@@ -30,9 +31,9 @@ from .errors import (
     UnknownGenerator,
     ZeroInput,
 )
-from .fields import FieldDescriptor
+from .fields import REALS, FieldDescriptor
 from .quadext import QuadExtContext, in_Ia, one_minus_a
-from .witt import WittClass, integer_class, zero_class
+from .witt import WittClass, integer_class, integer_modulus, zero_class
 
 BSL2N = "BSL2n"
 BNN = "BNn"
@@ -47,12 +48,19 @@ class PresentationId:
     field: FieldDescriptor
     ctx: Optional[QuadExtContext] = None
     inverted: bool = False
-    integral: bool = False  # BSL2n only: coefficients in Z, not W(field)
+    integral: bool = False  # BSL2n only: coefficients in Z/N, not W(field)
+
+    def __post_init__(self):
+        # N of the coefficients Z/N (``integer_modulus``), 0 over W(k); set at
+        # construction, as a later write through __dict__ slows attribute reads
+        n = integer_modulus(self.field) if self.integral else 0
+        object.__setattr__(self, "modulus", n)
 
     def __str__(self):
         if self.kind == BSL2N:
             if self.integral:
-                return f"BSL2n({self.n})/Z, mapped into W({self.field})"
+                z = f"Z/{self.modulus}" if self.modulus else "Z"
+                return f"BSL2n({self.n})/{z}, mapped into W({self.field})"
             return f"BSL2n({self.n})/{self.field}"
         if self.kind == BNN:
             return f"BN^{self.n}/{self.field}"
@@ -69,7 +77,8 @@ def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
 
 
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
-    """Z[e_1..e_n], whose image under ``witt_image`` is BSL2n(n) over field."""
+    """(Z/N)[e_1..e_n] with N = ``integer_modulus(field)``, the image of
+    Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
     return replace(bsl2n(n, field), integral=True)
 
 
@@ -137,13 +146,15 @@ def _zero_coeff(pres: PresentationId):
 
 class GradedElement:
     """Normal-form element: dict from monomial key to nonzero coefficient,
-    a WittClass, or an int when the presentation is integral."""
+    a WittClass, or an int (mod N when N > 0) when the presentation is integral."""
 
     __slots__ = ("pres", "coeffs")
 
     def __init__(self, pres: PresentationId, coeffs: Dict):
         if pres.integral:
-            clean = {k: c for k, c in coeffs.items() if c}
+            n = pres.modulus
+            clean = ({k: r for k, c in coeffs.items() if (r := c % n)} if n
+                     else {k: c for k, c in coeffs.items() if c})
         else:
             clean = {
                 k: c for k, c in coeffs.items() if not _coeff_is_zero(pres, k, c)
@@ -383,7 +394,7 @@ def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
 
 def e_star(n: int, field: FieldDescriptor) -> GradedElement:
     """prod_i e_i * prod_{j<i} (e_i - e_j) in BSL2n(n), multiplied out over
-    Z and mapped into W(k) once."""
+    Z/N and mapped into W(k) once."""
     pres = integral_bsl2n(n, field)
     out = one_elem(pres)
     for i in range(1, n + 1):
@@ -395,9 +406,10 @@ def e_star(n: int, field: FieldDescriptor) -> GradedElement:
 
 
 def witt_image(x: GradedElement) -> GradedElement:
-    """Image of x under the ring map Z[e_1..e_n] -> W(k)[e_1..e_n]; x itself
-    when its coefficients already lie in W(k).  The class of each distinct
-    integer coefficient is built once."""
+    """Image of x under the injective ring map (Z/N)[e_1..e_n] ->
+    W(k)[e_1..e_n] that sends a residue t to t<1>; x itself when its
+    coefficients already lie in W(k).  The class of each distinct residue
+    is built once."""
     if not x.pres.integral:
         return x
     field = x.pres.field
@@ -519,19 +531,36 @@ def localize(x: GradedElement, s: GradedElement) -> LocalizedElement:
     return LocalizedElement(carrier, localize_element(x, carrier), s_loc, 0)
 
 
-def loc_eq(u: LocalizedElement, v: LocalizedElement, max_shift: int = 2) -> bool:
-    """Equality after cross-multiplication and bounded exponent shifts."""
+def loc_eq(u: LocalizedElement, v: LocalizedElement) -> bool:
+    """Whether s^k kills u.numerator*s^(v.dexp) - v.numerator*s^(u.dexp) for
+    some k, s the inverted class; k runs up to ``_shift_bound(s)``."""
     if u.pres != v.pres:
         return False
     if u.inverted != v.inverted:
         raise PresentationMismatch("localized elements invert different classes")
     s = u.inverted
-    lhs = u.numerator * (s ** v.dexp)
-    rhs = v.numerator * (s ** u.dexp)
-    diff = lhs - rhs
-    for _ in range(max_shift + 1):
+    diff = u.numerator * (s ** v.dexp) - v.numerator * (s ** u.dexp)
+    for _ in range(_shift_bound(s)):
         if diff.is_zero():
             return True
         diff = diff * s
-    return False
+    return diff.is_zero()
 
+
+def _shift_bound(s: GradedElement) -> int:
+    """0 when s is not a zero divisor: its leading coefficient is t<1> with
+    t odd (any t != 0 over Z and R), which kills no nonzero class, and its
+    leading monomial is a product of e's (y is nilpotent in the twisted
+    carrier), so leading terms multiply.  3 when s = t*e^m with t even:
+    s^k c = 0 makes t^k kill every coefficient of c, so each is torsion, and
+    8 | t^3 kills torsion.  Any other s raises BadParameters."""
+    from .engine import _leading_integer
+
+    lead = max(s.coeffs)
+    t = s.coeffs[lead] if s.pres.integral else _leading_integer(s.coeffs[lead])
+    if t is not None and (s.pres.kind == BSL2N or lead[0] == 0):
+        if t % 2 or s.pres.field.kind == REALS or s.pres.integral and not s.pres.modulus:
+            return 0
+        if len(s.coeffs) == 1:
+            return 3
+    raise BadParameters(f"no bound on the shifts that {s!r} needs")

@@ -4,7 +4,8 @@ Each suite returns (passed, lines).  `witt-fp` cross-checks Witt-class
 equality over prime fields against the rank/discriminant classification,
 `lam` exercises the quadratic-extension exact cycle, `ring-laws` samples
 the ring axioms and defining relations, and `paper-table` recomputes the
-closed-form localization degrees for projective spaces and Grassmannians.
+closed-form localization degrees for projective spaces, Grassmannians and
+the lines on hypersurfaces.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from typing import List, Optional, Tuple
 
 from . import fields as F
 from .engine import bott_residue, build_grassmannian_problem, build_projective_problem
+from .engine import build_hypersurface_lines_problem
+from .euler import double_factorial
 from .fields import FINITE_PRIME, FieldDescriptor, finite_prime, rationals
 from .places import fp_class_of_units
 from .quadext import lam_exactness_check, make_context
 from .rings import GradedElement, bnn, bsl2n, from_witt, gen, one_elem, twisted_point
-from .witt import WittClass, integer_class, witt
+from .witt import WittClass, integer_class, integer_modulus, witt
 
 # each suite and the field options it reads; lam reads --field and --a
 # together, paper-table --field alone
@@ -76,12 +79,9 @@ def suite_witt_fp(p_max: int = 11, rank_max: int = 4) -> Tuple[bool, List[str]]:
                     checked += 1
                     if (x == c) != (inv == class_inv[c]):
                         bad += 1
-        one = integer_class(1, field)
-        four_torsion = (one + one + one + one).is_zero()
-        order = 4 if not (one + one).is_zero() else 2
+        order = integer_modulus(field)
         want_order = 4 if p % 4 == 3 else 2
-        group_ok = four_torsion and order == want_order
-        line_ok = bad == 0 and group_ok
+        line_ok = bad == 0 and order == want_order
         ok = ok and line_ok
         lines.append(
             f"witt-fp p={p}: {checked} comparisons, "
@@ -211,8 +211,9 @@ def _relations_hold(pres) -> bool:
 
 def suite_table(n_max: int = 4, field=None) -> Tuple[bool, List[str]]:
     """Localization degrees with known closed forms: chi(P^2n) = <1>,
-    chi(P^(2n-1)) = 0, and binomial(n, r)<1> for the Grassmannian of
-    2r-planes in 2n-space."""
+    chi(P^(2n-1)) = 0, binomial(n, r)<1> for the Grassmannian of 2r-planes
+    in 2n-space, and (2N-3)!!<1> lines on a degree-(2N-3) hypersurface in
+    P^N for odd N <= min(2n - 1, 5)."""
     k = field if field is not None else rationals()
     lines = []
     ok = True
@@ -236,4 +237,12 @@ def suite_table(n_max: int = 4, field=None) -> Tuple[bool, List[str]]:
                 f"Gr({2*r},{2*n}): degree {got!r}, expected {comb(n,r)}<1> ... "
                 f"{'pass' if good else 'FAIL'}"
             )
+    # N <= 5, as for P^2n: over Q(sqrt a), t<1> is a form of t entries
+    for N in range(3, 2 * min(n_max, 3), 2):
+        count = double_factorial(2 * N - 3)
+        got = bott_residue(build_hypersurface_lines_problem(N, k)).degree_zero
+        good = got == integer_class(count, k)
+        ok = ok and good
+        lines.append(f"lines on a degree-{2*N-3} hypersurface in P^{N}: degree {got!r}, "
+                     f"expected {count}<1> ... {'pass' if good else 'FAIL'}")
     return ok, lines

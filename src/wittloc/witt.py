@@ -256,9 +256,23 @@ def _keyed(field: FieldDescriptor) -> Optional[_Keyed]:
 
 
 @lru_cache(maxsize=None)
+def integer_modulus(field: FieldDescriptor) -> int:
+    """N with Z/N the image of Z in W(field): the additive order of <1>, or
+    0 when it has none.  It is 2*level(k) for k not formally real, and the
+    level of every supported field is 1, 2 or 4 (Lam, ch. XI):
+
+        0  Q, R, Q(sqrt a) with a > 0
+        2  F_q with q = 1 mod 4, C, Q(sqrt -1)
+        4  F_q with q = 3 mod 4, Q(sqrt -d) with d != 1, d != 7 mod 8
+        8  Q(sqrt -d) with d = 7 mod 8
+    """
+    return next((n for n in (2, 4, 8) if integer_class(n, field).is_zero()), 0)
+
+
+@lru_cache(maxsize=None)
 def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
-    """Keys of 0, <1>, 2<1> and 3<1> over a field where 4<1> = 0."""
-    return tuple(integer_class(t, field).key for t in range(4))
+    """Keys of 0, <1>, ..., (N - 1)<1> over a field with N = integer_modulus > 0."""
+    return tuple(integer_class(t, field).key for t in range(integer_modulus(field)))
 
 
 # --- Q(sqrt a): reduced representative, equality by decision procedure -----
@@ -506,8 +520,8 @@ class WittClass:
 
     def integer_value(self) -> Optional[int]:
         """t with self == t*<1>, or None when there is none; exact over the
-        keyed fields (over F_p, F_{p^2} and C, 4*<1> = 0 and t is taken in
-        0..3), UnsupportedField over Q(sqrt a)."""
+        keyed fields (over F_p, F_{p^2} and C, t is taken in
+        0..integer_modulus - 1), UnsupportedField over Q(sqrt a)."""
         if self.field.kind == RATIONALS:
             sig, residues, dyadic = self.key
             return None if residues or dyadic else sig

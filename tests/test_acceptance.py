@@ -204,7 +204,7 @@ def test_criterion_6_euler_formulas():
     ok = True
     for m in (3, 5, 7, 9):
         val = euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q)
-        ok = ok and val.value == from_int(pres1, double_factorial(m)) * e ** (m + 1)
+        ok = ok and val.value == from_int(pres1, double_factorial(m)) * e ** ((m + 1) // 2)
     ok = ok and euler_sl2n_irrep(SL2nIrrep((1,)), 1, Q).value == e
     for m in (2, 4, 6, 8):
         ok = ok and euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q).value.is_zero()

@@ -166,7 +166,7 @@ def test_localize_quotient_with_over_a_thousand_terms(tmp_path, capsys):
 def test_localize_quotient_with_a_sqrt_a_coefficient(tmp_path, capsys):
     doc = {
         "group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:5)"},
-        "components": [{"id": "c", "normal": "Sym(3)@1", "restricted": "3<r>*e^4"}],
+        "components": [{"id": "c", "normal": "Sym(3)@1", "restricted": "3<r>*e^2"}],
     }
     code, out, _ = _localize_doc(tmp_path, capsys, doc)
     assert code == 0

@@ -347,10 +347,11 @@ def test_division_that_holds_only_in_witt_falls_back(field, degree):
     normal = parse_rep("F@1*F@2", "SL2n", 2)
     restricted = parse_ring_expr("0 - e1^2 + e2^2", pres)
     if field.kind == F.FINITE_PRIME:
-        # -1 lifts to 3 over F_7, and (3e1^2 + e2^2) / (e1^2 - e2^2) fails over Z
+        # -1 lifts to 3 over F_7; over Z/4, (3e1^2 + e2^2) / (e1^2 - e2^2) is
+        # -1 = 3, as 4e2^2 = 0, so no sum needs a second pass over W(k)
         zp = integral_bsl2n(2, field)
         z1, z2 = gen(zp, "e1"), gen(zp, "e2")
-        assert exact_divide(3 * z1 * z1 + z2 * z2, z1 * z1 - z2 * z2) is None
+        assert exact_divide(3 * z1 * z1 + z2 * z2, z1 * z1 - z2 * z2) == from_int(zp, -1)
     g = GroupDescriptor("SL2n", 2, field)
     res = bott_residue(LocalizationProblem(g, (FixedComponent("c", "rational", normal, restricted),)))
     assert res.degree_zero == square_class(field, Fraction(degree))
@@ -382,7 +383,7 @@ def _sl2n1_problem(field, normal):
 
 
 def test_odd_integer_denominator_clears_over_a_quadratic_extension():
-    """3e^4 / 3e^4 over Q(sqrt 2) clears to <1>."""
+    """3e^2 / 3e^2 over Q(sqrt 2) clears to <1>."""
     field = F.quad_ext(Q, 2)
     res = bott_residue(_sl2n1_problem(field, "Sym(3)@1"))
     assert res.cleared == one_elem(bsl2n(1, field))
@@ -399,12 +400,12 @@ def test_euler_coefficient_225_clears_over_a_quadratic_extension():
 
 
 def test_quotient_with_a_sqrt_a_coefficient_clears():
-    """3<sqrt 5>e^4 / 3e^4 = <sqrt 5> over Q(sqrt 5): the quotient has
+    """3<sqrt 5>e^2 / 3e^2 = <sqrt 5> over Q(sqrt 5): the quotient has
     signatures 1 and -1 and is none of c, -c, c<u> and <1>."""
     field = F.quad_ext(Q, 5)
     pres = bsl2n(1, field)
     rep = parse_rep("Sym(3)@1", "SL2n", 1)
-    comp = FixedComponent("c", "rational", rep, parse_ring_expr("3<r>*e^4", pres))
+    comp = FixedComponent("c", "rational", rep, parse_ring_expr("3<r>*e^2", pres))
     res = bott_residue(LocalizationProblem(GroupDescriptor("SL2n", 1, field), (comp,)))
     root = WittClass.from_entries(field, (F.coerce(field, (0, 1)),))
     assert res.cleared == from_witt(pres, root)
@@ -417,3 +418,197 @@ def test_twist_key_is_rejected():
     doc["components"][0]["twist"] = "O(1)"
     with pytest.raises(UnsupportedIrrep):
         problem_from_json(doc)
+
+
+def test_exact_divide_over_z_mod_n():
+    """Over Z/4 (F_7) an odd leading coefficient is a unit: 3e1 divides e1^2
+    with quotient 3e1, as 3 * 3 = 1.  An even one is a zero divisor."""
+    zp = integral_bsl2n(2, F.finite_prime(7))
+    z1, z2 = gen(zp, "e1"), gen(zp, "e2")
+    assert exact_divide(z1 * z1 + z1 * z2, 3 * z1) == 3 * z1 + 3 * z2
+    assert exact_divide(z1 * z1, z2) is None
+    with pytest.raises(BadParameters):
+        exact_divide(z1 * z1, 2 * z1)
+
+
+LINES_COUNTS = {3: 3, 5: 105, 7: 10395, 9: 2027025}
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7), F.finite_prime(13)], ids=str)
+@pytest.mark.parametrize("N", sorted(LINES_COUNTS))
+def test_lines_on_hypersurfaces(N, field):
+    """(2N-3)!!<1> lines on a degree-(2N-3) hypersurface in P^N; over F_q its
+    image, the count mod 4 or mod 2."""
+    res = bott_residue(engine.build_hypersurface_lines_problem(N, field))
+    assert res.degree_zero == integer_class(LINES_COUNTS[N], field)
+    assert res.cleared == from_int(bsl2n((N + 1) // 2, field), LINES_COUNTS[N])
+
+
+def test_lines_builder_needs_odd_n():
+    for N in (1, 4):
+        with pytest.raises(BadParameters):
+            engine.build_hypersurface_lines_problem(N, Q)
+
+
+def _minus_e1_squared_problem(field):
+    pres = bsl2n(2, field)
+    normal = parse_rep("F@1*F@2", "SL2n", 2)
+    restricted = parse_ring_expr("0 - e1^2 + e2^2", pres)
+    g = GroupDescriptor("SL2n", 2, field)
+    return LocalizationProblem(g, (FixedComponent("c", "rational", normal, restricted),))
+
+
+@pytest.mark.parametrize(
+    "field, N",
+    [(f, N) for f in (F.finite_prime(7), F.finite_prime(13), F.quad_ext(Q, 2), F.quad_ext(Q, -7))
+     for N in (3, 5)] + [(F.finite_prime(7), None)],
+    ids=str,
+)
+def test_integer_problems_are_summed_once_over_z_mod_n(monkeypatch, field, N):
+    """Lines problems, and -e1^2 + e2^2 over F_7 (N = None), whose division
+    by e1^2 - e2^2 holds only modulo 4."""
+    if N is None:
+        problem = _minus_e1_squared_problem(field)
+    else:
+        problem = engine.build_hypersurface_lines_problem(N, field)
+    seen = _spy_on_divisions(monkeypatch)
+    sums = []
+    sum_fractions = engine._sum_fractions
+
+    def spy(fractions, carrier):
+        sums.append(carrier)
+        return sum_fractions(fractions, carrier)
+
+    monkeypatch.setattr(engine, "_sum_fractions", spy)
+    res = bott_residue(problem)
+    zp = integral_bsl2n(problem.group.n, field)
+    assert seen and all(p == zp for p in seen)
+    assert sums == [zp]
+    assert res.degree_zero is not None and res.cleared.pres == bsl2n(problem.group.n, field)
+
+
+ZN_FIELDS = [
+    Q,
+    F.finite_prime(5),
+    F.finite_prime(7),
+    F.quad_ext(F.finite_prime(3), -1),
+    F.quad_ext(Q, 2),
+    F.quad_ext(Q, -1),
+    F.quad_ext(Q, -7),
+]
+
+
+def _random_integer_problem(rng, field):
+    """An SL2n problem whose numerators are ring expressions with integer
+    coefficients: a multiple of the denominator plus, often, a remainder."""
+    n = rng.randint(1, 2)
+    pres = bsl2n(n, field)
+    comps = []
+    for c in range(rng.randint(1, 3)):
+        irreps = []
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(1, n)
+            if n == 2 and rng.random() < 0.4:
+                irreps.append("F@1*F@2")
+            else:
+                irreps.append(rng.choice(["F", "Sym(3)", "F"]) + f"@{i}")
+        normal = parse_rep(" + ".join(irreps), "SL2n", n)
+        den = engine.euler_rep(normal, field).value
+        num = from_int(pres, rng.randint(-3, 3)) * den
+        if rng.random() < 0.6:
+            degree = sum(next(iter(den.coeffs)))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(0, degree)
+                mono = (i, degree - i) if n == 2 else (degree,)
+                num = num + GradedElement(pres, {mono: integer_class(rng.randint(-3, 3), field)})
+        comps.append(FixedComponent(f"c{c}", "rational", normal, num))
+    return LocalizationProblem(GroupDescriptor("SL2n", n, field), tuple(comps))
+
+
+@pytest.mark.parametrize("field", ZN_FIELDS, ids=str)
+def test_z_mod_n_sum_equals_the_witt_sum(field):
+    """bott_residue sums over Z/N; the reference sums the witt_image'd
+    fractions over W(k).  value, cleared and degree_zero agree."""
+    rng = random.Random(f"z-mod-n:{field}")
+    cleared_count = 0
+    for _ in range(12):
+        p = _random_integer_problem(rng, field)
+        n = p.group.n
+        zp, carrier = integral_bsl2n(n, field), bsl2n(n, field)
+        assert engine._integral_carrier(p) == zp
+        fractions = [engine._component_fraction(c, p.group, zp) for c in p.components]
+        images = [(engine.witt_image(a), engine.witt_image(b)) for a, b in fractions]
+        total, D, cleared = engine._sum_fractions(images, carrier)
+        if D is None:
+            value = LocalizedElement(carrier, total, e_star(n, field), 0)
+        else:
+            value = LocalizedElement(carrier, total, D, 1)
+        degree_zero = None
+        if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):
+            degree_zero = cleared.constant_coefficient()
+        res = bott_residue(p)
+        assert res.value == value
+        assert res.cleared == cleared
+        assert res.degree_zero == degree_zero
+        cleared_count += cleared is not None
+    assert 0 < cleared_count < 12
+
+
+def _random_n_problem(rng, base):
+    """An N-group problem with rational and twisted components over base."""
+    if base.kind == F.FINITE_PRIME:
+        a_pool = [a for a in range(2, base.p) if pow(a, (base.p - 1) // 2, base.p) != 1]
+    else:
+        a_pool = [Fraction(a) for a in (2, 3, 5, -1, -3)]
+    comps = []
+    for c in range(rng.randint(1, 4)):
+        normal = rng.choice(["rho(1)", "rho(3)", "rho(1) + rho(3)", "2*rho(1)", "rho(5)"])
+        rep = parse_rep(normal, "N")
+        residue = "rational" if rng.random() < 0.4 else make_context(base, rng.choice(a_pool))
+        comps.append(FixedComponent(f"c{c}", residue, rep, rep))
+    M = rng.choice([None, 1, 3])
+    return LocalizationProblem(GroupDescriptor("N", 1, base), tuple(comps), M)
+
+
+def _random_sl2n_problem(rng, field):
+    kind = rng.choice(["p", "gr", "lines", "ring"])
+    if kind == "p":
+        n = rng.randint(1, 3)
+        return build_projective_problem(rng.choice([2 * n - 1, 2 * n]), n, field)
+    if kind == "gr":
+        n = rng.randint(2, 3)
+        ambient = rng.choice([2 * n, 2 * n + 1])
+        return build_grassmannian_problem(rng.randint(1, ambient - 1), ambient, n, field)
+    if kind == "lines":
+        # over Q(sqrt a), 105<1> is a form of 105 entries, slow to parse back
+        N = 3 if field.kind == F.QUAD_EXT else rng.choice([3, 5])
+        return engine.build_hypersurface_lines_problem(N, field)
+    return _random_integer_problem(rng, field)
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7), F.quad_ext(Q, 2)], ids=str)
+def test_json_round_trip_of_random_problems(field):
+    rng = random.Random(f"json:{field}")
+    for _ in range(10):
+        problems = [_random_sl2n_problem(rng, field)]
+        if field.kind != F.QUAD_EXT:  # twisted residues need a base field
+            problems.append(_random_n_problem(rng, field))
+        for p in problems:
+            back = problem_from_json(json.loads(json.dumps(problem_to_json(p))))
+            assert back == p
+            got, want = bott_residue(back), bott_residue(p)
+            assert (got.value, got.cleared, got.degree_zero) == (
+                want.value, want.cleared, want.degree_zero
+            )
+
+
+@pytest.mark.parametrize("base", [Q, F.finite_prime(7), F.finite_prime(13)], ids=str)
+def test_n_component_order_does_not_matter(base):
+    rng = random.Random(f"n-order:{base}")
+    for _ in range(15):
+        p = _random_n_problem(rng, base)
+        want = bott_residue(p).degree_zero
+        for _ in range(2):
+            shuffled = rng.sample(p.components, len(p.components))
+            got = bott_residue(LocalizationProblem(p.group, tuple(shuffled), p.M)).degree_zero
+            assert got == want

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -42,7 +43,30 @@ def test_sym_m_odd(m):
     e = gen(pres, "e")
     val = euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q)
     assert val.determinacy == EXACT
-    assert val.value == from_int(pres, double_factorial(m)) * e ** (m + 1)
+    assert val.value == from_int(pres, double_factorial(m)) * e ** ((m + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_equals_rank_for_every_accepted_irrep(n):
+    """deg e(V) = rank V for each SL2^n irrep with a closed formula (all
+    exponents below 10), and for Whitney sums of them; e(V) = 0 exactly
+    when the rank is odd."""
+    accepted = []
+    for exps in product(range(10), repeat=n):
+        try:
+            val = euler_sl2n_irrep(SL2nIrrep(exps), n, Q).value
+        except UnsupportedIrrep:
+            continue
+        accepted.append(SL2nIrrep(exps))
+        rank = SL2nIrrep(exps).rank
+        assert val.is_zero() == (rank % 2 == 1)
+        assert val.is_zero() or val.degree() == rank
+    assert len(accepted) > 9 * n
+    rng = random.Random(f"deg-rank-{n}")
+    even = [irrep for irrep in accepted if irrep.rank % 2 == 0]
+    for _ in range(10):
+        rep = sl2n_rep(n, [(rng.choice(even), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+        assert euler_rep(rep, Q).value.degree() == rep.rank
 
 
 def test_sym_one_is_the_generator():
@@ -158,7 +182,7 @@ def test_sl2n_euler_over_z_equals_the_witt_product(field):
                 elif m == 1:
                     factor = e[i]
                 else:
-                    factor = from_int(pres, double_factorial(m)) * e[i] ** (m + 1)
+                    factor = from_int(pres, double_factorial(m)) * e[i] ** ((m + 1) // 2)
             summands.append((exps, mult))
             for _ in range(mult):
                 want = want * factor

@@ -4,6 +4,7 @@ import pytest
 
 from wittloc import fields as F
 from wittloc.errors import (
+    BadParameters,
     NonHomogeneousDenominator,
     PresentationMismatch,
     UnknownGenerator,
@@ -19,6 +20,7 @@ from wittloc.rings import (
     from_int,
     from_witt,
     gen,
+    integral_bsl2n,
     kunneth,
     loc_eq,
     localize,
@@ -28,6 +30,7 @@ from wittloc.rings import (
     n_loc_multiplier,
     one_elem,
     twisted_point,
+    witt_image,
     zero_elem,
 )
 from wittloc.witt import integer_class, square_class, witt
@@ -160,3 +163,45 @@ def test_mixed_presentation_product_rejected():
     b = gen(bnn(1, Q), "e")
     with pytest.raises(PresentationMismatch):
         a * b
+
+
+def test_integral_coefficients_are_residues_mod_n():
+    f7 = F.finite_prime(7)
+    zp = integral_bsl2n(1, f7)
+    e = gen(zp, "e")
+    assert (5 * e).coeffs == {(1,): 1} and (-e).coeffs == {(1,): 3}
+    assert (4 * e).is_zero() and (2 * e) * (2 * e) == zero_elem(zp)
+    assert witt_image(-e) == from_witt(bsl2n(1, f7), integer_class(-1, f7)) * gen(bsl2n(1, f7), "e")
+    # over Q, N = 0: no reduction
+    assert (5 * gen(integral_bsl2n(1, Q), "e")).coeffs == {(1,): 5}
+
+
+def test_loc_eq_shifts_are_derived_from_the_denominator():
+    """s = 2e: over Z/4 (F_7), 2 and 0 agree after one shift, as 2 * 2e = 0.
+    Over Q(sqrt -7), 8<1> = 0 but 4<1> != 0, so <1> and 0 agree only after
+    three shifts.  Over Q, 2^k<1> is never 0."""
+    for field, shifts in ((F.finite_prime(7), 1), (F.quad_ext(Q, -7), 3)):
+        for pres in (integral_bsl2n(1, field), bsl2n(1, field)):
+            s = 2 * gen(pres, "e")
+            c = from_int(pres, 2 if shifts == 1 else 1)
+            u = LocalizedElement(pres, c, s, 0)
+            assert loc_eq(u, LocalizedElement(pres, zero_elem(pres), s, 0))
+            assert not (c * s ** (shifts - 1)).is_zero() and (c * s ** shifts).is_zero()
+    pres = bsl2n(1, Q)
+    s = 2 * gen(pres, "e")
+    assert not loc_eq(LocalizedElement(pres, one_elem(pres), s, 0),
+                      LocalizedElement(pres, zero_elem(pres), s, 0))
+
+
+def test_loc_eq_without_a_shift_bound_is_rejected():
+    """2e1 + e2 over Q leads with the zero divisor 2<1> and is not a
+    monomial, and y*e is nilpotent in the twisted carrier; no shift bound
+    is known for either, so there is no certified answer.  e is fine."""
+    pres = bsl2n(2, Q)
+    tp = twisted_point(make_context(Q, Fraction(3)), inverted=True)
+    e, y = gen(tp, "e"), gen(tp, "y")
+    for s in (2 * gen(pres, "e1") + gen(pres, "e2"), y * e):
+        u = LocalizedElement(s.pres, one_elem(s.pres), s, 0)
+        with pytest.raises(BadParameters):
+            loc_eq(u, u)
+    assert loc_eq(LocalizedElement(tp, y, e, 0), LocalizedElement(tp, y * e, e, 1))

@@ -13,6 +13,7 @@ from wittloc.witt import (
     diagonalize,
     form,
     integer_class,
+    integer_modulus,
     square_class,
     witt,
     zero_class,
@@ -193,6 +194,23 @@ def test_integer_value_is_exact(field):
     assert integer_class(13, Q).integer_value() == 13
     assert square_class(Q, Fraction(2)).integer_value() is None
     assert (witt(Q, 3) + witt(Q, 3)).integer_value() is None
+
+
+INTEGER_MODULI = [
+    (Q, 0), (R, 0), (F.quad_ext(Q, 2), 0), (F.quad_ext(Q, 5), 0),
+    (F.finite_prime(7), 4), (F.quad_ext(Q, -2), 4), (F.quad_ext(Q, -3), 4),
+    (F.finite_prime(5), 2), (F.finite_prime(13), 2), (F.quad_ext(F.finite_prime(3), -1), 2),
+    (F.quad_ext(F.finite_prime(7), 3), 2), (F.quad_ext(Q, -1), 2),
+    (F.quad_ext(Q, -7), 8), (F.quad_ext(Q, -15), 8),
+]
+
+
+@pytest.mark.parametrize("field, N", INTEGER_MODULI, ids=lambda x: str(x))
+def test_integer_modulus_is_the_order_of_one(field, N):
+    """Z/N is the image of Z in W(k): twice the level, 0 over ordered k."""
+    assert integer_modulus(field) == N
+    for t in range(1, 17):
+        assert integer_class(t, field).is_zero() == (N > 0 and t % N == 0)
 
 
 def test_rational_arithmetic_builds_no_representative(monkeypatch):
