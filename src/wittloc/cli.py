@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a self-check suite")
     pv.add_argument("suite", nargs="?", help="witt-fp, lam, ring-laws, paper-table")
-    pv.add_argument("--suite", dest="suite_flag", help="alternative to the positional")
     pv.add_argument("--p-max", type=int, default=11)
     pv.add_argument("--rank-max", type=int, default=4)
     pv.add_argument("--n-max", type=int, default=4)
@@ -197,7 +196,7 @@ def _cmd_localize(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
 
-    suite = args.suite_flag or args.suite
+    suite = args.suite
     if not suite:
         raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}", 0)
     if suite not in SUITES:

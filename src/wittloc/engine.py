@@ -65,7 +65,7 @@ from .rings import (
     witt_image,
     zero_elem,
 )
-from .witt import WittClass, integer_class, zero_class
+from .witt import WittClass, _leading_integer, integer_class, zero_class
 
 RATIONAL_POINT = "rational"
 
@@ -114,20 +114,6 @@ class ResidueResult:
 
 # ---------------------------------------------------------------------------
 # exact division in the polynomial carrier
-
-
-def _leading_integer(d: WittClass) -> Optional[int]:
-    """t with d = t<1>, or None.  Over the keyed fields the key decides; over
-    Q(sqrt a) a reduced representative of |t| entries, all <1> or all <-1>,
-    is read as t<1>.  That is the form ``integer_class`` and products of
-    such classes build, and reading it needs no equality decision."""
-    if d.key is not None:
-        return d.integer_value()
-    one = F.one(d.field)
-    for sign, u in ((1, one), (-1, F.neg(d.field, one))):
-        if all(x == u for x in d.entries):
-            return sign * len(d.entries)
-    return None
 
 
 def _witt_quotient(c: WittClass, t: int) -> Optional[WittClass]:
@@ -256,48 +242,34 @@ def bn_to_twisted(x: GradedElement, tp: PresentationId) -> GradedElement:
     return GradedElement(tp, out)
 
 
-def push_twisted_plain(x: GradedElement) -> GradedElement:
-    """pi_* on the un-inverted twisted point: 1 -> <2>+<2a>x, e^m -> (<2>-<2a>)e^m, y -> 0."""
-    tp = x.pres
-    if tp.kind != TWISTED or tp.inverted:
-        raise BadParameters("expected an un-inverted twisted-point class")
-    ctx = tp.ctx
+def _push_twisted(x: GradedElement) -> GradedElement:
+    """pi_* of a twisted-point class to BN: 1 -> <2>+<2a>x,
+    e^m -> (<2>-<2a>)e^m, y -> 0.  After inverting e, compose with the
+    localization x -> -1: every rule then multiplies by <2>-<2a> =
+    <2>(1-<a>), which kills I_a, so it is well defined on coefficients
+    taken mod I_a."""
+    if x.pres.kind != TWISTED:
+        raise BadParameters("twisted pushforward needs a twisted-point class")
+    ctx = x.pres.ctx
     base = ctx.base
-    bn_pres = bnn(1, base)
     two = WittClass.from_entries(base, (F.coerce(base, 2),))
     two_a = WittClass.from_entries(base, (F.mul(base, F.coerce(base, 2), ctx.a),))
-    out = zero_elem(bn_pres)
-    for (y, m), c in x.coeffs.items():
-        if y:
-            continue  # pi_*(y * e^m) = 0
-        if m == 0:
-            out = out + GradedElement(
-                bn_pres, {((0, 0),): c * two, ((1, 0),): c * two_a}
-            )
-        else:
-            out = out + GradedElement(bn_pres, {((0, m),): c * (two - two_a)})
-    return out
-
-
-def push_twisted_inverted(x: GradedElement) -> GradedElement:
-    """pi_* after inverting e: every degree-0 rule becomes <2> - <2a>."""
-    tp = x.pres
-    if tp.kind != TWISTED or not tp.inverted:
-        raise BadParameters("expected an e-inverted twisted-point class")
-    ctx = tp.ctx
-    base = ctx.base
-    carrier = bsl2n(1, base)
-    two = WittClass.from_entries(base, (F.coerce(base, 2),))
-    two_a = WittClass.from_entries(base, (F.mul(base, F.coerce(base, 2), ctx.a),))
-    factor = two - two_a
     out: Dict = {}
     for (y, m), c in x.coeffs.items():
         if y:
-            continue
-        key = (m,)
-        cc = c * factor
-        out[key] = out[key] + cc if key in out else cc
-    return GradedElement(carrier, out)
+            continue  # pi_*(y * e^m) = 0
+        if m:
+            out[((0, m),)] = c * (two - two_a)
+        else:
+            out[((0, 0),)], out[((1, 0),)] = c * two, c * two_a
+    return GradedElement(bnn(1, base), out)
+
+
+def push_twisted_plain(x: GradedElement) -> GradedElement:
+    """pi_* on the un-inverted twisted point (``_push_twisted``)."""
+    if x.pres.inverted:
+        raise BadParameters("expected an un-inverted twisted-point class")
+    return _push_twisted(x)
 
 
 def push_to_base(x, c: FixedComponent, g: GroupDescriptor):
@@ -306,17 +278,14 @@ def push_to_base(x, c: FixedComponent, g: GroupDescriptor):
         return x
     if not isinstance(c.residue, QuadExtContext):
         raise UnsupportedResidueField(f"unsupported residue data {c.residue!r}")
-    if isinstance(x, GradedElement):
-        if x.pres.kind != TWISTED:
-            raise BadParameters("twisted pushforward needs a twisted-point class")
-        if x.pres.inverted:
-            return push_twisted_inverted(x)
-        return push_twisted_plain(x)
+    carrier = bsl2n(1, g.field)
     if isinstance(x, LocalizedElement):
-        num = push_twisted_inverted(x.numerator)
-        inv = _integer_e_poly_to_base(x.inverted)
-        return LocalizedElement(bsl2n(1, g.field), num, inv, x.dexp)
-    raise BadParameters(f"cannot push {x!r}")
+        num = localize_element(_push_twisted(x.numerator), carrier)
+        return LocalizedElement(carrier, num, _integer_e_poly_to_base(x.inverted), x.dexp)
+    if not isinstance(x, GradedElement):
+        raise BadParameters(f"cannot push {x!r}")
+    pushed = _push_twisted(x)
+    return localize_element(pushed, carrier) if x.pres.inverted else pushed
 
 
 def _integer_e_poly_to_base(x: GradedElement) -> GradedElement:
@@ -352,16 +321,16 @@ def _component_fraction(
     """(numerator, denominator) over the localized base carrier ring, which
     for SL2n may be its integral form (see ``_integral_carrier``)."""
     pres = component_presentation(c, g)
-    if generic_euler(c.normal_rep, g.field).is_zero():
+    # an SL2n Euler class is 0 exactly when its generic square is, as every
+    # factor leads with an odd integer; an N class comes with its square
+    normal = None if g.kind == "SL2n" else euler_rep(c.normal_rep, g.field)
+    square = generic_euler(c.normal_rep, g.field) if normal is None else normal.known_square
+    if square.is_zero():
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
         )
-    if g.kind == "SL2n":
+    if normal is None:
         den = _sl2n_euler(c.normal_rep, carrier)
-        if den.is_zero():
-            raise NonInvertibleNormalEuler(
-                f"component {c.id}: normal Euler class has no invertible representative"
-            )
         if c.restricted == c.normal_rep:
             return den, den
         if isinstance(c.restricted, RepSum):
@@ -370,12 +339,13 @@ def _component_fraction(
             return _integral_lift(c.restricted, carrier), den
         return c.restricted, den
 
-    den_val = euler_rep(c.normal_rep, g.field).value
-    if den_val is None or den_val.is_zero():
+    if normal.value is None:
         raise NonInvertibleNormalEuler(
             f"component {c.id}: normal Euler class has no invertible representative"
         )
-    if isinstance(c.restricted, RepSum):
+    if c.restricted == c.normal_rep:
+        r_val = normal.value
+    elif isinstance(c.restricted, RepSum):
         r_val = euler_rep(c.restricted, g.field).value
         if r_val is None:
             raise NonInvertibleNormalEuler(
@@ -384,20 +354,15 @@ def _component_fraction(
     else:
         r_val = c.restricted
 
-    den_base = localize_element(den_val, carrier)
+    den = localize_element(normal.value, carrier)
     if pres.kind == BNN:
-        if isinstance(r_val, GradedElement) and r_val.pres.kind != BNN:
+        if r_val.pres.kind != BNN:
             raise BadParameters("restricted class must live over BN")
-        return localize_element(r_val, carrier), den_base
-    # twisted point: restrict to the twisted presentation, invert e, push
-    tp = pres
-    tp_inv = twisted_point(tp.ctx, inverted=True)
-    if isinstance(r_val, GradedElement) and r_val.pres.kind == TWISTED:
-        r_tp = GradedElement(tp_inv, dict(r_val.coeffs))
-    else:
-        r_tp = GradedElement(tp_inv, dict(bn_to_twisted(r_val, tp).coeffs))
-    num = push_twisted_inverted(r_tp)
-    return num, den_base
+        return localize_element(r_val, carrier), den
+    # twisted point: restrict to the twisted presentation, push, invert e
+    if r_val.pres.kind != TWISTED:
+        r_val = bn_to_twisted(r_val, pres)
+    return localize_element(_push_twisted(r_val), carrier), den
 
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:

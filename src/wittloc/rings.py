@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import REALS, FieldDescriptor
 from .quadext import QuadExtContext, in_Ia, one_minus_a
-from .witt import WittClass, integer_class, integer_modulus, zero_class
+from .witt import WittClass, _leading_integer, integer_class, integer_modulus, zero_class
 
 BSL2N = "BSL2n"
 BNN = "BNn"
@@ -161,6 +161,15 @@ class GradedElement:
             }
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _nonzero(cls, pres: PresentationId, coeffs: Dict) -> "GradedElement":
+        """The element with coeffs, known to be nonzero and in normal form,
+        built without testing them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "pres", pres)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
 
     def __setattr__(self, *_):
         raise AttributeError("GradedElement is immutable")
@@ -409,7 +418,7 @@ def witt_image(x: GradedElement) -> GradedElement:
     """Image of x under the injective ring map (Z/N)[e_1..e_n] ->
     W(k)[e_1..e_n] that sends a residue t to t<1>; x itself when its
     coefficients already lie in W(k).  The class of each distinct residue
-    is built once."""
+    is built once, and as the map is injective no image is tested for 0."""
     if not x.pres.integral:
         return x
     field = x.pres.field
@@ -419,7 +428,7 @@ def witt_image(x: GradedElement) -> GradedElement:
         if c not in classes:
             classes[c] = integer_class(c, field)
         out[k] = classes[c]
-    return GradedElement(replace(x.pres, integral=False), out)
+    return GradedElement._nonzero(replace(x.pres, integral=False), out)
 
 
 def kunneth(xs: List[GradedElement]) -> GradedElement:
@@ -554,8 +563,6 @@ def _shift_bound(s: GradedElement) -> int:
     carrier), so leading terms multiply.  3 when s = t*e^m with t even:
     s^k c = 0 makes t^k kill every coefficient of c, so each is torsion, and
     8 | t^3 kills torsion.  Any other s raises BadParameters."""
-    from .engine import _leading_integer
-
     lead = max(s.coeffs)
     t = s.coeffs[lead] if s.pres.integral else _leading_integer(s.coeffs[lead])
     if t is not None and (s.pres.kind == BSL2N or lead[0] == 0):

@@ -555,12 +555,6 @@ class WittClass:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def rank_parity(self) -> int:
-        if self.key is not None:
-            return self.key[0] % 2
-        return len(self.entries) % 2
-
     def signature(self, positive_root: bool = True) -> int:
         if self.field.kind in (RATIONALS, REALS):
             return self.key[0]
@@ -576,6 +570,21 @@ class WittClass:
             f"<{F.scalar_repr(self.field, c)}>" for c in self.entries
         )
         return f"WittClass({body} over {self.field})"
+
+
+def _leading_integer(d: WittClass) -> Optional[int]:
+    """t with d = t<1>, or None.  Over the keyed fields the key decides
+    (``integer_value``); over Q(sqrt a) a reduced representative of |t|
+    entries, all <1> or all <-1>, is read as t<1>.  That is the form
+    ``integer_class`` and products of such classes build, and reading it
+    needs no equality decision."""
+    if d.key is not None:
+        return d.integer_value()
+    one = F.one(d.field)
+    for sign, u in ((1, one), (-1, F.neg(d.field, one))):
+        if all(x == u for x in d.entries):
+            return sign * len(d.entries)
+    return None
 
 
 def witt_class(f: QuadraticForm) -> WittClass:
@@ -599,4 +608,12 @@ def square_class(field: FieldDescriptor, c) -> WittClass:
 
 
 def integer_class(n: int, field: FieldDescriptor) -> WittClass:
-    return WittClass.from_entries(field, (F.one(field),))._int_scale(n)
+    """n<1>.  Over Q(sqrt a) the reduced representative is written down:
+    |n| copies of the reduced <1> or <-1>, which cancel in pairs only when
+    they are one entry, that is when -1 is a square."""
+    one = WittClass.from_entries(field, (F.one(field),))
+    if one.key is not None:
+        return one._int_scale(n)
+    (r,) = (one if n > 0 else -one).entries
+    k = abs(n) % 2 if (-one).entries == one.entries else abs(n)
+    return WittClass(field, None, (r,) * k)

@@ -7,12 +7,14 @@ multiplies monomials by literal relation rewriting.  The W(Q(sqrt a))
 references normalize an entry by scanning the square-class pool with one
 square test per candidate and cancel hyperbolic pairs by a pairwise search.
 The W(k) division reference collects the verified quotients of a candidate
-search (every class over F_p, every solution of t*q = c over Q).
+search (every class over F_p, every solution of t*q = c over Q).  The local
+base-change kernel reference decides membership in <1,-a>*W(Q_v) by
+enumerating multipliers.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from wittloc import fields as F
 from wittloc import places
@@ -269,3 +271,34 @@ def rational_divide_by_int(c, t):
             if t * q == c:
                 results.append(q)
     return results
+
+
+# ---------------------------------------------------------------------------
+# the local base-change kernel <1,-a>*W(Q_v) by multiplier enumeration
+
+
+def _local_square_class_reps(v):
+    if v == 2:
+        return [Fraction(c) for c in (1, 3, 5, 7, 2, 6, 10, 14)]
+    s = F.least_nonresidue(v)
+    return [Fraction(c) for c in (1, s, v, s * v)]
+
+
+def local_in_ideal_by_enumeration(entries, a, v):
+    """Whether the class lies in <1,-a>*W(Q_v), by enumerating multipliers.
+
+    Every Witt class of W(Q_v) has a diagonal representative of rank <= 4
+    with entries among fixed square-class representatives, so the
+    enumeration is exhaustive.
+    """
+    reps = _local_square_class_reps(v)
+    negated = tuple(-c for c in entries)
+    for r in range(0, 5):
+        for y in combinations_with_replacement(reps, r):
+            prod = []
+            for c in y:
+                prod.append(c)
+                prod.append(-a * c)
+            if places.local_witt_zero(tuple(prod) + negated, v):
+                return True
+    return False

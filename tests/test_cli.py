@@ -114,6 +114,11 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_has_no_suite_option(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lam")
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -318,6 +318,41 @@ def test_unsupported_residue_rejected():
         component_residue(comp, g)
 
 
+def _spy_on_euler_classes(monkeypatch):
+    seen = {"euler_rep": [], "generic_euler": []}
+    for name in seen:
+        def spy(rep, field, real=getattr(engine, name), calls=seen[name]):
+            calls.append(rep)
+            return real(rep, field)
+
+        monkeypatch.setattr(engine, name, spy)
+    return seen
+
+
+def test_n_components_compute_each_euler_class_once(monkeypatch):
+    """One euler_rep per N component whose restricted class is its normal
+    one, one more when it is another RepSum, and no generic square."""
+    seen = _spy_on_euler_classes(monkeypatch)
+    g = GroupDescriptor("N", 1, Q)
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    rho31, rho13 = n_rep([NIrrep(RHO, 3), NIrrep(RHO, 1)]), n_rep([NIrrep(RHO, 1), NIrrep(RHO, 3)])
+    comps = (
+        FixedComponent("pt", "rational", rho1, rho1),
+        FixedComponent("tw", make_context(Q, Fraction(2)), rho1, rho1),
+        FixedComponent("pt2", "rational", rho31, rho13),
+    )
+    res = bott_residue(LocalizationProblem(g, comps, M=2))
+    assert seen == {"euler_rep": [rho1, rho1, rho31, rho13], "generic_euler": []}
+    assert res.degree_zero == integer_class(1, Q) + square_class(Q, Fraction(2))
+
+
+def test_sl2n_components_test_the_generic_square_once(monkeypatch):
+    seen = _spy_on_euler_classes(monkeypatch)
+    prob = build_grassmannian_problem(2, 5, 2, Q)
+    bott_residue(prob)
+    assert seen == {"euler_rep": [], "generic_euler": [c.normal_rep for c in prob.components]}
+
+
 def _spy_on_divisions(monkeypatch):
     seen = []
     divide = engine.exact_divide

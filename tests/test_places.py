@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import local_in_ideal_by_enumeration
+from sympy import primefactors
 
 from wittloc import fields as F
 from wittloc.places import (
@@ -125,3 +128,67 @@ def test_signed_disc_and_hasse():
     e = (Fraction(1), Fraction(-1))
     assert signed_disc(e) == 1
     assert hasse_invariant(e, 2) == hilbert(Fraction(1), Fraction(-1), 2)
+
+
+KERNEL_A_VALUES = [2, 3, 5, 6, 17, -1, -2, -3, -7, -15]
+
+
+def _kernel_by_enumeration(entries, a, support):
+    """ker(W(Q) -> W(Q(sqrt a))) tested place by place, with the local kernel
+    at places where a is not a square decided by multiplier enumeration."""
+    if len(entries) % 2:
+        return False
+    if squarefree_part(signed_disc(entries)) not in (1, squarefree_part(a)):
+        return False
+    if a > 0 and sum(1 if c > 0 else -1 for c in entries):
+        return False
+    return all(
+        local_witt_zero(entries, v) if is_square_qv(a, v)
+        else local_in_ideal_by_enumeration(entries, a, v)
+        for v in support
+    )
+
+
+@pytest.mark.parametrize("a", KERNEL_A_VALUES)
+def test_local_kernel_closed_form_matches_the_enumeration(a):
+    """Where a is not a square in Q_v, <1,-a>W(Q_v) is the even-rank forms of
+    signed discriminant in {1, a} Q_v*^2; ker_iota_rational agrees with the
+    place-by-place test that enumerates that kernel."""
+    rng = random.Random(f"local-kernel:{a}")
+    a = Fraction(a)
+    outcomes = set()
+    for i in range(40):
+        rank = rng.randint(0, 6)
+        if i % 2:
+            base = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30)) for _ in range(rank // 2)]
+            entries = tuple(x for c in base for x in (c, -a * c))
+        else:
+            entries = tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 30)) for _ in range(rank))
+        support = {2, *primefactors(int(a))}
+        for c in entries:
+            support.update(primefactors(c.numerator))
+        d = signed_disc(entries)
+        for v in sorted(support):
+            if is_square_qv(a, v):
+                continue
+            closed = len(entries) % 2 == 0 and (is_square_qv(d, v) or is_square_qv(d * a, v))
+            assert local_in_ideal_by_enumeration(entries, a, v) == closed, (entries, a, v)
+            outcomes.add(closed)
+        assert ker_iota_rational(entries, a) == _kernel_by_enumeration(entries, a, support)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("d, N", [(1, 2), (2, 4), (3, 4), (5, 4), (7, 8), (15, 8), (23, 8)])
+def test_integer_classes_in_the_kernel_follow_the_level(d, N):
+    """t<1> dies in W(Q(sqrt -d)) iff N | t, N twice the level; for
+    d = 7, 15, 23 the prime 2 splits and Q_2 needs the local test."""
+    for t in range(-16, 17):
+        entries = (Fraction(1 if t > 0 else -1),) * abs(t)
+        assert ker_iota_rational(entries, Fraction(-d)) == (t % N == 0), t
+
+
+@pytest.mark.parametrize("a", [2, 5, 17])
+def test_integer_classes_survive_a_real_quadratic_extension(a):
+    for t in range(-16, 17):
+        entries = (Fraction(1 if t > 0 else -1),) * abs(t)
+        assert ker_iota_rational(entries, Fraction(a)) == (t == 0), t

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,25 @@ def test_loc_eq_without_a_shift_bound_is_rejected():
         with pytest.raises(BadParameters):
             loc_eq(u, u)
     assert loc_eq(LocalizedElement(tp, y, e, 0), LocalizedElement(tp, y * e, e, 1))
+
+
+def test_witt_image_tests_no_image_for_zero(monkeypatch):
+    """Z/N -> W(k) is injective, so over Q(sqrt a) no image coefficient goes
+    through the W(Q(sqrt a)) zero decision."""
+    from wittloc.engine import bott_residue, build_hypersurface_lines_problem
+
+    witt_module = importlib.import_module("wittloc.witt")
+    field = F.quad_ext(Q, 2)
+    zp = integral_bsl2n(2, field)
+    x = 10395 * gen(zp, "e1") ** 4 - 10395 * gen(zp, "e2") ** 4
+    calls = []
+    real = witt_module._qext_q_is_zero
+    monkeypatch.setattr(
+        witt_module, "_qext_q_is_zero", lambda *args: calls.append(args) or real(*args)
+    )
+    image = witt_image(x)
+    assert calls == []
+    assert image.coeffs == {(4, 0): integer_class(10395, field), (0, 4): integer_class(-10395, field)}
+    for N, count in ((3, 3), (5, 105)):
+        res = bott_residue(build_hypersurface_lines_problem(N, field))
+        assert res.degree_zero == integer_class(count, field)

@@ -213,6 +213,19 @@ def test_integer_modulus_is_the_order_of_one(field, N):
         assert integer_class(t, field).is_zero() == (N > 0 and t % N == 0)
 
 
+@pytest.mark.parametrize("a", [2, 3, 5, -1, -2, -3, -7, -15])
+def test_integer_class_over_a_quadratic_extension_is_the_repeated_sum(a):
+    """The written-down representative of t<1> over Q(sqrt a) is the one
+    that adding <1> or <-1> |t| times and reducing gives."""
+    field = F.quad_ext(Q, a)
+    for t in range(-9, 10):
+        unit = WittClass.from_entries(field, (F.coerce(field, 1 if t > 0 else -1),))
+        total = zero_class(field)
+        for _ in range(abs(t)):
+            total = total + unit
+        assert integer_class(t, field).entries == total.entries, t
+
+
 def test_rational_arithmetic_builds_no_representative(monkeypatch):
     witt_module = importlib.import_module("wittloc.witt")
     calls = []
