@@ -207,6 +207,10 @@ def _cmd_verify(args) -> int:
         raise ExprSyntaxError(f"suite {suite} does not read {' or '.join(unread)}", 0)
     if given and len(given) < len(SUITES[suite]):
         raise ExprSyntaxError(f"suite {suite} needs --field and --a together", 0)
+    # below these a suite would run no check, or fewer than it reports
+    for opt, least in (("p_max", 3), ("n_max", 1), ("rank_max", 0), ("samples", 2)):
+        if getattr(args, opt) < least:
+            raise ExprSyntaxError(f"--{opt.replace('_', '-')} must be at least {least}", 0)
     field = parse_field(args.field) if args.field else None
     a = parse_scalar(args.a, field) if args.a and field else None
     ok, lines = run_suite(

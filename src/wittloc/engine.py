@@ -29,6 +29,7 @@ from . import fields as F
 from .errors import (
     BadDimension,
     BadParameters,
+    ExprSyntaxError,
     InconsistentField,
     NonInvertibleNormalEuler,
     UnsupportedIrrep,
@@ -401,27 +402,17 @@ def _sum_fractions(
 ):
     """Sum the component fractions over carrier: (numerator, common
     denominator or None when every fraction cleared, numerator / common
-    denominator or None)."""
-    one = one_elem(carrier)
-    reduced: List[Tuple[GradedElement, GradedElement]] = []
+    denominator or None).  One fold: (N, D) -> (N*d + n*D, D*d) for a
+    fraction n/d, and N -> N + q*D for one that clears to q."""
+    total_num, D, divided = zero_elem(carrier), one_elem(carrier), False
     for num, den in fractions:
         q = exact_divide(num, den)
-        reduced.append((num, den) if q is None else (q, one))
-
-    dens = [den for _, den in reduced if den != one]
-    total_num = zero_elem(carrier)
-    for i, (num, den) in enumerate(reduced):
-        others = one
-        for j, (_, d2) in enumerate(reduced):
-            if j != i and d2 != one:
-                others = others * d2
-        total_num = total_num + num * others
-
-    if not dens:
+        if q is None:
+            total_num, D, divided = total_num * den + num * D, D * den, True
+        else:
+            total_num = total_num + q * D
+    if not divided:
         return total_num, None, total_num
-    D = one
-    for d in dens:
-        D = D * d
     return total_num, D, exact_divide(total_num, D)
 
 
@@ -562,29 +553,57 @@ def problem_to_json(p: LocalizationProblem) -> dict:
     return out
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_REQUIRED = object()
+
+
+def _json_value(doc: dict, key: str, where: str, kind: type, default=_REQUIRED):
+    """doc[key], which must be of the JSON kind ``kind`` (an int is not a
+    bool), or ``default`` when the key is absent and not required."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ExprSyntaxError(f"{where} has no {key!r} key", 0)
+        return default
+    x = doc[key]
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ExprSyntaxError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {x!r}", 0)
+    return x
+
+
 def problem_from_json(doc: dict) -> LocalizationProblem:
-    from .errors import ExprSyntaxError
+    """The problem a JSON document describes (the layout ``problem_to_json``
+    writes).  A document or component that is not an object, a missing
+    required key, or a value of the wrong kind (an ``n`` or ``M`` that is
+    not an integer) raises ExprSyntaxError naming it."""
     from .exprs import parse_field, parse_rep, parse_ring_expr, parse_scalar
     from .quadext import make_context
 
-    gdoc = doc["group"]
-    field = parse_field(gdoc["field"])
-    g = GroupDescriptor(gdoc["kind"], int(gdoc.get("n", 1)), field)
+    if not isinstance(doc, dict):
+        raise ExprSyntaxError(f"a problem must be a JSON object, got {doc!r}", 0)
+    gdoc = _json_value(doc, "group", "problem", dict)
+    field = parse_field(_json_value(gdoc, "field", "group", str))
+    n = _json_value(gdoc, "n", "group", int, 1)
+    g = GroupDescriptor(_json_value(gdoc, "kind", "group", str), n, field)
     comps: List[FixedComponent] = []
-    for i, cdoc in enumerate(doc.get("components", [])):
-        cid = cdoc.get("id", f"component-{i}")
+    for i, cdoc in enumerate(_json_value(doc, "components", "problem", list, [])):
+        if not isinstance(cdoc, dict):
+            raise ExprSyntaxError(f"component {i} must be a JSON object, got {cdoc!r}", 0)
+        cid = _json_value(cdoc, "id", f"component {i}", str, f"component-{i}")
+        where = f"component {cid}"
         if "twist" in cdoc:
             raise UnsupportedIrrep(
-                f"component {cid}: 'twist' (twisted-module coefficients) is not supported"
+                f"{where}: 'twist' (twisted-module coefficients) is not supported"
             )
         residue = cdoc.get("residue", RATIONAL_POINT)
         if isinstance(residue, dict) and "twisted" in residue:
-            a = parse_scalar(residue["twisted"]["a"], field)
+            twisted = _json_value(residue, "twisted", f"{where} residue", dict)
+            a = parse_scalar(_json_value(twisted, "a", f"{where} twisted residue", str), field)
             residue = make_context(field, a)
         elif residue != RATIONAL_POINT:
             raise UnsupportedResidueField(f"unsupported residue {residue!r}")
-        normal = parse_rep(cdoc["normal"], g.kind, g.n)
-        restricted_text = cdoc.get("restricted", cdoc["normal"])
+        normal_text = _json_value(cdoc, "normal", where, str)
+        normal = parse_rep(normal_text, g.kind, g.n)
+        restricted_text = _json_value(cdoc, "restricted", where, str, normal_text)
         try:
             restricted: Union[RepSum, GradedElement] = parse_rep(
                 restricted_text, g.kind, g.n
@@ -598,7 +617,6 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
                 pres = bnn(1, field)
             restricted = parse_ring_expr(restricted_text, pres)
         comps.append(FixedComponent(cid, residue, normal, restricted))
-    M = None
-    if "invert" in doc and doc["invert"].get("M") is not None:
-        M = int(doc["invert"]["M"])
+    invert = _json_value(doc, "invert", "problem", dict, {})
+    M = None if invert.get("M") is None else _json_value(invert, "M", "invert", int)
     return LocalizationProblem(g, tuple(comps), M)

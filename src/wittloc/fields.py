@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from sympy import isprime
 
@@ -206,20 +206,22 @@ def is_square(field: FieldDescriptor, x) -> bool:
     if base.kind == REALS:
         # a < 0, so this is C: every element is a square.
         return True
-    # Q(sqrt(a)): u + v*sqrt(a) = (s + t*sqrt(a))^2 needs s^2 + a t^2 = u and
-    # 2st = v; s^2 solves z^2 - u z + a v^2/4 = 0, so the norm u^2 - a v^2
-    # must be a rational square w^2 and (u +- w)/2 a nonzero rational square.
+    return any(_is_square_fraction(h) for h in rational_square_classes(field, x))
+
+
+def rational_square_classes(field: FieldDescriptor, x) -> Tuple[Fraction, ...]:
+    """The rationals h with x/s, s rational, a square in Q(sqrt a) exactly
+    when s*h is a rational square for one of them (so x is a square exactly
+    when one of them is): u and u/a when v = 0; else (u +- w)/2 when the
+    norm u^2 - a*v^2 is a rational square w^2, as x = s*(p + q*sqrt a)^2
+    makes s*p^2 a root of z^2 - u*z + a*v^2/4; else none."""
     u, v = x
-    a = field.a
     if v == 0:
-        return u == 0 or _is_square_fraction(u) or _is_square_fraction(u / a)
-    w = _fraction_square_root(u * u - a * v * v)
+        return (u, u / field.a)
+    w = _fraction_square_root(u * u - field.a * v * v)
     if w is None:
-        return False
-    for s2 in ((u + w) / 2, (u - w) / 2):
-        if s2 != 0 and _is_square_fraction(s2):
-            return True
-    return False
+        return ()
+    return ((u + w) / 2, (u - w) / 2)
 
 
 def _pow_elem(field: FieldDescriptor, x, n: int):

@@ -199,10 +199,13 @@ def is_square_qv(q: Fraction, v) -> bool:
 
 
 def hasse_invariant(entries: Tuple[Fraction, ...], v) -> int:
+    """prod_{i<j} (a_i, a_j)_v, taken as prod_j (a_1...a_{j-1}, a_j)_v by
+    bilinearity, with the running product kept as its squarefree class."""
     h = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            h *= hilbert(entries[i], entries[j], v)
+    d = Fraction(1)
+    for c in entries:
+        h *= hilbert(d, c, v)
+        d = Fraction(squarefree_part(d * c))
     return h
 
 

@@ -7,19 +7,17 @@ parity and discriminant class over the others); sums, negations, integer
 multiples and equality work on keys, and the diagonal representative that
 transfers, general products and printing read is built from the key on
 first use.  W(Q(sqrt a)) has no key here: its classes store a reduced
-representative, and equality runs a decision procedure.  The reduced
-representative writes each entry c = u + v*sqrt(a) as the first of d, -d,
-d*sqrt(a), -d*sqrt(a) (d squarefree, d <= 50) in its square class, found in
-closed form: c/s is a square for rational s exactly when s lies in the
-square class of (u + w)/2 or (u - w)/2, where w^2 = N(c) = u^2 - a*v^2 (of
-u or u/a when v = 0), and c/(s*sqrt a) is one exactly when a*s lies in a
-class given by the same rule for c*sqrt(a).  Entries are then cancelled in
-hyperbolic pairs by counting.
+representative, and equality runs a decision procedure.  Each entry is
+normalized once, in closed form, when it enters through ``from_entries``
+(``_normalize_qext_entry``); sums only cancel hyperbolic pairs among the
+stored entries, and integer multiples are written down (each entry
+repeated), so no stored entry is normalized again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -283,19 +281,8 @@ _POOL_HEIGHT = 50
 
 
 def _square_quotient_classes(field: FieldDescriptor, c) -> Tuple[int, ...]:
-    """The squarefree s with c/s a square in Q(sqrt a): the classes of u and
-    u/a when v = 0; else, when N(c) = u^2 - a*v^2 is a rational square w^2,
-    the classes of (u + w)/2 and (u - w)/2 (both nonzero, their product is
-    a*v^2/4); else none."""
-    u, v = c
-    if v == 0:
-        halves = (u, u / field.a)
-    else:
-        w = F._fraction_square_root(F.ext_norm(field, c))
-        if w is None:
-            return ()
-        halves = ((u + w) / 2, (u - w) / 2)
-    return tuple(places.squarefree_part(h) for h in halves)
+    """The squarefree s with c/s a square in Q(sqrt a)."""
+    return tuple(places.squarefree_part(h) for h in F.rational_square_classes(field, c))
 
 
 def _normalize_qext_entry(field: FieldDescriptor, c):
@@ -303,12 +290,11 @@ def _normalize_qext_entry(field: FieldDescriptor, c):
 
     It is the first of d, -d, d*sqrt(a), -d*sqrt(a) (d squarefree, d <= 50,
     ascending d) in the class of c, found in closed form: c/s is a square
-    for rational s exactly when s lies in the square class of (u + w)/2 or
-    of (u - w)/2, where w^2 = N(c) = u^2 - a*v^2 (of u or u/a when v = 0;
-    none when N(c) is not a rational square), and c/(s*sqrt a) =
-    (c*sqrt a)/(a*s) is one exactly when a*s lies in a class the same rule
-    gives for c*sqrt(a) = a*v + u*sqrt(a).  A class that holds none of them
-    is represented by c with its rational square factors cleared.
+    for rational s exactly when s lies in a class of
+    ``fields.rational_square_classes(c)``, and c/(s*sqrt a) =
+    (c*sqrt a)/(a*s) is one exactly when a*s lies in a class of those of
+    c*sqrt(a) = a*v + u*sqrt(a).  A class that holds none of them is
+    represented by c with its rational square factors cleared.
     """
     u, v = c
     a = field.a
@@ -327,15 +313,8 @@ def _normalize_qext_entry(field: FieldDescriptor, c):
     # scaling by the square L^2 keeps the square class and clears denominators
     ui = int(u * L * L)
     vi = int(v * L * L)
-    g = math.gcd(abs(ui), abs(vi))
-    k = 2
-    while k * k <= g:
-        while ui % (k * k) == 0 and vi % (k * k) == 0:
-            ui //= k * k
-            vi //= k * k
-            g //= k * k
-        k += 1
-    return (Fraction(ui), Fraction(vi))
+    k = math.prod(q ** (e // 2) for q, e in places._factor(math.gcd(ui, vi)))
+    return (Fraction(ui // (k * k)), Fraction(vi // (k * k)))
 
 
 def _on_pool(r) -> bool:
@@ -344,47 +323,62 @@ def _on_pool(r) -> bool:
     return 0 in r and abs(r[0] + r[1]) <= _POOL_HEIGHT
 
 
-def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
+@lru_cache(maxsize=None)
+def _pool_partner(field: FieldDescriptor, r):
+    """The pool element in the class of -r, for a pool element r (cached:
+    a field has at most 4 pool elements per squarefree d <= 50)."""
+    return _normalize_qext_entry(field, F.neg(field, r))
+
+
+def _negate_qext_entry(field: FieldDescriptor, r):
+    """The normalized entry in the class of -r, for a normalized entry r.
+    Off the pool that is -r itself: its class holds no pool element (the
+    pool is closed under negation) and -r has no rational square factor."""
+    return _pool_partner(field, r) if _on_pool(r) else F.neg(field, r)
+
+
+def _sorted_qext(counts: Dict[Tuple, int]) -> Tuple:
+    """The entries of a reduced representative, each repeated its count
+    times, in canonical order (rational entries first, then by u, then v)."""
+    order = sorted(counts, key=lambda c: (c[1] != 0, c[0], c[1]))
+    return tuple(r for r in order for _ in range(counts[r]))
+
+
+def _cancel_qext(field: FieldDescriptor, entries) -> Tuple:
     """Normalized entries with hyperbolic pairs <c, -c'> (c' in the class of
     c) cancelled, sorted.  Pool entries are canonical for their class and
-    the pool is closed under negation, so they cancel by count against the
-    normalization of their negative (mod 2 when that is the entry itself, as
-    when -1 is a square) and never against entries off the pool; those
-    cancel pairwise among themselves."""
-    counts: Dict[Tuple, int] = {}
-    rest = []
-    for c in entries:
-        r = _normalize_qext_entry(field, c)
-        if _on_pool(r):
-            counts[r] = counts.get(r, 0) + 1
-        else:
-            rest.append(r)
-    work = []
-    for r, n in counts.items():
-        partner = _normalize_qext_entry(field, F.neg(field, r))
-        left = n % 2 if partner == r else n - counts.get(partner, 0)
-        work.extend([r] * max(left, 0))
-    changed = True
-    while changed:
-        changed = False
-        n = len(rest)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ratio = F.div(field, F.neg(field, rest[i]), rest[j])
-                if F.is_square(field, ratio):
-                    del rest[j]
-                    del rest[i]
-                    changed = True
-                    break
-            if changed:
+    the pool is closed under negation, so they cancel by count against their
+    partner, the pool element in the class of their negative (mod 2 when
+    that is the entry itself, as when -1 is a square), and never against
+    entries off the pool.  Each entry off the pool cancels against the first
+    later one r' with -r*r' a square."""
+    pool = {r: n for r, n in Counter(entries).items() if _on_pool(r)}
+    rest = [r for r in entries if r not in pool]
+    left = {}
+    for r, n in pool.items():
+        partner = _pool_partner(field, r)
+        left[r] = n % 2 if partner == r else max(n - pool.get(partner, 0), 0)
+    alive = [True] * len(rest)
+    for i, r in enumerate(rest):
+        if not alive[i]:
+            continue
+        for j in range(i + 1, len(rest)):
+            if alive[j] and F.is_square(field, F.neg(field, F.mul(field, r, rest[j]))):
+                alive[i] = alive[j] = False
                 break
-    work += rest
-    work.sort(key=lambda c: (c[1] != 0, c[0], c[1]))
-    return tuple(work)
+        if alive[i]:
+            left[r] = left.get(r, 0) + 1
+    return _sorted_qext(left)
 
 
-def _qext_q_is_zero(field: FieldDescriptor, entries) -> bool:
-    reduced = _reduce_qext(field, entries)
+def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
+    """The reduced representative of a diagonal form over Q(sqrt a): each
+    entry normalized, then hyperbolic pairs cancelled (``_cancel_qext``)."""
+    return _cancel_qext(field, [_normalize_qext_entry(field, c) for c in entries])
+
+
+def _qext_q_is_zero(field: FieldDescriptor, reduced) -> bool:
+    """Decide whether a reduced representative is the zero class."""
     if not reduced:
         return True
     if all(v == 0 for _, v in reduced):
@@ -473,24 +467,32 @@ class WittClass:
         self._check(other)
         kind = _keyed(self.field)
         if kind is None:
-            return WittClass.from_entries(self.field, self.entries + other.entries)
+            both = self.entries + other.entries
+            return WittClass(self.field, None, _cancel_qext(self.field, both))
         return WittClass(self.field, kind.add(self.field, self.key, other.key))
 
     def __neg__(self) -> "WittClass":
         kind = _keyed(self.field)
         if kind is None:
-            negd = tuple(F.neg(self.field, c) for c in self.entries)
-            return WittClass.from_entries(self.field, negd)
+            counts = Counter(self.entries).items()
+            negd = {_negate_qext_entry(self.field, r): n for r, n in counts}
+            return WittClass(self.field, None, _sorted_qext(negd))
         return WittClass(self.field, kind.neg(self.field, self.key))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def _int_scale(self, t: int) -> "WittClass":
-        """t-fold sum, by doubling."""
-        acc = zero_class(self.field)
+        """t-fold sum: by doubling on keys; over Q(sqrt a) written down, each
+        reduced entry of +-self repeated |t| times, as two copies of one
+        entry c cancel only when -c^2 is a square (t is then taken mod 2)."""
         base = -self if t < 0 else self
         t = abs(t)
+        if self.key is None:
+            if F.is_square(self.field, F.coerce(self.field, -1)):
+                t %= 2
+            return WittClass(self.field, None, tuple(c for c in base.entries for _ in range(t)))
+        acc = zero_class(self.field)
         while t:
             if t & 1:
                 acc = acc + base
@@ -503,11 +505,10 @@ class WittClass:
         if isinstance(other, int):
             return self._int_scale(other)
         self._check(other)
-        if self.key is not None:
-            for x, y in ((self, other), (other, self)):
-                t = y.integer_value()
-                if t is not None:
-                    return x._int_scale(t)
+        for x, y in ((self, other), (other, self)):
+            t = _leading_integer(y)
+            if t is not None:
+                return x._int_scale(t)
         prod = tuple(
             F.mul(self.field, c, d) for c in self.entries for d in other.entries
         )
@@ -543,10 +544,7 @@ class WittClass:
             return False
         if self.key is not None:
             return self.key == other.key
-        if self.entries == other.entries:
-            return True
-        diff = self.entries + tuple(F.neg(self.field, c) for c in other.entries)
-        return _qext_q_is_zero(self.field, diff)
+        return self.entries == other.entries or (self - other).is_zero()
 
     def __hash__(self):
         if self.key is not None:
@@ -608,12 +606,5 @@ def square_class(field: FieldDescriptor, c) -> WittClass:
 
 
 def integer_class(n: int, field: FieldDescriptor) -> WittClass:
-    """n<1>.  Over Q(sqrt a) the reduced representative is written down:
-    |n| copies of the reduced <1> or <-1>, which cancel in pairs only when
-    they are one entry, that is when -1 is a square."""
-    one = WittClass.from_entries(field, (F.one(field),))
-    if one.key is not None:
-        return one._int_scale(n)
-    (r,) = (one if n > 0 else -one).entries
-    k = abs(n) % 2 if (-one).entries == one.entries else abs(n)
-    return WittClass(field, None, (r,) * k)
+    """n<1>: the class of <1>, scaled by n."""
+    return WittClass.from_entries(field, (F.one(field),))._int_scale(n)

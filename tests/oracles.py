@@ -9,7 +9,8 @@ square test per candidate and cancel hyperbolic pairs by a pairwise search.
 The W(k) division reference collects the verified quotients of a candidate
 search (every class over F_p, every solution of t*q = c over Q).  The local
 base-change kernel reference decides membership in <1,-a>*W(Q_v) by
-enumerating multipliers.
+enumerating multipliers, and the Hasse invariant reference multiplies the
+Hilbert symbols of all pairs of entries.
 """
 
 import math
@@ -275,6 +276,15 @@ def rational_divide_by_int(c, t):
 
 # ---------------------------------------------------------------------------
 # the local base-change kernel <1,-a>*W(Q_v) by multiplier enumeration
+
+
+def hasse_invariant_pairwise(entries, v):
+    """prod_{i<j} (a_i, a_j)_v over all pairs of entries."""
+    h = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            h *= places.hilbert(entries[i], entries[j], v)
+    return h
 
 
 def _local_square_class_reps(v):

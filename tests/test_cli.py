@@ -176,3 +176,48 @@ def test_localize_quotient_with_a_sqrt_a_coefficient(tmp_path, capsys):
     code, out, _ = _localize_doc(tmp_path, capsys, doc)
     assert code == 0
     assert "degree_zero: <r>" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt-fp", "--p-max", "2"],
+        ["paper-table", "--n-max", "0"],
+        ["witt-fp", "--rank-max", "-1"],
+        ["lam", "--field", "Q", "--a", "2", "--samples", "0"],
+        ["lam", "--samples", "1"],
+        ["ring-laws", "--samples", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_verify_rejects_options_that_run_no_check(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and "must be at least" in err
+
+
+def test_verify_accepts_the_least_options(capsys):
+    code, out, _ = run(capsys, "verify", "lam", "--field", "Q", "--a", "2", "--samples", "2")
+    assert code == 0 and "suite lam: pass" in out
+    code, out, _ = run(capsys, "verify", "witt-fp", "--p-max", "3", "--rank-max", "0")
+    assert code == 0 and "witt-fp p=3" in out
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([{"group": {"kind": "N", "field": "Q"}}], "JSON object"),
+        ({"components": []}, "'group'"),
+        ({"group": {"kind": "N", "field": "Q"}, "components": [{"id": "c"}]}, "'normal'"),
+        ({"group": {"kind": "SL2n", "n": "two", "field": "Q"}}, "'n'"),
+        ({"group": {"kind": "SL2n", "n": 2.7, "field": "Q"}}, "'n'"),
+        ({"group": {"kind": "N", "field": "Q"}, "invert": {"M": "x"}}, "'M'"),
+        ({"group": {"kind": "N", "field": "Q"},
+          "components": [{"normal": "rho(1)", "residue": {"twisted": {}}}]}, "'a'"),
+    ],
+    ids=["list", "no group", "no normal", "n a word", "n a float", "M a word", "no a"],
+)
+def test_localize_rejects_malformed_problem_files(tmp_path, capsys, doc, named):
+    code, out, err = _localize_doc(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert "parse error" in err and named in err

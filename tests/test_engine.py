@@ -25,6 +25,7 @@ from wittloc import engine
 from wittloc.errors import (
     BadDimension,
     BadParameters,
+    ExprSyntaxError,
     NonInvertibleNormalEuler,
     Undecided,
     UnsupportedIrrep,
@@ -455,6 +456,64 @@ def test_twist_key_is_rejected():
         problem_from_json(doc)
 
 
+def _lines_doc():
+    return problem_to_json(engine.build_hypersurface_lines_problem(3, Q))
+
+
+def _with(doc, path, value):
+    """A copy of doc with the value at path (keys and list indices) replaced,
+    or removed when value is ``_with``."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for k in head:
+        target = target[k]
+    if value is _with:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+TWISTED_DOC = {
+    "group": {"kind": "N", "n": 1, "field": "Q"},
+    "components": [{"id": "tw", "residue": {"twisted": {"a": "3"}}, "normal": "rho(3)"}],
+    "invert": {"M": 3},
+}
+MALFORMED_PROBLEMS = [
+    ("list document", [], "JSON object"),
+    ("no group", _with(_lines_doc(), ["group"], _with), "'group'"),
+    ("no field", _with(_lines_doc(), ["group", "field"], _with), "'field'"),
+    ("no kind", _with(_lines_doc(), ["group", "kind"], _with), "'kind'"),
+    ("group not an object", _with(_lines_doc(), ["group"], "SL2n"), "'group'"),
+    ("n a word", _with(_lines_doc(), ["group", "n"], "two"), "'n'"),
+    ("n a float", _with(_lines_doc(), ["group", "n"], 2.7), "2.7"),
+    ("n a bool", _with(_lines_doc(), ["group", "n"], True), "'n'"),
+    ("components not a list", _with(_lines_doc(), ["components"], {}), "'components'"),
+    ("component a string", _with(_lines_doc(), ["components", 0], "F@1"), "component 0"),
+    ("no normal", _with(_lines_doc(), ["components", 0, "normal"], _with), "'normal'"),
+    ("normal a number", _with(_lines_doc(), ["components", 0, "normal"], 3), "'normal'"),
+    ("twisted without a", _with(TWISTED_DOC, ["components", 0, "residue", "twisted"], {}), "'a'"),
+    ("twisted a number", _with(TWISTED_DOC, ["components", 0, "residue", "twisted", "a"], 3), "'a'"),
+    ("M a word", _with(TWISTED_DOC, ["invert", "M"], "x"), "'M'"),
+    ("M a float", _with(TWISTED_DOC, ["invert", "M"], 3.0), "'M'"),
+    ("invert a number", _with(TWISTED_DOC, ["invert"], 3), "'invert'"),
+]
+
+
+@pytest.mark.parametrize("doc, named", [c[1:] for c in MALFORMED_PROBLEMS],
+                         ids=[c[0] for c in MALFORMED_PROBLEMS])
+def test_malformed_problem_documents_are_typed_errors(doc, named):
+    with pytest.raises(ExprSyntaxError, match=named):
+        problem_from_json(doc)
+
+
+def test_well_formed_problem_documents_still_read():
+    assert bott_residue(problem_from_json(TWISTED_DOC)).degree_zero is not None
+    assert problem_from_json(_with(TWISTED_DOC, ["invert", "M"], None)).M is None
+    assert problem_from_json(_with(TWISTED_DOC, ["group", "n"], _with)).group.n == 1
+
+
 def test_exact_divide_over_z_mod_n():
     """Over Z/4 (F_7) an odd leading coefficient is a unit: 3e1 divides e1^2
     with quotient 3e1, as 3 * 3 = 1.  An even one is a zero divisor."""
@@ -469,11 +528,16 @@ def test_exact_divide_over_z_mod_n():
 LINES_COUNTS = {3: 3, 5: 105, 7: 10395, 9: 2027025}
 
 
-@pytest.mark.parametrize("field", [Q, F.finite_prime(7), F.finite_prime(13)], ids=str)
-@pytest.mark.parametrize("N", sorted(LINES_COUNTS))
+@pytest.mark.parametrize(
+    "N, field",
+    [(N, f) for f in (Q, F.finite_prime(7), F.finite_prime(13)) for N in sorted(LINES_COUNTS)]
+    + [(N, f) for f in (F.quad_ext(Q, 2), F.quad_ext(Q, -7)) for N in (3, 5, 7)],
+    ids=str,
+)
 def test_lines_on_hypersurfaces(N, field):
-    """(2N-3)!!<1> lines on a degree-(2N-3) hypersurface in P^N; over F_q its
-    image, the count mod 4 or mod 2."""
+    """(2N-3)!!<1> lines on a degree-(2N-3) hypersurface in P^N; over F_q and
+    Q(sqrt -7) its image, the count mod 4, 2 or 8.  N = 9 is left out over
+    Q(sqrt a), where 2027025<1> is a form of that many entries."""
     res = bott_residue(engine.build_hypersurface_lines_problem(N, field))
     assert res.degree_zero == integer_class(LINES_COUNTS[N], field)
     assert res.cleared == from_int(bsl2n((N + 1) // 2, field), LINES_COUNTS[N])
@@ -615,8 +679,7 @@ def _random_sl2n_problem(rng, field):
         ambient = rng.choice([2 * n, 2 * n + 1])
         return build_grassmannian_problem(rng.randint(1, ambient - 1), ambient, n, field)
     if kind == "lines":
-        # over Q(sqrt a), 105<1> is a form of 105 entries, slow to parse back
-        N = 3 if field.kind == F.QUAD_EXT else rng.choice([3, 5])
+        N = rng.choice([3, 5])
         return engine.build_hypersurface_lines_problem(N, field)
     return _random_integer_problem(rng, field)
 

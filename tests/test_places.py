@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import local_in_ideal_by_enumeration
+from oracles import hasse_invariant_pairwise, local_in_ideal_by_enumeration
 from sympy import primefactors
 
 from wittloc import fields as F
@@ -128,6 +128,23 @@ def test_signed_disc_and_hasse():
     e = (Fraction(1), Fraction(-1))
     assert signed_disc(e) == 1
     assert hasse_invariant(e, 2) == hilbert(Fraction(1), Fraction(-1), 2)
+
+
+@pytest.mark.parametrize("v", [INF, 2, 3, 5, 7])
+def test_hasse_invariant_matches_the_pairwise_product(v):
+    """The running-product Hasse invariant equals the product of the Hilbert
+    symbols of all pairs, on seeded random forms."""
+    rng = random.Random(f"hasse:{v}")
+    values = set()
+    for _ in range(60):
+        entries = tuple(
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12))
+            for _ in range(rng.randint(0, 7))
+        )
+        h = hasse_invariant(entries, v)
+        assert h == hasse_invariant_pairwise(entries, v), entries
+        values.add(h)
+    assert values == {1, -1}
 
 
 KERNEL_A_VALUES = [2, 3, 5, 6, 17, -1, -2, -3, -7, -15]

@@ -315,3 +315,34 @@ def test_qext_integer_class_225_takes_under_a_second():
     x = integer_class(225, field)
     assert time.perf_counter() - start < 1.0
     assert x.entries == (F.one(field),) * 225
+
+
+def test_qext_arithmetic_normalizes_no_stored_entry(monkeypatch):
+    """Q(sqrt a) entries are normalized once, when they enter through
+    from_entries: a sum looks up at most one partner per distinct pool
+    entry, and integer multiples, products with t<1> and the zero test
+    normalize no stored entry."""
+    field = F.quad_ext(Q, 2)
+    pool = [F.coerce(field, c) for c in (1, 3, -5, (0, 7), 6)]
+    off = [F.coerce(field, c) for c in ((1, 1), (3, 1), 53, (0, 59))]
+    x = WittClass.from_entries(field, pool[:3] + off[:2])
+    y = WittClass.from_entries(field, pool[2:] + off[2:] + [F.neg(field, off[0])])
+    assert [sum(not witt_module._on_pool(r) for r in z.entries) for z in (x, y)] == [2, 3]
+    n = integer_class(10395, field)
+    calls = []
+    real = witt_module._normalize_qext_entry
+    monkeypatch.setattr(
+        witt_module, "_normalize_qext_entry", lambda f, c: calls.append(c) or real(f, c)
+    )
+    witt_module._pool_partner.cache_clear()
+    total = x + y
+    assert len(calls) <= len({r for r in x.entries + y.entries if witt_module._on_pool(r)})
+    calls.clear()
+    five, scaled, zero = 5 * x, n * x, x.is_zero()
+    assert calls == []
+    monkeypatch.undo()
+    both = pool[:3] + off[:2] + pool[2:] + off[2:] + [F.neg(field, off[0])]
+    assert total.entries == WittClass.from_entries(field, both).entries
+    assert five.entries == WittClass.from_entries(field, x.entries * 5).entries
+    assert scaled.entries == tuple(c for c in x.entries for _ in range(10395))
+    assert not zero
