@@ -74,12 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a self-check suite")
     pv.add_argument("suite", nargs="?", help="witt-fp, lam, ring-laws, paper-table")
-    pv.add_argument("--p-max", type=int, default=11)
-    pv.add_argument("--rank-max", type=int, default=4)
-    pv.add_argument("--n-max", type=int, default=4)
-    pv.add_argument("--samples", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--field", default=None)
+    # default None tells a given option from an absent one; run_suite holds
+    # the defaults (--p-max 11, --rank-max 4, --n-max 4, --samples 200, --seed 0)
+    for opt in ("--p-max", "--rank-max", "--n-max", "--samples", "--seed"):
+        pv.add_argument(opt, type=int)
+    pv.add_argument("--field")
     pv.add_argument("--a")
     pv.add_argument("--json", action="store_true")
     return ap
@@ -201,28 +200,23 @@ def _cmd_verify(args) -> int:
         raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}", 0)
     if suite not in SUITES:
         raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", 0)
-    given = [opt for opt in ("field", "a") if getattr(args, opt) is not None]
-    unread = [f"--{opt}" for opt in given if opt not in SUITES[suite]]
+    reads = SUITES[suite]
+    given = {opt: v for opts in SUITES.values() for opt in opts
+             if (v := getattr(args, opt)) is not None}
+    unread = [f"--{opt.replace('_', '-')}" for opt in given if opt not in reads]
     if unread:
         raise ExprSyntaxError(f"suite {suite} does not read {' or '.join(unread)}", 0)
-    if given and len(given) < len(SUITES[suite]):
+    if "a" in reads and ("field" in given) != ("a" in given):
         raise ExprSyntaxError(f"suite {suite} needs --field and --a together", 0)
     # below these a suite would run no check, or fewer than it reports
     for opt, least in (("p_max", 3), ("n_max", 1), ("rank_max", 0), ("samples", 2)):
-        if getattr(args, opt) < least:
+        if given.get(opt, least) < least:
             raise ExprSyntaxError(f"--{opt.replace('_', '-')} must be at least {least}", 0)
-    field = parse_field(args.field) if args.field else None
-    a = parse_scalar(args.a, field) if args.a and field else None
-    ok, lines = run_suite(
-        suite,
-        field=field,
-        a=a,
-        p_max=args.p_max,
-        rank_max=args.rank_max,
-        n_max=args.n_max,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    if "field" in given:
+        given["field"] = parse_field(given["field"])
+    if "a" in given:
+        given["a"] = parse_scalar(given["a"], given["field"])
+    ok, lines = run_suite(suite, **given)
     payload = {"suite": suite, "passed": ok, "lines": lines}
     _emit(args, payload, lines + [f"suite {suite}: {'pass' if ok else 'FAIL'}"])
     return 0 if ok else 3

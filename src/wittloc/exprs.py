@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
 from .errors import ExprSyntaxError, UnknownGenerator
@@ -173,14 +173,15 @@ class _Atoms(NamedTuple):
     field: FieldDescriptor
     lift: Callable  # a class <c> or t<1> -> value
     name: Optional[Callable]  # generator name -> value; None: names are not atoms
+    squares: Dict  # text of c -> <c>: each distinct class literal is built once
 
 
 def parse_witt_expr(text: str, field: FieldDescriptor) -> WittClass:
-    return _parse(text, _Atoms(field, lambda w: w, None))
+    return _parse(text, _Atoms(field, lambda w: w, None, {}))
 
 
 def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
-    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres)))
+    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres), {}))
 
 
 def _parse(text: str, atoms: _Atoms):
@@ -230,9 +231,11 @@ def _atom(p: _Parser, atoms: _Atoms):
         raise ExprSyntaxError("unexpected end of expression", len(p.text))
     if t[1] == "<":
         p.next()
-        c = _scalar_tokens(p, atoms.field)
+        text = _scalar_text(p)
         p.expect(">")
-        return atoms.lift(square_class(atoms.field, c))
+        if text not in atoms.squares:
+            atoms.squares[text] = square_class(atoms.field, parse_scalar(text, atoms.field))
+        return atoms.lift(atoms.squares[text])
     if t[1] == "(":
         p.next()
         inner = _expr(p, atoms)
@@ -256,8 +259,8 @@ def _atom(p: _Parser, atoms: _Atoms):
     raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
 
 
-def _scalar_tokens(p: _Parser, field):
-    """Collect tokens until the matching '>' and hand them to parse_scalar."""
+def _scalar_text(p: _Parser) -> str:
+    """The tokens up to the matching '>', joined."""
     depth = 0
     parts = []
     while True:
@@ -272,7 +275,7 @@ def _scalar_tokens(p: _Parser, field):
             depth -= 1
         parts.append(t[1])
         p.next()
-    return parse_scalar("".join(parts), field)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,9 @@ def is_square(field: FieldDescriptor, x) -> bool:
         return x == 0 or _legendre(x, field.p) == 1
     base = field.base
     if base.kind == FINITE_PRIME:
-        # F_{p^2}: Euler criterion with q = p^2.
-        if is_zero(field, x):
-            return True
-        q = base.p * base.p
-        return _pow_elem(field, x, (q - 1) // 2) == one(field)
+        # F_{p^2}: x^((p^2-1)/2) = N(x)^((p-1)/2), as N(x) = x^(p+1), so x
+        # is a square exactly when its norm is a square in F_p
+        return is_square(base, ext_norm(field, x))
     if base.kind == REALS:
         # a < 0, so this is C: every element is a square.
         return True
@@ -222,16 +220,6 @@ def rational_square_classes(field: FieldDescriptor, x) -> Tuple[Fraction, ...]:
     if w is None:
         return ()
     return ((u + w) / 2, (u - w) / 2)
-
-
-def _pow_elem(field: FieldDescriptor, x, n: int):
-    r = one(field)
-    while n:
-        if n & 1:
-            r = mul(field, r, x)
-        x = mul(field, x, x)
-        n >>= 1
-    return r
 
 
 def real_sign(field: FieldDescriptor, x, positive_root: bool = True) -> int:

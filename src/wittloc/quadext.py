@@ -1,14 +1,15 @@
 """Quadratic extensions k(sqrt(a))/k: base change, transfer, and the
 three-term exact cycle W(k) -> W(k(sqrt a)) -> W(k) -> W(k).
 
-The transfer is computed entrywise from the trace-form Gram matrix on the
-basis {1, sqrt(a)}; the scaled transfer twists by <sqrt(a)> first.  The
-ideal I_a is the kernel of multiplication by 1 - <a>, which equals the
-image of the transfer.
+The transfer is computed per distinct entry from the closed-form diagonal
+of the trace form on the basis {1, sqrt(a)}; the scaled transfer twists by
+<sqrt(a)> first.  The ideal I_a is the kernel of multiplication by
+1 - <a>, which equals the image of the transfer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -18,12 +19,9 @@ from . import places
 from .errors import FieldMismatch, Undecided
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 from .witt import (
-    QuadraticForm,
     WittClass,
     integer_class,
-    trace_form_entries,
-    witt_class,
-    zero_class,
+    trace_class,
 )
 
 
@@ -59,18 +57,21 @@ def base_change(x: WittClass, ctx: QuadExtContext) -> WittClass:
     return WittClass.from_entries(ctx.ext, tuple(F.coerce(ctx.ext, c) for c in x.entries))
 
 
-def transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
-    """Scharlau trace transfer W(k(sqrt a)) -> W(k), computed entrywise."""
+def _ext_counts(x: WittClass, ctx: QuadExtContext):
     if x.field != ctx.ext:
         raise FieldMismatch(f"expected class over {ctx.ext}, got {x.field}")
-    out: List = []
-    for c in x.entries:
-        out.extend(trace_form_entries(c, ctx.base, ctx.a))
-    return WittClass.from_entries(ctx.base, tuple(out))
+    return Counter(x.entries).items()
+
+
+def transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
+    """Scharlau trace transfer W(k(sqrt a)) -> W(k), one closed-form trace
+    form per distinct entry (``witt.trace_class``)."""
+    return trace_class(ctx.ext, _ext_counts(x, ctx))
 
 
 def scaled_transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
-    return transfer(sqrt_a_class(ctx) * x, ctx)
+    """The transfer of <sqrt a>*x."""
+    return trace_class(ctx.ext, _ext_counts(x, ctx), F.coerce(ctx.ext, (0, 1)))
 
 
 def in_Ia(x: WittClass, ctx: QuadExtContext) -> bool:

@@ -26,9 +26,13 @@ from .quadext import lam_exactness_check, make_context
 from .rings import GradedElement, bnn, bsl2n, from_witt, gen, one_elem, twisted_point
 from .witt import WittClass, integer_class, integer_modulus, witt
 
-# each suite and the field options it reads; lam reads --field and --a
-# together, paper-table --field alone
-SUITES = {"witt-fp": (), "lam": ("field", "a"), "ring-laws": (), "paper-table": ("field",)}
+# each suite and every option it reads; lam reads --field and --a together
+SUITES = {
+    "witt-fp": ("p_max", "rank_max"),
+    "lam": ("field", "a", "samples", "seed"),
+    "ring-laws": ("samples", "seed"),
+    "paper-table": ("field", "n_max"),
+}
 
 
 def run_suite(
@@ -213,7 +217,7 @@ def suite_table(n_max: int = 4, field=None) -> Tuple[bool, List[str]]:
     """Localization degrees with known closed forms: chi(P^2n) = <1>,
     chi(P^(2n-1)) = 0, binomial(n, r)<1> for the Grassmannian of 2r-planes
     in 2n-space, and (2N-3)!!<1> lines on a degree-(2N-3) hypersurface in
-    P^N for odd N <= min(2n - 1, 5)."""
+    P^N for odd N < 2n."""
     k = field if field is not None else rationals()
     lines = []
     ok = True
@@ -237,12 +241,13 @@ def suite_table(n_max: int = 4, field=None) -> Tuple[bool, List[str]]:
                 f"Gr({2*r},{2*n}): degree {got!r}, expected {comb(n,r)}<1> ... "
                 f"{'pass' if good else 'FAIL'}"
             )
-    # N <= 5, as for P^2n: over Q(sqrt a), t<1> is a form of t entries
-    for N in range(3, 2 * min(n_max, 3), 2):
+    for N in range(3, 2 * n_max, 2):
         count = double_factorial(2 * N - 3)
         got = bott_residue(build_hypersurface_lines_problem(N, k)).degree_zero
         good = got == integer_class(count, k)
         ok = ok and good
-        lines.append(f"lines on a degree-{2*N-3} hypersurface in P^{N}: degree {got!r}, "
+        # a passing degree is count<1>, whose diagonal form has count entries
+        shown = f"{count}<1>" if good else repr(got)
+        lines.append(f"lines on a degree-{2*N-3} hypersurface in P^{N}: degree {shown}, "
                      f"expected {count}<1> ... {'pass' if good else 'FAIL'}")
     return ok, lines

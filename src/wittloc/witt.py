@@ -1,17 +1,16 @@
 """Exact arithmetic in Witt rings W(k) with canonical-form equality.
 
-Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  Over
-Q, R, F_p, F_{p^2} and C a class is stored as its complete invariant key
-(signature, second residues and dyadic slot over Q; signature over R; rank
-parity and discriminant class over the others); sums, negations, integer
-multiples and equality work on keys, and the diagonal representative that
+Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A class
+is a key of its field kind's ``_Keyed`` record; sums, negations and integer
+multiples (by doubling) work on keys, and the diagonal representative that
 transfers, general products and printing read is built from the key on
-first use.  W(Q(sqrt a)) has no key here: its classes store a reduced
-representative, and equality runs a decision procedure.  Each entry is
-normalized once, in closed form, when it enters through ``from_entries``
-(``_normalize_qext_entry``); sums only cancel hyperbolic pairs among the
-stored entries, and integer multiples are written down (each entry
-repeated), so no stored entry is normalized again.
+first use.  Over Q, R, F_p, F_{p^2} and C the key is the complete invariant
+(signature, second residues and dyadic slot over Q; signature over R; rank
+parity and discriminant class over the others).  Over Q(sqrt a) it is sorted
+(normalized entry, count) pairs: each distinct entry is normalized once, in
+closed form, in ``from_entries``; sums merge counts and cancel by count
+(counts mod ``integer_modulus``), so t<1> is one entry of count t.  That key
+is not complete: zero and equality run a decision procedure.
 """
 
 from __future__ import annotations
@@ -110,14 +109,18 @@ def trace_form_entries(c, base: FieldDescriptor, a) -> Tuple:
     """Diagonal entries over the base of (u,v) -> Tr_{k(sqrt a)/k}(c*u*v).
 
     The Gram matrix on the basis {1, sqrt(a)} is
-    [[2*c0, 2*c1*a], [2*c1*a, 2*c0*a]] for c = c0 + c1*sqrt(a).
+    [[2*c0, 2*c1*a], [2*c1*a, 2*c0*a]] for c = c0 + c1*sqrt(a).  For c0 != 0
+    it diagonalizes to <2*c0, 2*a*N(c)/c0>, that is <2*c0, 2*a*c0*N(c)> up
+    to the square c0^2 (N the norm); for c0 = 0 its diagonal is zero, so it
+    is hyperbolic, <1, -1>.
     """
     c0, c1 = c
+    one = F.one(base)
+    if F.is_zero(base, c0):
+        return (one, F.neg(base, one))
     two = F.coerce(base, 2)
-    g00 = F.mul(base, two, c0)
-    g01 = F.mul(base, two, F.mul(base, c1, a))
-    g11 = F.mul(base, two, F.mul(base, c0, a))
-    return diagonalize([[g00, g01], [g01, g11]], base).entries
+    norm = F.sub(base, F.mul(base, c0, c0), F.mul(base, a, F.mul(base, c1, c1)))
+    return (F.mul(base, two, c0), F.mul(base, F.mul(base, two, a), F.mul(base, c0, norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +247,14 @@ _KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FP_KEYS,
           QUAD_EXT: _FQ_KEYS}
 
 
-def _keyed(field: FieldDescriptor) -> Optional[_Keyed]:
-    """Key arithmetic of the field, or None over Q(sqrt a)."""
-    if field.kind == QUAD_EXT and field.base.kind == RATIONALS:
-        return None
+def _is_qext_q(field: FieldDescriptor) -> bool:
+    # the one field kind whose key is not a complete invariant
+    return field.kind == QUAD_EXT and field.base.kind == RATIONALS
+
+
+def _keyed(field: FieldDescriptor) -> _Keyed:
+    if _is_qext_q(field):
+        return _QEXT_KEYS
     if field.kind not in _KEYED:
         raise UnsupportedField(str(field))
     return _KEYED[field.kind]
@@ -263,8 +270,17 @@ def integer_modulus(field: FieldDescriptor) -> int:
         2  F_q with q = 1 mod 4, C, Q(sqrt -1)
         4  F_q with q = 3 mod 4, Q(sqrt -d) with d != 1, d != 7 mod 8
         8  Q(sqrt -d) with d = 7 mod 8
+
+    (d squarefree; F_{p^2} has q = 1 mod 4).
     """
-    return next((n for n in (2, 4, 8) if integer_class(n, field).is_zero()), 0)
+    if field.kind in (RATIONALS, REALS):
+        return 0
+    if field.kind == FINITE_PRIME:
+        return 2 if field.p % 4 == 1 else 4
+    if not _is_qext_q(field):
+        return 2
+    d = -places.squarefree_part(field.a)
+    return 0 if d < 0 else 2 if d == 1 else 8 if d % 8 == 7 else 4
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +289,7 @@ def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
     return tuple(integer_class(t, field).key for t in range(integer_modulus(field)))
 
 
-# --- Q(sqrt a): reduced representative, equality by decision procedure -----
+# --- Q(sqrt a): counted reduced form, equality by decision procedure -------
 
 # entries are normalized into the pool d, -d, d*sqrt(a), -d*sqrt(a) for
 # squarefree d up to this height when their square class meets it
@@ -318,9 +334,11 @@ def _normalize_qext_entry(field: FieldDescriptor, c):
 
 
 def _on_pool(r) -> bool:
-    """Whether a normalized entry is a pool element.  An entry off the pool
-    with a zero coordinate has its other one squarefree, so above 50."""
-    return 0 in r and abs(r[0] + r[1]) <= _POOL_HEIGHT
+    """Whether a normalized entry (integral) is a pool element.  An entry off
+    the pool with a zero coordinate has its other one squarefree, so above
+    50."""
+    u, v = r
+    return (not u or not v) and abs((u or v).numerator) <= _POOL_HEIGHT
 
 
 @lru_cache(maxsize=None)
@@ -330,111 +348,123 @@ def _pool_partner(field: FieldDescriptor, r):
     return _normalize_qext_entry(field, F.neg(field, r))
 
 
-def _negate_qext_entry(field: FieldDescriptor, r):
-    """The normalized entry in the class of -r, for a normalized entry r.
-    Off the pool that is -r itself: its class holds no pool element (the
-    pool is closed under negation) and -r has no rational square factor."""
-    return _pool_partner(field, r) if _on_pool(r) else F.neg(field, r)
+def _qext_sorted(pairs) -> Tuple:
+    """(entry, count) pairs in canonical order: rational entries first, then
+    by u, then v."""
+    return tuple(sorted(pairs, key=lambda rn: (rn[0][1] != 0, rn[0][0], rn[0][1])))
 
 
-def _sorted_qext(counts: Dict[Tuple, int]) -> Tuple:
-    """The entries of a reduced representative, each repeated its count
-    times, in canonical order (rational entries first, then by u, then v)."""
-    order = sorted(counts, key=lambda c: (c[1] != 0, c[0], c[1]))
-    return tuple(r for r in order for _ in range(counts[r]))
-
-
-def _cancel_qext(field: FieldDescriptor, entries) -> Tuple:
-    """Normalized entries with hyperbolic pairs <c, -c'> (c' in the class of
-    c) cancelled, sorted.  Pool entries are canonical for their class and
-    the pool is closed under negation, so they cancel by count against their
-    partner, the pool element in the class of their negative (mod 2 when
-    that is the entry itself, as when -1 is a square), and never against
-    entries off the pool.  Each entry off the pool cancels against the first
-    later one r' with -r*r' a square."""
-    pool = {r: n for r, n in Counter(entries).items() if _on_pool(r)}
-    rest = [r for r in entries if r not in pool]
-    left = {}
-    for r, n in pool.items():
-        partner = _pool_partner(field, r)
-        left[r] = n % 2 if partner == r else max(n - pool.get(partner, 0), 0)
-    alive = [True] * len(rest)
-    for i, r in enumerate(rest):
-        if not alive[i]:
-            continue
-        for j in range(i + 1, len(rest)):
-            if alive[j] and F.is_square(field, F.neg(field, F.mul(field, r, rest[j]))):
-                alive[i] = alive[j] = False
+def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
+    """The key of the sum of (normalized entry, count) pairs: hyperbolic
+    pairs <c, -c'> (c' in the class of c) cancelled by count, counts taken
+    mod N = ``integer_modulus`` (N<c> = <c>*N<1> = 0).  A pool entry, being
+    canonical for its class, cancels only against its partner; each entry
+    off the pool against the later ones r' with -r*r' a square."""
+    counts: Dict = {}
+    for r, n in pairs:
+        counts[r] = counts.get(r, 0) + n
+    pool, off = [], []
+    for r, n in counts.items():
+        if _on_pool(r):
+            partner = _pool_partner(field, r)
+            # a pool entry is its own partner only when -1 is a square: N = 2
+            pool.append((r, n if partner == r else n - counts.get(partner, 0)))
+        else:
+            off.append([r, n])
+    for i, rn in enumerate(off):
+        for sm in off[i + 1:]:
+            if not rn[1]:
                 break
-        if alive[i]:
-            left[r] = left.get(r, 0) + 1
-    return _sorted_qext(left)
+            if sm[1] and F.is_square(field, F.neg(field, F.mul(field, rn[0], sm[0]))):
+                m = min(rn[1], sm[1])
+                rn[1] -= m
+                sm[1] -= m
+    N = integer_modulus(field)
+    kept = ((r, n % N if N else n) for r, n in pool + off if n > 0)
+    return _qext_sorted((r, n) for r, n in kept if n)
 
 
 def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
-    """The reduced representative of a diagonal form over Q(sqrt a): each
-    entry normalized, then hyperbolic pairs cancelled (``_cancel_qext``)."""
-    return _cancel_qext(field, [_normalize_qext_entry(field, c) for c in entries])
+    """The reduced representative of a diagonal form over Q(sqrt a)."""
+    return WittClass.from_entries(field, entries).entries
 
 
-def _qext_q_is_zero(field: FieldDescriptor, reduced) -> bool:
-    """Decide whether a reduced representative is the zero class."""
-    if not reduced:
+_QEXT_KEYS = _Keyed(
+    (),
+    lambda field, entries: _cancel_qext(
+        field, [(_normalize_qext_entry(field, c), n) for c, n in Counter(entries).items()]
+    ),
+    lambda field, k1, k2: _cancel_qext(field, k1 + k2),
+    # off the pool the normalized entry in the class of -r is -r: its class
+    # holds no pool element and it has no rational square factor
+    lambda field, k: _qext_sorted(
+        (_pool_partner(field, r) if _on_pool(r) else F.neg(field, r), n) for r, n in k
+    ),
+    lambda field, k: tuple(r for r, n in k for _ in range(n)),
+)
+
+
+def _counted_class(field: FieldDescriptor, parts) -> WittClass:
+    """The sum of n*<entries> over (entries, n) parts, one canonicalization
+    per distinct count."""
+    by_count: Dict[int, List] = {}
+    for entries, n in parts:
+        by_count.setdefault(n, []).extend(entries)
+    return sum((n * WittClass.from_entries(field, es) for n, es in by_count.items()),
+               zero_class(field))
+
+
+def trace_class(field: FieldDescriptor, pairs, twist=None) -> WittClass:
+    """Tr_{k(sqrt a)/k}(<twist>*x) in W(k) for the class x of the (entry,
+    count) pairs over field = k(sqrt a): the closed-form trace form of each
+    distinct entry (``trace_form_entries``), scaled by its count."""
+    base = field.base
+    if twist is not None:
+        pairs = ((F.mul(field, twist, c), n) for c, n in pairs)
+    return _counted_class(base, ((trace_form_entries(c, base, field.a), n) for c, n in pairs))
+
+
+def _qext_q_is_zero(field: FieldDescriptor, key) -> bool:
+    """Decide whether a Q(sqrt a) key is the zero class: rank parity and
+    real signatures from the counts; the local-global kernel test for a
+    rational form; else Tr(x) and Tr(<sqrt a> x), which vanish on zero."""
+    if not key:
         return True
-    if all(v == 0 for _, v in reduced):
-        # base change of a rational form: the local-global kernel test decides
-        return places.ker_iota_rational(tuple(u for u, _ in reduced), field.a)
-    if len(reduced) % 2:
+    if sum(n for _, n in key) % 2:
         return False
     if field.a > 0:
         for root in (True, False):
-            if sum(F.real_sign(field, c, root) for c in reduced) != 0:
+            if sum(n * F.real_sign(field, c, root) for c, n in key) != 0:
                 return False
-    # transfer invariants: Tr(x) and Tr(<sqrt a> x) vanish on the zero class
-    base = field.base
-    tr: List = []
-    trs: List = []
-    sqrt_a = F.coerce(field, (0, 1))
-    for c in reduced:
-        tr.extend(trace_form_entries(c, base, field.a))
-        trs.extend(trace_form_entries(F.mul(field, sqrt_a, c), base, field.a))
-    if not witt_class(QuadraticForm(base, tuple(tr))).is_zero():
-        return False
-    if not witt_class(QuadraticForm(base, tuple(trs))).is_zero():
-        return False
-    raise Undecided(
-        "cannot certify equality in W(Q(sqrt:%s)) for representative %r"
-        % (field.a, reduced)
-    )
+    if all(v == 0 for (_, v), _ in key):
+        # computed on W(Q) keys, so its representative has few entries
+        rational = _counted_class(field.base, (((u,), n) for (u, _), n in key))
+        return places.ker_iota_rational(rational.entries, field.a)
+    for twist in (None, F.coerce(field, (0, 1))):
+        if not trace_class(field, key, twist).is_zero():
+            return False
+    terms = " + ".join(f"{n}*<{F.scalar_repr(field, c)}>" for c, n in key)
+    raise Undecided(f"cannot certify equality in W({field}) for {terms}")
 
 
 def _canonicalize(field: FieldDescriptor, entries):
-    """Canonical state of the class of a diagonal form: its invariant key
-    over a keyed field, its reduced representative over Q(sqrt a)."""
-    kind = _keyed(field)
-    if kind is None:
-        return _reduce_qext(field, entries)
-    return kind.key(field, entries)
+    return _keyed(field).key(field, entries)
 
 
 # ---------------------------------------------------------------------------
 
 
 class WittClass:
-    """Element of W(k); immutable, compares by Witt equivalence.
-
-    Over a keyed field (Q, R, F_p, F_{p^2}, C) the state is ``field`` and
-    the invariant ``key``; ``entries``, a diagonal representative, is built
-    from the key on first use and cached.  Over Q(sqrt a) ``key`` is None
-    and ``entries`` is a reduced diagonal representative.
-    """
+    """Element of W(k); immutable, compares by Witt equivalence.  The state
+    is ``field`` and ``key`` (see the module docstring); ``entries``, a
+    diagonal representative, is built from the key on first use."""
 
     __slots__ = ("field", "key", "_entries")
 
-    def __init__(self, field: FieldDescriptor, key, entries=None):
+    def __init__(self, field: FieldDescriptor, key):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WittClass is immutable")
@@ -450,10 +480,7 @@ class WittClass:
 
     @staticmethod
     def from_entries(field: FieldDescriptor, entries) -> "WittClass":
-        state = _canonicalize(field, tuple(entries))
-        if _keyed(field) is None:
-            return WittClass(field, None, state)
-        return WittClass(field, state)
+        return WittClass(field, _canonicalize(field, tuple(entries)))
 
     # -- ring structure ----------------------------------------------------
 
@@ -465,33 +492,19 @@ class WittClass:
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        kind = _keyed(self.field)
-        if kind is None:
-            both = self.entries + other.entries
-            return WittClass(self.field, None, _cancel_qext(self.field, both))
-        return WittClass(self.field, kind.add(self.field, self.key, other.key))
+        return WittClass(self.field, _keyed(self.field).add(self.field, self.key, other.key))
 
     def __neg__(self) -> "WittClass":
-        kind = _keyed(self.field)
-        if kind is None:
-            counts = Counter(self.entries).items()
-            negd = {_negate_qext_entry(self.field, r): n for r, n in counts}
-            return WittClass(self.field, None, _sorted_qext(negd))
-        return WittClass(self.field, kind.neg(self.field, self.key))
+        return WittClass(self.field, _keyed(self.field).neg(self.field, self.key))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def _int_scale(self, t: int) -> "WittClass":
-        """t-fold sum: by doubling on keys; over Q(sqrt a) written down, each
-        reduced entry of +-self repeated |t| times, as two copies of one
-        entry c cancel only when -c^2 is a square (t is then taken mod 2)."""
+        """t-fold sum, by doubling on keys (over Q(sqrt a) the counts
+        double, so t<1> is one entry of count t, mod ``integer_modulus``)."""
         base = -self if t < 0 else self
         t = abs(t)
-        if self.key is None:
-            if F.is_square(self.field, F.coerce(self.field, -1)):
-                t %= 2
-            return WittClass(self.field, None, tuple(c for c in base.entries for _ in range(t)))
         acc = zero_class(self.field)
         while t:
             if t & 1:
@@ -528,37 +541,33 @@ class WittClass:
             return None if residues or dyadic else sig
         if self.field.kind == REALS:
             return self.key[0]
-        if self.key is None:
+        if _is_qext_q(self.field):
             raise UnsupportedField(f"no integer test over {self.field}")
         keys = _torsion_integer_keys(self.field)
         return keys.index(self.key) if self.key in keys else None
 
     def is_zero(self) -> bool:
-        kind = _keyed(self.field)
-        if kind is None:
-            return _qext_q_is_zero(self.field, self.entries)
-        return self.key == kind.zero
+        if _is_qext_q(self.field):
+            return _qext_q_is_zero(self.field, self.key)
+        return self.key == _keyed(self.field).zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WittClass) or other.field != self.field:
             return False
-        if self.key is not None:
-            return self.key == other.key
-        return self.entries == other.entries or (self - other).is_zero()
+        return self.key == other.key or _is_qext_q(self.field) and (self - other).is_zero()
 
     def __hash__(self):
-        if self.key is not None:
-            return hash((self.field, self.key))
-        return hash((self.field, len(self.entries) % 2))
+        if _is_qext_q(self.field):
+            return hash((self.field, sum(n for _, n in self.key) % 2))
+        return hash((self.field, self.key))
 
     # -- inspection --------------------------------------------------------
 
     def signature(self, positive_root: bool = True) -> int:
         if self.field.kind in (RATIONALS, REALS):
             return self.key[0]
-        if self.field.kind == QUAD_EXT and self.field.base.kind == RATIONALS:
-            if self.field.a > 0:
-                return sum(F.real_sign(self.field, c, positive_root) for c in self.entries)
+        if _is_qext_q(self.field) and self.field.a > 0:
+            return sum(n * F.real_sign(self.field, c, positive_root) for c, n in self.key)
         raise UnsupportedField(f"no real embedding data for {self.field}")
 
     def __repr__(self):
@@ -572,17 +581,15 @@ class WittClass:
 
 def _leading_integer(d: WittClass) -> Optional[int]:
     """t with d = t<1>, or None.  Over the keyed fields the key decides
-    (``integer_value``); over Q(sqrt a) a reduced representative of |t|
-    entries, all <1> or all <-1>, is read as t<1>.  That is the form
-    ``integer_class`` and products of such classes build, and reading it
-    needs no equality decision."""
-    if d.key is not None:
+    (``integer_value``); over Q(sqrt a) the key of ``integer_class``, one
+    entry <1> or <-1> of count n, is read as +-n without an equality test."""
+    if not _is_qext_q(d.field):
         return d.integer_value()
+    if len(d.key) != 1:
+        return None if d.key else 0
+    ((c, n),) = d.key
     one = F.one(d.field)
-    for sign, u in ((1, one), (-1, F.neg(d.field, one))):
-        if all(x == u for x in d.entries):
-            return sign * len(d.entries)
-    return None
+    return n if c == one else -n if c == _pool_partner(d.field, one) else None
 
 
 def witt_class(f: QuadraticForm) -> WittClass:
@@ -595,10 +602,7 @@ def witt(field: FieldDescriptor, *entries) -> WittClass:
 
 
 def zero_class(field: FieldDescriptor) -> WittClass:
-    kind = _keyed(field)
-    if kind is None:
-        return WittClass(field, None, ())
-    return WittClass(field, kind.zero)
+    return WittClass(field, _keyed(field).zero)
 
 
 def square_class(field: FieldDescriptor, c) -> WittClass:

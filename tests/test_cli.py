@@ -130,6 +130,15 @@ def test_verify_has_no_suite_option(capsys):
         ["ring-laws", "--a", "3"],
         ["paper-table", "--a", "2"],
         ["paper-table", "--field", "Q", "--a", "2"],
+        ["witt-fp", "--samples", "3", "--n-max", "9", "--seed", "4"],
+        ["witt-fp", "--n-max", "9"],
+        ["paper-table", "--p-max", "3", "--samples", "2"],
+        ["paper-table", "--seed", "1"],
+        ["paper-table", "--rank-max", "2"],
+        ["ring-laws", "--p-max", "5"],
+        ["ring-laws", "--n-max", "2"],
+        ["lam", "--rank-max", "3"],
+        ["lam", "--n-max", "2"],
     ],
     ids=" ".join,
 )

@@ -73,6 +73,15 @@ def test_fp2_every_element_power():
     assert len(sq) == 4  # half of the 8 units
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_fp2_squares_by_the_norm_match_all_squares(p):
+    base = F.finite_prime(p)
+    qe = F.quad_ext(base, F.least_nonresidue(p))
+    squares = {F.mul(qe, y, y) for y in F.elements(qe)}
+    for x in F.elements(qe):
+        assert F.is_square(qe, x) == (x in squares)
+
+
 def test_real_sign_in_quad_ext():
     qe = F.quad_ext(F.rationals(), Fraction(2))
     x = F.coerce(qe, (Fraction(-3), Fraction(2)))  # -3 + 2*sqrt(2) < 0

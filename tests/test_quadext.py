@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,14 @@ from wittloc.quadext import (
     sqrt_a_class,
     transfer,
 )
-from wittloc.witt import WittClass, integer_class, witt
+from wittloc.witt import (
+    WittClass,
+    diagonalize,
+    integer_class,
+    trace_form_entries,
+    witt,
+    witt_class,
+)
 
 Q = F.rationals()
 
@@ -30,6 +38,31 @@ def test_transfer_of_one():
     ctx = ctx_q2()
     one_ext = WittClass.from_entries(ctx.ext, (F.one(ctx.ext),))
     assert transfer(one_ext, ctx) == witt(Q, 2, 4)  # <2> + <2*2>
+
+
+@pytest.mark.parametrize(
+    "base, a", [(Q, Fraction(2)), (Q, Fraction(-7)), (F.finite_prime(7), 3), (F.finite_prime(13), 5)],
+    ids=str,
+)
+def test_closed_form_trace_form_matches_the_gram_matrix(base, a):
+    """<2c0, 2a c0 N(c)>, or <1, -1> when c0 = 0, is the class of the Gram
+    matrix [[2c0, 2a c1], [2a c1, 2a c0]] of (u, v) -> Tr(c u v)."""
+    rng = random.Random(f"trace-form:{base}:{a}")
+    a = F.coerce(base, a)
+    for _ in range(40):
+        if base.kind == F.FINITE_PRIME:
+            c0, c1 = rng.randrange(base.p), rng.randrange(1, base.p)
+        else:
+            c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            c1 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        c0, c1 = F.coerce(base, c0), F.coerce(base, c1)
+        two = F.coerce(base, 2)
+        g00 = F.mul(base, two, c0)
+        g01 = F.mul(base, two, F.mul(base, a, c1))
+        g11 = F.mul(base, two, F.mul(base, a, c0))
+        gram = witt_class(diagonalize([[g00, g01], [g01, g11]], base))
+        closed = WittClass.from_entries(base, trace_form_entries((c0, c1), base, a))
+        assert closed == gram, (c0, c1)
 
 
 def test_transfer_of_sqrt_a_vanishes():

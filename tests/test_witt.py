@@ -317,6 +317,15 @@ def test_qext_integer_class_225_takes_under_a_second():
     assert x.entries == (F.one(field),) * 225
 
 
+@pytest.mark.parametrize("a, count", [(2, 2027025), (-7, 1), (-2, 1), (-1, 1)])
+def test_qext_integer_class_is_one_counted_entry(a, count):
+    """t<1> over Q(sqrt a) is the entry 1 with count t, mod integer_modulus."""
+    field = F.quad_ext(Q, a)
+    x = integer_class(2027025, field)
+    assert x.key == ((F.one(field), count),)
+    assert x + x == integer_class(2 * 2027025, field) and (x - x).is_zero()
+
+
 def test_qext_arithmetic_normalizes_no_stored_entry(monkeypatch):
     """Q(sqrt a) entries are normalized once, when they enter through
     from_entries: a sum looks up at most one partner per distinct pool
