@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a self-check suite")
     pv.add_argument("suite", nargs="?", help="witt-fp, lam, ring-laws, paper-table")
-    # default None tells a given option from an absent one; run_suite holds
-    # the defaults (--p-max 11, --rank-max 4, --n-max 4, --samples 200, --seed 0)
+    # default None tells a given option from an absent one; the suite
+    # functions in verify.SUITES hold the defaults
     for opt in ("--p-max", "--rank-max", "--n-max", "--samples", "--seed"):
         pv.add_argument(opt, type=int)
     pv.add_argument("--field")
@@ -193,15 +193,15 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import SUITES, run_suite
+    from .verify import SUITES
 
     suite = args.suite
     if not suite:
         raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}", 0)
     if suite not in SUITES:
         raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", 0)
-    reads = SUITES[suite]
-    given = {opt: v for opts in SUITES.values() for opt in opts
+    run, reads = SUITES[suite]
+    given = {opt: v for _, opts in SUITES.values() for opt in opts
              if (v := getattr(args, opt)) is not None}
     unread = [f"--{opt.replace('_', '-')}" for opt in given if opt not in reads]
     if unread:
@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
         given["field"] = parse_field(given["field"])
     if "a" in given:
         given["a"] = parse_scalar(given["a"], given["field"])
-    ok, lines = run_suite(suite, **given)
+    ok, lines = run(**given)
     payload = {"suite": suite, "passed": ok, "lines": lines}
     _emit(args, payload, lines + [f"suite {suite}: {'pass' if ok else 'FAIL'}"])
     return 0 if ok else 3

@@ -356,9 +356,7 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
 
 
 def witt_str(x: WittClass) -> str:
-    if not x.entries:
-        return "0"
-    return " + ".join(f"<{F.scalar_repr(x.field, c)}>" for c in x.entries)
+    return str(x)
 
 
 def _mono_str(pres: PresentationId, key) -> str:
@@ -407,8 +405,8 @@ def ring_str(x: GradedElement) -> str:
     for key in sorted(x.coeffs):
         c = x.coeffs[key]
         mono = _mono_str(x.pres, key)
-        # an integral presentation holds int coefficients
-        cs = witt_str(c) if isinstance(c, WittClass) else str(c)
+        # an integral presentation holds int coefficients, printed as ints
+        cs = str(c)
         if not mono:
             terms.append(f"({cs})" if " + " in cs else cs)
         elif cs in ("<1>", "1"):

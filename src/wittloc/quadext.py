@@ -1,15 +1,16 @@
 """Quadratic extensions k(sqrt(a))/k: base change, transfer, and the
 three-term exact cycle W(k) -> W(k(sqrt a)) -> W(k) -> W(k).
 
-The transfer is computed per distinct entry from the closed-form diagonal
-of the trace form on the basis {1, sqrt(a)}; the scaled transfer twists by
-<sqrt(a)> first.  The ideal I_a is the kernel of multiplication by
-1 - <a>, which equals the image of the transfer.
+Base change and both transfers read the counted representative
+``WittClass.terms``, so they cost the distinct entries of a class, not its
+rank.  The transfer is computed per distinct entry from the closed-form
+diagonal of the trace form on the basis {1, sqrt(a)}, scaled by its count;
+the scaled transfer twists by <sqrt(a)> first.  The ideal I_a is the kernel
+of multiplication by 1 - <a>, which equals the image of the transfer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -18,11 +19,7 @@ from . import fields as F
 from . import places
 from .errors import FieldMismatch, Undecided
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
-from .witt import (
-    WittClass,
-    integer_class,
-    trace_class,
-)
+from .witt import WittClass, _counted_class, integer_class, trace_class
 
 
 @dataclass(frozen=True)
@@ -54,24 +51,24 @@ def one_minus_a(ctx: QuadExtContext) -> WittClass:
 def base_change(x: WittClass, ctx: QuadExtContext) -> WittClass:
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
-    return WittClass.from_entries(ctx.ext, tuple(F.coerce(ctx.ext, c) for c in x.entries))
+    return _counted_class(ctx.ext, (((F.coerce(ctx.ext, c),), n) for c, n in x.terms))
 
 
-def _ext_counts(x: WittClass, ctx: QuadExtContext):
+def _ext_terms(x: WittClass, ctx: QuadExtContext):
     if x.field != ctx.ext:
         raise FieldMismatch(f"expected class over {ctx.ext}, got {x.field}")
-    return Counter(x.entries).items()
+    return x.terms
 
 
 def transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
     """Scharlau trace transfer W(k(sqrt a)) -> W(k), one closed-form trace
     form per distinct entry (``witt.trace_class``)."""
-    return trace_class(ctx.ext, _ext_counts(x, ctx))
+    return trace_class(ctx.ext, _ext_terms(x, ctx))
 
 
 def scaled_transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
     """The transfer of <sqrt a>*x."""
-    return trace_class(ctx.ext, _ext_counts(x, ctx), F.coerce(ctx.ext, (0, 1)))
+    return trace_class(ctx.ext, _ext_terms(x, ctx), F.coerce(ctx.ext, (0, 1)))
 
 
 def in_Ia(x: WittClass, ctx: QuadExtContext) -> bool:

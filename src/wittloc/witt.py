@@ -2,15 +2,17 @@
 
 Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A class
 is a key of its field kind's ``_Keyed`` record; sums, negations and integer
-multiples (by doubling) work on keys, and the diagonal representative that
-transfers, general products and printing read is built from the key on
-first use.  Over Q, R, F_p, F_{p^2} and C the key is the complete invariant
-(signature, second residues and dyadic slot over Q; signature over R; rank
-parity and discriminant class over the others).  Over Q(sqrt a) it is sorted
-(normalized entry, count) pairs: each distinct entry is normalized once, in
-closed form, in ``from_entries``; sums merge counts and cancel by count
-(counts mod ``integer_modulus``), so t<1> is one entry of count t.  That key
-is not complete: zero and equality run a decision procedure.
+multiples (by doubling) work on keys.  Products, base change, transfers and
+printing read the counted representative ``terms``, (entry, count) pairs
+built from the key on first use, so they cost the number of distinct
+entries, not the rank.  Over Q, R, F_p, F_{p^2} and C the key is the
+complete invariant (signature, second residues and dyadic slot over Q;
+signature over R; rank parity and discriminant class over the others).  Over
+Q(sqrt a) it is sorted (normalized entry, count) pairs, and is its own
+counted representative: each distinct entry is normalized once, in closed
+form, in ``from_entries``; sums merge counts and cancel by count (counts mod
+``integer_modulus``), so t<1> is one entry of count t.  That key is not
+complete: zero and equality run a decision procedure.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fields as F
@@ -137,19 +140,21 @@ class _Keyed(NamedTuple):
     key: Callable  # (field, diagonal entries) -> key of the form
     add: Callable  # (field, key, key) -> key of the sum
     neg: Callable  # (field, key) -> key of the negation
-    rep: Callable  # (field, key) -> diagonal representative of the class
+    # (field, key) -> counted representative: (entry, count) pairs, count
+    # >= 1, distinct entries, whose sum of count*<entry> is the class
+    rep: Callable
 
 
-def _fp_entries_from_class(cls, p: int) -> Tuple[int, ...]:
-    s = F.least_nonresidue(p)
+def _fp_rep(cls, p: int) -> Tuple:
     r2, d = cls
     if cls == places.FP_ZERO:
         return ()
     if r2 == 1:
-        return (d,)
+        return ((d, 1),)
     # rank-0 class with non-square signed discriminant: <1, c> with -c a
-    # non-square; c = s when -1 is a square (p = 1 mod 4), else c = 1.
-    return (1, s) if p % 4 == 1 else (1, 1)
+    # non-square; c is the least non-residue when -1 is a square (p = 1 mod
+    # 4), else c = 1.
+    return ((1, 1), (F.least_nonresidue(p), 1)) if p % 4 == 1 else ((1, 2),)
 
 
 def _fq_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
@@ -165,12 +170,19 @@ def _fq_rep(field: FieldDescriptor, key) -> Tuple:
     r2, dsq = key
     one = F.one(field)
     if r2 == 1:
-        return (one,) if dsq else (F.first_nonsquare(field),)
-    return () if dsq else (one, F.first_nonsquare(field))
+        return ((one, 1),) if dsq else ((F.first_nonsquare(field), 1),)
+    return () if dsq else ((one, 1), (F.first_nonsquare(field), 1))
 
 
-def _reconstruct_rationals(key) -> Tuple[Fraction, ...]:
-    """Deterministic diagonal representative realizing a W(Q) invariant key."""
+def _signed_ones(t: int) -> Tuple:
+    """The counted representative of t<1> over Q or R: <1> or <-1>, |t| times."""
+    return ((Fraction(1 if t > 0 else -1), abs(t)),) if t else ()
+
+
+def _reconstruct_rationals(key) -> Tuple:
+    """Deterministic counted representative realizing a W(Q) invariant key:
+    entries that meet the residues and the dyadic slot, then +-<1> for the
+    rest of the signature."""
     sig, items, dy = key
     targets = dict(items)
     work = set(targets)
@@ -210,8 +222,9 @@ def _reconstruct_rationals(key) -> Tuple[Fraction, ...]:
     if places.wq_key(tuple(out))[2] != dy:
         out.append(Fraction(2))
     t = sig - sum(1 if c > 0 else -1 for c in out)
-    out.extend([Fraction(1 if t > 0 else -1)] * abs(t))
-    return tuple(out)
+    # the two entries <p, p> of one prime are the only equal ones
+    runs = tuple((c, len(list(g))) for c, g in groupby(out))
+    return runs + _signed_ones(t)
 
 
 _RATIONAL_KEYS = _Keyed(
@@ -226,14 +239,14 @@ _REAL_KEYS = _Keyed(
     lambda field, entries: (sum(1 if c > 0 else -1 for c in entries),),
     lambda field, k1, k2: (k1[0] + k2[0],),
     lambda field, k: (-k[0],),
-    lambda field, k: (Fraction(1 if k[0] > 0 else -1),) * abs(k[0]),
+    lambda field, k: _signed_ones(k[0]),
 )
 _FP_KEYS = _Keyed(
     places.FP_ZERO,
     lambda field, entries: places.fp_class_of_units(entries, field.p),
     lambda field, k1, k2: places.fp_add(k1, k2, field.p),
     lambda field, k: places.fp_neg(k, field.p),
-    lambda field, k: _fp_entries_from_class(k, field.p),
+    lambda field, k: _fp_rep(k, field.p),
 )
 # F_{p^2} and C: every class is its own negative, as -1 is a square
 _FQ_KEYS = _Keyed(
@@ -400,7 +413,7 @@ _QEXT_KEYS = _Keyed(
     lambda field, k: _qext_sorted(
         (_pool_partner(field, r) if _on_pool(r) else F.neg(field, r), n) for r, n in k
     ),
-    lambda field, k: tuple(r for r, n in k for _ in range(n)),
+    lambda field, k: k,
 )
 
 
@@ -456,25 +469,33 @@ def _canonicalize(field: FieldDescriptor, entries):
 
 class WittClass:
     """Element of W(k); immutable, compares by Witt equivalence.  The state
-    is ``field`` and ``key`` (see the module docstring); ``entries``, a
-    diagonal representative, is built from the key on first use."""
+    is ``field`` and ``key`` (see the module docstring); ``terms``, the
+    counted representative, is built from the key on first use."""
 
-    __slots__ = ("field", "key", "_entries")
+    __slots__ = ("field", "key", "_terms")
 
     def __init__(self, field: FieldDescriptor, key):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WittClass is immutable")
 
     @property
-    def entries(self) -> Tuple:
-        if self._entries is None:
+    def terms(self) -> Tuple:
+        """(entry, count) pairs, count >= 1: the class is the sum of the
+        count*<entry>."""
+        if self._terms is None:
             rep = _keyed(self.field).rep(self.field, self.key)
-            object.__setattr__(self, "_entries", rep)
-        return self._entries
+            object.__setattr__(self, "_terms", rep)
+        return self._terms
+
+    @property
+    def entries(self) -> Tuple:
+        """The diagonal representative: each entry of ``terms`` repeated its
+        count."""
+        return tuple(c for c, n in self.terms for _ in range(n))
 
     # -- constructors ------------------------------------------------------
 
@@ -522,10 +543,9 @@ class WittClass:
             t = _leading_integer(y)
             if t is not None:
                 return x._int_scale(t)
-        prod = tuple(
-            F.mul(self.field, c, d) for c in self.entries for d in other.entries
-        )
-        return WittClass.from_entries(self.field, prod)
+        return _counted_class(self.field, (
+            ((F.mul(self.field, c, d),), n * m) for c, n in self.terms for d, m in other.terms
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -570,13 +590,16 @@ class WittClass:
             return sum(n * F.real_sign(self.field, c, positive_root) for c, n in self.key)
         raise UnsupportedField(f"no real embedding data for {self.field}")
 
+    def __str__(self):
+        """``<c>`` for a term of count 1, ``n*<c>`` otherwise, which
+        ``exprs.parse_witt_expr`` reads back."""
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{'' if n == 1 else f'{n}*'}<{F.scalar_repr(self.field, c)}>"
+                          for c, n in self.terms)
+
     def __repr__(self):
-        if not self.entries:
-            return "WittClass(0)"
-        body = " + ".join(
-            f"<{F.scalar_repr(self.field, c)}>" for c in self.entries
-        )
-        return f"WittClass({body} over {self.field})"
+        return f"WittClass({self} over {self.field})" if self.terms else "WittClass(0)"
 
 
 def _leading_integer(d: WittClass) -> Optional[int]:

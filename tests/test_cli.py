@@ -3,6 +3,9 @@ import json
 import pytest
 
 from wittloc.cli import main
+from wittloc.engine import bott_residue, problem_from_json
+from wittloc.exprs import parse_field, parse_ring_expr, parse_witt_expr
+from wittloc.witt import witt
 
 
 def run(capsys, *argv):
@@ -43,7 +46,7 @@ def test_localize_grassmannian_json(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["degree_zero"] == "<1> + <1>"
+    assert doc["degree_zero"] == "2*<1>"
 
 
 def test_localize_problem_file(tmp_path, capsys):
@@ -59,7 +62,11 @@ def test_localize_problem_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "localize", "--problem", str(path))
     assert code == 0
-    assert "degree_zero: <2> + <-1>" in out or "degree_zero:" in out
+    (degree,) = [line[len("degree_zero: "):] for line in out.splitlines()
+                 if line.startswith("degree_zero: ")]
+    # <2> - <2a> with a = 3
+    Q = parse_field("Q")
+    assert parse_witt_expr(degree, Q) == witt(Q, 2) - witt(Q, 6)
 
 
 def test_ring_relation(capsys):
@@ -175,6 +182,24 @@ def test_localize_quotient_with_over_a_thousand_terms(tmp_path, capsys):
     assert code == 0
     cleared = [line for line in out.splitlines() if line.startswith("cleared: ")]
     assert len(cleared) == 1 and cleared[0].count("+") == 2047
+
+
+def test_localize_prints_large_coefficients_as_counted_terms(tmp_path, capsys):
+    """(e1+e2+e3+e4)^18 clears to 1,330 terms with coefficients up to
+    18!/(5!*5!*4!*4!); each prints as one counted term n*<1>, and the
+    printed line parses back to the library's answer."""
+    doc = {
+        "group": {"kind": "SL2n", "n": 4, "field": "Q"},
+        "components": [{"id": "c", "normal": "F@1 + F@2 + F@3 + F@4",
+                        "restricted": "e1*e2*e3*e4*(e1+e2+e3+e4)^18"}],
+    }
+    code, out, _ = _localize_doc(tmp_path, capsys, doc)
+    assert code == 0
+    (cleared,) = [line[len("cleared: "):] for line in out.splitlines()
+                  if line.startswith("cleared: ")]
+    want = bott_residue(problem_from_json(doc)).cleared
+    assert len(want.coeffs) == 1330
+    assert parse_ring_expr(cleared, want.pres) == want
 
 
 def test_localize_quotient_with_a_sqrt_a_coefficient(tmp_path, capsys):

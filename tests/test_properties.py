@@ -18,12 +18,28 @@ Q = F.rationals()
 NONZERO = [1, -1, 2, -2, 3, -3, 5, 7, -7, 10, 15, -30]
 
 
-def random_class(rng, field, max_rank=4):
-    if field.kind == "Fp":
-        entries = [rng.randrange(1, field.p) for _ in range(rng.randint(0, max_rank))]
-    else:
-        entries = [Fraction(rng.choice(NONZERO)) for _ in range(rng.randint(0, max_rank))]
-    return witt(field, *entries)
+def random_entry(rng, field):
+    """A nonzero entry; over k(sqrt a) mostly one with a sqrt(a) part."""
+    if field.kind == F.FINITE_PRIME:
+        return rng.randrange(1, field.p)
+    if field.kind != F.QUAD_EXT:
+        return Fraction(rng.choice(NONZERO))
+    while True:
+        if field.base.kind == F.FINITE_PRIME:
+            u, v = rng.randrange(field.base.p), rng.randrange(field.base.p)
+        else:
+            u, v = (Fraction(rng.choice(NONZERO + [0])) for _ in range(2))
+        if u or v:
+            return (u, v)
+
+
+def random_class(rng, field, max_rank=4, multiples=False):
+    """A random class; with ``multiples``, t*x + y with |t| up to 10^6."""
+    x = witt(field, *(random_entry(rng, field) for _ in range(rng.randint(0, max_rank))))
+    if not multiples:
+        return x
+    t = rng.randint(-10 ** 6, 10 ** 6)
+    return t * x + witt(field, *(random_entry(rng, field) for _ in range(rng.randint(0, 2))))
 
 
 @pytest.mark.parametrize("field", [Q, F.reals(), F.finite_prime(7)])
@@ -56,11 +72,11 @@ def test_hyperbolic_absorption(field):
         assert padded == x
 
 
-def random_ring_elem(rng, pres, max_terms=4):
+def random_ring_elem(rng, pres, max_terms=4, multiples=False):
     names = generator_names(pres)
-    out = from_witt(pres, random_class(rng, pres.field, 2))
+    out = from_witt(pres, random_class(rng, pres.field, 2, multiples))
     for _ in range(rng.randint(0, max_terms - 1)):
-        t = from_witt(pres, random_class(rng, pres.field, 2))
+        t = from_witt(pres, random_class(rng, pres.field, 2, multiples))
         for _ in range(rng.randint(0, 2)):
             t = t * gen(pres, rng.choice(names))
         out = out + t
@@ -113,11 +129,17 @@ def test_euler_whitney_multiplicativity():
         assert evw.known_square == sq
 
 
-@pytest.mark.parametrize("field", [Q, F.finite_prime(7)])
+@pytest.mark.parametrize(
+    "field",
+    [Q, F.finite_prime(7), F.reals(), F.quad_ext(F.finite_prime(7), 3),
+     F.quad_ext(F.reals(), -1), F.quad_ext(Q, 2), F.quad_ext(Q, -7)],
+)
 def test_witt_printer_round_trip(field):
     rng = random.Random(53)
     for _ in range(200):
         x = random_class(rng, field)
+        assert parse_witt_expr(witt_str(x), field) == x
+        x = random_class(rng, field, multiples=True)
         assert parse_witt_expr(witt_str(x), field) == x
 
 
@@ -130,4 +152,6 @@ def test_ring_printer_round_trip(pres):
     rng = random.Random(59)
     for _ in range(150):
         x = random_ring_elem(rng, pres)
+        assert parse_ring_expr(ring_str(x), pres) == x
+        x = random_ring_elem(rng, pres, multiples=True)
         assert parse_ring_expr(ring_str(x), pres) == x

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from wittloc.quadext import (
     all_witt_classes,
     base_change,
     in_Ia,
+    iota_is_zero,
     lam_exactness_check,
     make_context,
     one_minus_a,
@@ -125,6 +127,28 @@ def test_lam_exactness_exhaustive_finite(p, a):
     assert rep.passed, rep.lines()
 
 
+@pytest.mark.parametrize("p,a", [(3, -1), (5, 2), (7, 3)])
+def test_iota_is_zero_over_prime_fields(p, a):
+    """Every element of F_p is a square in F_{p^2}, so base change kills
+    exactly the classes of even rank."""
+    ctx = make_context(F.finite_prime(p), a)
+    for x in all_witt_classes(ctx.base):
+        dead = iota_is_zero(x, ctx)
+        assert dead == base_change(x, ctx).is_zero()
+        assert dead == (sum(n for _, n in x.terms) % 2 == 0)
+
+
+def test_iota_is_zero_over_the_reals():
+    """W(R) -> W(C) kills exactly the classes of even signature."""
+    ctx = make_context(F.reals(), -1)
+    rng = random.Random(17)
+    for _ in range(100):
+        x = witt(ctx.base, *(rng.choice([1, -1, 2, -3]) for _ in range(rng.randint(0, 6))))
+        dead = iota_is_zero(x, ctx)
+        assert dead == base_change(x, ctx).is_zero()
+        assert dead == (x.signature() % 2 == 0)
+
+
 def test_lam_exactness_sampled_rational():
     ctx = ctx_q2()
     samples = [
@@ -136,6 +160,23 @@ def test_lam_exactness_sampled_rational():
     ]
     rep = lam_exactness_check(ctx, samples)
     assert rep.passed, rep.lines()
+
+
+def test_large_counts_cost_their_distinct_entries():
+    """Products, base change, transfers and the printer read (entry, count)
+    pairs, so 2,027,025<1> is one pair; each answer is checked against
+    scaling by an integer."""
+    t = 2027025
+    ctx = ctx_q2()
+    t0 = time.perf_counter()
+    assert witt(Q, 2) * (integer_class(t, Q) + witt(Q, 3)) == t * witt(Q, 2) + witt(Q, 6)
+    assert base_change(integer_class(t, Q), ctx) == integer_class(t, ctx.ext)
+    big = integer_class(t, ctx.ext) + sqrt_a_class(ctx)
+    assert transfer(big, ctx) == t * witt(Q, 2, 4) + transfer(sqrt_a_class(ctx), ctx)
+    assert scaled_transfer(big, ctx) == t * scaled_transfer(integer_class(1, ctx.ext), ctx) + witt(Q, 2, 4)
+    assert str(integer_class(-t, F.reals())) == f"{t}*<-1>"
+    # reading the |t| diagonal entries instead takes seconds
+    assert time.perf_counter() - t0 < 2
 
 
 def test_negative_a_base_change():

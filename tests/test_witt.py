@@ -179,6 +179,12 @@ def test_key_arithmetic_matches_canonicalized_entries(field):
         negated = tuple(F.neg(field, c) for c in ex)
         assert (-x).key == WittClass.from_entries(field, negated).key
         assert WittClass.from_entries(field, x.entries).key == x.key
+        # terms: distinct entries, counts >= 1, expanding to entries
+        distinct = [c for c, _ in x.terms]
+        assert len(set(distinct)) == len(distinct) and all(n >= 1 for _, n in x.terms)
+        assert x.entries == tuple(c for c, n in x.terms for _ in range(n))
+        prod = WittClass.from_entries(field, [F.mul(field, c, d) for c in ex for d in ey])
+        assert (x * y).key == prod.key
         fold = zero_class(field)
         for n in range(6):
             assert n * x == fold and (-n) * x == -fold
