@@ -26,7 +26,9 @@ class ZeroInput(WittlocError):
 
 
 class Undecided(WittlocError):
-    """Equality/membership could not be certified either way."""
+    """Membership could not be certified either way: raised only by
+    ``quadext.principal_ideal_certificate`` when its bounded multiplier
+    search finds no witness for a class in the base-change kernel."""
 
 
 class UnknownGenerator(WittlocError):

@@ -28,7 +28,7 @@ from .fields import (
     reals,
 )
 from .witt import WittClass, integer_class, square_class
-from .rings import GradedElement, PresentationId, from_witt, gen
+from .rings import GradedElement, PresentationId, from_witt, gen, sum_elements
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
 
@@ -174,14 +174,16 @@ class _Atoms(NamedTuple):
     lift: Callable  # a class <c> or t<1> -> value
     name: Optional[Callable]  # generator name -> value; None: names are not atoms
     squares: Dict  # text of c -> <c>: each distinct class literal is built once
+    total: Callable  # list of values -> their sum
 
 
 def parse_witt_expr(text: str, field: FieldDescriptor) -> WittClass:
-    return _parse(text, _Atoms(field, lambda w: w, None, {}))
+    return _parse(text, _Atoms(field, lambda w: w, None, {}, lambda ws: sum(ws[1:], ws[0])))
 
 
 def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
-    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres), {}))
+    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres), {},
+                               partial(sum_elements, pres)))
 
 
 def _parse(text: str, atoms: _Atoms):
@@ -192,12 +194,13 @@ def _parse(text: str, atoms: _Atoms):
 
 
 def _expr(p: _Parser, atoms: _Atoms):
-    acc = _term(p, atoms)
+    """The signed terms, summed once: no partial sum is formed."""
+    terms = [_term(p, atoms)]
     while p.at("+") or p.at("-"):
         op = p.next()[1]
         t = _term(p, atoms)
-        acc = acc + t if op == "+" else acc - t
-    return acc
+        terms.append(t if op == "+" else -t)
+    return terms[0] if len(terms) == 1 else atoms.total(terms)
 
 
 def _term(p: _Parser, atoms: _Atoms):

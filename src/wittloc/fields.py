@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from sympy import isprime
 
@@ -204,22 +204,14 @@ def is_square(field: FieldDescriptor, x) -> bool:
     if base.kind == REALS:
         # a < 0, so this is C: every element is a square.
         return True
-    return any(_is_square_fraction(h) for h in rational_square_classes(field, x))
-
-
-def rational_square_classes(field: FieldDescriptor, x) -> Tuple[Fraction, ...]:
-    """The rationals h with x/s, s rational, a square in Q(sqrt a) exactly
-    when s*h is a rational square for one of them (so x is a square exactly
-    when one of them is): u and u/a when v = 0; else (u +- w)/2 when the
-    norm u^2 - a*v^2 is a rational square w^2, as x = s*(p + q*sqrt a)^2
-    makes s*p^2 a root of z^2 - u*z + a*v^2/4; else none."""
+    # Q(sqrt a): a rational u is a square iff u or u/a is a rational square;
+    # else x = (p + q*sqrt a)^2 makes the norm a square w^2 and p^2 a root
+    # (u +- w)/2 of z^2 - u*z + a*v^2/4
     u, v = x
     if v == 0:
-        return (u, u / field.a)
+        return _is_square_fraction(u) or _is_square_fraction(u / field.a)
     w = _fraction_square_root(u * u - field.a * v * v)
-    if w is None:
-        return ()
-    return ((u + w) / 2, (u - w) / 2)
+    return w is not None and any(_is_square_fraction((u + e) / 2) for e in (w, -w))
 
 
 def real_sign(field: FieldDescriptor, x, positive_root: bool = True) -> int:

@@ -7,17 +7,20 @@ symbols, Witt-triviality over Q_v) used to decide whether a rational Witt
 class dies after a quadratic base change.  That test is closed form: where
 a is not a square in Q_v, W(Q_v) -> W(Q_v(sqrt a)) kills exactly the
 even-rank forms of signed discriminant in {1, a} Q_v*^2, as restriction of
-Brauer groups kills the 2-torsion that holds the Hasse invariant.
+Brauer groups kills the 2-torsion that holds the Hasse invariant.  Zero in
+W(Q(sqrt a)) is decided place by place as well (``qext_witt_zero``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
 from sympy import factorint
 
+from . import fields as F
 from .fields import least_nonresidue, _legendre
 
 INF = "inf"
@@ -198,40 +201,58 @@ def is_square_qv(q: Fraction, v) -> bool:
     return vp(q, v) % 2 == 0 and _legendre(unit_part_mod_p(q, v), v) == 1
 
 
+def _local_class(q: Fraction, v) -> Fraction:
+    """A small rational in the Q_v square class of q: its sign at v = inf,
+    else p^(v_p(q) mod 2) times its unit part mod p (mod 8 at p = 2)."""
+    if v == INF:
+        return Fraction(1 if q > 0 else -1)
+    unit = _two_adic_unit(q) if v == 2 else unit_part_mod_p(q, v)
+    return Fraction(v ** (vp(q, v) % 2) * unit)
+
+
 def hasse_invariant(entries: Tuple[Fraction, ...], v) -> int:
     """prod_{i<j} (a_i, a_j)_v, taken as prod_j (a_1...a_{j-1}, a_j)_v by
-    bilinearity, with the running product kept as its squarefree class."""
+    bilinearity, with the running product kept as a small rational of its
+    Q_v square class, so that nothing is factored."""
     h = 1
     d = Fraction(1)
     for c in entries:
         h *= hilbert(d, c, v)
-        d = Fraction(squarefree_part(d * c))
+        d = _local_class(d * c, v)
     return h
 
 
-def signed_disc(entries: Tuple[Fraction, ...]) -> Fraction:
-    n = len(entries)
-    d = Fraction((-1) ** (n * (n - 1) // 2))
-    for c in entries:
-        d *= c
+def signed_disc(terms) -> Fraction:
+    """(-1)^(n(n-1)/2) times the determinant of the rank-n form sum m*<c>
+    over (entry, count) terms; only the parity of each count enters."""
+    n = sum(m for _, m in terms)
+    d = Fraction((-1) ** (n * (n - 1) // 2 % 2))
+    for c, m in terms:
+        if m % 2:
+            d *= c
     return d
 
 
-def local_witt_zero(entries: Tuple[Fraction, ...], v) -> bool:
-    """Whether the diagonal form is Witt-trivial over Q_v."""
-    n = len(entries)
-    if n % 2:
+def local_witt_zero(terms, v) -> bool:
+    """Whether sum n*<c> over (entry, count) terms is Witt-trivial over Q_v:
+    the signature at v = inf; else, as 8<1> = 0 in W(Q_p), the form with
+    counts taken mod 8 has even rank, square signed discriminant and the
+    Hasse invariant of a hyperbolic form."""
+    if sum(n for _, n in terms) % 2:
         return False
     if v == INF:
-        return sum(1 if c > 0 else -1 for c in entries) == 0
-    if not is_square_qv(signed_disc(entries), v):
+        return sum(n if c > 0 else -n for c, n in terms) == 0
+    terms = tuple((c, n % 8) for c, n in terms)
+    if not is_square_qv(signed_disc(terms), v):
         return False
-    hyp = tuple([Fraction(1), Fraction(-1)] * (n // 2))
+    entries = tuple(c for c, n in terms for _ in range(n))
+    hyp = tuple([Fraction(1), Fraction(-1)] * (len(entries) // 2))
     return hasse_invariant(entries, v) == hasse_invariant(hyp, v)
 
 
-def ker_iota_rational(entries: Tuple[Fraction, ...], a: Fraction) -> bool:
-    """Decide whether a W(Q) class dies in W(Q(sqrt(a))).
+def ker_iota_rational(terms, a: Fraction) -> bool:
+    """Decide whether the W(Q) class sum n*<c> of (entry, count) terms dies
+    in W(Q(sqrt(a))).
 
     Local-global: the base-changed class is hyperbolic iff it is so at every
     completion.  Where a is not a square in Q_v, the kernel of W(Q_v) ->
@@ -247,17 +268,121 @@ def ker_iota_rational(entries: Tuple[Fraction, ...], a: Fraction) -> bool:
     is not a square at the primes of its squarefree part, and at every other
     odd prime the form is unimodular of square discriminant, so trivial).
     """
-    n = len(entries)
-    if n % 2:
+    if sum(n for _, n in terms) % 2:
         return False
-    if n == 0:
+    if not terms:
         return True
-    sfd = squarefree_part(signed_disc(entries))
+    sfd = squarefree_part(signed_disc(terms))
     if sfd != 1 and sfd != squarefree_part(a):
         return False
-    if a > 0 and sum(1 if c > 0 else -1 for c in entries) != 0:
+    if a > 0 and not local_witt_zero(terms, INF):
         return False
     support = {2}
-    for c in entries:
+    for c, _ in terms:
         support.update(q for q, _ in _factor(abs(squarefree_part(c))))
-    return all(local_witt_zero(entries, v) for v in support if is_square_qv(a, v))
+    return all(local_witt_zero(terms, v) for v in support if is_square_qv(a, v))
+
+
+# ---------------------------------------------------------------------------
+# W(Q(sqrt a)): zero decided place by place
+
+
+def sqrt_mod_prime_power(d: int, p: int, k: int) -> int:
+    """A root of s^2 = d mod p^k, for d a unit square mod the odd prime p
+    (Tonelli-Shanks, then Newton's iteration), or d = 1 mod 8 when p = 2
+    (a root s mod 2^j, j >= 3, makes s or s + 2^(j-1) one mod 2^(j+1))."""
+    M = p ** k
+    if p == 2:
+        s = 1
+        for j in range(3, k):
+            if (s * s - d) % (2 << j):
+                s += 1 << (j - 1)
+        return s % M
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    c, t, s = pow(least_nonresidue(p), q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, s = i, b * b % p, t * b * b % p, s * b % p
+    while (s * s - d) % M:
+        s = (s - (s * s - d) * pow(2 * s, -1, M)) % M
+    return s
+
+
+def _residue_forms_zero(residues, p: int, minus_one: int) -> bool:
+    """Springer: both residue forms of (valuation, unit residue, count)
+    triples are 0.  Over F_p a form is 0 iff its rank is even and
+    (-1)^(rank/2) det is a square; over F_{p^2} pass the residues' norms and
+    minus_one = 1 (-1 is a square there, and z is one iff N(z) is in F_p)."""
+    for parity in (0, 1):
+        rank, det = 0, 1
+        for e, w, n in residues:
+            if e % 2 == parity:
+                rank += n
+                det = det * w ** (n % 2) % p
+        if rank % 2 or _legendre(minus_one ** (rank // 2 % 2) * det, p) != 1:
+            return False
+    return True
+
+
+def qext_witt_zero(field, terms) -> bool:
+    """Whether x = sum n*<c> over (entry, count) terms is 0 in W(K), K =
+    Q(sqrt a), a = d f^2 with d squarefree (Lam, ch. VI).
+
+    Even rank and a square signed discriminant put x in I^2 K.  If x dies
+    at every finite place but one dyadic place, Hilbert reciprocity kills
+    its Clifford invariant there too, so x lies in I^3 K, which is
+    torsion-free and seen by the real signatures.  With entries scaled by
+    rational squares into Z[sqrt d], x dies at every odd place that divides
+    no norm (it is unimodular of square discriminant there).  A split place
+    is Q_p through a root s of d mod p^k, k past every norm's valuation by
+    3, and ``local_witt_zero`` decides; at an inert place (uniformizer p)
+    and a ramified one (uniformizer sqrt d) Springer's theorem does.  When
+    2 splits (d = 1 mod 8), one dyadic place is tested the split way.
+    """
+    if not terms:
+        return True
+    rank = sum(n for _, n in terms)
+    if rank % 2:
+        return False
+    if field.a > 0 and any(sum(n * F.real_sign(field, c, root) for c, n in terms)
+                           for root in (True, False)):
+        return False
+    disc = F.coerce(field, (-1) ** (rank // 2 % 2))
+    for c, n in terms:
+        if n % 2:
+            disc = F.mul(field, disc, c)
+    if not F.is_square(field, disc):
+        return False
+    d = squarefree_part(field.a)
+    f = F._fraction_square_root(field.a / d)
+    ints = []  # (u, v, norm, count) for u + v*sqrt(d) in Z[sqrt d]
+    for (u, v), n in terms:
+        L2 = math.lcm(u.denominator, (v * f).denominator) ** 2
+        u, v = int(u * L2), int(v * f * L2)
+        ints.append((u, v, Fraction(u * u - d * v * v), n))
+    primes = {q for _, _, N, _ in ints for q, _ in _factor(abs(N.numerator)) if q != 2}
+    for p in sorted(primes) + ([2] if d % 8 == 1 else []):
+        if d % p == 0:
+            residues = []
+            for u, v, N, n in ints:
+                e = vp(N, p)  # the valuation at the place over p
+                w = Fraction(v if e % 2 else u, d ** (e // 2))
+                residues.append((e, unit_part_mod_p(w, p), n))
+            if not _residue_forms_zero(residues, p, -1):
+                return False
+        elif p == 2 or _legendre(d, p) == 1:
+            k = max(vp(N, p) for _, _, N, _ in ints) + 3
+            s = sqrt_mod_prime_power(d, p, k)
+            for r in (s,) if p == 2 else (s, -s):
+                images = [(Fraction((u + v * r) % p ** k), n) for u, v, _, n in ints]
+                if not local_witt_zero(images, p):
+                    return False
+        elif not _residue_forms_zero(
+                [(vp(N, p) // 2, unit_part_mod_p(N, p), n) for _, _, N, n in ints], p, 1):
+            return False
+    return True

@@ -83,7 +83,7 @@ def iota_is_zero(x: WittClass, ctx: QuadExtContext) -> bool:
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
     if ctx.base.kind == RATIONALS:
-        return places.ker_iota_rational(tuple(x.entries), ctx.a)
+        return places.ker_iota_rational(x.terms, ctx.a)
     return base_change(x, ctx).is_zero()
 
 
@@ -102,15 +102,18 @@ def all_witt_classes(field: FieldDescriptor) -> List[WittClass]:
     raise FieldMismatch(f"{field} is not a supported finite field")
 
 
-def principal_ideal_certificate(
-    x: WittClass, ctx: QuadExtContext, max_rank: int = 4
-) -> Optional[WittClass]:
+# rank bound of the multiplier search over Q
+_MAX_MULTIPLIER_RANK = 4
+
+
+def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[WittClass]:
     """A multiplier y with (1 - <a>) * y = x, or None when provably absent.
 
     Over finite base fields the search is exhaustive, hence complete.  Over Q
-    the sound local-global kernel test rules membership out; if it rules it
-    in but the bounded multiplier search cannot exhibit y, Undecided is
-    raised rather than guessing.
+    the kernel test rules membership out; if it rules it in but the search
+    over multipliers of rank <= ``_MAX_MULTIPLIER_RANK`` finds no y,
+    Undecided is raised rather than guessing.  The search is ``verify
+    lam``'s independent witness for ker(iota) in (1 - <a>)W(Q).
     """
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
@@ -129,13 +132,13 @@ def principal_ideal_certificate(
     if ctx.base.kind != RATIONALS:
         raise FieldMismatch(f"unsupported base field {ctx.base}")
 
-    if not places.ker_iota_rational(tuple(x.entries), ctx.a):
+    if not places.ker_iota_rational(x.terms, ctx.a):
         return None
 
     atoms: List[Fraction] = []
     seen = set()
     candidates = [Fraction(1), Fraction(2), ctx.a, 2 * ctx.a, Fraction(3), Fraction(5), Fraction(7)]
-    candidates += [c for c in x.entries] + [c * ctx.a for c in x.entries]
+    candidates += [c for c, _ in x.terms] + [c * ctx.a for c, _ in x.terms]
     for c in candidates:
         sf = Fraction(places.squarefree_part(c))
         for s in (sf, -sf):
@@ -149,7 +152,7 @@ def principal_ideal_certificate(
     def dfs(start: int, depth: int, acc, picks):
         if acc == target:
             return picks
-        if depth == max_rank:
+        if depth == _MAX_MULTIPLIER_RANK:
             return None
         for j in range(start, len(atoms)):
             got = dfs(j, depth + 1, places.wq_key_add(acc, atom_keys[j]), picks + [j])

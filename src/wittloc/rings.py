@@ -203,10 +203,7 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return GradedElement(self.pres, out)
+        return sum_elements(self.pres, (self, other))
 
     def __neg__(self) -> "GradedElement":
         return GradedElement(self.pres, {k: -c for k, c in self.coeffs.items()})
@@ -305,6 +302,17 @@ def _y_square(ctx: QuadExtContext) -> WittClass:
 
 # ---------------------------------------------------------------------------
 # constructors and generators
+
+
+def sum_elements(pres: PresentationId, xs) -> GradedElement:
+    """The sum of the elements xs of pres, in one pass: their coefficients
+    are merged into one dict, and each monomial of the result is tested for
+    zero once."""
+    out: Dict = {}
+    for x in xs:
+        for k, c in x.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+    return GradedElement(pres, out)
 
 
 def zero_elem(pres: PresentationId) -> GradedElement:

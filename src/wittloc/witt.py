@@ -9,10 +9,11 @@ entries, not the rank.  Over Q, R, F_p, F_{p^2} and C the key is the
 complete invariant (signature, second residues and dyadic slot over Q;
 signature over R; rank parity and discriminant class over the others).  Over
 Q(sqrt a) it is sorted (normalized entry, count) pairs, and is its own
-counted representative: each distinct entry is normalized once, in closed
-form, in ``from_entries``; sums merge counts and cancel by count (counts mod
-``integer_modulus``), so t<1> is one entry of count t.  That key is not
-complete: zero and equality run a decision procedure.
+counted representative: each distinct entry is cleared of rational square
+factors once, in ``from_entries``; sums merge counts and cancel hyperbolic
+pairs by count (counts mod ``integer_modulus``), so t<1> is one entry of
+count t.  That key is not a complete invariant: zero and equality are
+decided place by place (``places.qext_witt_zero``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     DegenerateForm,
     FieldMismatch,
     NonSymmetric,
-    Undecided,
     UnsupportedField,
     ZeroInput,
 )
@@ -302,63 +302,18 @@ def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
     return tuple(integer_class(t, field).key for t in range(integer_modulus(field)))
 
 
-# --- Q(sqrt a): counted reduced form, equality by decision procedure -------
-
-# entries are normalized into the pool d, -d, d*sqrt(a), -d*sqrt(a) for
-# squarefree d up to this height when their square class meets it
-_POOL_HEIGHT = 50
+# --- Q(sqrt a): counted reduced form, zero decided place by place --------
 
 
-def _square_quotient_classes(field: FieldDescriptor, c) -> Tuple[int, ...]:
-    """The squarefree s with c/s a square in Q(sqrt a)."""
-    return tuple(places.squarefree_part(h) for h in F.rational_square_classes(field, c))
-
-
-def _normalize_qext_entry(field: FieldDescriptor, c):
-    """Representative of the square class of c = u + v*sqrt(a) in Q(sqrt a).
-
-    It is the first of d, -d, d*sqrt(a), -d*sqrt(a) (d squarefree, d <= 50,
-    ascending d) in the class of c, found in closed form: c/s is a square
-    for rational s exactly when s lies in a class of
-    ``fields.rational_square_classes(c)``, and c/(s*sqrt a) =
-    (c*sqrt a)/(a*s) is one exactly when a*s lies in a class of those of
-    c*sqrt(a) = a*v + u*sqrt(a).  A class that holds none of them is
-    represented by c with its rational square factors cleared.
-    """
+def _normalize_qext_entry(c):
+    """c = u + v*sqrt(a) scaled by a rational square to integral u, v with
+    no common square factor: the same square class in Q(sqrt a)."""
     u, v = c
-    a = field.a
-    root_classes = (
-        places.squarefree_part(t * a)
-        for t in _square_quotient_classes(field, (a * v, u))
-    )
-    # sorted as the pool: by d, then d, -d, d*sqrt(a), -d*sqrt(a)
-    found = [(abs(s), False, s < 0, s) for s in _square_quotient_classes(field, c)]
-    found += [(abs(s), True, s < 0, s) for s in root_classes]
-    found = [f for f in found if f[0] <= _POOL_HEIGHT]
-    if found:
-        _, on_root, _, s = min(found)
-        return (Fraction(0), Fraction(s)) if on_root else (Fraction(s), Fraction(0))
     L = math.lcm(u.denominator, v.denominator)
-    # scaling by the square L^2 keeps the square class and clears denominators
     ui = int(u * L * L)
     vi = int(v * L * L)
     k = math.prod(q ** (e // 2) for q, e in places._factor(math.gcd(ui, vi)))
     return (Fraction(ui // (k * k)), Fraction(vi // (k * k)))
-
-
-def _on_pool(r) -> bool:
-    """Whether a normalized entry (integral) is a pool element.  An entry off
-    the pool with a zero coordinate has its other one squarefree, so above
-    50."""
-    u, v = r
-    return (not u or not v) and abs((u or v).numerator) <= _POOL_HEIGHT
-
-
-@lru_cache(maxsize=None)
-def _pool_partner(field: FieldDescriptor, r):
-    """The pool element in the class of -r, for a pool element r (cached:
-    a field has at most 4 pool elements per squarefree d <= 50)."""
-    return _normalize_qext_entry(field, F.neg(field, r))
 
 
 def _qext_sorted(pairs) -> Tuple:
@@ -369,23 +324,15 @@ def _qext_sorted(pairs) -> Tuple:
 
 def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
     """The key of the sum of (normalized entry, count) pairs: hyperbolic
-    pairs <c, -c'> (c' in the class of c) cancelled by count, counts taken
-    mod N = ``integer_modulus`` (N<c> = <c>*N<1> = 0).  A pool entry, being
-    canonical for its class, cancels only against its partner; each entry
-    off the pool against the later ones r' with -r*r' a square."""
+    pairs <r, r'> with -r*r' a square cancelled by count, each entry against
+    the later ones, and counts taken mod N = ``integer_modulus`` (N<c> =
+    <c>*N<1> = 0)."""
     counts: Dict = {}
     for r, n in pairs:
         counts[r] = counts.get(r, 0) + n
-    pool, off = [], []
-    for r, n in counts.items():
-        if _on_pool(r):
-            partner = _pool_partner(field, r)
-            # a pool entry is its own partner only when -1 is a square: N = 2
-            pool.append((r, n if partner == r else n - counts.get(partner, 0)))
-        else:
-            off.append([r, n])
-    for i, rn in enumerate(off):
-        for sm in off[i + 1:]:
+    work = [[r, n] for r, n in counts.items()]
+    for i, rn in enumerate(work):
+        for sm in work[i + 1:]:
             if not rn[1]:
                 break
             if sm[1] and F.is_square(field, F.neg(field, F.mul(field, rn[0], sm[0]))):
@@ -393,26 +340,17 @@ def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
                 rn[1] -= m
                 sm[1] -= m
     N = integer_modulus(field)
-    kept = ((r, n % N if N else n) for r, n in pool + off if n > 0)
+    kept = ((r, n % N if N else n) for r, n in work)
     return _qext_sorted((r, n) for r, n in kept if n)
-
-
-def _reduce_qext(field: FieldDescriptor, entries) -> Tuple:
-    """The reduced representative of a diagonal form over Q(sqrt a)."""
-    return WittClass.from_entries(field, entries).entries
 
 
 _QEXT_KEYS = _Keyed(
     (),
     lambda field, entries: _cancel_qext(
-        field, [(_normalize_qext_entry(field, c), n) for c, n in Counter(entries).items()]
+        field, [(_normalize_qext_entry(c), n) for c, n in Counter(entries).items()]
     ),
     lambda field, k1, k2: _cancel_qext(field, k1 + k2),
-    # off the pool the normalized entry in the class of -r is -r: its class
-    # holds no pool element and it has no rational square factor
-    lambda field, k: _qext_sorted(
-        (_pool_partner(field, r) if _on_pool(r) else F.neg(field, r), n) for r, n in k
-    ),
+    lambda field, k: _qext_sorted((F.neg(field, r), n) for r, n in k),
     lambda field, k: k,
 )
 
@@ -435,29 +373,6 @@ def trace_class(field: FieldDescriptor, pairs, twist=None) -> WittClass:
     if twist is not None:
         pairs = ((F.mul(field, twist, c), n) for c, n in pairs)
     return _counted_class(base, ((trace_form_entries(c, base, field.a), n) for c, n in pairs))
-
-
-def _qext_q_is_zero(field: FieldDescriptor, key) -> bool:
-    """Decide whether a Q(sqrt a) key is the zero class: rank parity and
-    real signatures from the counts; the local-global kernel test for a
-    rational form; else Tr(x) and Tr(<sqrt a> x), which vanish on zero."""
-    if not key:
-        return True
-    if sum(n for _, n in key) % 2:
-        return False
-    if field.a > 0:
-        for root in (True, False):
-            if sum(n * F.real_sign(field, c, root) for c, n in key) != 0:
-                return False
-    if all(v == 0 for (_, v), _ in key):
-        # computed on W(Q) keys, so its representative has few entries
-        rational = _counted_class(field.base, (((u,), n) for (u, _), n in key))
-        return places.ker_iota_rational(rational.entries, field.a)
-    for twist in (None, F.coerce(field, (0, 1))):
-        if not trace_class(field, key, twist).is_zero():
-            return False
-    terms = " + ".join(f"{n}*<{F.scalar_repr(field, c)}>" for c, n in key)
-    raise Undecided(f"cannot certify equality in W({field}) for {terms}")
 
 
 def _canonicalize(field: FieldDescriptor, entries):
@@ -568,7 +483,7 @@ class WittClass:
 
     def is_zero(self) -> bool:
         if _is_qext_q(self.field):
-            return _qext_q_is_zero(self.field, self.key)
+            return places.qext_witt_zero(self.field, self.key)
         return self.key == _keyed(self.field).zero
 
     def __eq__(self, other) -> bool:
@@ -604,15 +519,15 @@ class WittClass:
 
 def _leading_integer(d: WittClass) -> Optional[int]:
     """t with d = t<1>, or None.  Over the keyed fields the key decides
-    (``integer_value``); over Q(sqrt a) the key of ``integer_class``, one
-    entry <1> or <-1> of count n, is read as +-n without an equality test."""
+    (``integer_value``); over Q(sqrt a) a key of one entry <1> or <-1> of
+    count n, as ``integer_class`` builds, is read as +-n without a zero
+    test."""
     if not _is_qext_q(d.field):
         return d.integer_value()
     if len(d.key) != 1:
         return None if d.key else 0
     ((c, n),) = d.key
-    one = F.one(d.field)
-    return n if c == one else -n if c == _pool_partner(d.field, one) else None
+    return n if c == (1, 0) else -n if c == (-1, 0) else None
 
 
 def witt_class(f: QuadraticForm) -> WittClass:

@@ -4,8 +4,8 @@ The finite-field oracle decides Witt equivalence of diagonal forms by
 explicit isotropic-vector search and hyperbolic splitting, using only
 hand-rolled modular linear algebra.  The naive presented-ring oracle
 multiplies monomials by literal relation rewriting.  The W(Q(sqrt a))
-references normalize an entry by scanning the square-class pool with one
-square test per candidate and cancel hyperbolic pairs by a pairwise search.
+references cancel hyperbolic pairs by a pairwise search and show a class
+nonzero by rank parity, signatures and the two transfers to W(Q).
 The W(k) division reference collects the verified quotients of a candidate
 search (every class over F_p, every solution of t*q = c over Q).  The local
 base-change kernel reference decides membership in <1,-a>*W(Q_v) by
@@ -149,45 +149,29 @@ def bn_naive_add(t1, t2):
 
 
 # ---------------------------------------------------------------------------
-# W(Q(sqrt a)) entries by brute force: pool scan and pairwise cancellation
+# W(Q(sqrt a)) entries by brute force: pairwise cancellation
 
 
-def qext_square_class_pool():
-    """d, -d, d*sqrt(a), -d*sqrt(a) for squarefree d = 1..50, in that order."""
-    pool = []
-    for d in range(1, 51):
-        if places.squarefree_int(d) != d:
-            continue
-        fd = Fraction(d)
-        pool += [(fd, Fraction(0)), (-fd, Fraction(0)), (Fraction(0), fd), (Fraction(0), -fd)]
-    return pool
-
-
-def qext_normalize_by_scan(field, c):
-    """The first pool element r with c/r a square, else c with its rational
-    square factors cleared."""
-    for r in qext_square_class_pool():
-        if F.is_square(field, F.div(field, c, r)):
-            return r
+def _clear_rational_squares(c):
+    """c = u + v*sqrt(a) scaled by a rational square to integral u, v with
+    no common square factor, by trial division."""
     u, v = c
     L = math.lcm(u.denominator, v.denominator)
     ui = int(u * L * L)
     vi = int(v * L * L)
-    g = math.gcd(abs(ui), abs(vi))
     k = 2
-    while k * k <= g:
+    while k * k <= math.gcd(ui, vi):
         while ui % (k * k) == 0 and vi % (k * k) == 0:
             ui //= k * k
             vi //= k * k
-            g //= k * k
         k += 1
     return (Fraction(ui), Fraction(vi))
 
 
 def qext_reduce_pairwise(field, entries):
-    """Scan-normalized entries; repeatedly delete the first pair (i, j) with
-    -c_i/c_j a square; sort."""
-    work = [qext_normalize_by_scan(field, c) for c in entries]
+    """Entries cleared of rational square factors; repeatedly delete the
+    first pair (i, j) with -c_i/c_j a square; sort."""
+    work = [_clear_rational_squares(c) for c in entries]
     changed = True
     while changed:
         changed = False
@@ -203,6 +187,39 @@ def qext_reduce_pairwise(field, entries):
                 break
     work.sort(key=lambda c: (c[1] != 0, c[0], c[1]))
     return tuple(work)
+
+
+def _sign_at_root(c, a, root):
+    """Sign of u + v*sqrt(a) when sqrt(a) goes to root*|sqrt(a)|, a > 0."""
+    u, v = c[0], c[1] * root
+    if v == 0 or (u > 0) == (v > 0) or u == 0:
+        return (u > 0) - (u < 0) or (v > 0) - (v < 0)
+    big = u if u * u > a * v * v else v
+    return (big > 0) - (big < 0)
+
+
+def qext_nonzero_by_invariants(x):
+    """True when rank parity, a real signature or one of the transfers
+    Tr(x), Tr(<sqrt a>*x) to W(Q) shows the W(Q(sqrt a)) class x nonzero,
+    else None: sound, not complete.  Each trace form is diagonalized from
+    its Gram matrix on the basis {1, sqrt a}."""
+    from wittloc.witt import WittClass, diagonalize, zero_class
+
+    Q = x.field.base
+    a = x.field.a
+    if sum(n for _, n in x.terms) % 2:
+        return True
+    if a > 0 and any(sum(n * _sign_at_root(c, a, root) for c, n in x.terms) for root in (1, -1)):
+        return True
+    for s0, s1 in ((1, 0), (0, 1)):
+        total = zero_class(Q)
+        for (u, v), n in x.terms:
+            c0, c1 = s0 * u + a * s1 * v, s0 * v + s1 * u
+            gram = [[2 * c0, 2 * a * c1], [2 * a * c1, 2 * a * c0]]
+            total = total + n * WittClass.from_entries(Q, diagonalize(gram, Q).entries)
+        if not total.is_zero():
+            return True
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +326,6 @@ def local_in_ideal_by_enumeration(entries, a, v):
             for c in y:
                 prod.append(c)
                 prod.append(-a * c)
-            if places.local_witt_zero(tuple(prod) + negated, v):
+            if places.local_witt_zero(tuple((c, 1) for c in tuple(prod) + negated), v):
                 return True
     return False

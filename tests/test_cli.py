@@ -27,6 +27,15 @@ def test_witt_canonical_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_ring_sum_over_a_quadratic_field_is_decided(capsys):
+    """2<1+r> - <2+2r> - <-40-8r> is 0 in W(Q(sqrt -7)): the sum is decided
+    place by place, where the transfers alone could not certify it."""
+    code, out, _ = run(capsys, "ring", "<1+r>*e + <1+r>*e - <2+2*r>*e - <-40-8*r>*e",
+                       "--field", "Q(sqrt:-7)")
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_localize_projective_even(capsys):
     code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--n", "1", "--field", "Q")
     assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from wittloc.exprs import (
     witt_str,
 )
 from wittloc.quadext import make_context
-from wittloc.rings import bnn, bsl2n, gen, twisted_point
-from wittloc.witt import integer_class, square_class, witt
+from wittloc.rings import bnn, bsl2n, gen, sum_elements, twisted_point
+from wittloc.witt import WittClass, integer_class, square_class, witt
 
 Q = F.rationals()
 
@@ -127,3 +128,38 @@ def test_quadext_scalars():
     assert parse_scalar("1+2*r", qe) == (Fraction(1), Fraction(2))
     assert parse_scalar("-r", qe) == (Fraction(0), Fraction(-1))
     assert parse_scalar("3", qe) == (Fraction(3), Fraction(0))
+
+
+def test_parsed_sum_tests_each_monomial_once(monkeypatch):
+    """The 1,330 terms of s^18 are summed once, with one zero test per
+    monomial of the result; adding them one by one made 885,115."""
+    exprs = importlib.import_module("wittloc.exprs")
+    pres = bsl2n(4, Q)
+    s18 = sum_elements(pres, [gen(pres, f"e{i}") for i in range(1, 5)]) ** 18
+    text = ring_str(s18)
+    summing, calls = [], []
+    real_sum, real_is_zero = exprs.sum_elements, WittClass.is_zero
+
+    def counted_sum(*args):
+        summing.append(True)
+        try:
+            return real_sum(*args)
+        finally:
+            summing.pop()
+
+    monkeypatch.setattr(exprs, "sum_elements", counted_sum)
+    monkeypatch.setattr(WittClass, "is_zero",
+                        lambda self: (calls.append(1) if summing else None) or real_is_zero(self))
+    assert parse_ring_expr(text, pres) == s18
+    assert 0 < len(calls) <= 1330
+
+
+def test_parsing_forms_no_partial_sum():
+    """Over Q(sqrt -7) the first four terms sum to 0 and all five to <3>*e.
+    Summed term by term with the incomplete zero test, a partial sum raised
+    Undecided."""
+    field = parse_field("Q(sqrt:-7)")
+    pres = bsl2n(1, field)
+    text = "<1+r>*e + <1+r>*e - <2+2*r>*e - <-40-8*r>*e"
+    assert parse_ring_expr(text, pres).is_zero()
+    assert parse_ring_expr(text + " + <3>*e", pres) == parse_ring_expr("<3>*e", pres)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,14 @@ from wittloc.places import (
     wq_key_add,
     wq_key_neg,
     WQ_ZERO,
+    _residue_forms_zero,
+    sqrt_mod_prime_power,
 )
+
+
+def _counted(entries):
+    """(entry, count) terms of a diagonal form."""
+    return tuple(Counter(entries).items())
 
 
 def test_squarefree_part():
@@ -77,16 +85,16 @@ def test_hilbert_reciprocity():
 
 def test_local_witt_zero_hyperbolic():
     for v in (2, 3, 5, INF):
-        assert local_witt_zero((Fraction(1), Fraction(-1)), v)
-        assert local_witt_zero((Fraction(3), Fraction(-3), Fraction(7), Fraction(-7)), v)
+        assert local_witt_zero(_counted((Fraction(1), Fraction(-1))), v)
+        assert local_witt_zero(_counted((Fraction(3), Fraction(-3), Fraction(7), Fraction(-7))), v)
 
 
 def test_local_witt_zero_anisotropic():
     # <1,1> is anisotropic over R and over Q_3
-    assert not local_witt_zero((Fraction(1), Fraction(1)), INF)
-    assert not local_witt_zero((Fraction(1), Fraction(1)), 3)
+    assert not local_witt_zero(_counted((Fraction(1), Fraction(1))), INF)
+    assert not local_witt_zero(_counted((Fraction(1), Fraction(1))), 3)
     # but splits over Q_5 since -1 is a square there
-    assert local_witt_zero((Fraction(1), Fraction(1)), 5)
+    assert local_witt_zero(_counted((Fraction(1), Fraction(1))), 5)
 
 
 def test_fp_group_structure():
@@ -116,17 +124,17 @@ def test_wq_key_group_laws():
 def test_ker_iota_rational_examples():
     # x in ker(W(Q) -> W(Q(sqrt 2))) iff x is a multiple of <1> + <-2>
     a = Fraction(2)
-    assert ker_iota_rational((Fraction(1), Fraction(-2)), a)
-    assert ker_iota_rational((), a)
-    assert not ker_iota_rational((Fraction(1),), a)
-    assert not ker_iota_rational((Fraction(1), Fraction(-3)), a)
+    assert ker_iota_rational(_counted((Fraction(1), Fraction(-2))), a)
+    assert ker_iota_rational(_counted(()), a)
+    assert not ker_iota_rational(_counted((Fraction(1),)), a)
+    assert not ker_iota_rational(_counted((Fraction(1), Fraction(-3))), a)
     # (1 - <2>)*<5> dies as well
-    assert ker_iota_rational((Fraction(5), Fraction(-10)), a)
+    assert ker_iota_rational(_counted((Fraction(5), Fraction(-10))), a)
 
 
 def test_signed_disc_and_hasse():
     e = (Fraction(1), Fraction(-1))
-    assert signed_disc(e) == 1
+    assert signed_disc(_counted(e)) == 1
     assert hasse_invariant(e, 2) == hilbert(Fraction(1), Fraction(-1), 2)
 
 
@@ -155,12 +163,12 @@ def _kernel_by_enumeration(entries, a, support):
     at places where a is not a square decided by multiplier enumeration."""
     if len(entries) % 2:
         return False
-    if squarefree_part(signed_disc(entries)) not in (1, squarefree_part(a)):
+    if squarefree_part(signed_disc(_counted(entries))) not in (1, squarefree_part(a)):
         return False
     if a > 0 and sum(1 if c > 0 else -1 for c in entries):
         return False
     return all(
-        local_witt_zero(entries, v) if is_square_qv(a, v)
+        local_witt_zero(_counted(entries), v) if is_square_qv(a, v)
         else local_in_ideal_by_enumeration(entries, a, v)
         for v in support
     )
@@ -184,14 +192,14 @@ def test_local_kernel_closed_form_matches_the_enumeration(a):
         support = {2, *primefactors(int(a))}
         for c in entries:
             support.update(primefactors(c.numerator))
-        d = signed_disc(entries)
+        d = signed_disc(_counted(entries))
         for v in sorted(support):
             if is_square_qv(a, v):
                 continue
             closed = len(entries) % 2 == 0 and (is_square_qv(d, v) or is_square_qv(d * a, v))
             assert local_in_ideal_by_enumeration(entries, a, v) == closed, (entries, a, v)
             outcomes.add(closed)
-        assert ker_iota_rational(entries, a) == _kernel_by_enumeration(entries, a, support)
+        assert ker_iota_rational(_counted(entries), a) == _kernel_by_enumeration(entries, a, support)
     assert outcomes == {True, False}
 
 
@@ -201,11 +209,36 @@ def test_integer_classes_in_the_kernel_follow_the_level(d, N):
     d = 7, 15, 23 the prime 2 splits and Q_2 needs the local test."""
     for t in range(-16, 17):
         entries = (Fraction(1 if t > 0 else -1),) * abs(t)
-        assert ker_iota_rational(entries, Fraction(-d)) == (t % N == 0), t
+        assert ker_iota_rational(_counted(entries), Fraction(-d)) == (t % N == 0), t
 
 
 @pytest.mark.parametrize("a", [2, 5, 17])
 def test_integer_classes_survive_a_real_quadratic_extension(a):
     for t in range(-16, 17):
         entries = (Fraction(1 if t > 0 else -1),) * abs(t)
-        assert ker_iota_rational(entries, Fraction(a)) == (t == 0), t
+        assert ker_iota_rational(_counted(entries), Fraction(a)) == (t == 0), t
+
+
+def test_springer_test_reads_both_residue_forms():
+    """(valuation, unit residue, count) triples at p = 3: <1, 2> is 0 in
+    W(F_3) and <1, 1> is not, in either residue form; over F_9, given by
+    norms, <e1, e2> with norms 1 and 2 is not 0."""
+    assert _residue_forms_zero([(0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1)], 3, -1)
+    assert not _residue_forms_zero([(0, 1, 1), (0, 2, 1), (1, 1, 2)], 3, -1)
+    assert not _residue_forms_zero([(2, 1, 2), (3, 1, 1), (3, 2, 1)], 3, -1)
+    assert _residue_forms_zero([(0, 2, 2)], 3, 1)
+    assert not _residue_forms_zero([(0, 1, 1), (0, 2, 1)], 3, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 41, 97])
+def test_sqrt_mod_prime_power(p):
+    """Roots of every unit square mod p (d = 1 mod 8 at p = 2), lifted to
+    p^k for k up to 12."""
+    if p == 2:
+        ds = range(-199, 200, 8)
+    else:
+        ds = [d for d in range(-2 * p, 2 * p) if d % p and pow(d, (p - 1) // 2, p) == 1]
+    for d in ds:
+        for k in (1, 2, 5, 12):
+            s = sqrt_mod_prime_power(d, p, k)
+            assert (s * s - d) % p ** k == 0, (d, k, s)

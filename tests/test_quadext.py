@@ -179,6 +179,24 @@ def test_large_counts_cost_their_distinct_entries():
     assert time.perf_counter() - t0 < 2
 
 
+def test_kernel_tests_read_counts():
+    """iota_is_zero and principal_ideal_certificate read (entry, count)
+    pairs, so 2,027,025<1> costs what <1> costs there."""
+    ctx = ctx_q2()
+    t = 2027025
+    kernel = one_minus_a(ctx) * (integer_class(t, Q) * witt(Q, 3))
+    for call, want in (
+        (lambda: iota_is_zero(integer_class(t, Q) + witt(Q, 3), ctx), False),
+        (lambda: principal_ideal_certificate(integer_class(t + 1, Q), ctx), None),
+        (lambda: iota_is_zero(kernel, ctx), True),
+    ):
+        t0 = time.perf_counter()
+        assert call() == want
+        assert time.perf_counter() - t0 < 0.05
+    y = principal_ideal_certificate(kernel, ctx)
+    assert one_minus_a(ctx) * y == kernel
+
+
 def test_negative_a_base_change():
     ctx = make_context(Q, Fraction(-1))
     # -1 is a square in Q(i), so <1> + <1> becomes hyperbolic there

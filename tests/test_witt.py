@@ -4,10 +4,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import qext_normalize_by_scan, qext_reduce_pairwise
+from oracles import qext_nonzero_by_invariants, qext_reduce_pairwise
 
 from wittloc import fields as F
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
+from wittloc.places import ker_iota_rational
+from wittloc.quadext import base_change, make_context
 from wittloc.witt import (
     WittClass,
     diagonalize,
@@ -258,9 +260,8 @@ QEXT_FIELDS = [F.quad_ext(Q, a) for a in (2, 3, 5, 12, -1, -2)]
 
 
 def random_qext_entry(rng, field):
-    """A nonzero entry of Q(sqrt a): a random one, a pool element or an
-    element off the pool (d up to 97, so squarefree d > 50 and primes) times
-    a random square."""
+    """A nonzero entry of Q(sqrt a): a random one, or d or d*sqrt(a) (d
+    squarefree or prime, up to 97) times a random square."""
     def rat(h):
         return Fraction(rng.randint(-h, h), rng.randint(1, 9))
 
@@ -292,19 +293,11 @@ def random_qext_form(rng, field):
 
 
 @pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
-def test_qext_normalization_matches_the_pool_scan(field):
-    rng = random.Random(f"qext-entry-{field}")
-    for _ in range(60):
-        c = random_qext_entry(rng, field)
-        assert witt_module._normalize_qext_entry(field, c) == qext_normalize_by_scan(field, c)
-
-
-@pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
 def test_qext_reduction_matches_pairwise_cancellation(field):
     rng = random.Random(f"qext-form-{field}")
     for _ in range(20):
         entries = random_qext_form(rng, field)
-        assert witt_module._reduce_qext(field, entries) == qext_reduce_pairwise(field, entries)
+        assert WittClass.from_entries(field, entries).entries == qext_reduce_pairwise(field, entries)
 
 
 @pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
@@ -334,30 +327,121 @@ def test_qext_integer_class_is_one_counted_entry(a, count):
 
 def test_qext_arithmetic_normalizes_no_stored_entry(monkeypatch):
     """Q(sqrt a) entries are normalized once, when they enter through
-    from_entries: a sum looks up at most one partner per distinct pool
-    entry, and integer multiples, products with t<1> and the zero test
-    normalize no stored entry."""
+    from_entries: sums, negation, integer multiples, products with t<1> and
+    the zero test normalize no stored entry."""
     field = F.quad_ext(Q, 2)
-    pool = [F.coerce(field, c) for c in (1, 3, -5, (0, 7), 6)]
-    off = [F.coerce(field, c) for c in ((1, 1), (3, 1), 53, (0, 59))]
-    x = WittClass.from_entries(field, pool[:3] + off[:2])
-    y = WittClass.from_entries(field, pool[2:] + off[2:] + [F.neg(field, off[0])])
-    assert [sum(not witt_module._on_pool(r) for r in z.entries) for z in (x, y)] == [2, 3]
+    first = [F.coerce(field, c) for c in (1, 3, -5, (1, 1), (3, 1))]
+    second = [F.coerce(field, c) for c in (-5, (0, 7), 6, 53, (0, 59), (-1, -1))]
+    x = WittClass.from_entries(field, first)
+    y = WittClass.from_entries(field, second)
     n = integer_class(10395, field)
     calls = []
     real = witt_module._normalize_qext_entry
     monkeypatch.setattr(
-        witt_module, "_normalize_qext_entry", lambda f, c: calls.append(c) or real(f, c)
+        witt_module, "_normalize_qext_entry", lambda c: calls.append(c) or real(c)
     )
-    witt_module._pool_partner.cache_clear()
-    total = x + y
-    assert len(calls) <= len({r for r in x.entries + y.entries if witt_module._on_pool(r)})
-    calls.clear()
-    five, scaled, zero = 5 * x, n * x, x.is_zero()
+    total, neg, five, scaled, zero = x + y, -x, 5 * x, n * x, x.is_zero()
     assert calls == []
     monkeypatch.undo()
-    both = pool[:3] + off[:2] + pool[2:] + off[2:] + [F.neg(field, off[0])]
-    assert total.entries == WittClass.from_entries(field, both).entries
+    assert total.entries == WittClass.from_entries(field, first + second).entries
+    assert (neg + x).is_zero() and set(neg.entries) == {F.neg(field, c) for c in x.entries}
     assert five.entries == WittClass.from_entries(field, x.entries * 5).entries
     assert scaled.entries == tuple(c for c in x.entries for _ in range(10395))
     assert not zero
+
+
+# -- the W(Q(sqrt a)) zero decision ------------------------------------------
+
+# every splitting type of 2 (split: d = 1 mod 8; inert: d = 5 mod 8;
+# ramified) and of small odd primes, with a = d*f^2 for f = 2, 1/2 and 1/3
+DECISION_A = [2, 3, 5, 6, 7, 10, 17, 33, -1, -2, -3, -5, -7, -15, -23, 12,
+              Fraction(3, 4), Fraction(-7, 9)]
+
+
+def _small_entry(rng, field, h=6):
+    while True:
+        c = (Fraction(rng.randint(-h, h), rng.choice([1, 1, 2, 3])),
+             Fraction(rng.randint(-h, h)) if rng.random() < 0.7 else Fraction(0))
+        if c != (0, 0):
+            return F.coerce(field, c)
+
+
+def _square(rng, field):
+    return F.mul(field, *[F.coerce(field, (rng.randint(1, 4), rng.randint(-3, 3)))] * 2)
+
+
+def _isometric_rewrite(rng, field, entries):
+    """A diagonal form isometric to <entries> plus a hyperbolic plane or
+    none: entries times squares, binary isometries <c, d> = <c + d,
+    cd(c + d)>, shuffled."""
+    out = [F.mul(field, c, _square(rng, field)) for c in entries]
+    if rng.random() < 0.5:
+        h = _small_entry(rng, field)
+        out += [F.mul(field, h, _square(rng, field)),
+                F.neg(field, F.mul(field, h, _square(rng, field)))]
+    rng.shuffle(out)
+    for i in range(0, len(out) - 1, 2):
+        c, d = out[i], out[i + 1]
+        s = F.add(field, c, d)
+        if not F.is_zero(field, s) and rng.random() < 0.7:
+            out[i:i + 2] = [s, F.mul(field, F.mul(field, c, d), s)]
+    return out
+
+
+@pytest.mark.parametrize("a", DECISION_A, ids=str)
+def test_qext_isometric_pairs_are_equal(a):
+    field = F.quad_ext(Q, a)
+    rng = random.Random(f"qext-isometry:{a}")
+    for _ in range(40):
+        entries = [_small_entry(rng, field) for _ in range(rng.randint(1, 4))]
+        x = WittClass.from_entries(field, entries)
+        y = WittClass.from_entries(field, _isometric_rewrite(rng, field, entries))
+        assert x == y and (x - y).is_zero(), (entries, y)
+
+
+@pytest.mark.parametrize("a", DECISION_A, ids=str)
+def test_qext_zero_agrees_with_the_invariant_reference(a):
+    """Wherever rank parity, signatures or the transfers show a class
+    nonzero, the decision does too.  A third of the classes are differences
+    of isometric forms, so both answers occur, and a third are 2-fold
+    Pfister forms <1, -b, -c, bc>, which lie in I^2 and are nonzero exactly
+    where the quaternion algebra (b, c) ramifies, at any kind of place."""
+    field = F.quad_ext(Q, a)
+    rng = random.Random(f"qext-reference:{a}")
+    decided = zeros = 0
+    for i in range(90):
+        entries = [_small_entry(rng, field) for _ in range(rng.randint(1, 4))]
+        x = WittClass.from_entries(field, entries)
+        if i % 3 == 1:
+            b, c = _small_entry(rng, field), _small_entry(rng, field)
+            x = WittClass.from_entries(field, [F.one(field), F.neg(field, b), F.neg(field, c),
+                                               F.mul(field, b, c)])
+        elif i % 3 == 2:
+            y = WittClass.from_entries(field, _isometric_rewrite(rng, field, entries))
+            x = x - y + rng.randint(1, 3) * WittClass.from_entries(
+                field, [_small_entry(rng, field) for _ in range(rng.randint(0, 2))])
+        nonzero = qext_nonzero_by_invariants(x)
+        zero = x.is_zero()
+        assert not (nonzero and zero), x
+        decided += bool(nonzero)
+        zeros += zero
+    assert decided >= 30 and zeros >= 1, (decided, zeros)
+
+
+@pytest.mark.parametrize("a", DECISION_A, ids=str)
+def test_qext_zero_agrees_with_the_rational_kernel(a):
+    """A W(Q) class dies in W(Q(sqrt a)) exactly when ker_iota_rational says
+    so: classes with counts, and constructed kernel members (1 - <a>)*y."""
+    ctx = make_context(Q, a)
+    rng = random.Random(f"qext-kernel:{a}")
+    outcomes = set()
+    for _ in range(40):
+        es = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 3))
+              for _ in range(rng.randint(0, 3))]
+        x = sum((rng.choice([1, 1, 2, 3, 4, 8]) * witt(Q, c) for c in es), zero_class(Q))
+        if rng.random() < 0.5:
+            x = x * witt(Q, 1, -ctx.a) + rng.choice([0, 0, 4, 8]) * witt(Q, rng.choice(es or [1]))
+        dead = ker_iota_rational(x.terms, ctx.a)
+        assert base_change(x, ctx).is_zero() == dead, x
+        outcomes.add(dead)
+    assert outcomes == {True, False}
