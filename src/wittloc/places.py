@@ -1,14 +1,19 @@
 """Square-class bookkeeping for W(Q): residue invariants and local tests.
 
-W(Q) equality is decided through the split residue decomposition
-(signature, second residues at odd primes valued in W(F_p), and a dyadic
-parity slot).  This module also carries the local machinery (Hilbert
-symbols, Witt-triviality over Q_v) used to decide whether a rational Witt
-class dies after a quadratic base change.  That test is closed form: where
-a is not a square in Q_v, W(Q_v) -> W(Q_v(sqrt a)) kills exactly the
-even-rank forms of signed discriminant in {1, a} Q_v*^2, as restriction of
-Brauer groups kills the 2-torsion that holds the Hasse invariant.  Zero in
-W(Q(sqrt a)) is decided place by place as well (``qext_witt_zero``).
+One W(F_q) class algebra (``wf_units``, ``wf_add``, ``wf_neg``) on (rank
+mod 2, signed discriminant is a square) pairs serves the keys of F_p,
+F_{p^2} and C, the second residues in W(Q) keys, and Springer's theorem at
+every odd place.  W(Q) equality is decided through the split residue
+decomposition (signature, second residues at odd primes valued in W(F_p),
+and a dyadic parity slot).  This module also carries the local machinery
+(Witt-triviality over Q_v: the signature at the real place, Springer at odd
+primes, Hilbert symbols and Hasse invariants only at 2) used to decide
+whether a rational Witt class dies after a quadratic base change.  That
+test is closed form: where a is not a square in Q_v, W(Q_v) ->
+W(Q_v(sqrt a)) kills exactly the even-rank forms of signed discriminant in
+{1, a} Q_v*^2, as restriction of Brauer groups kills the 2-torsion that
+holds the Hasse invariant.  Zero in W(Q(sqrt a)) is decided place by place
+as well (``qext_witt_zero``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from typing import Dict, List, Tuple
 
 from sympy import factorint
 
@@ -71,46 +76,34 @@ def unit_part_mod_p(q: Fraction, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# W(F_p) class arithmetic on (rank mod 2, signed discriminant) pairs.
-# The signed discriminant (-1)^{n(n-1)/2} * det is a Witt invariant; it is
-# stored as a normalized residue in {1, s} with s the least non-residue.
+# W(F_q) class arithmetic.  A class is (rank mod 2, whether the signed
+# discriminant (-1)^(n(n-1)/2) det is a square), zero (0, True).  Forms of
+# ranks n1, n2 sum to signed discriminant (-1)^(n1 n2) d1 d2, and -x has
+# (-1)^n d(x): the square bit flips only for odd ranks when -1 is not a
+# square in F_q.  Over F_{p^2} a unit is a square iff its norm is one in F_p.
+
+WF_ZERO = (0, True)
 
 
-def fp_normalize_disc(d: int, p: int):
-    if d % p == 0:
-        raise ZeroDivisionError("discriminant must be a unit")
-    return 1 if _legendre(d, p) == 1 else least_nonresidue(p)
+def wf_units(terms, minus_one_square: bool) -> Tuple[int, bool]:
+    """The W(F_q) class of sum n*<u> over (u is a square, n) pairs."""
+    rank = nonsquares = 0
+    for square, n in terms:
+        rank += n
+        if not square:
+            nonsquares += n
+    flip = rank * (rank - 1) // 2 % 2 == 1 and not minus_one_square
+    return (rank % 2, (nonsquares % 2 == 0) != flip)
 
 
-def fp_class_of_units(units: Iterable[int], p: int) -> Tuple[int, int]:
-    """Witt class in W(F_p) of a diagonal form with the given unit entries."""
-    n = 0
-    det = 1
-    for u in units:
-        n += 1
-        det = det * u % p
-    sdet = det * pow(-1, (n * (n - 1) // 2), p) % p
-    return (n % 2, fp_normalize_disc(sdet, p))
+def wf_add(c1, c2, minus_one_square: bool) -> Tuple[int, bool]:
+    (r1, s1), (r2, s2) = c1, c2
+    return ((r1 + r2) % 2, (s1 == s2) != (r1 == r2 == 1 and not minus_one_square))
 
 
-def fp_add(c1: Tuple[int, int], c2: Tuple[int, int], p: int) -> Tuple[int, int]:
-    r1, d1 = c1
-    r2, d2 = c2
-    d = d1 * d2 * (-1) ** (r1 * r2) % p
-    return ((r1 + r2) % 2, fp_normalize_disc(d, p))
-
-
-def fp_neg(c: Tuple[int, int], p: int) -> Tuple[int, int]:
-    r, d = c
-    return (r, fp_normalize_disc(d * (-1) ** r % p, p))
-
-
-FP_ZERO = (0, 1)
-
-
-def fp_all_classes(p: int):
-    s = least_nonresidue(p)
-    return [(0, 1), (1, 1), (1, s), (0, s)]
+def wf_neg(c, minus_one_square: bool) -> Tuple[int, bool]:
+    r, s = c
+    return (r, s != (r == 1 and not minus_one_square))
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +111,11 @@ def fp_all_classes(p: int):
 
 
 def wq_key(entries: Tuple[Fraction, ...]):
-    """(signature, sorted odd residue classes, dyadic parity) of a form."""
+    """(signature, sorted nonzero second residues at odd primes, dyadic
+    parity) of a form."""
     sig = 0
     dy = 0
-    residues: Dict[int, Tuple[int, int]] = {}
+    residues: Dict[int, List[Tuple[bool, int]]] = {}
     for c in entries:
         sig += 1 if c > 0 else -1
         sf = squarefree_part(c)
@@ -130,9 +124,9 @@ def wq_key(entries: Tuple[Fraction, ...]):
                 dy ^= 1
                 continue
             u = unit_part_mod_p(c, q)
-            cls = fp_add(residues.get(q, FP_ZERO), (1, fp_normalize_disc(u, q)), q)
-            residues[q] = cls
-    items = tuple(sorted((q, c) for q, c in residues.items() if c != FP_ZERO))
+            residues.setdefault(q, []).append((_legendre(u, q) == 1, 1))
+    classes = ((q, wf_units(units, q % 4 == 1)) for q, units in residues.items())
+    items = tuple(sorted((q, c) for q, c in classes if c != WF_ZERO))
     return (sig, items, dy)
 
 
@@ -141,13 +135,13 @@ def wq_key_add(k1, k2):
     dy = k1[2] ^ k2[2]
     residues = dict(k1[1])
     for q, c in k2[1]:
-        residues[q] = fp_add(residues.get(q, FP_ZERO), c, q)
-    items = tuple(sorted((q, c) for q, c in residues.items() if c != FP_ZERO))
+        residues[q] = wf_add(residues.get(q, WF_ZERO), c, q % 4 == 1)
+    items = tuple(sorted((q, c) for q, c in residues.items() if c != WF_ZERO))
     return (sig, items, dy)
 
 
 def wq_key_neg(k):
-    return (-k[0], tuple(sorted((q, fp_neg(c, q)) for q, c in k[1])), k[2])
+    return (-k[0], tuple((q, wf_neg(c, q % 4 == 1)) for q, c in k[1]), k[2])
 
 
 WQ_ZERO = (0, (), 0)
@@ -233,21 +227,38 @@ def signed_disc(terms) -> Fraction:
     return d
 
 
+def _residue_forms_zero(residues, p: int, minus_one: int) -> bool:
+    """Springer: both residue forms of (valuation, unit residue, count)
+    triples are 0.  Over F_p pass minus_one = -1; over F_{p^2} pass the
+    residues' norms and minus_one = 1 (-1 is a square there, and z is one
+    iff N(z) is in F_p)."""
+    m1 = _legendre(minus_one, p) == 1
+    for parity in (0, 1):
+        units = ((_legendre(w, p) == 1, n) for e, w, n in residues if e % 2 == parity)
+        if wf_units(units, m1) != WF_ZERO:
+            return False
+    return True
+
+
 def local_witt_zero(terms, v) -> bool:
     """Whether sum n*<c> over (entry, count) terms is Witt-trivial over Q_v:
-    the signature at v = inf; else, as 8<1> = 0 in W(Q_p), the form with
-    counts taken mod 8 has even rank, square signed discriminant and the
-    Hasse invariant of a hyperbolic form."""
+    the signature at v = inf; at an odd prime, Springer's theorem on the two
+    residue forms; at 2, as 8<1> = 0 in W(Q_2), the form with counts taken
+    mod 8 has even rank, square signed discriminant and the Hasse invariant
+    of a hyperbolic form."""
     if sum(n for _, n in terms) % 2:
         return False
     if v == INF:
         return sum(n if c > 0 else -n for c, n in terms) == 0
+    if v != 2:
+        residues = [(vp(c, v), unit_part_mod_p(c, v), n) for c, n in terms]
+        return _residue_forms_zero(residues, v, -1)
     terms = tuple((c, n % 8) for c, n in terms)
-    if not is_square_qv(signed_disc(terms), v):
+    if not is_square_qv(signed_disc(terms), 2):
         return False
     entries = tuple(c for c, n in terms for _ in range(n))
     hyp = tuple([Fraction(1), Fraction(-1)] * (len(entries) // 2))
-    return hasse_invariant(entries, v) == hasse_invariant(hyp, v)
+    return hasse_invariant(entries, 2) == hasse_invariant(hyp, 2)
 
 
 def ker_iota_rational(terms, a: Fraction) -> bool:
@@ -313,22 +324,6 @@ def sqrt_mod_prime_power(d: int, p: int, k: int) -> int:
     return s
 
 
-def _residue_forms_zero(residues, p: int, minus_one: int) -> bool:
-    """Springer: both residue forms of (valuation, unit residue, count)
-    triples are 0.  Over F_p a form is 0 iff its rank is even and
-    (-1)^(rank/2) det is a square; over F_{p^2} pass the residues' norms and
-    minus_one = 1 (-1 is a square there, and z is one iff N(z) is in F_p)."""
-    for parity in (0, 1):
-        rank, det = 0, 1
-        for e, w, n in residues:
-            if e % 2 == parity:
-                rank += n
-                det = det * w ** (n % 2) % p
-        if rank % 2 or _legendre(minus_one ** (rank // 2 % 2) * det, p) != 1:
-            return False
-    return True
-
-
 def qext_witt_zero(field, terms) -> bool:
     """Whether x = sum n*<c> over (entry, count) terms is 0 in W(K), K =
     Q(sqrt a), a = d f^2 with d squarefree (Lam, ch. VI).
@@ -340,9 +335,9 @@ def qext_witt_zero(field, terms) -> bool:
     rational squares into Z[sqrt d], x dies at every odd place that divides
     no norm (it is unimodular of square discriminant there).  A split place
     is Q_p through a root s of d mod p^k, k past every norm's valuation by
-    3, and ``local_witt_zero`` decides; at an inert place (uniformizer p)
-    and a ramified one (uniformizer sqrt d) Springer's theorem does.  When
-    2 splits (d = 1 mod 8), one dyadic place is tested the split way.
+    3, and ``local_witt_zero`` decides; Springer's theorem decides every odd
+    place, split, inert (uniformizer p) or ramified (uniformizer sqrt d).
+    When 2 splits (d = 1 mod 8), one dyadic place is tested the split way.
     """
     if not terms:
         return True

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from . import fields as F
 from . import places
 from .errors import FieldMismatch, Undecided
-from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
+from .fields import FINITE_PRIME, RATIONALS, REALS, FieldDescriptor
 from .witt import WittClass, _counted_class, integer_class, trace_class
 
 
@@ -92,14 +92,12 @@ def iota_is_zero(x: WittClass, ctx: QuadExtContext) -> bool:
 
 
 def all_witt_classes(field: FieldDescriptor) -> List[WittClass]:
-    """The four elements of W(F_p) or W(F_{p^2})."""
-    if field.kind == FINITE_PRIME:
-        return [WittClass(field, k) for k in places.fp_all_classes(field.p)]
-    if field.kind == QUAD_EXT and field.base.kind == FINITE_PRIME:
-        s2 = F.first_nonsquare(field)
-        o = F.one(field)
-        return [WittClass.from_entries(field, r) for r in [(), (o,), (s2,), (o, s2)]]
-    raise FieldMismatch(f"{field} is not a supported finite field")
+    """The four elements of W(F_p) or W(F_{p^2}): keys (rank mod 2, signed
+    discriminant is a square), zero first, then <1>, <s>, and the nonzero
+    rank-0 class."""
+    if (field.base or field).kind != FINITE_PRIME:  # F_p, or an extension of it
+        raise FieldMismatch(f"{field} is not a supported finite field")
+    return [WittClass(field, k) for k in ((0, True), (1, True), (1, False), (0, False))]
 
 
 # rank bound of the multiplier search over Q
@@ -112,8 +110,11 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
     Over finite base fields the search is exhaustive, hence complete.  Over Q
     the kernel test rules membership out; if it rules it in but the search
     over multipliers of rank <= ``_MAX_MULTIPLIER_RANK`` finds no y,
-    Undecided is raised rather than guessing.  The search is ``verify
-    lam``'s independent witness for ker(iota) in (1 - <a>)W(Q).
+    Undecided is raised rather than guessing.  When a < 0, (1 - <a>)*4<1> =
+    8<1> (4 kills every residue and the dyadic slot), so 8k<1>, k the
+    signature over 8 rounded down, is peeled off first and 4k<1> added to
+    the multiplier; the search then covers the torsion part.  The search is
+    ``verify lam``'s independent witness for ker(iota) in (1 - <a>)W(Q).
     """
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
@@ -146,7 +147,8 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
                 seen.add(s)
                 atoms.append(s)
 
-    target = x.key
+    k = x.signature() // 8 if ctx.a < 0 else 0
+    target = (x - integer_class(8 * k, ctx.base)).key
     atom_keys = [places.wq_key((c, -ctx.a * c)) for c in atoms]
 
     def dfs(start: int, depth: int, acc, picks):
@@ -166,6 +168,7 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
             f"{x!r} lies in the base-change kernel but no bounded multiplier was found"
         )
     y = WittClass.from_entries(ctx.base, tuple(atoms[j] for j in picks))
+    y = y + integer_class(4 * k, ctx.base)
     assert gen * y == x
     return y
 

@@ -6,8 +6,10 @@ multiples (by doubling) work on keys.  Products, base change, transfers and
 printing read the counted representative ``terms``, (entry, count) pairs
 built from the key on first use, so they cost the number of distinct
 entries, not the rank.  Over Q, R, F_p, F_{p^2} and C the key is the
-complete invariant (signature, second residues and dyadic slot over Q;
-signature over R; rank parity and discriminant class over the others).  Over
+complete invariant: signature, second residues and dyadic slot over Q;
+signature over R; over F_p, F_{p^2} and C one record of (rank mod 2,
+signed discriminant is a square), added and negated by the W(F_q) algebra
+of ``places``, which also carries the residues of the Q key.  Over
 Q(sqrt a) it is sorted (normalized entry, count) pairs, and is its own
 counted representative: each distinct entry is cleared of rational square
 factors once, in ``from_entries``; sums merge counts and cancel hyperbolic
@@ -145,33 +147,26 @@ class _Keyed(NamedTuple):
     rep: Callable
 
 
-def _fp_rep(cls, p: int) -> Tuple:
-    r2, d = cls
-    if cls == places.FP_ZERO:
-        return ()
-    if r2 == 1:
-        return ((d, 1),)
-    # rank-0 class with non-square signed discriminant: <1, c> with -c a
-    # non-square; c is the least non-residue when -1 is a square (p = 1 mod
-    # 4), else c = 1.
-    return ((1, 1), (F.least_nonresidue(p), 1)) if p % 4 == 1 else ((1, 2),)
+@lru_cache(maxsize=None)
+def _minus_one_square(field: FieldDescriptor) -> bool:
+    return F.is_square(field, F.coerce(field, -1))
 
 
-def _fq_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
-    # F_{p^2} and C: -1 is a square, so the signed disc class is the plain
-    # product class; (rank mod 2, disc-is-square) classifies.
-    d = F.one(field)
-    for c in entries:
-        d = F.mul(field, d, c)
-    return (len(entries) % 2, F.is_square(field, d))
+def _finite_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
+    squares = ((F.is_square(field, c), 1) for c in entries)
+    return places.wf_units(squares, _minus_one_square(field))
 
 
-def _fq_rep(field: FieldDescriptor, key) -> Tuple:
-    r2, dsq = key
+def _finite_rep(field: FieldDescriptor, key) -> Tuple:
+    """<1> or <first non-square> in rank 1; a nonzero rank-0 class is <1, s>
+    (s the first non-square) when -1 is a square, else 2<1>."""
+    r2, square = key
     one = F.one(field)
     if r2 == 1:
-        return ((one, 1),) if dsq else ((F.first_nonsquare(field), 1),)
-    return () if dsq else ((one, 1), (F.first_nonsquare(field), 1))
+        return ((one if square else F.first_nonsquare(field), 1),)
+    if square:
+        return ()
+    return ((one, 1), (F.first_nonsquare(field), 1)) if _minus_one_square(field) else ((one, 2),)
 
 
 def _signed_ones(t: int) -> Tuple:
@@ -181,50 +176,25 @@ def _signed_ones(t: int) -> Tuple:
 
 def _reconstruct_rationals(key) -> Tuple:
     """Deterministic counted representative realizing a W(Q) invariant key:
-    entries that meet the residues and the dyadic slot, then +-<1> for the
-    rest of the signature."""
-    sig, items, dy = key
-    targets = dict(items)
-    work = set(targets)
+    entries that meet the residues, the largest unmet prime p first (the
+    entries made for p have no larger prime factor), then <2> for the dyadic
+    slot and +-<1> for the rest of the signature."""
     out: List[Fraction] = []
-
-    def residue_at(p: int):
-        cls = places.FP_ZERO
-        for c in out:
-            if places.vp(c, p) % 2:
-                u = places.unit_part_mod_p(c, p)
-                cls = places.fp_add(cls, (1, places.fp_normalize_disc(u, p)), p)
-        return cls
-
-    def note_new_entry(c: Fraction, below: int):
-        for q, _ in places._factor(abs(places.squarefree_part(c))):
-            if q != 2 and q < below and residue_at(q) != targets.get(q, places.FP_ZERO):
-                work.add(q)
-
-    while work:
-        p = max(work)
-        work.remove(p)
-        need = places.fp_add(
-            targets.get(p, places.FP_ZERO), places.fp_neg(residue_at(p), p), p
-        )
-        if need == places.FP_ZERO:
-            continue
+    unmet = key  # the key of the class minus that of out
+    while unmet[1]:
+        p, (r2, square) = unmet[1][-1]
         s = F.least_nonresidue(p)
-        r2, d = need
         if r2 == 1:
-            new = [Fraction(d * p)]
+            new = (Fraction((1 if square else s) * p),)
         else:
-            c = s if p % 4 == 1 else 1
-            new = [Fraction(p), Fraction(c * p)]
-        for e in new:
-            out.append(e)
-            note_new_entry(e, p)
-    if places.wq_key(tuple(out))[2] != dy:
+            new = (Fraction(p), Fraction((s if p % 4 == 1 else 1) * p))
+        out += new
+        unmet = places.wq_key_add(unmet, places.wq_key_neg(places.wq_key(new)))
+    if unmet[2]:
         out.append(Fraction(2))
-    t = sig - sum(1 if c > 0 else -1 for c in out)
     # the two entries <p, p> of one prime are the only equal ones
     runs = tuple((c, len(list(g))) for c, g in groupby(out))
-    return runs + _signed_ones(t)
+    return runs + _signed_ones(unmet[0] - unmet[2])
 
 
 _RATIONAL_KEYS = _Keyed(
@@ -241,23 +211,16 @@ _REAL_KEYS = _Keyed(
     lambda field, k: (-k[0],),
     lambda field, k: _signed_ones(k[0]),
 )
-_FP_KEYS = _Keyed(
-    places.FP_ZERO,
-    lambda field, entries: places.fp_class_of_units(entries, field.p),
-    lambda field, k1, k2: places.fp_add(k1, k2, field.p),
-    lambda field, k: places.fp_neg(k, field.p),
-    lambda field, k: _fp_rep(k, field.p),
+# F_p, F_{p^2} and C: (rank mod 2, signed discriminant is a square)
+_FINITE_KEYS = _Keyed(
+    places.WF_ZERO,
+    _finite_key,
+    lambda field, k1, k2: places.wf_add(k1, k2, _minus_one_square(field)),
+    lambda field, k: places.wf_neg(k, _minus_one_square(field)),
+    _finite_rep,
 )
-# F_{p^2} and C: every class is its own negative, as -1 is a square
-_FQ_KEYS = _Keyed(
-    (0, True),
-    _fq_key,
-    lambda field, k1, k2: ((k1[0] + k2[0]) % 2, k1[1] == k2[1]),
-    lambda field, k: k,
-    _fq_rep,
-)
-_KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FP_KEYS,
-          QUAD_EXT: _FQ_KEYS}
+_KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FINITE_KEYS,
+          QUAD_EXT: _FINITE_KEYS}
 
 
 def _is_qext_q(field: FieldDescriptor) -> bool:

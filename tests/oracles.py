@@ -10,7 +10,9 @@ The W(k) division reference collects the verified quotients of a candidate
 search (every class over F_p, every solution of t*q = c over Q).  The local
 base-change kernel reference decides membership in <1,-a>*W(Q_v) by
 enumerating multipliers, and the Hasse invariant reference multiplies the
-Hilbert symbols of all pairs of entries.
+Hilbert symbols of all pairs of entries.  Witt-triviality over Q_p at odd p
+has a reference by discriminant and Hasse invariant, against which
+Springer's theorem in the package is checked.
 """
 
 import math
@@ -268,6 +270,7 @@ def witt_divide_candidates(c, d):
 def rational_divide_by_int(c, t):
     """All solutions q of t*q = c in W(Q), via the residue decomposition:
     one per choice of a solution at every prime and of the dyadic slot."""
+    from wittloc.quadext import all_witt_classes
     from wittloc.witt import WittClass
 
     sig, items, dy = c.key
@@ -276,14 +279,14 @@ def rational_divide_by_int(c, t):
     per_prime = []
     for p, cls in items:
         fp = F.finite_prime(p)
-        sols = [(p, w) for w in places.fp_all_classes(p) if (t * WittClass(fp, w)).key == cls]
+        sols = [(p, w.key) for w in all_witt_classes(fp) if (t * w).key == cls]
         if not sols:
             return []
         per_prime.append(sols)
     dys = [dy] if t % 2 else [0, 1]
     results = []
     for combo in product(*per_prime):
-        items_q = tuple(sorted((p, w) for p, w in combo if w != places.FP_ZERO))
+        items_q = tuple(sorted((p, w) for p, w in combo if w != places.WF_ZERO))
         for dq in dys:
             q = WittClass(c.field, (sig // t, items_q, dq))
             if t * q == c:
@@ -302,6 +305,21 @@ def hasse_invariant_pairwise(entries, v):
         for j in range(i + 1, len(entries)):
             h *= places.hilbert(entries[i], entries[j], v)
     return h
+
+
+def local_witt_zero_by_hasse(terms, p):
+    """Witt-triviality over Q_p, p odd, of sum n*<c> over (entry, count)
+    terms by invariants: as 8<1> = 0 in W(Q_p), the form with counts taken
+    mod 8 has even rank, square signed discriminant and the Hasse invariant
+    of a hyperbolic form."""
+    if sum(n for _, n in terms) % 2:
+        return False
+    terms = tuple((c, n % 8) for c, n in terms)
+    if not places.is_square_qv(places.signed_disc(terms), p):
+        return False
+    entries = tuple(c for c, n in terms for _ in range(n))
+    hyp = tuple([Fraction(1), Fraction(-1)] * (len(entries) // 2))
+    return places.hasse_invariant(entries, p) == places.hasse_invariant(hyp, p)
 
 
 def _local_square_class_reps(v):

@@ -264,3 +264,20 @@ def test_localize_rejects_malformed_problem_files(tmp_path, capsys, doc, named):
     code, out, err = _localize_doc(tmp_path, capsys, doc)
     assert code == 2 and out == ""
     assert "parse error" in err and named in err
+
+
+def test_ring_on_the_twisted_presentation(capsys):
+    """--presentation twisted reads --a; without it the call is a usage
+    error."""
+    code, out, _ = run(capsys, "ring", "y*y", "--presentation", "twisted", "--a", "3", "--field", "Q")
+    assert code == 0
+    assert out.strip() == "(2*<3> + 2*<-1>)"
+    code, _, err = run(capsys, "ring", "y*y", "--presentation", "twisted", "--field", "Q")
+    assert code == 2
+    assert "needs --a" in err
+
+
+def test_localize_prints_its_flags(capsys):
+    code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--n", "1", "--field", "Fp:7")
+    assert code == 0
+    assert "flags: finite_char" in out.splitlines()

@@ -42,6 +42,7 @@ from wittloc.rings import (
     from_witt,
     gen,
     integral_bsl2n,
+    localize,
     one_elem,
     twisted_point,
 )
@@ -275,6 +276,39 @@ def test_push_to_base_rules():
     e = gen(tp, "e")
     expect_e = from_witt(bn, square_class(Q, Fraction(2)) - square_class(Q, Fraction(4))) * gen(bn, "e")
     assert push_to_base(e, comp, g) == expect_e
+
+
+def test_push_to_base_of_a_localized_element():
+    """localize(e, e) on the twisted point over Q(sqrt 3) pushes to the
+    numerator (<2> - <6>)e with the inverted class e, dexp 0."""
+    ctx = make_context(Q, Fraction(3))
+    g = GroupDescriptor("N", 1, Q)
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    comp = FixedComponent("tw", ctx, rho1, rho1)
+    e = gen(twisted_point(ctx), "e")
+    pushed = push_to_base(localize(e, e), comp, g)
+    base = bsl2n(1, Q)
+    e_base = gen(base, "e")
+    assert pushed.pres == base
+    assert pushed.numerator == from_witt(base, witt(Q, 2) - witt(Q, 6)) * e_base
+    assert pushed.inverted == e_base
+    assert pushed.dexp == 0
+
+
+def test_sl2n_restricted_class_other_than_the_normal_one():
+    """Normal F@1*F@2 and restricted Sym(3)@1 over Q, n = 2: the residue is
+    3e1^2 / (e1^2 - e2^2), which does not clear, and component_residue gives
+    the same fraction."""
+    g = GroupDescriptor("SL2n", 2, Q)
+    comp = FixedComponent("pt", "rational", parse_rep("F@1*F@2", "SL2n", 2),
+                          parse_rep("Sym(3)@1", "SL2n", 2))
+    pres = bsl2n(2, Q)
+    e1, e2 = gen(pres, "e1"), gen(pres, "e2")
+    want = LocalizedElement(pres, 3 * e1 ** 2, e1 ** 2 - e2 ** 2, 1)
+    res = bott_residue(LocalizationProblem(g, (comp,)))
+    assert res.value == want
+    assert res.cleared is None and res.degree_zero is None
+    assert component_residue(comp, g) == want
 
 
 def test_finite_field_flag():

@@ -4,17 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import hasse_invariant_pairwise, local_in_ideal_by_enumeration
+from oracles import hasse_invariant_pairwise, local_in_ideal_by_enumeration, local_witt_zero_by_hasse
 from sympy import primefactors
 
 from wittloc import fields as F
 from wittloc.places import (
-    FP_ZERO,
     INF,
-    fp_add,
-    fp_all_classes,
-    fp_class_of_units,
-    fp_neg,
+    WF_ZERO,
     hasse_invariant,
     hilbert,
     is_square_qv,
@@ -27,6 +23,9 @@ from wittloc.places import (
     wq_key_add,
     wq_key_neg,
     WQ_ZERO,
+    wf_add,
+    wf_neg,
+    wf_units,
     _residue_forms_zero,
     sqrt_mod_prime_power,
 )
@@ -98,15 +97,46 @@ def test_local_witt_zero_anisotropic():
 
 
 def test_fp_group_structure():
+    """W(F_p) is Z/4 for p = 3 mod 4 and Klein-four for p = 1 mod 4: 4x = 0,
+    x - x = 0, and 2<1> is 0 exactly when -1 is a square."""
     for p in (3, 5, 7, 11):
-        classes = fp_all_classes(p)
-        assert len(classes) == 4
+        m1 = p % 4 == 1
+        classes = [(0, True), (1, True), (1, False), (0, False)]
         for c in classes:
-            total = FP_ZERO
+            total = WF_ZERO
             for _ in range(4):
-                total = fp_add(total, c, p)
-            assert total == FP_ZERO
-            assert fp_add(c, fp_neg(c, p), p) == FP_ZERO
+                total = wf_add(total, c, m1)
+            assert total == WF_ZERO
+            assert wf_add(c, wf_neg(c, m1), m1) == WF_ZERO
+        assert (wf_add((1, True), (1, True), m1) == WF_ZERO) == m1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_wf_units_matches_euler_criterion(p):
+    """wf_units of counted unit entries is (rank mod 2, whether the signed
+    discriminant is a square by Euler's criterion), and wf_add and wf_neg
+    follow orthogonal sum and negation of the forms."""
+    rng = random.Random(f"wf:{p}")
+    m1 = p % 4 == 1
+
+    def by_euler(terms):
+        n = sum(k for _, k in terms)
+        d = (-1) ** (n * (n - 1) // 2)
+        for u, k in terms:
+            d = d * pow(u, k, p) % p
+        return (n % 2, pow(d, (p - 1) // 2, p) == 1)
+
+    def cls(terms):
+        return wf_units(((pow(u, (p - 1) // 2, p) == 1, k) for u, k in terms), m1)
+
+    def draw():
+        return [(rng.randrange(1, p), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))]
+
+    for _ in range(100):
+        x, y = draw(), draw()
+        assert cls(x) == by_euler(x), x
+        assert wf_add(cls(x), cls(y), m1) == by_euler(x + y), (x, y)
+        assert wf_neg(cls(x), m1) == by_euler([(p - u, k) for u, k in x]), x
 
 
 def test_wq_key_group_laws():
@@ -228,6 +258,23 @@ def test_springer_test_reads_both_residue_forms():
     assert not _residue_forms_zero([(2, 1, 2), (3, 1, 1), (3, 2, 1)], 3, -1)
     assert _residue_forms_zero([(0, 2, 2)], 3, 1)
     assert not _residue_forms_zero([(0, 1, 1), (0, 2, 1)], 3, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_springer_agrees_with_the_hasse_invariant_test(p):
+    """At an odd prime, local_witt_zero (Springer on the two residue forms)
+    agrees with the discriminant and Hasse invariant test on seeded forms
+    with counts; both outcomes occur."""
+    rng = random.Random(f"springer:{p}")
+    pool = [Fraction(s * p ** e * u) for s in (1, -1) for e in (0, 1) for u in range(1, p)]
+    pool += [Fraction(c, p) for c in pool[:4]]
+    outcomes = []
+    for _ in range(300):
+        terms = tuple((rng.choice(pool), rng.randint(1, 10)) for _ in range(rng.randint(0, 4)))
+        got = local_witt_zero(terms, p)
+        assert got == local_witt_zero_by_hasse(terms, p), terms
+        outcomes.append(got)
+    assert 10 <= outcomes.count(True) <= 290
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 41, 97])

@@ -203,3 +203,30 @@ def test_negative_a_base_change():
     assert base_change(witt(Q, 1, 1), ctx).is_zero()
     # but <1> + <3> survives: x^2 + 3y^2 = 0 needs sqrt(-3) = i*sqrt(3)
     assert not base_change(witt(Q, 1, 3), ctx).is_zero()
+
+
+@pytest.mark.parametrize("a, t, want", [
+    (-1, 10, "5*<1>"),
+    (-1, 12, "6*<1>"),
+    (-1, -12, "6*<-1>"),
+    (-1, 2027026, "1013513*<1>"),
+    (-3, 12, "<2> + 5*<1>"),
+])
+def test_certificate_of_an_integer_class_past_the_rank_bound(a, t, want):
+    """When a < 0, (1 - <a>)*4<1> = 8<1>, so 8k<1> is peeled off before the
+    bounded search and 4k<1> joins the multiplier: t<1> is certified for t
+    far past the search's rank bound."""
+    ctx = make_context(Q, Fraction(a))
+    x = integer_class(t, Q)
+    y = principal_ideal_certificate(x, ctx)
+    assert str(y) == want
+    assert one_minus_a(ctx) * y == x
+
+
+def test_certificate_over_the_reals():
+    """Over R with a = -1, 1 - <a> = 2<1>: 4<1> has the multiplier 2<1>,
+    and 3<1>, of odd signature, has none."""
+    R = F.reals()
+    ctx = make_context(R, -1)
+    assert principal_ideal_certificate(integer_class(4, R), ctx) == integer_class(2, R)
+    assert principal_ideal_certificate(integer_class(3, R), ctx) is None
