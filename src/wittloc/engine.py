@@ -235,7 +235,7 @@ def bn_to_twisted(x: GradedElement, tp: PresentationId) -> GradedElement:
         raise BadParameters("expected a BN class")
     a_cls = WittClass.from_entries(tp.ctx.base, (tp.ctx.a,))
     out: Dict = {}
-    for ((xe, m),), c in x.coeffs.items():
+    for (xe, m), c in x.coeffs.items():
         if xe:
             c = c * a_cls
         key = (0, m)
@@ -260,9 +260,9 @@ def _push_twisted(x: GradedElement) -> GradedElement:
         if y:
             continue  # pi_*(y * e^m) = 0
         if m:
-            out[((0, m),)] = c * (two - two_a)
+            out[(0, m)] = c * (two - two_a)
         else:
-            out[((0, 0),)], out[((1, 0),)] = c * two, c * two_a
+            out[(0, 0)], out[(1, 0)] = c * two, c * two_a
     return GradedElement(bnn(1, base), out)
 
 

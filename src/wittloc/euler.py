@@ -221,10 +221,10 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
         counts[irrep.m] = counts.get(irrep.m, 0) + mult
     c = prod(m ** k for m, k in counts.items())
     K = sum(counts.values())
-    square = GradedElement(pres, {((0, 2 * K),): integer_class(c * c, field)})
+    square = GradedElement(pres, {(0, 2 * K): integer_class(c * c, field)})
     if any(m % 2 == 0 and k % 2 for m, k in counts.items()):
         return EulerClassValue(None, SQUARE_ONLY, square)
-    value = GradedElement(pres, {((0, K),): integer_class(c, field)})
+    value = GradedElement(pres, {(0, K): integer_class(c, field)})
     if any(k % 2 for k in counts.values()):
         return EulerClassValue(value, UP_TO_SIGN, square)
     return EulerClassValue(value, EXACT, square)

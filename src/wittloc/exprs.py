@@ -28,7 +28,8 @@ from .fields import (
     reals,
 )
 from .witt import WittClass, integer_class, square_class
-from .rings import GradedElement, PresentationId, from_witt, gen, sum_elements
+from .rings import (BN_TWISTED_MODULE, GradedElement, PresentationId, from_witt, gen,
+                    key_generators, sum_elements)
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
 
@@ -109,16 +110,17 @@ def parse_scalar(text: str, field: FieldDescriptor):
     """A nonzero field element: fractions over Q/R, residues mod p, and
     'u+v*r' combinations over quadratic extensions (r is the square root)."""
     text = text.strip()
-    if field.kind == QUAD_EXT:
-        return _parse_quadext_scalar(text, field)
     if field.kind == FINITE_PRIME:
         m = re.fullmatch(r"-?\d+", text)
         if not m:
             raise ExprSyntaxError(f"bad residue {text!r}", 0)
         return F.coerce(field, int(text))
     try:
+        if field.kind == QUAD_EXT:
+            return _parse_quadext_scalar(text, field)
         return F.coerce(field, Fraction(text))
     except (ValueError, ZeroDivisionError):
+        # a bad literal, or a denominator that is 0 in k: 1/0 over Q, 1/7 over F_7
         raise ExprSyntaxError(f"bad scalar {text!r}", 0)
 
 
@@ -363,40 +365,9 @@ def witt_str(x: WittClass) -> str:
 
 
 def _mono_str(pres: PresentationId, key) -> str:
-    from .rings import BNN, BN_TWISTED_MODULE, BSL2N, TWISTED
-
-    parts = []
-    if pres.kind == BSL2N:
-        for i, m in enumerate(key, start=1):
-            name = "e" if pres.n == 1 else f"e{i}"
-            if m == 1:
-                parts.append(name)
-            elif m > 1:
-                parts.append(f"{name}^{m}")
-    elif pres.kind == BNN:
-        for i, (xe, m) in enumerate(key, start=1):
-            xn = "x" if pres.n == 1 else f"x{i}"
-            en = "e" if pres.n == 1 else f"e{i}"
-            if xe:
-                parts.append(xn)
-            if m == 1:
-                parts.append(en)
-            elif m > 1:
-                parts.append(f"{en}^{m}")
-    elif pres.kind == TWISTED:
-        y, m = key
-        if y:
-            parts.append("y")
-        if m == 1:
-            parts.append("e")
-        elif m > 1:
-            parts.append(f"e^{m}")
-    elif pres.kind == BN_TWISTED_MODULE:
-        m = key
-        if m == 1:
-            parts.append("e")
-        elif m > 1:
-            parts.append(f"e^{m}")
+    names = key_generators(pres.kind, pres.n)
+    parts = [s if m == 1 else f"{s}^{m}" for s, m in zip(names, key) if m]
+    if pres.kind == BN_TWISTED_MODULE:
         parts.append("eT")
     return "*".join(parts)
 

@@ -13,14 +13,19 @@ Presentations:
 
 Each ring has a finite confluent rewrite system, applied eagerly so every
 stored element is in normal form.
+
+A monomial key, in every presentation, is the flat tuple of exponents of
+``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e; and e for
+the module, whose key (m,) stands for e^m*eT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     BadParameters,
@@ -104,24 +109,36 @@ def bn_twisted_module(field: FieldDescriptor) -> PresentationId:
 # monomial keys
 
 
+# the generators of one factor of each presentation, in key order
+_FACTOR_GENERATORS = {
+    BSL2N: ("e",),
+    BNN: ("x", "e"),
+    TWISTED: ("y", "e"),
+    BN_TWISTED_MODULE: ("e",),
+}
+
+
+@lru_cache(maxsize=None)
+def key_generators(kind: str, n: int) -> Tuple[str, ...]:
+    """The generators whose exponents make up a monomial key of a ``kind``
+    presentation with n factors, in key order; one factor drops the index."""
+    letters = _FACTOR_GENERATORS[kind]
+    if n == 1:
+        return letters
+    return tuple(f"{s}{i}" for i in range(1, n + 1) for s in letters)
+
+
 def _unit_key(pres: PresentationId):
-    if pres.kind == BSL2N:
-        return (0,) * pres.n
-    if pres.kind == BNN:
-        return ((0, 0),) * pres.n
-    if pres.kind == TWISTED:
-        return (0, 0)
-    raise PresentationMismatch("the twisted module has no unit")
+    if pres.kind == BN_TWISTED_MODULE:
+        raise PresentationMismatch("the twisted module has no unit")
+    return (0,) * len(key_generators(pres.kind, pres.n))
 
 
 def key_degree(pres: PresentationId, key) -> int:
-    if pres.kind == BSL2N:
-        return 2 * sum(key)
-    if pres.kind == BNN:
-        return 2 * sum(m for _, m in key)
-    if pres.kind == TWISTED:
-        return 2 * key[1]
-    return 2 * key + 2  # e^m * eT
+    """2 per power of an e; x and y have degree 0, eT degree 2."""
+    names = key_generators(pres.kind, pres.n)
+    degree = 2 * sum(m for s, m in zip(names, key) if s[0] == "e")
+    return degree + 2 if pres.kind == BN_TWISTED_MODULE else degree
 
 
 def _coeff_reduced_mod_ia(pres: PresentationId, key) -> bool:
@@ -232,11 +249,9 @@ class GradedElement:
             return GradedElement(self.pres, out)
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                for key, mult in _key_mul(self.pres, k1, k2):
-                    c = c1 * c2
-                    if mult is not None:
-                        c = c * mult
-                    out[key] = out[key] + c if key in out else c
+                key, mult = _key_mul(self.pres, k1, k2)
+                c = c1 * c2 if mult is None else c1 * c2 * mult
+                out[key] = out[key] + c if key in out else c
         return GradedElement(self.pres, out)
 
     def __rmul__(self, other):
@@ -271,33 +286,24 @@ class GradedElement:
         return f"GradedElement({ring_str(self)} in {self.pres})"
 
 
-def _key_mul(pres: PresentationId, k1, k2) -> Iterable[Tuple[object, Optional[WittClass]]]:
+def _key_mul(pres: PresentationId, k1, k2) -> Tuple[tuple, Optional[WittClass]]:
     """Product of two normal-form monomials of BN^n or the twisted point:
-    (key, extra coefficient)."""
-    if pres.kind == BNN:
-        key = []
-        sign = 1
-        for (x1, m1), (x2, m2) in zip(k1, k2):
-            if m1 + m2 == 0:
-                key.append(((x1 + x2) % 2, 0))
-            else:
-                # x*e = -e collapses any x in an e-carrying factor
-                sign *= (-1) ** (x1 + x2)
-                key.append((0, m1 + m2))
-        mult = None if sign == 1 else integer_class(-1, pres.field)
-        return [(tuple(key), mult)]
+    (key, extra coefficient or None)."""
+    key = list(map(add, k1, k2))
     if pres.kind == TWISTED:
-        y1, m1 = k1
-        y2, m2 = k2
-        if y1 + y2 == 2:
+        if key[0] == 2:
             # y^2 = 2(<1> - <a>) = <1,1,-a,-a>
-            return [((0, m1 + m2), _y_square(pres.ctx))]
-        return [((y1 + y2, m1 + m2), None)]
-    raise PresentationMismatch(pres.kind)
-
-
-def _y_square(ctx: QuadExtContext) -> WittClass:
-    return 2 * one_minus_a(ctx)
+            return (0, key[1]), 2 * one_minus_a(pres.ctx)
+        return tuple(key), None
+    sign = 1
+    for i in range(0, len(key), 2):
+        if key[i + 1]:
+            # x*e = -e collapses any x in an e-carrying factor
+            sign *= (-1) ** key[i]
+            key[i] = 0
+        else:
+            key[i] %= 2
+    return tuple(key), None if sign == 1 else integer_class(-1, pres.field)
 
 
 # ---------------------------------------------------------------------------
@@ -340,49 +346,32 @@ def one_elem(pres: PresentationId) -> GradedElement:
 
 
 def generator_names(pres: PresentationId) -> List[str]:
-    if pres.kind == BSL2N:
-        names = [f"e{i}" for i in range(1, pres.n + 1)]
-        return names + ["e"] if pres.n == 1 else names
-    if pres.kind == BNN:
-        names = [f"x{i}" for i in range(1, pres.n + 1)]
-        names += [f"e{i}" for i in range(1, pres.n + 1)]
-        return names + ["x", "e"] if pres.n == 1 else names
+    """Every name ``gen`` accepts: the key generators letter by letter, and
+    for one factor first their aliases e1, x1; then x (the scalar <a>) on
+    the twisted point.  The twisted module accepts only eT."""
+    if pres.kind == BN_TWISTED_MODULE:
+        return ["eT"]
     if pres.kind == TWISTED:
-        return ["e", "y", "x"]
-    return ["e", "x", "eT"]
+        return sorted(key_generators(TWISTED, 1)) + ["x"]
+    letters = key_generators(pres.kind, 1)
+    names = [f"{s}{i}" for s in letters for i in range(1, pres.n + 1)]
+    return names + list(letters) if pres.n == 1 else names
 
 
 def gen(pres: PresentationId, name: str) -> GradedElement:
     one = 1 if pres.integral else integer_class(1, pres.field)
-    if pres.kind == BSL2N:
-        if name == "e" and pres.n == 1:
-            name = "e1"
-        if name.startswith("e") and name[1:].isdigit():
-            i = int(name[1:])
-            if 1 <= i <= pres.n:
-                key = tuple(1 if j == i - 1 else 0 for j in range(pres.n))
-                return GradedElement(pres, {key: one})
-    elif pres.kind == BNN:
-        if pres.n == 1 and name in ("x", "e"):
-            name += "1"
-        if name[0] in "xe" and name[1:].isdigit():
-            i = int(name[1:])
-            if 1 <= i <= pres.n:
-                fac = (1, 0) if name[0] == "x" else (0, 1)
-                key = tuple(fac if j == i - 1 else (0, 0) for j in range(pres.n))
-                return GradedElement(pres, {key: one})
-    elif pres.kind == TWISTED:
-        if name == "e":
-            return GradedElement(pres, {(0, 1): one})
-        if name == "y":
-            return GradedElement(pres, {(1, 0): one})
-        if name == "x":
-            # the degree-0 class x restricts to the scalar <a>
-            a_cls = WittClass.from_entries(pres.ctx.base, (pres.ctx.a,))
-            return from_witt(pres, a_cls)
-    elif pres.kind == BN_TWISTED_MODULE:
+    names = key_generators(pres.kind, pres.n)
+    if pres.n == 1 and pres.kind in (BSL2N, BNN) and name in ("e1", "x1"):
+        name = name[0]
+    if pres.kind == TWISTED and name == "x":
+        # the degree-0 class x restricts to the scalar <a>
+        return from_witt(pres, WittClass.from_entries(pres.ctx.base, (pres.ctx.a,)))
+    if pres.kind == BN_TWISTED_MODULE:
         if name == "eT":
-            return GradedElement(pres, {0: one})
+            return GradedElement(pres, {(0,): one})
+    elif name in names:
+        i = names.index(name)
+        return GradedElement(pres, {tuple(int(j == i) for j in range(len(names))): one})
     raise UnknownGenerator(f"{name!r} is not a generator of {pres}")
 
 
@@ -395,12 +384,12 @@ def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
     if b.pres.field != t.pres.field:
         raise FieldMismatch(f"{b.pres.field} vs {t.pres.field}")
     out: Dict = {}
-    for ((x, m),), c1 in b.coeffs.items():
-        for m2, c2 in t.coeffs.items():
+    for (x, m), c1 in b.coeffs.items():
+        for (m2,), c2 in t.coeffs.items():
             c = c1 * c2
             if x:
                 c = -c
-            key = m + m2
+            key = (m + m2,)
             out[key] = out[key] + c if key in out else c
     return GradedElement(t.pres, out)
 
@@ -409,16 +398,17 @@ def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
 # distinguished elements
 
 
+@lru_cache(maxsize=None)
 def e_star(n: int, field: FieldDescriptor) -> GradedElement:
     """prod_i e_i * prod_{j<i} (e_i - e_j) in BSL2n(n), multiplied out over
-    Z/N and mapped into W(k) once."""
+    Z/N and mapped into W(k) once per (n, field)."""
     pres = integral_bsl2n(n, field)
+    es = [gen(pres, name) for name in key_generators(BSL2N, n)]
     out = one_elem(pres)
-    for i in range(1, n + 1):
-        out = out * gen(pres, f"e{i}")
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            out = out * (gen(pres, f"e{i}") - gen(pres, f"e{j}"))
+    for i, ei in enumerate(es):
+        out = out * ei
+        for ej in es[:i]:
+            out = out * (ei - ej)
     return witt_image(out)
 
 
@@ -525,9 +515,8 @@ def localize_element(x: GradedElement, carrier: PresentationId) -> GradedElement
         # x_i maps to -1
         out: Dict = {}
         for key, c in x.coeffs.items():
-            sign = sum(xi for xi, _ in key)
-            newkey = tuple(m for _, m in key)
-            cc = -c if sign % 2 else c
+            newkey = key[1::2]
+            cc = -c if sum(key[::2]) % 2 else c
             out[newkey] = out[newkey] + cc if newkey in out else cc
         return GradedElement(carrier, out)
     if x.pres.kind == TWISTED:

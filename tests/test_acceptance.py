@@ -156,7 +156,7 @@ def test_criterion_4_presentation_relations_and_oracle():
                 from_witt(bn, c2) * x ** a2 * e ** m2
             )
             naive = bn_naive_mul({(a1, m1): c1}, {(a2, m2): c2})
-            rhs = GradedElement(bn, {((k[0], k[1]),): c for k, c in naive.items()})
+            rhs = GradedElement(bn, {(k[0], k[1]): c for k, c in naive.items()})
             if lhs != rhs:
                 oracle_ok = False
     elapsed = time.perf_counter() - t0

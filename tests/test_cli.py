@@ -96,6 +96,20 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("expr, field", [("<1/0+r>", "Q(sqrt:2)"), ("<1/7+r>", "Fp:7(sqrt:3)")])
+def test_quadext_scalar_with_a_zero_denominator_exit_code(capsys, expr, field):
+    code, out, err = run(capsys, "witt", expr, "--field", field)
+    assert code == 2 and out == ""
+    assert "parse error: bad scalar" in err
+
+
+def test_ring_on_two_bn_factors(capsys):
+    code, out, _ = run(capsys, "ring", "x2*e1 + e2^2*x1 + 3*x1*x2", "--presentation", "bn",
+                       "--n", "2")
+    assert code == 0
+    assert out.strip() == "e1*x2 + x1*e2^2 + 3*<1>*x1*x2"
+
+
 def test_unknown_generator_exit_code(capsys):
     code, _, err = run(capsys, "ring", "x*e + e2", "--presentation", "bn", "--n", "1")
     assert code == 2

@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,19 @@ from wittloc.exprs import (
     witt_str,
 )
 from wittloc.quadext import make_context
-from wittloc.rings import bnn, bsl2n, gen, sum_elements, twisted_point
+from wittloc.rings import (
+    bnn,
+    bsl2n,
+    from_witt,
+    gen,
+    generator_names,
+    sum_elements,
+    twisted_point,
+)
 from wittloc.witt import WittClass, integer_class, square_class, witt
 
 Q = F.rationals()
+F5 = F.finite_prime(5)
 
 
 def test_parse_field_tags():
@@ -128,6 +138,56 @@ def test_quadext_scalars():
     assert parse_scalar("1+2*r", qe) == (Fraction(1), Fraction(2))
     assert parse_scalar("-r", qe) == (Fraction(0), Fraction(-1))
     assert parse_scalar("3", qe) == (Fraction(3), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "tag, text",
+    [("Q(sqrt:2)", "1/0+r"), ("Q(sqrt:2)", "3/0*r"), ("Fp:7(sqrt:3)", "1/7+r"),
+     ("Fp:7(sqrt:3)", "r-2/14")],
+)
+def test_quadext_scalar_with_a_zero_denominator_is_a_syntax_error(tag, text):
+    field = parse_field(tag)
+    with pytest.raises(ExprSyntaxError, match="bad scalar"):
+        parse_scalar(text, field)
+    with pytest.raises(ExprSyntaxError, match="bad scalar"):
+        parse_witt_expr(f"<{text}>", field)
+
+
+@pytest.mark.parametrize(
+    "pres, text, printed",
+    [
+        (bnn(2, Q), "x2*e1 + e2^2*x1 + 3*x1*x2", "e1*x2 + x1*e2^2 + 3*<1>*x1*x2"),
+        (bnn(3, F5), "x3*e2*x1 + <2>*e3 - x2*e2", "<2>*e3 + e2 + x1*e2*x3"),
+        (twisted_point(make_context(F5, 2)), "e*y + 3*e^2 + x", "<2> + e^2 + y*e"),
+        (twisted_point(make_context(F5, 2)), "x*e + <3>*y^2", "<2>*e"),
+    ],
+)
+def test_ring_str_pins(pres, text, printed):
+    x = parse_ring_expr(text, pres)
+    assert ring_str(x) == printed
+    assert parse_ring_expr(printed, pres) == x
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [bnn(2, Q), bnn(3, F5), twisted_point(make_context(F5, 2)),
+     twisted_point(make_context(F.finite_prime(7), 3))],
+    ids=str,
+)
+def test_ring_str_round_trip_seeded(pres):
+    """Printing and parsing back gives the element, over BN^n with n >= 2
+    and twisted points over F_p(sqrt a)."""
+    rng = random.Random(41)
+    names = generator_names(pres)
+    scalars = [1, -1, 2, 3] if pres.field == Q else range(1, pres.field.p)
+    for _ in range(200):
+        x = from_witt(pres, witt(pres.field, *rng.sample(scalars, rng.randint(0, 2))))
+        for _ in range(rng.randint(0, 4)):
+            t = from_witt(pres, witt(pres.field, *rng.sample(scalars, rng.randint(1, 2))))
+            for _ in range(rng.randint(0, 3)):
+                t = t * gen(pres, rng.choice(names))
+            x = x + t
+        assert parse_ring_expr(ring_str(x), pres) == x
 
 
 def test_parsed_sum_tests_each_monomial_once(monkeypatch):

@@ -21,6 +21,7 @@ from wittloc.rings import (
     from_int,
     from_witt,
     gen,
+    generator_names,
     integral_bsl2n,
     kunneth,
     loc_eq,
@@ -52,6 +53,42 @@ def test_unknown_generator():
     pres = bnn(1, Q)
     with pytest.raises(UnknownGenerator):
         gen(pres, "e2")
+
+
+_ALL_PRESENTATIONS = [
+    bsl2n(1, Q),
+    bsl2n(3, Q),
+    integral_bsl2n(2, Q),
+    bnn(1, Q),
+    bnn(2, F.finite_prime(5)),
+    twisted_point(make_context(Q, Fraction(2))),
+    twisted_point(make_context(Q, Fraction(2)), inverted=True),
+    bn_twisted_module(Q),
+]
+
+
+@pytest.mark.parametrize("pres", _ALL_PRESENTATIONS, ids=str)
+def test_generator_names_go_through_gen(pres):
+    for name in generator_names(pres):
+        assert not gen(pres, name).is_zero()
+
+
+def test_generator_names_lists():
+    assert generator_names(bsl2n(1, Q)) == ["e1", "e"]
+    assert generator_names(bsl2n(3, Q)) == ["e1", "e2", "e3"]
+    assert generator_names(bnn(1, Q)) == ["x1", "e1", "x", "e"]
+    assert generator_names(bnn(2, Q)) == ["x1", "x2", "e1", "e2"]
+    assert generator_names(twisted_point(make_context(Q, Fraction(2)))) == ["e", "y", "x"]
+    assert generator_names(bn_twisted_module(Q)) == ["eT"]
+
+
+def test_keys_are_flat_exponent_tuples():
+    one = integer_class(1, Q)
+    assert gen(bn_twisted_module(Q), "eT").coeffs == {(0,): one}
+    assert gen(bnn(2, Q), "e2").coeffs == {(0, 0, 0, 1): one}
+    assert gen(bnn(2, Q), "x1").coeffs == {(1, 0, 0, 0): one}
+    assert gen(twisted_point(make_context(Q, Fraction(2))), "y").coeffs == {(1, 0): one}
+    assert gen(bsl2n(1, Q), "e1").coeffs == {(1,): one}
 
 
 def test_bn_relations():
@@ -100,11 +137,11 @@ def test_module_action_sign():
     ctx_field = Q
     mod = bn_twisted_module(ctx_field)
     bn = bnn(1, ctx_field)
-    t = GradedElement(mod, {0: integer_class(1, ctx_field)})  # the class of eT
+    t = GradedElement(mod, {(0,): integer_class(1, ctx_field)})  # the class of eT
     x = gen(bn, "x")
     assert module_action(x, t) == -t
     e = gen(bn, "e")
-    assert module_action(e, t) == GradedElement(mod, {1: integer_class(1, ctx_field)})
+    assert module_action(e, t) == GradedElement(mod, {(1,): integer_class(1, ctx_field)})
 
 
 def test_kunneth_concatenates():
