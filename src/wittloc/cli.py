@@ -11,7 +11,6 @@ import json
 import sys
 from typing import List, Optional
 
-from . import fields as F
 from .errors import ExprSyntaxError, WittlocError
 from .exprs import (
     parse_field,
@@ -33,15 +32,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_a=True):
-        p.add_argument("--field", default="Q", help="field tag: Q, R, Fp:7, Q(sqrt:2)")
-        if with_a:
-            p.add_argument("--a", help="square class defining a quadratic extension")
+    # an option that a command may not read defaults to None, which tells a
+    # given option from an absent one (``_reject_unread``)
+    def common(p, field="Q"):
+        p.add_argument("--field", default=field, help="field tag: Q, R, Fp:7, Q(sqrt:2)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     pw = sub.add_parser("witt", help="evaluate a Witt-class expression")
     pw.add_argument("expr")
-    common(pw, with_a=False)
+    common(pw)
 
     pr = sub.add_parser("ring", help="evaluate a graded-ring expression")
     pr.add_argument("expr")
@@ -51,14 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="bsl2n",
         help="coefficient ring presentation",
     )
-    pr.add_argument("--n", type=int, default=1)
+    pr.add_argument("--n", type=int, help="number of factors (default 1; not twisted)")
+    pr.add_argument("--a", help="square class defining the twisted point's extension")
     common(pr)
 
     pe = sub.add_parser("euler", help="Euler class of a representation")
     pe.add_argument("rep", help="e.g. 'Sym(3)@1 + F@2' or 'rho(3) + rho0'")
     pe.add_argument("--group", choices=["sl2n", "n"], default="sl2n")
-    pe.add_argument("--n", type=int, default=1)
-    common(pe, with_a=False)
+    pe.add_argument("--n", type=int, help="SL2^n factors (default 1; sl2n only)")
+    common(pe)
 
     pl = sub.add_parser("localize", help="evaluate a Bott-residue problem")
     pl.add_argument("--problem", help="path to a JSON problem file")
@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="built-in space: 'p 2n', 'p 2n-1', or 'gr' with --m/--ambient",
     )
-    pl.add_argument("--n", type=int, default=1)
+    pl.add_argument("--n", type=int, help="SL2^n factors (default 1)")
     pl.add_argument("--m", type=int)
     pl.add_argument("--ambient", type=int)
-    common(pl)
+    common(pl, field=None)
 
     pv = sub.add_parser("verify", help="run a self-check suite")
     pv.add_argument("suite", nargs="?", help="witt-fp, lam, ring-laws, paper-table")
@@ -100,15 +100,27 @@ def _cmd_witt(args) -> int:
     return 0
 
 
+def _reject_unread(args, opts, reader: str) -> None:
+    """Usage error (exit 2) for each option in opts that was given, as
+    ``reader`` does not read it."""
+    given = [f"--{opt.replace('_', '-')}" for opt in opts if getattr(args, opt) is not None]
+    if given:
+        raise ExprSyntaxError(f"{reader} does not read {' or '.join(given)}", 0)
+
+
+def _n(args) -> int:
+    return 1 if args.n is None else args.n
+
+
 def _presentation_from_args(args):
     from .quadext import make_context
     from .rings import bnn, bsl2n, twisted_point
 
     field = parse_field(args.field)
-    if args.presentation == "bsl2n":
-        return bsl2n(args.n, field)
-    if args.presentation == "bn":
-        return bnn(args.n, field)
+    if args.presentation != "twisted":
+        _reject_unread(args, ["a"], f"--presentation {args.presentation}")
+        return (bsl2n if args.presentation == "bsl2n" else bnn)(_n(args), field)
+    _reject_unread(args, ["n"], "--presentation twisted")
     if args.a is None:
         raise ExprSyntaxError("twisted presentation needs --a", 0)
     ctx = make_context(field, parse_scalar(args.a, field))
@@ -128,16 +140,15 @@ def _cmd_euler(args) -> int:
 
     field = parse_field(args.field)
     kind = "SL2n" if args.group == "sl2n" else "N"
-    rep = parse_rep(args.rep, kind, args.n)
+    if kind == "N":
+        _reject_unread(args, ["n"], "--group n")
+    rep = parse_rep(args.rep, kind, _n(args))
     val = euler_rep(rep, field)
-    lines = [f"determinacy: {val.determinacy}"]
-    payload = {"rep": rep_str(rep), "determinacy": val.determinacy}
+    payload = {"rep": rep_str(rep)}
     if val.value is not None:
-        lines.insert(0, f"euler: {ring_str(val.value)}")
         payload["euler"] = ring_str(val.value)
-    lines.append(f"known_square: {ring_str(val.known_square)}")
-    payload["known_square"] = ring_str(val.known_square)
-    _emit(args, payload, lines)
+    payload.update(determinacy=val.determinacy, known_square=ring_str(val.known_square))
+    _emit(args, payload, [f"{k}: {v}" for k, v in payload.items() if k != "rep"])
     return 0
 
 
@@ -148,43 +159,39 @@ def _build_problem(args):
         problem_from_json,
     )
 
-    if args.problem:
+    if args.problem is not None:
+        _reject_unread(args, ["builder", "field", "n", "m", "ambient"], "localize --problem")
         with open(args.problem) as fh:
             return problem_from_json(json.load(fh))
     if not args.builder:
         raise ExprSyntaxError("localize needs --problem or --builder", 0)
-    field = parse_field(args.field)
-    kind = args.builder[0]
+    field = parse_field("Q" if args.field is None else args.field)
+    kind, n = args.builder[0], _n(args)
     if kind == "p":
         if len(args.builder) != 2 or args.builder[1] not in ("2n", "2n-1"):
             raise ExprSyntaxError("builder 'p' takes a dimension: 2n or 2n-1", 0)
-        dim = 2 * args.n if args.builder[1] == "2n" else 2 * args.n - 1
-        return build_projective_problem(dim, args.n, field)
+        _reject_unread(args, ["m", "ambient"], "builder 'p'")
+        dim = 2 * n if args.builder[1] == "2n" else 2 * n - 1
+        return build_projective_problem(dim, n, field)
     if kind == "gr":
         if args.m is None or args.ambient is None:
             raise ExprSyntaxError("builder 'gr' needs --m and --ambient", 0)
-        return build_grassmannian_problem(args.m, args.ambient, args.n, field)
+        return build_grassmannian_problem(args.m, args.ambient, n, field)
     raise ExprSyntaxError(f"unknown builder {kind!r}", 0)
 
 
 def _cmd_localize(args) -> int:
     from .engine import bott_residue
 
-    problem = _build_problem(args)
-    res = bott_residue(problem)
-    lines = []
-    payload = {}
-    num = ring_str(res.value.numerator)
-    den = ring_str(res.value.inverted)
-    loc = num if res.value.dexp == 0 else f"({num}) / ({den})^{res.value.dexp}"
-    lines.append(f"localized: {loc}")
-    payload["localized"] = loc
+    res = bott_residue(_build_problem(args))
+    val = res.value
+    num, den = ring_str(val.numerator), ring_str(val.inverted)
+    payload = {"localized": num if val.dexp == 0 else f"({num}) / ({den})^{val.dexp}"}
     if res.cleared is not None:
-        lines.append(f"cleared: {ring_str(res.cleared)}")
         payload["cleared"] = ring_str(res.cleared)
     if res.degree_zero is not None:
-        lines.append(f"degree_zero: {witt_str(res.degree_zero)}")
         payload["degree_zero"] = witt_str(res.degree_zero)
+    lines = [f"{k}: {x}" for k, x in payload.items()]
     if res.flags:
         lines.append("flags: " + ", ".join(sorted(k for k, v in res.flags.items() if v)))
         payload["flags"] = res.flags
@@ -201,11 +208,9 @@ def _cmd_verify(args) -> int:
     if suite not in SUITES:
         raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", 0)
     run, reads = SUITES[suite]
-    given = {opt: v for _, opts in SUITES.values() for opt in opts
-             if (v := getattr(args, opt)) is not None}
-    unread = [f"--{opt.replace('_', '-')}" for opt in given if opt not in reads]
-    if unread:
-        raise ExprSyntaxError(f"suite {suite} does not read {' or '.join(unread)}", 0)
+    every = dict.fromkeys(opt for _, opts in SUITES.values() for opt in opts)
+    _reject_unread(args, [opt for opt in every if opt not in reads], f"suite {suite}")
+    given = {opt: v for opt in reads if (v := getattr(args, opt)) is not None}
     if "a" in reads and ("field" in given) != ("a" in given):
         raise ExprSyntaxError(f"suite {suite} needs --field and --a together", 0)
     # below these a suite would run no check, or fewer than it reports

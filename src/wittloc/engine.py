@@ -56,6 +56,7 @@ from .rings import (
     PresentationId,
     bnn,
     bsl2n,
+    e_monomial,
     e_star,
     from_int,
     gen,
@@ -63,6 +64,9 @@ from .rings import (
     localize_element,
     one_elem,
     twisted_point,
+    twisted_push_unit,
+    twisted_pushforward,
+    twisted_e_poly_to_base,
     witt_image,
     zero_elem,
 )
@@ -103,6 +107,10 @@ class LocalizationProblem:
     def __post_init__(self):
         if self.M == 0:
             raise BadParameters("M must be nonzero when provided")
+        if self.M is not None and self.group.kind == "SL2n":
+            raise BadParameters(
+                "M is the N-engine's multiplier (n_loc_multiplier); SL2n does not read it"
+            )
 
 
 @dataclass
@@ -213,64 +221,22 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
 # component rings and pushforwards
 
 
-def component_presentation(c: FixedComponent, g: GroupDescriptor) -> PresentationId:
+def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
+    """The ring of a component with this residue data: BSL2n, BN or the
+    twisted point."""
     if g.kind == "SL2n":
-        if c.residue != RATIONAL_POINT:
+        if residue != RATIONAL_POINT:
             raise UnsupportedResidueField(
                 "SL2n components must be rational points"
             )
         return bsl2n(g.n, g.field)
-    if c.residue == RATIONAL_POINT:
+    if residue == RATIONAL_POINT:
         return bnn(1, g.field)
-    if isinstance(c.residue, QuadExtContext):
-        if c.residue.base != g.field:
-            raise InconsistentField(f"{c.residue.base} vs {g.field}")
-        return twisted_point(c.residue)
-    raise UnsupportedResidueField(f"unsupported residue data {c.residue!r}")
-
-
-def bn_to_twisted(x: GradedElement, tp: PresentationId) -> GradedElement:
-    """Restriction map H*(BN) -> H*(twisted point): x maps to <a>, e to e."""
-    if x.pres.kind != BNN or x.pres.n != 1:
-        raise BadParameters("expected a BN class")
-    a_cls = WittClass.from_entries(tp.ctx.base, (tp.ctx.a,))
-    out: Dict = {}
-    for (xe, m), c in x.coeffs.items():
-        if xe:
-            c = c * a_cls
-        key = (0, m)
-        out[key] = out[key] + c if key in out else c
-    return GradedElement(tp, out)
-
-
-def _push_twisted(x: GradedElement) -> GradedElement:
-    """pi_* of a twisted-point class to BN: 1 -> <2>+<2a>x,
-    e^m -> (<2>-<2a>)e^m, y -> 0.  After inverting e, compose with the
-    localization x -> -1: every rule then multiplies by <2>-<2a> =
-    <2>(1-<a>), which kills I_a, so it is well defined on coefficients
-    taken mod I_a."""
-    if x.pres.kind != TWISTED:
-        raise BadParameters("twisted pushforward needs a twisted-point class")
-    ctx = x.pres.ctx
-    base = ctx.base
-    two = WittClass.from_entries(base, (F.coerce(base, 2),))
-    two_a = WittClass.from_entries(base, (F.mul(base, F.coerce(base, 2), ctx.a),))
-    out: Dict = {}
-    for (y, m), c in x.coeffs.items():
-        if y:
-            continue  # pi_*(y * e^m) = 0
-        if m:
-            out[(0, m)] = c * (two - two_a)
-        else:
-            out[(0, 0)], out[(1, 0)] = c * two, c * two_a
-    return GradedElement(bnn(1, base), out)
-
-
-def push_twisted_plain(x: GradedElement) -> GradedElement:
-    """pi_* on the un-inverted twisted point (``_push_twisted``)."""
-    if x.pres.inverted:
-        raise BadParameters("expected an un-inverted twisted-point class")
-    return _push_twisted(x)
+    if isinstance(residue, QuadExtContext):
+        if residue.base != g.field:
+            raise InconsistentField(f"{residue.base} vs {g.field}")
+        return twisted_point(residue)
+    raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
 
 
 def push_to_base(x, c: FixedComponent, g: GroupDescriptor):
@@ -281,26 +247,12 @@ def push_to_base(x, c: FixedComponent, g: GroupDescriptor):
         raise UnsupportedResidueField(f"unsupported residue data {c.residue!r}")
     carrier = bsl2n(1, g.field)
     if isinstance(x, LocalizedElement):
-        num = localize_element(_push_twisted(x.numerator), carrier)
-        return LocalizedElement(carrier, num, _integer_e_poly_to_base(x.inverted), x.dexp)
+        num = localize_element(twisted_pushforward(x.numerator), carrier)
+        return LocalizedElement(carrier, num, twisted_e_poly_to_base(x.inverted), x.dexp)
     if not isinstance(x, GradedElement):
         raise BadParameters(f"cannot push {x!r}")
-    pushed = _push_twisted(x)
+    pushed = twisted_pushforward(x)
     return localize_element(pushed, carrier) if x.pres.inverted else pushed
-
-
-def _integer_e_poly_to_base(x: GradedElement) -> GradedElement:
-    """Identify a twisted e-polynomial with integer coefficients with its
-    base-ring preimage; anything else is ambiguous and rejected."""
-    carrier = bsl2n(1, x.pres.ctx.base)
-    out: Dict = {}
-    for (y, m), c in x.coeffs.items():
-        if y or c.integer_value() is None:
-            raise UnsupportedResidueField(
-                "denominator is not visibly pulled back from the base ring"
-            )
-        out[(m,)] = c
-    return GradedElement(carrier, out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +260,10 @@ def _integer_e_poly_to_base(x: GradedElement) -> GradedElement:
 
 
 def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement:
-    """euler(restricted) / euler(normal) over the component's localized ring."""
+    """euler(restricted) / euler(normal) over the component's localized ring;
+    ``_component_fraction`` rejects a normal class that is 0."""
     num, den = _component_fraction(c, g, bsl2n(g.n, g.field))
-    carrier = num.pres
-    if den.is_zero():
-        raise NonInvertibleNormalEuler(f"component {c.id}: normal Euler class is 0")
-    return LocalizedElement(carrier, num, den, 1)
+    return LocalizedElement(num.pres, num, den, 1)
 
 
 def _component_fraction(
@@ -321,7 +271,7 @@ def _component_fraction(
 ) -> Tuple[GradedElement, GradedElement]:
     """(numerator, denominator) over the localized base carrier ring, which
     for SL2n may be its integral form (see ``_integral_carrier``)."""
-    pres = component_presentation(c, g)
+    pres = component_presentation(c.residue, g)
     # an SL2n Euler class is 0 exactly when its generic square is, as every
     # factor leads with an odd integer; an N class comes with its square
     normal = None if g.kind == "SL2n" else euler_rep(c.normal_rep, g.field)
@@ -355,15 +305,14 @@ def _component_fraction(
     else:
         r_val = c.restricted
 
-    den = localize_element(normal.value, carrier)
-    if pres.kind == BNN:
-        if r_val.pres.kind != BNN:
-            raise BadParameters("restricted class must live over BN")
-        return localize_element(r_val, carrier), den
-    # twisted point: restrict to the twisted presentation, push, invert e
-    if r_val.pres.kind != TWISTED:
-        r_val = bn_to_twisted(r_val, pres)
-    return localize_element(_push_twisted(r_val), carrier), den
+    if pres.kind == TWISTED:
+        # pi_*(r) for a class r on the twisted point; for a BN class r the
+        # projection formula gives pi_*(pi^* r) = r * pi_*(1)
+        r_val = (twisted_pushforward(r_val) if r_val.pres == pres
+                 else r_val * twisted_push_unit(pres.ctx))
+    if r_val.pres.kind != BNN:
+        raise BadParameters("restricted class must live over BN")
+    return localize_element(r_val, carrier), localize_element(normal.value, carrier)
 
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
@@ -421,10 +370,8 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     flags: Dict[str, bool] = {}
     if g.field.kind == FINITE_PRIME:
         flags["finite_char"] = True
-    if g.kind == "N" and p.M is not None and p.M % 2 == 0 and g.field.kind not in (
-        RATIONALS,
-        REALS,
-    ):
+    # only the N-engine reads M (LocalizationProblem rejects it on SL2n)
+    if p.M is not None and p.M % 2 == 0 and g.field.kind not in (RATIONALS, REALS):
         flags["potentially_vacuous"] = True
 
     # the N-engine has n = 1, and its base carrier is BSL2n(1) too
@@ -439,8 +386,7 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     elif g.kind == "SL2n":
         value = LocalizedElement(carrier, total_num, e_star(g.n, g.field), 0)
     else:
-        default_s = from_int(carrier, p.M if p.M else 1) * gen(carrier, "e")
-        value = LocalizedElement(carrier, total_num, default_s, 0)
+        value = LocalizedElement(carrier, total_num, e_monomial(carrier, p.M or 1, e=1), 0)
 
     degree_zero: Optional[WittClass] = None
     if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):
@@ -570,17 +516,26 @@ def _json_value(doc: dict, key: str, where: str, kind: type, default=_REQUIRED):
     return x
 
 
+def _known_keys(doc: dict, where: str, keys: Tuple[str, ...]) -> None:
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise ExprSyntaxError(f"{where} has unknown key {unknown[0]!r}", 0)
+
+
 def problem_from_json(doc: dict) -> LocalizationProblem:
     """The problem a JSON document describes (the layout ``problem_to_json``
     writes).  A document or component that is not an object, a missing
-    required key, or a value of the wrong kind (an ``n`` or ``M`` that is
-    not an integer) raises ExprSyntaxError naming it."""
+    required key, a key that nothing reads, or a value of the wrong kind
+    (an ``n`` or ``M`` that is not an integer) raises ExprSyntaxError
+    naming it; a component's ``twist`` raises UnsupportedIrrep."""
     from .exprs import parse_field, parse_rep, parse_ring_expr, parse_scalar
     from .quadext import make_context
 
     if not isinstance(doc, dict):
         raise ExprSyntaxError(f"a problem must be a JSON object, got {doc!r}", 0)
+    _known_keys(doc, "problem", ("group", "components", "invert"))
     gdoc = _json_value(doc, "group", "problem", dict)
+    _known_keys(gdoc, "group", ("kind", "n", "field"))
     field = parse_field(_json_value(gdoc, "field", "group", str))
     n = _json_value(gdoc, "n", "group", int, 1)
     g = GroupDescriptor(_json_value(gdoc, "kind", "group", str), n, field)
@@ -594,9 +549,12 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
             raise UnsupportedIrrep(
                 f"{where}: 'twist' (twisted-module coefficients) is not supported"
             )
+        _known_keys(cdoc, where, ("id", "residue", "normal", "restricted"))
         residue = cdoc.get("residue", RATIONAL_POINT)
-        if isinstance(residue, dict) and "twisted" in residue:
+        if isinstance(residue, dict):
+            _known_keys(residue, f"{where} residue", ("twisted",))
             twisted = _json_value(residue, "twisted", f"{where} residue", dict)
+            _known_keys(twisted, f"{where} twisted residue", ("a",))
             a = parse_scalar(_json_value(twisted, "a", f"{where} twisted residue", str), field)
             residue = make_context(field, a)
         elif residue != RATIONAL_POINT:
@@ -609,14 +567,10 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
                 restricted_text, g.kind, g.n
             )
         except ExprSyntaxError:
-            if g.kind == "SL2n":
-                pres = bsl2n(g.n, field)
-            elif isinstance(residue, QuadExtContext):
-                pres = twisted_point(residue)
-            else:
-                pres = bnn(1, field)
+            pres = component_presentation(residue, g)
             restricted = parse_ring_expr(restricted_text, pres)
         comps.append(FixedComponent(cid, residue, normal, restricted))
     invert = _json_value(doc, "invert", "problem", dict, {})
+    _known_keys(invert, "invert", ("M",))
     M = None if invert.get("M") is None else _json_value(invert, "M", "invert", int)
     return LocalizationProblem(g, tuple(comps), M)

@@ -26,6 +26,7 @@ from .rings import (
     PresentationId,
     bnn,
     bsl2n,
+    e_monomial,
     from_int,
     gen,
     integral_bsl2n,
@@ -33,7 +34,6 @@ from .rings import (
     witt_image,
     zero_elem,
 )
-from .witt import integer_class
 
 EXACT = "exact"
 UP_TO_SIGN = "up_to_sign"
@@ -221,10 +221,10 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
         counts[irrep.m] = counts.get(irrep.m, 0) + mult
     c = prod(m ** k for m, k in counts.items())
     K = sum(counts.values())
-    square = GradedElement(pres, {(0, 2 * K): integer_class(c * c, field)})
+    square = e_monomial(pres, c * c, e=2 * K)
     if any(m % 2 == 0 and k % 2 for m, k in counts.items()):
         return EulerClassValue(None, SQUARE_ONLY, square)
-    value = GradedElement(pres, {(0, K): integer_class(c, field)})
+    value = e_monomial(pres, c, e=K)
     if any(k % 2 for k in counts.values()):
         return EulerClassValue(value, UP_TO_SIGN, square)
     return EulerClassValue(value, EXACT, square)

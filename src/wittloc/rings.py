@@ -16,7 +16,10 @@ stored element is in normal form.
 
 A monomial key, in every presentation, is the flat tuple of exponents of
 ``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e; and e for
-the module, whose key (m,) stands for e^m*eT.
+the module, whose key (m,) stands for e^m*eT.  Only this module reads or
+writes keys, in the maps between presentations too: pi^* and pi_* between
+BN and a twisted point and the base map of integer e-polynomials.  Other
+modules name generators (``gen``, ``e_monomial``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
+from . import fields as F
 from .errors import (
     BadParameters,
     FieldMismatch,
@@ -34,6 +38,7 @@ from .errors import (
     NonPositiveExponent,
     PresentationMismatch,
     UnknownGenerator,
+    UnsupportedResidueField,
     ZeroInput,
 )
 from .fields import REALS, FieldDescriptor
@@ -151,16 +156,6 @@ def _coeff_is_zero(pres: PresentationId, key, c: WittClass) -> bool:
     return c.is_zero()
 
 
-def _coeff_eq(pres: PresentationId, key, c1: WittClass, c2: WittClass) -> bool:
-    if _coeff_reduced_mod_ia(pres, key):
-        return in_Ia(c1 - c2, pres.ctx)
-    return c1 == c2
-
-
-def _zero_coeff(pres: PresentationId):
-    return 0 if pres.integral else zero_class(pres.field)
-
-
 class GradedElement:
     """Normal-form element: dict from monomial key to nonzero coefficient,
     a WittClass, or an int (mod N when N > 0) when the presentation is integral."""
@@ -207,8 +202,8 @@ class GradedElement:
         return ds[0] if len(ds) == 1 else None
 
     def constant_coefficient(self) -> WittClass:
-        unit = _unit_key(self.pres)
-        return self.coeffs.get(unit, _zero_coeff(self.pres))
+        zero = 0 if self.pres.integral else zero_class(self.pres.field)
+        return self.coeffs.get(_unit_key(self.pres), zero)
 
     # -- ring operations ----------------------------------------------------
 
@@ -270,12 +265,7 @@ class GradedElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement) or other.pres != self.pres:
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = _zero_coeff(self.pres)
-        return all(
-            _coeff_eq(self.pres, k, self.coeffs.get(k, z), other.coeffs.get(k, z))
-            for k in keys
-        )
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash((self.pres, frozenset(self.coeffs.keys())))
@@ -375,23 +365,81 @@ def gen(pres: PresentationId, name: str) -> GradedElement:
     raise UnknownGenerator(f"{name!r} is not a generator of {pres}")
 
 
+def e_monomial(pres: PresentationId, c, **powers: int) -> GradedElement:
+    """c (an int, read as c<1>, or a WittClass) times e generators, named as
+    in ``key_generators``, to powers >= 0: ``e_monomial(bn(k), 3, e=2)`` is
+    3<1>*e^2, a normal form in every presentation with scalars."""
+    names = key_generators(pres.kind, pres.n)
+    if any(s not in names or s[0] != "e" or k < 0 for s, k in powers.items()):
+        raise UnknownGenerator(f"{powers} are not powers of e generators of {pres}")
+    # c at the unit key, or no term when c is 0; moved to the monomial's key
+    x = from_int(pres, c) if isinstance(c, int) else from_witt(pres, c)
+    key = tuple(powers.get(s, 0) for s in names)
+    return GradedElement(pres, {key: v for v in x.coeffs.values()})
+
+
 def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
-    """W(k)[x,e]-action on the twisted module: x*eT = -eT, e*(e^m eT) = e^{m+1} eT."""
+    """W(k)[x,e]-action on the twisted module.  As x*eT = -eT, b acts as its
+    localization x -> -1 in BSL2n(1), where the key (m,) of e^m*eT is e^m."""
     if b.pres.kind != BNN or b.pres.n != 1:
         raise PresentationMismatch("module scalars must come from BN")
     if t.pres.kind != BN_TWISTED_MODULE:
         raise PresentationMismatch("module_action needs a twisted-module element")
     if b.pres.field != t.pres.field:
         raise FieldMismatch(f"{b.pres.field} vs {t.pres.field}")
+    carrier = bsl2n(1, t.pres.field)
+    product = localize_element(b, carrier) * GradedElement._nonzero(carrier, t.coeffs)
+    return GradedElement._nonzero(t.pres, product.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# pi: the twisted point over k(sqrt a) -> BN over k
+
+
+def twisted_pullback(b: GradedElement, tp: PresentationId) -> GradedElement:
+    """pi^*: x maps to the scalar <a>, e to e."""
+    if tp.kind != TWISTED or b.pres != bn(tp.field):
+        raise PresentationMismatch(f"cannot pull {b.pres} back to {tp}")
+    a_cls = WittClass.from_entries(tp.field, (tp.ctx.a,))
     out: Dict = {}
-    for (x, m), c1 in b.coeffs.items():
-        for (m2,), c2 in t.coeffs.items():
-            c = c1 * c2
-            if x:
-                c = -c
-            key = (m + m2,)
-            out[key] = out[key] + c if key in out else c
-    return GradedElement(t.pres, out)
+    for (x, m), c in b.coeffs.items():
+        c = c * a_cls if x else c
+        out[0, m] = out[0, m] + c if (0, m) in out else c
+    return GradedElement(tp, out)
+
+
+@lru_cache(maxsize=None)
+def twisted_push_unit(ctx: QuadExtContext) -> GradedElement:
+    """pi_*(1) = <2> + <2a>x, the degree-2 transfer (Levine, Aspects of
+    enumerative geometry with quadratic forms, Doc. Math. 2020)."""
+    pres, two = bn(ctx.base), F.coerce(ctx.base, 2)
+    two_cls = WittClass.from_entries(ctx.base, (two,))
+    two_a_cls = WittClass.from_entries(ctx.base, (F.mul(ctx.base, two, ctx.a),))
+    return from_witt(pres, two_cls) + from_witt(pres, two_a_cls) * gen(pres, "x")
+
+
+def twisted_pushforward(t: GradedElement) -> GradedElement:
+    """pi_* by the projection formula pi_*(t) = t~ * pi_*(1), t~ the y-free
+    part of t: 1 -> <2> + <2a>x, e^m -> (<2> - <2a>)e^m for m > 0 (x*e = -e)
+    and y -> 0.  <2> - <2a> kills I_a, so a coefficient taken mod I_a has
+    one image; on the inverted twisted point, where every coefficient is
+    taken mod I_a, it has one after the localization x -> -1."""
+    if t.pres.kind != TWISTED:
+        raise PresentationMismatch(f"cannot push {t.pres} to BN")
+    # the key (0, m) is e^m in BN too; a stored coefficient is not in I_a, so not 0
+    y_free = {k: c for k, c in t.coeffs.items() if not k[0]}
+    return GradedElement._nonzero(bn(t.pres.field), y_free) * twisted_push_unit(t.pres.ctx)
+
+
+def twisted_e_poly_to_base(s: GradedElement) -> GradedElement:
+    """The class of BSL2n(1) that a twisted-point e-polynomial with integer
+    coefficients comes from; for any other class UnsupportedResidueField."""
+    if s.pres.kind != TWISTED or any(k[0] or c.integer_value() is None
+                                     for k, c in s.coeffs.items()):
+        raise UnsupportedResidueField(f"{s!r} is not visibly pulled back from the base")
+    # the key (0, m) of e^m on the twisted point is (m,) in BSL2n(1)
+    e_poly = {k[1:]: c for k, c in s.coeffs.items()}
+    return GradedElement._nonzero(bsl2n(1, s.pres.field), e_poly)
 
 
 # ---------------------------------------------------------------------------

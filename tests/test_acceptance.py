@@ -39,6 +39,8 @@ from wittloc.rings import (
     gen,
     one_elem,
     twisted_point,
+    twisted_pullback,
+    twisted_pushforward,
 )
 from wittloc.witt import WittClass, integer_class, square_class, witt
 
@@ -164,35 +166,40 @@ def test_criterion_4_presentation_relations_and_oracle():
 
 
 def test_criterion_5_twisted_pushforward():
+    """pi_* rules and the projection formula pi_*(pi^*b * t) = b * pi_*(t)
+    over Q(sqrt 2), F_5(sqrt 2) and F_7(sqrt 3)."""
     t0 = time.perf_counter()
-    a = Fraction(2)
-    ctx = make_context(Q, a)
-    g = GroupDescriptor("N", 1, Q)
-    rep = n_rep([NIrrep(RHO, 1)])
-    comp = FixedComponent("tw", ctx, rep, rep)
-    tp = twisted_point(ctx)
-    bn = bnn(1, Q)
-    two = square_class(Q, Fraction(2))
-    two_a = square_class(Q, 2 * a)
-    formulas_ok = (
-        push_to_base(one_elem(tp), comp, g)
-        == from_witt(bn, two) + from_witt(bn, two_a) * gen(bn, "x")
-        and push_to_base(gen(tp, "e"), comp, g) == from_witt(bn, two - two_a) * gen(bn, "e")
-        and push_to_base(gen(tp, "y"), comp, g).is_zero()
-    )
-
-    from wittloc.engine import bn_to_twisted, push_twisted_plain
-
     rng = random.Random(202)
-    pool = [1, -1, 2, -2, 3, 5, -6]
-    proj_ok = True
-    for _ in range(200):
-        b_coeff = witt(Q, *[Fraction(rng.choice(pool)) for _ in range(rng.randint(0, 2))])
-        b = from_witt(bn, b_coeff) * gen(bn, "x") ** rng.randint(0, 1) * gen(bn, "e") ** rng.randint(0, 2)
-        t_coeff = witt(Q, *[Fraction(rng.choice(pool)) for _ in range(rng.randint(0, 2))])
-        t = GradedElement(tp, {(rng.randint(0, 1), rng.randint(0, 2)): t_coeff})
-        if push_twisted_plain(bn_to_twisted(b, tp) * t) != b * push_twisted_plain(t):
-            proj_ok = False
+    rep = n_rep([NIrrep(RHO, 1)])
+    formulas_ok = proj_ok = True
+    for field, a, pool in (
+        (Q, Fraction(2), [1, -1, 2, -2, 3, 5, -6]),
+        (F.finite_prime(5), 2, [1, 2, 3, 4]),
+        (F.finite_prime(7), 3, [1, 2, 3, 4, 5, 6]),
+    ):
+        ctx = make_context(field, F.coerce(field, a))
+        g = GroupDescriptor("N", 1, field)
+        comp = FixedComponent("tw", ctx, rep, rep)
+        tp = twisted_point(ctx)
+        bn = bnn(1, field)
+        two = F.coerce(field, 2)
+        two_cls, two_a_cls = square_class(field, two), square_class(field, F.mul(field, two, ctx.a))
+        formulas_ok = formulas_ok and (
+            push_to_base(one_elem(tp), comp, g)
+            == from_witt(bn, two_cls) + from_witt(bn, two_a_cls) * gen(bn, "x")
+            and push_to_base(gen(tp, "e"), comp, g)
+            == from_witt(bn, two_cls - two_a_cls) * gen(bn, "e")
+            and push_to_base(gen(tp, "y"), comp, g).is_zero()
+        )
+
+        def draw():
+            return witt(field, *[F.coerce(field, rng.choice(pool)) for _ in range(rng.randint(0, 2))])
+
+        for _ in range(200):
+            b = from_witt(bn, draw()) * gen(bn, "x") ** rng.randint(0, 1) * gen(bn, "e") ** rng.randint(0, 2)
+            t = from_witt(tp, draw()) * gen(tp, "y") ** rng.randint(0, 1) * gen(tp, "e") ** rng.randint(0, 2)
+            if twisted_pushforward(twisted_pullback(b, tp) * t) != b * twisted_pushforward(t):
+                proj_ok = False
     elapsed = time.perf_counter() - t0
     report(5, "twisted-point pushforward and projection formula", formulas_ok and proj_ok and elapsed < 5)
 

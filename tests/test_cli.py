@@ -295,3 +295,53 @@ def test_localize_prints_its_flags(capsys):
     code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--n", "1", "--field", "Fp:7")
     assert code == 0
     assert "flags: finite_char" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["ring", "e", "--presentation", "bsl2n", "--a", "3"], "--a"),
+        (["ring", "x*e", "--presentation", "bn", "--a", "3"], "--a"),
+        (["ring", "y", "--presentation", "twisted", "--a", "3", "--n", "2"], "--n"),
+        (["ring", "y", "--presentation", "twisted", "--a", "3", "--n", "1"], "--n"),
+        (["localize", "--builder", "p", "2n", "--m", "2"], "--m"),
+        (["localize", "--builder", "p", "2n-1", "--n", "2", "--ambient", "4"], "--ambient"),
+        (["euler", "rho(3)", "--group", "n", "--n", "3"], "--n"),
+    ],
+    ids=["ring bsl2n --a", "ring bn --a", "ring twisted --n", "ring twisted --n 1",
+         "localize p --m", "localize p --ambient", "euler n --n"],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv, unread):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "does not read" in err and unread in err
+
+
+@pytest.mark.parametrize("extra", [["--field", "Q"], ["--n", "2"], ["--builder", "p", "2n"],
+                                   ["--m", "2"]], ids=lambda x: x[0])
+def test_localize_problem_reads_no_builder_options(tmp_path, capsys, extra):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"group": {"kind": "N", "field": "Q"}}))
+    code, out, err = run(capsys, "localize", "--problem", str(path), *extra)
+    assert code == 2 and out == ""
+    assert f"does not read {extra[0]}" in err
+    assert run(capsys, "localize", "--problem", str(path))[0] == 0
+
+
+def test_localize_has_no_a_option(capsys):
+    code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--a", "3")
+    assert code == 2 and out == ""
+
+
+def test_options_that_are_read_still_work(capsys):
+    assert run(capsys, "ring", "e1*e2", "--presentation", "bsl2n", "--n", "2")[:2] == (0, "e1*e2\n")
+    assert run(capsys, "euler", "rho(3)", "--group", "n")[0] == 0
+    assert run(capsys, "euler", "F@2", "--group", "sl2n", "--n", "2")[1] == "euler: e2\ndeterminacy: exact\nknown_square: e2^2\n"
+
+
+def test_localize_rejects_a_misspelled_component_key(tmp_path, capsys):
+    doc = {"group": {"kind": "N", "field": "Q"},
+           "components": [{"normal": "rho(3)", "restricetd": "rho(1)"}]}
+    code, out, err = _localize_doc(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert "unknown key 'restricetd'" in err

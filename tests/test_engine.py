@@ -19,7 +19,6 @@ from wittloc.engine import (
     problem_from_json,
     problem_to_json,
     push_to_base,
-    _integer_e_poly_to_base,
 )
 from wittloc import engine
 from wittloc.errors import (
@@ -36,6 +35,7 @@ from wittloc.quadext import make_context
 from wittloc.rings import (
     GradedElement,
     LocalizedElement,
+    bnn,
     bsl2n,
     e_star,
     from_int,
@@ -43,8 +43,13 @@ from wittloc.rings import (
     gen,
     integral_bsl2n,
     localize,
+    localize_element,
     one_elem,
+    twisted_e_poly_to_base,
     twisted_point,
+    twisted_pullback,
+    twisted_pushforward,
+    zero_elem,
 )
 from wittloc.witt import WittClass, integer_class, square_class, witt, zero_class
 
@@ -248,7 +253,30 @@ def test_two_components_with_euler_coefficient_15():
 def test_integer_denominator_pushes_to_base():
     ctx = make_context(Q, Fraction(-3))
     x = GradedElement(twisted_point(ctx, inverted=True), {(0, 1): integer_class(13, Q)})
-    assert _integer_e_poly_to_base(x) == GradedElement(bsl2n(1, Q), {(1,): integer_class(13, Q)})
+    assert twisted_e_poly_to_base(x) == GradedElement(bsl2n(1, Q), {(1,): integer_class(13, Q)})
+
+
+@pytest.mark.parametrize("base, a", [(Q, Fraction(2)), (Q, Fraction(-3)),
+                                     (F.finite_prime(5), 2), (F.finite_prime(7), 3)], ids=str)
+def test_twisted_numerator_is_the_localized_pushforward_of_the_pullback(base, a):
+    """For a BN class r restricted to a twisted point, the engine's numerator
+    is localize(pi_*(pi^* r)), which after x -> -1 is (<2> - <2a>)r."""
+    ctx = make_context(base, F.coerce(base, a))
+    g = GroupDescriptor("N", 1, base)
+    tp, bn, carrier = twisted_point(ctx), bnn(1, base), bsl2n(1, base)
+    two = F.coerce(base, 2)
+    push_one = witt(base, two) - witt(base, F.mul(base, two, ctx.a))
+    entries = [1, -1, 2, 3, 5, -6] if base == Q else list(range(1, base.p))
+    rng = random.Random(14)
+    normal = n_rep([NIrrep(RHO, 3)])
+    for _ in range(60):
+        r = zero_elem(bn)
+        for _ in range(rng.randint(1, 3)):
+            c = witt(base, *[F.coerce(base, rng.choice(entries)) for _ in range(rng.randint(1, 3))])
+            r = r + from_witt(bn, c) * gen(bn, "x") ** rng.randint(0, 1) * gen(bn, "e") ** rng.randint(0, 3)
+        numerator = component_residue(FixedComponent("tw", ctx, normal, r), g).numerator
+        assert numerator == localize_element(twisted_pushforward(twisted_pullback(r, tp)), carrier)
+        assert numerator == localize_element(r, carrier) * push_one
 
 
 def test_zero_normal_euler_rejected():
@@ -521,6 +549,17 @@ MALFORMED_PROBLEMS = [
     ("M a word", _with(TWISTED_DOC, ["invert", "M"], "x"), "'M'"),
     ("M a float", _with(TWISTED_DOC, ["invert", "M"], 3.0), "'M'"),
     ("invert a number", _with(TWISTED_DOC, ["invert"], 3), "'invert'"),
+    ("unknown document key", _with(TWISTED_DOC, ["inverted"], {"M": 3}), "'inverted'"),
+    ("unknown group key", _with(TWISTED_DOC, ["group", "rank"], 1), "'rank'"),
+    ("misspelled restricted", _with(TWISTED_DOC, ["components", 0, "restricetd"], "rho(1)"),
+     "'restricetd'"),
+    ("unknown residue key", _with(TWISTED_DOC, ["components", 0, "residue", "split"], {}),
+     "'split'"),
+    ("residue without twisted", _with(TWISTED_DOC, ["components", 0, "residue"], {}),
+     "'twisted'"),
+    ("unknown twisted key", _with(TWISTED_DOC, ["components", 0, "residue", "twisted", "b"], "2"),
+     "'b'"),
+    ("unknown invert key", _with(TWISTED_DOC, ["invert", "N"], 2), "'N'"),
 ]
 
 
@@ -529,6 +568,21 @@ MALFORMED_PROBLEMS = [
 def test_malformed_problem_documents_are_typed_errors(doc, named):
     with pytest.raises(ExprSyntaxError, match=named):
         problem_from_json(doc)
+
+
+def test_twist_is_unsupported_before_unknown_keys_are_named():
+    doc = _with(TWISTED_DOC, ["components", 0, "twist"], "rho0-")
+    with pytest.raises(UnsupportedIrrep):
+        problem_from_json(_with(doc, ["components", 0, "restricetd"], "rho(1)"))
+
+
+def test_m_on_an_sl2n_problem_is_rejected():
+    g = GroupDescriptor("SL2n", 1, Q)
+    with pytest.raises(BadParameters, match="M"):
+        LocalizationProblem(g, (), M=3)
+    with pytest.raises(BadParameters, match="M"):
+        problem_from_json(dict(_lines_doc(), invert={"M": 3}))
+    assert problem_from_json(dict(_lines_doc(), invert={"M": None})).M is None
 
 
 def test_well_formed_problem_documents_still_read():

@@ -17,12 +17,14 @@ from wittloc.rings import (
     bn_twisted_module,
     bnn,
     bsl2n,
+    e_monomial,
     e_star,
     from_int,
     from_witt,
     gen,
     generator_names,
     integral_bsl2n,
+    key_generators,
     kunneth,
     loc_eq,
     localize,
@@ -89,6 +91,30 @@ def test_keys_are_flat_exponent_tuples():
     assert gen(bnn(2, Q), "x1").coeffs == {(1, 0, 0, 0): one}
     assert gen(twisted_point(make_context(Q, Fraction(2))), "y").coeffs == {(1, 0): one}
     assert gen(bsl2n(1, Q), "e1").coeffs == {(1,): one}
+
+
+@pytest.mark.parametrize("pres", [p for p in _ALL_PRESENTATIONS if p.kind != "BNTwistedModule"],
+                         ids=str)
+def test_e_monomial_is_the_product_of_powers_of_gen(pres):
+    es = [s for s in key_generators(pres.kind, pres.n) if s[0] == "e"]
+    powers = {s: i + 1 for i, s in enumerate(es)}
+    product = one_elem(pres)
+    for s, k in powers.items():
+        product = product * gen(pres, s) ** k
+    assert e_monomial(pres, 3, **powers) == from_int(pres, 3) * product
+    if not pres.integral:
+        assert e_monomial(pres, witt(pres.field, 2), **powers) == product * witt(pres.field, 2)
+    assert e_monomial(pres, 5) == from_int(pres, 5)
+
+
+def test_e_monomial_takes_only_e_generators():
+    ctx = make_context(Q, Fraction(2))
+    for pres, name in ((bnn(1, Q), "x"), (twisted_point(ctx), "y"), (bsl2n(2, Q), "e3"),
+                       (bsl2n(1, Q), "e1")):
+        with pytest.raises(UnknownGenerator):
+            e_monomial(pres, 1, **{name: 1})
+    with pytest.raises(UnknownGenerator):
+        e_monomial(bnn(1, Q), 1, e=-1)
 
 
 def test_bn_relations():
