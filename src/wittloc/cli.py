@@ -105,7 +105,7 @@ def _reject_unread(args, opts, reader: str) -> None:
     ``reader`` does not read it."""
     given = [f"--{opt.replace('_', '-')}" for opt in opts if getattr(args, opt) is not None]
     if given:
-        raise ExprSyntaxError(f"{reader} does not read {' or '.join(given)}", 0)
+        raise ExprSyntaxError(f"{reader} does not read {' or '.join(given)}")
 
 
 def _n(args) -> int:
@@ -122,7 +122,7 @@ def _presentation_from_args(args):
         return (bsl2n if args.presentation == "bsl2n" else bnn)(_n(args), field)
     _reject_unread(args, ["n"], "--presentation twisted")
     if args.a is None:
-        raise ExprSyntaxError("twisted presentation needs --a", 0)
+        raise ExprSyntaxError("twisted presentation needs --a")
     ctx = make_context(field, parse_scalar(args.a, field))
     return twisted_point(ctx)
 
@@ -164,20 +164,20 @@ def _build_problem(args):
         with open(args.problem) as fh:
             return problem_from_json(json.load(fh))
     if not args.builder:
-        raise ExprSyntaxError("localize needs --problem or --builder", 0)
+        raise ExprSyntaxError("localize needs --problem or --builder")
     field = parse_field("Q" if args.field is None else args.field)
     kind, n = args.builder[0], _n(args)
     if kind == "p":
         if len(args.builder) != 2 or args.builder[1] not in ("2n", "2n-1"):
-            raise ExprSyntaxError("builder 'p' takes a dimension: 2n or 2n-1", 0)
+            raise ExprSyntaxError("builder 'p' takes a dimension: 2n or 2n-1")
         _reject_unread(args, ["m", "ambient"], "builder 'p'")
         dim = 2 * n if args.builder[1] == "2n" else 2 * n - 1
         return build_projective_problem(dim, n, field)
     if kind == "gr":
         if args.m is None or args.ambient is None:
-            raise ExprSyntaxError("builder 'gr' needs --m and --ambient", 0)
+            raise ExprSyntaxError("builder 'gr' needs --m and --ambient")
         return build_grassmannian_problem(args.m, args.ambient, n, field)
-    raise ExprSyntaxError(f"unknown builder {kind!r}", 0)
+    raise ExprSyntaxError(f"unknown builder {kind!r}")
 
 
 def _cmd_localize(args) -> int:
@@ -204,19 +204,19 @@ def _cmd_verify(args) -> int:
 
     suite = args.suite
     if not suite:
-        raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}", 0)
+        raise ExprSyntaxError(f"verify needs a suite: {', '.join(SUITES)}")
     if suite not in SUITES:
-        raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", 0)
+        raise ExprSyntaxError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     run, reads = SUITES[suite]
     every = dict.fromkeys(opt for _, opts in SUITES.values() for opt in opts)
     _reject_unread(args, [opt for opt in every if opt not in reads], f"suite {suite}")
     given = {opt: v for opt in reads if (v := getattr(args, opt)) is not None}
     if "a" in reads and ("field" in given) != ("a" in given):
-        raise ExprSyntaxError(f"suite {suite} needs --field and --a together", 0)
+        raise ExprSyntaxError(f"suite {suite} needs --field and --a together")
     # below these a suite would run no check, or fewer than it reports
     for opt, least in (("p_max", 3), ("n_max", 1), ("rank_max", 0), ("samples", 2)):
         if given.get(opt, least) < least:
-            raise ExprSyntaxError(f"--{opt.replace('_', '-')} must be at least {least}", 0)
+            raise ExprSyntaxError(f"--{opt.replace('_', '-')} must be at least {least}")
     if "field" in given:
         given["field"] = parse_field(given["field"])
     if "a" in given:

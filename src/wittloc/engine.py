@@ -66,7 +66,6 @@ from .rings import (
     twisted_point,
     twisted_push_unit,
     twisted_pushforward,
-    twisted_e_poly_to_base,
     witt_image,
     zero_elem,
 )
@@ -239,20 +238,16 @@ def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
     raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
 
 
-def push_to_base(x, c: FixedComponent, g: GroupDescriptor):
-    """Pushforward from a component's coefficient ring to the base ring."""
+def push_to_base(x, c: FixedComponent):
+    """Pushforward from a component's coefficient ring to the base ring; an
+    element of the inverted twisted point raises PresentationMismatch."""
     if c.residue == RATIONAL_POINT:
         return x
     if not isinstance(c.residue, QuadExtContext):
         raise UnsupportedResidueField(f"unsupported residue data {c.residue!r}")
-    carrier = bsl2n(1, g.field)
-    if isinstance(x, LocalizedElement):
-        num = localize_element(twisted_pushforward(x.numerator), carrier)
-        return LocalizedElement(carrier, num, twisted_e_poly_to_base(x.inverted), x.dexp)
     if not isinstance(x, GradedElement):
         raise BadParameters(f"cannot push {x!r}")
-    pushed = twisted_pushforward(x)
-    return localize_element(pushed, carrier) if x.pres.inverted else pushed
+    return twisted_pushforward(x)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +503,18 @@ def _json_value(doc: dict, key: str, where: str, kind: type, default=_REQUIRED):
     bool), or ``default`` when the key is absent and not required."""
     if key not in doc:
         if default is _REQUIRED:
-            raise ExprSyntaxError(f"{where} has no {key!r} key", 0)
+            raise ExprSyntaxError(f"{where} has no {key!r} key")
         return default
     x = doc[key]
     if isinstance(x, bool) or not isinstance(x, kind):
-        raise ExprSyntaxError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {x!r}", 0)
+        raise ExprSyntaxError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {x!r}")
     return x
 
 
 def _known_keys(doc: dict, where: str, keys: Tuple[str, ...]) -> None:
     unknown = [k for k in doc if k not in keys]
     if unknown:
-        raise ExprSyntaxError(f"{where} has unknown key {unknown[0]!r}", 0)
+        raise ExprSyntaxError(f"{where} has unknown key {unknown[0]!r}")
 
 
 def problem_from_json(doc: dict) -> LocalizationProblem:
@@ -532,7 +527,7 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
     from .quadext import make_context
 
     if not isinstance(doc, dict):
-        raise ExprSyntaxError(f"a problem must be a JSON object, got {doc!r}", 0)
+        raise ExprSyntaxError(f"a problem must be a JSON object, got {doc!r}")
     _known_keys(doc, "problem", ("group", "components", "invert"))
     gdoc = _json_value(doc, "group", "problem", dict)
     _known_keys(gdoc, "group", ("kind", "n", "field"))
@@ -542,8 +537,8 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
     comps: List[FixedComponent] = []
     for i, cdoc in enumerate(_json_value(doc, "components", "problem", list, [])):
         if not isinstance(cdoc, dict):
-            raise ExprSyntaxError(f"component {i} must be a JSON object, got {cdoc!r}", 0)
-        cid = _json_value(cdoc, "id", f"component {i}", str, f"component-{i}")
+            raise ExprSyntaxError(f"component {i} must be a JSON object, got {cdoc!r}")
+        cid = _json_value(cdoc, "id", f"component {i}", str, str(i))
         where = f"component {cid}"
         if "twist" in cdoc:
             raise UnsupportedIrrep(

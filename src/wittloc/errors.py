@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every wittloc module."""
 
+from typing import Optional
+
 
 class WittlocError(Exception):
     """Base class for all library errors."""
@@ -72,8 +74,9 @@ class InconsistentField(WittlocError):
 
 
 class ExprSyntaxError(WittlocError):
-    """Literal expression failed to parse; carries the byte offset."""
+    """Literal expression or input document failed to parse; ``pos`` is the
+    offset into the text, or None for an error that points into no text."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
+    def __init__(self, message: str, pos: Optional[int] = None):
+        super().__init__(message if pos is None else f"{message} (at offset {pos})")
         self.pos = pos

@@ -1,32 +1,31 @@
 """Parsing and printing for field tags, scalars, Witt-class expressions,
 graded-ring expressions, and representation literals.
 
-expr := term (('+' | '-') term)*
-term := factor ('*' factor)*
-factor := '-' factor | atom ('^' int)*
-atom := '<' scalar '>' | int | name | '(' expr ')'
+expr   := term (('+' | '-') term)*
+term   := factor (('*' | '/') factor | factor)*
+factor := ('-' | '+') factor | atom ('^' int)*
+atom   := '<' scalar '>' | int | name | '(' expr ')'
+scalar := expr, evaluated in the field; its one name is r (the square
+          root, on k(sqrt a) only), it has no '<', and only it has '/'
 
-Unary minus binds looser than '^': -e1^2 is -(e1^2).
+One grammar, three atom rules (``_Atoms``): a scalar is evaluated in the
+field's own arithmetic (``_Scalar``), a Witt class reads '<' scalar '>' as
+<c>, and a ring element also reads the generators as names.  A bare factor
+in a term must follow an integer token (a coefficient or an exponent) and
+is a '*' with its binding: 3<2> = 3*<2>, 2e^2 = 2*(e^2), e1^2e2 =
+e1^2*e2, 1/2r = (1/2)*r.  Unary minus binds looser than '^': -e1^2 is
+-(e1^2).
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
 from .errors import ExprSyntaxError, UnknownGenerator
-from .fields import (
-    FINITE_PRIME,
-    QUAD_EXT,
-    FieldDescriptor,
-    finite_prime,
-    quad_ext,
-    rationals,
-    reals,
-)
+from .fields import QUAD_EXT, FieldDescriptor, finite_prime, quad_ext, rationals, reals
 from .witt import WittClass, integer_class, square_class
 from .rings import (BN_TWISTED_MODULE, GradedElement, PresentationId, from_witt, gen,
                     key_generators, sum_elements)
@@ -76,8 +75,7 @@ class _Parser:
             raise ExprSyntaxError(f"expected {value!r}, found {t[1]!r}", t[2])
 
     def at(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t[1] == value
+        return self.i < len(self.toks) and self.toks[self.i][1] == value
 
     def done(self):
         t = self.peek()
@@ -103,89 +101,80 @@ def parse_field(tag: str) -> FieldDescriptor:
     m = re.fullmatch(r"F(?:p:)?(\d+)", tag)
     if m:
         return finite_prime(int(m.group(1)))
-    raise ExprSyntaxError(f"unknown field tag {tag!r}", 0)
+    raise ExprSyntaxError(f"unknown field tag {tag!r}")
 
 
 def parse_scalar(text: str, field: FieldDescriptor):
-    """A nonzero field element: fractions over Q/R, residues mod p, and
-    'u+v*r' combinations over quadratic extensions (r is the square root)."""
-    text = text.strip()
-    if field.kind == FINITE_PRIME:
-        m = re.fullmatch(r"-?\d+", text)
-        if not m:
-            raise ExprSyntaxError(f"bad residue {text!r}", 0)
-        return F.coerce(field, int(text))
-    try:
-        if field.kind == QUAD_EXT:
-            return _parse_quadext_scalar(text, field)
-        return F.coerce(field, Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        # a bad literal, or a denominator that is 0 in k: 1/0 over Q, 1/7 over F_7
-        raise ExprSyntaxError(f"bad scalar {text!r}", 0)
+    """A field element, read by the expression grammar in the field's own
+    arithmetic: integers, 'r' (the square root) on k(sqrt a), and
+    + - * / ^ with parentheses.  A division by 0 in k (1/0 over Q, 1/7
+    over F_7(sqrt 3)) is an ExprSyntaxError."""
+    return _parse(text, _scalar_atoms(field)).x
 
 
-def _parse_quadext_scalar(text: str, field: FieldDescriptor):
-    base = field.base
-    p = _Parser(text)
+class _Scalar:
+    """A field element with the operators the grammar applies."""
 
-    u = F.zero(base)
-    v = F.zero(base)
-    while p.peek() is not None:
-        neg = False
-        while p.at("-") or p.at("+"):
-            if p.next()[1] == "-":
-                neg = not neg
-        t = p.next()
-        if t[0] == "name" and t[1] == "r":
-            c = Fraction(-1 if neg else 1)
-            v = F.add(base, v, F.coerce(base, c))
-            continue
-        if t[0] != "int":
-            raise ExprSyntaxError(f"expected number or 'r' in {text!r}", t[2])
-        c = Fraction(int(t[1]))
-        if p.at("/"):
-            p.next()
-            d = p.next()
-            if d[0] != "int":
-                raise ExprSyntaxError("expected denominator", d[2])
-            c /= int(d[1])
-        if neg:
-            c = -c
-        if p.at("*"):
-            p.next()
-            t2 = p.next()
-            if t2[1] != "r":
-                raise ExprSyntaxError(f"expected 'r' in {text!r}", t2[2])
-            v = F.add(base, v, F.coerce(base, c))
-        elif p.at("r"):
-            p.next()
-            v = F.add(base, v, F.coerce(base, c))
-        else:
-            u = F.add(base, u, F.coerce(base, c))
-    return F.coerce(field, (u, v))
+    __slots__ = ("field", "x")
+
+    def __init__(self, field: FieldDescriptor, x):
+        self.field, self.x = field, x
+
+    def __add__(self, other: "_Scalar") -> "_Scalar":
+        return _Scalar(self.field, F.add(self.field, self.x, other.x))
+
+    def __neg__(self) -> "_Scalar":
+        return _Scalar(self.field, F.neg(self.field, self.x))
+
+    def __mul__(self, other: "_Scalar") -> "_Scalar":
+        return _Scalar(self.field, F.mul(self.field, self.x, other.x))
+
+    def __truediv__(self, other: "_Scalar") -> "_Scalar":
+        return _Scalar(self.field, F.div(self.field, self.x, other.x))
 
 
 # ---------------------------------------------------------------------------
-# Witt-class and graded-ring expressions: one grammar, two atom rules
+# scalars, Witt-class and graded-ring expressions: one grammar, three atom rules
 
 
 class _Atoms(NamedTuple):
     """What the atoms of an expression stand for."""
 
     field: FieldDescriptor
-    lift: Callable  # a class <c> or t<1> -> value
-    name: Optional[Callable]  # generator name -> value; None: names are not atoms
-    squares: Dict  # text of c -> <c>: each distinct class literal is built once
+    integer: Callable  # int -> value
+    name: Optional[Callable]  # name -> value; None: names are not atoms
+    lift: Optional[Callable]  # a class <c> -> value; None in a scalar, which divides instead
+    squares: Optional[Dict]  # element c -> <c>: each distinct class literal is built once
     total: Callable  # list of values -> their sum
 
 
+def _sum(values: list):
+    return sum(values[1:], values[0])
+
+
+@lru_cache(maxsize=None)
+def _scalar_atoms(field: FieldDescriptor) -> _Atoms:
+    name = None
+    if field.kind == QUAD_EXT:
+        root = _Scalar(field, (F.zero(field.base), F.one(field.base)))
+
+        def name(s: str) -> _Scalar:
+            if s != "r":
+                raise UnknownGenerator(s)
+            return root
+
+    return _Atoms(field, lambda k: _Scalar(field, F.coerce(field, k)), name, None, None, _sum)
+
+
 def parse_witt_expr(text: str, field: FieldDescriptor) -> WittClass:
-    return _parse(text, _Atoms(field, lambda w: w, None, {}, lambda ws: sum(ws[1:], ws[0])))
+    return _parse(text, _Atoms(field, partial(integer_class, field=field), None,
+                               lambda w: w, {}, _sum))
 
 
 def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
-    return _parse(text, _Atoms(pres.field, partial(from_witt, pres), partial(gen, pres), {},
-                               partial(sum_elements, pres)))
+    lift = partial(from_witt, pres)
+    return _parse(text, _Atoms(pres.field, lambda k: lift(integer_class(k, pres.field)),
+                               partial(gen, pres), lift, {}, partial(sum_elements, pres)))
 
 
 def _parse(text: str, atoms: _Atoms):
@@ -207,80 +196,66 @@ def _expr(p: _Parser, atoms: _Atoms):
 
 def _term(p: _Parser, atoms: _Atoms):
     acc = _factor(p, atoms)
-    while p.at("*"):
-        p.next()
-        acc = acc * _factor(p, atoms)
-    return acc
+    while True:
+        t = p.peek()
+        if t is None:
+            return acc
+        if t[1] == "*":
+            p.next()
+            acc = acc * _factor(p, atoms)
+        elif t[1] == "/" and atoms.lift is None:
+            p.next()
+            den = _factor(p, atoms)
+            try:
+                acc = acc / den
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"bad scalar: division by 0 in {atoms.field}", t[2])
+        elif p.toks[p.i - 1][0] == "int" and (
+                t[1] in ("<", "(") or (t[0] == "name" and atoms.name is not None)):
+            # juxtaposition after an integer is a '*': 3<2>, 2e1, e1^2e2, 1/2r
+            acc = acc * _factor(p, atoms)
+        else:
+            return acc
 
 
 def _factor(p: _Parser, atoms: _Atoms):
-    if p.at("-"):
-        p.next()
-        return -_factor(p, atoms)
-    base = _atom(p, atoms)
+    t = p.next()
+    if t[1] in ("-", "+"):
+        x = _factor(p, atoms)
+        return -x if t[1] == "-" else x
+    base = _atom(t, p, atoms)
     while p.at("^"):
         p.next()
         t = p.next()
         if t[0] != "int":
             raise ExprSyntaxError("exponent must be a nonnegative integer", t[2])
-        acc = atoms.lift(integer_class(1, atoms.field))
+        acc = atoms.integer(1)
         for _ in range(int(t[1])):
             acc = acc * base
         base = acc
     return base
 
 
-def _atom(p: _Parser, atoms: _Atoms):
-    t = p.peek()
-    if t is None:
-        raise ExprSyntaxError("unexpected end of expression", len(p.text))
-    if t[1] == "<":
-        p.next()
-        text = _scalar_text(p)
+def _atom(t: Tuple[str, str, int], p: _Parser, atoms: _Atoms):
+    """The atom that starts with the token t, just read."""
+    if t[1] == "<" and atoms.lift is not None:
+        c = _expr(p, _scalar_atoms(atoms.field)).x
         p.expect(">")
-        if text not in atoms.squares:
-            atoms.squares[text] = square_class(atoms.field, parse_scalar(text, atoms.field))
-        return atoms.lift(atoms.squares[text])
+        if c not in atoms.squares:
+            atoms.squares[c] = square_class(atoms.field, c)
+        return atoms.lift(atoms.squares[c])
     if t[1] == "(":
-        p.next()
         inner = _expr(p, atoms)
         p.expect(")")
         return inner
-    names = atoms.name is not None
     if t[0] == "int":
-        p.next()
-        k = atoms.lift(integer_class(int(t[1]), atoms.field))
-        nxt = p.peek()
-        if nxt is not None and (nxt[1] in ("<", "(") or (names and nxt[0] == "name")):
-            # juxtaposition means multiplication: 3<2> = 3 * <2>, 2e1 = 2 * e1
-            return k * _atom(p, atoms)
-        return k
-    if names and t[0] == "name":
-        p.next()
+        return atoms.integer(int(t[1]))
+    if t[0] == "name" and atoms.name is not None:
         try:
             return atoms.name(t[1])
         except UnknownGenerator:
             raise ExprSyntaxError(f"unknown generator {t[1]!r}", t[2])
     raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
-
-
-def _scalar_text(p: _Parser) -> str:
-    """The tokens up to the matching '>', joined."""
-    depth = 0
-    parts = []
-    while True:
-        t = p.peek()
-        if t is None:
-            raise ExprSyntaxError("unterminated '<'", len(p.text))
-        if t[1] == ">" and depth == 0:
-            break
-        if t[1] == "(":
-            depth += 1
-        elif t[1] == ")":
-            depth -= 1
-        parts.append(t[1])
-        p.next()
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +273,7 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
         mult = 1
         t = p.peek()
         if t is None:
-            raise ExprSyntaxError("empty representation literal", 0)
+            raise ExprSyntaxError("empty representation literal", len(p.text))
         if t[0] == "int":
             p.next()
             mult = int(t[1])

@@ -18,8 +18,8 @@ A monomial key, in every presentation, is the flat tuple of exponents of
 ``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e; and e for
 the module, whose key (m,) stands for e^m*eT.  Only this module reads or
 writes keys, in the maps between presentations too: pi^* and pi_* between
-BN and a twisted point and the base map of integer e-polynomials.  Other
-modules name generators (``gen``, ``e_monomial``).
+BN and a twisted point.  Other modules name generators (``gen``,
+``e_monomial``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     NonPositiveExponent,
     PresentationMismatch,
     UnknownGenerator,
-    UnsupportedResidueField,
     ZeroInput,
 )
 from .fields import REALS, FieldDescriptor
@@ -421,25 +420,15 @@ def twisted_push_unit(ctx: QuadExtContext) -> GradedElement:
 def twisted_pushforward(t: GradedElement) -> GradedElement:
     """pi_* by the projection formula pi_*(t) = t~ * pi_*(1), t~ the y-free
     part of t: 1 -> <2> + <2a>x, e^m -> (<2> - <2a>)e^m for m > 0 (x*e = -e)
-    and y -> 0.  <2> - <2a> kills I_a, so a coefficient taken mod I_a has
-    one image; on the inverted twisted point, where every coefficient is
-    taken mod I_a, it has one after the localization x -> -1."""
-    if t.pres.kind != TWISTED:
+    and y -> 0.  <2> - <2a> kills I_a, so a coefficient of e^m or y,
+    taken mod I_a, has one image.  On the inverted twisted point the
+    constant coefficient c is taken mod I_a too, and <2>c + <2a>c*x depends
+    on its representative, so that presentation raises PresentationMismatch."""
+    if t.pres.kind != TWISTED or t.pres.inverted:
         raise PresentationMismatch(f"cannot push {t.pres} to BN")
     # the key (0, m) is e^m in BN too; a stored coefficient is not in I_a, so not 0
     y_free = {k: c for k, c in t.coeffs.items() if not k[0]}
     return GradedElement._nonzero(bn(t.pres.field), y_free) * twisted_push_unit(t.pres.ctx)
-
-
-def twisted_e_poly_to_base(s: GradedElement) -> GradedElement:
-    """The class of BSL2n(1) that a twisted-point e-polynomial with integer
-    coefficients comes from; for any other class UnsupportedResidueField."""
-    if s.pres.kind != TWISTED or any(k[0] or c.integer_value() is None
-                                     for k, c in s.coeffs.items()):
-        raise UnsupportedResidueField(f"{s!r} is not visibly pulled back from the base")
-    # the key (0, m) of e^m on the twisted point is (m,) in BSL2n(1)
-    e_poly = {k[1:]: c for k, c in s.coeffs.items()}
-    return GradedElement._nonzero(bsl2n(1, s.pres.field), e_poly)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from oracles import bn_naive_mul, bn_naive_reduce, fp_witt_equivalent
 from wittloc import fields as F
 from wittloc.engine import (
     FixedComponent,
-    GroupDescriptor,
     LocalizationProblem,
     bott_residue,
     build_grassmannian_problem,
@@ -178,18 +177,17 @@ def test_criterion_5_twisted_pushforward():
         (F.finite_prime(7), 3, [1, 2, 3, 4, 5, 6]),
     ):
         ctx = make_context(field, F.coerce(field, a))
-        g = GroupDescriptor("N", 1, field)
         comp = FixedComponent("tw", ctx, rep, rep)
         tp = twisted_point(ctx)
         bn = bnn(1, field)
         two = F.coerce(field, 2)
         two_cls, two_a_cls = square_class(field, two), square_class(field, F.mul(field, two, ctx.a))
         formulas_ok = formulas_ok and (
-            push_to_base(one_elem(tp), comp, g)
+            push_to_base(one_elem(tp), comp)
             == from_witt(bn, two_cls) + from_witt(bn, two_a_cls) * gen(bn, "x")
-            and push_to_base(gen(tp, "e"), comp, g)
+            and push_to_base(gen(tp, "e"), comp)
             == from_witt(bn, two_cls - two_a_cls) * gen(bn, "e")
-            and push_to_base(gen(tp, "y"), comp, g).is_zero()
+            and push_to_base(gen(tp, "y"), comp).is_zero()
         )
 
         def draw():

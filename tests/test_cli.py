@@ -344,4 +344,4 @@ def test_localize_rejects_a_misspelled_component_key(tmp_path, capsys):
            "components": [{"normal": "rho(3)", "restricetd": "rho(1)"}]}
     code, out, err = _localize_doc(tmp_path, capsys, doc)
     assert code == 2 and out == ""
-    assert "unknown key 'restricetd'" in err
+    assert err == "parse error: component 0 has unknown key 'restricetd'\n"

@@ -26,6 +26,7 @@ from wittloc.errors import (
     BadParameters,
     ExprSyntaxError,
     NonInvertibleNormalEuler,
+    PresentationMismatch,
     UnsupportedIrrep,
     UnsupportedResidueField,
 )
@@ -42,10 +43,8 @@ from wittloc.rings import (
     from_witt,
     gen,
     integral_bsl2n,
-    localize,
     localize_element,
     one_elem,
-    twisted_e_poly_to_base,
     twisted_point,
     twisted_pullback,
     twisted_pushforward,
@@ -250,12 +249,6 @@ def test_two_components_with_euler_coefficient_15():
     assert res.degree_zero == square_class(Q, Fraction(2))
 
 
-def test_integer_denominator_pushes_to_base():
-    ctx = make_context(Q, Fraction(-3))
-    x = GradedElement(twisted_point(ctx, inverted=True), {(0, 1): integer_class(13, Q)})
-    assert twisted_e_poly_to_base(x) == GradedElement(bsl2n(1, Q), {(1,): integer_class(13, Q)})
-
-
 @pytest.mark.parametrize("base, a", [(Q, Fraction(2)), (Q, Fraction(-3)),
                                      (F.finite_prime(5), 2), (F.finite_prime(7), 3)], ids=str)
 def test_twisted_numerator_is_the_localized_pushforward_of_the_pullback(base, a):
@@ -289,10 +282,9 @@ def test_zero_normal_euler_rejected():
 
 def test_push_to_base_rules():
     ctx = make_context(Q, Fraction(2))
-    g = GroupDescriptor("N", 1, Q)
     comp = FixedComponent("tw", ctx, n_rep([NIrrep(RHO, 1)]), n_rep([NIrrep(RHO, 1)]))
     tp = twisted_point(ctx)
-    pushed = push_to_base(one_elem(tp), comp, g)
+    pushed = push_to_base(one_elem(tp), comp)
     from wittloc.rings import bnn
 
     bn = bnn(1, Q)
@@ -300,27 +292,28 @@ def test_push_to_base_rules():
         bn, square_class(Q, Fraction(4))
     ) * gen(bn, "x")
     assert pushed == want
-    assert push_to_base(gen(tp, "y"), comp, g).is_zero()
+    assert push_to_base(gen(tp, "y"), comp).is_zero()
     e = gen(tp, "e")
     expect_e = from_witt(bn, square_class(Q, Fraction(2)) - square_class(Q, Fraction(4))) * gen(bn, "e")
-    assert push_to_base(e, comp, g) == expect_e
+    assert push_to_base(e, comp) == expect_e
 
 
-def test_push_to_base_of_a_localized_element():
-    """localize(e, e) on the twisted point over Q(sqrt 3) pushes to the
-    numerator (<2> - <6>)e with the inverted class e, dexp 0."""
+def test_push_from_the_inverted_twisted_point_is_rejected():
+    """Over Q(sqrt 3), <1> and <1, 1, 3> differ by 2<1> + <3>, which lies in
+    I_a, so they are one element of the inverted twisted point; pi_* of
+    their representatives would be <2> + <6>x and (<6> + 2<1>) + (2<3> +
+    <2>)x, so neither is pushed."""
     ctx = make_context(Q, Fraction(3))
-    g = GroupDescriptor("N", 1, Q)
+    tp = twisted_point(ctx, inverted=True)
+    one, other = from_witt(tp, witt(Q, 1)), from_witt(tp, witt(Q, 1, 1, 3))
+    assert one == other
     rho1 = n_rep([NIrrep(RHO, 1)])
     comp = FixedComponent("tw", ctx, rho1, rho1)
-    e = gen(twisted_point(ctx), "e")
-    pushed = push_to_base(localize(e, e), comp, g)
-    base = bsl2n(1, Q)
-    e_base = gen(base, "e")
-    assert pushed.pres == base
-    assert pushed.numerator == from_witt(base, witt(Q, 2) - witt(Q, 6)) * e_base
-    assert pushed.inverted == e_base
-    assert pushed.dexp == 0
+    for x in (one, other):
+        with pytest.raises(PresentationMismatch):
+            twisted_pushforward(x)
+        with pytest.raises(PresentationMismatch):
+            push_to_base(x, comp)
 
 
 def test_sl2n_restricted_class_other_than_the_normal_one():

@@ -223,3 +223,81 @@ def test_parsing_forms_no_partial_sum():
     text = "<1+r>*e + <1+r>*e - <2+2*r>*e - <-40-8*r>*e"
     assert parse_ring_expr(text, pres).is_zero()
     assert parse_ring_expr(text + " + <3>*e", pres) == parse_ring_expr("<3>*e", pres)
+
+
+def _random_element(rng, field):
+    if field.kind == "QuadExt":
+        return (_random_element(rng, field.base), _random_element(rng, field.base))
+    if field.kind == "Fp":
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("tag", ["Q", "R", "Fp:7", "Fp:13", "Fp:7(sqrt:3)", "Q(sqrt:2)",
+                                 "Q(sqrt:-7)", "Q(sqrt:3/5)", "R(sqrt:-1)"])
+def test_scalar_round_trip_seeded(tag):
+    """parse_scalar reads back what scalar_repr prints, inside <...> too."""
+    field = parse_field(tag)
+    rng = random.Random(15)
+    for _ in range(300):
+        x = _random_element(rng, field)
+        text = F.scalar_repr(field, x)
+        assert parse_scalar(text, field) == x, text
+        if not F.is_zero(field, x):
+            assert parse_witt_expr(f"<{text}>", field) == square_class(field, x), text
+
+
+def test_juxtaposition_binds_like_a_product():
+    """An integer followed by an atom multiplies it, with the precedence of
+    '*': the power applies to the atom alone."""
+    pres = bsl2n(1, Q)
+    e = gen(pres, "e")
+    assert parse_ring_expr("2e^2", pres) == 2 * e * e
+    assert ring_str(parse_ring_expr("2e^2", pres)) == "2*<1>*e^2"
+    assert parse_ring_expr("-2e^2", pres) == -2 * e * e
+    assert parse_witt_expr("3<2>^2", Q) == integer_class(3, Q)
+    e1, e2 = gen(bsl2n(2, Q), "e1"), gen(bsl2n(2, Q), "e2")
+    assert parse_ring_expr("e1^2e2", bsl2n(2, Q)) == e1 * e1 * e2
+    qe = parse_field("Q(sqrt:2)")
+    assert parse_scalar("1/2r", qe) == (Fraction(0), Fraction(1, 2))
+    assert parse_scalar("1/2r", qe) == parse_scalar("(1/2)*r", qe)
+
+
+@pytest.mark.parametrize(
+    "tag, text, value",
+    [("Fp:7", "1/2", 4), ("Fp:7", "-3/5", 5), ("Q", "+3/4", Fraction(3, 4)), ("Q(sqrt:2)", "(1+r)/2", (Fraction(1, 2), Fraction(1, 2))),
+     ("Q(sqrt:2)", "r*2", (Fraction(0), Fraction(2))), ("Q(sqrt:2)", "r^2", (Fraction(2), Fraction(0))),
+     ("Fp:7(sqrt:3)", "1/(1+r)", (3, 4))],
+)
+def test_scalars_are_read_in_the_field(tag, text, value):
+    field = parse_field(tag)
+    assert parse_scalar(text, field) == value
+    assert parse_witt_expr(f"<{text}>", field) == square_class(field, value)
+
+
+@pytest.mark.parametrize("text", ["7/7", "21/7*r", "1/(r^2-3)"])
+def test_division_by_a_multiple_of_p_is_a_syntax_error(text):
+    field = parse_field("Fp:7(sqrt:3)")
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar(text, field)
+    with pytest.raises(ExprSyntaxError):
+        parse_witt_expr(f"<{text}>", field)
+
+
+def test_error_inside_a_class_literal_has_its_offset_in_the_whole_text():
+    qe = parse_field("Q(sqrt:2)")
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_witt_expr("<1> + <2+x>", qe)
+    assert e.value.pos == 9
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_witt_expr("<3> - <1/0>", Q)
+    assert e.value.pos == 8
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_witt_expr("<1> + <r>", Q)
+    assert e.value.pos == 7
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "r", "<2>", "2 3"])
+def test_scalar_forms_outside_the_grammar_are_rejected(text):
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar(text, Q)
