@@ -1,25 +1,25 @@
 """Fixed-point localization problems and the Bott residue evaluator.
 
 A problem is a group (SL2^n or N over a base field) plus a list of
-0-dimensional fixed components.  Each component contributes
-push(i^*(class) / e(normal)) and the engine sums the contributions,
-attempting to clear denominators back into the polynomial presentation.
+0-dimensional fixed components.  Each component contributes the fraction
+push(i^*(class)) / e(normal), whose denominator is kept as the multiset of
+normal irreps, and the fractions sum to a polynomial (Bott's residue
+formula).  They are summed once over a common multiple L of their
+denominators and divided by e(L) once (``_sum_fractions``).
 
-An SL2^n problem whose component fractions all have integer coefficients
-is summed and cleared once in (Z/N)[e_1..e_n], N the additive order of <1>
-in W(k), and mapped into W(k)[e_1..e_n] once; Z/N -> W(k) is injective,
-so the answer is the one W(k) arithmetic would give.
-
-Denominators clear by ``exact_divide``: long division by the leading term
-in the lex order, one quotient term per step, over Z, Z/N or W(k).  Every
-Euler-class denominator leads with t<1>, t odd, and the quotient by it is
-unique (``_witt_quotient``), so a failed step means no quotient exists; a
-leading coefficient that is a zero divisor or not recognized raises
-BadParameters.
+An SL2^n problem whose numerators have integer coefficients is summed in
+(Z/N)[e_1..e_n], N the additive order of <1> in W(k), and mapped into
+W(k)[e_1..e_n] once; Z/N -> W(k) is injective, so the answer is the one
+W(k) arithmetic would give.  ``exact_divide`` is long division by the
+leading term in the lex order over Z, Z/N or W(k).  Every Euler class
+divided by leads with t<1>, t odd, and the quotient by it is unique
+(``_witt_quotient``), so a failed step means no quotient exists; a leading
+coefficient that is a zero divisor or not recognized raises BadParameters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from operator import add, not_
@@ -38,12 +38,12 @@ from .errors import (
 from .euler import (
     RepSum,
     SL2nIrrep,
-    _sl2n_euler,
     double_factorial,
     euler_rep,
     fundamental,
     generic_euler,
     sl2n_rep,
+    whitney,
 )
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 from .quadext import QuadExtContext
@@ -63,11 +63,11 @@ from .rings import (
     integral_bsl2n,
     localize_element,
     one_elem,
+    sum_elements,
     twisted_point,
     twisted_push_unit,
     twisted_pushforward,
     witt_image,
-    zero_elem,
 )
 from .witt import WittClass, _leading_integer, integer_class, zero_class
 
@@ -255,17 +255,20 @@ def push_to_base(x, c: FixedComponent):
 
 
 def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement:
-    """euler(restricted) / euler(normal) over the component's localized ring;
-    ``_component_fraction`` rejects a normal class that is 0."""
-    num, den = _component_fraction(c, g, bsl2n(g.n, g.field))
-    return LocalizedElement(num.pres, num, den, 1)
+    """The fraction of ``_component_fraction`` over BSL2n(n), its denominator
+    multiplied out: 1 / 1 when the restricted RepSum is the normal one."""
+    carrier = bsl2n(g.n, g.field)
+    num, den = _component_fraction(c, g, carrier)
+    return LocalizedElement(carrier, num, whitney(den.items(), carrier), 1)
 
 
 def _component_fraction(
     c: FixedComponent, g: GroupDescriptor, carrier: PresentationId
-) -> Tuple[GradedElement, GradedElement]:
-    """(numerator, denominator) over the localized base carrier ring, which
-    for SL2n may be its integral form (see ``_integral_carrier``)."""
+) -> Tuple[GradedElement, Counter]:
+    """(numerator over carrier, denominator as a Counter of normal irreps);
+    carrier is the localized base ring, or for SL2n its integral form.  A
+    restricted RepSum cancels against the normal irreps first: what is left
+    of it is the numerator, and what is left of them the denominator."""
     pres = component_presentation(c.residue, g)
     # an SL2n Euler class is 0 exactly when its generic square is, as every
     # factor leads with an odd integer; an N class comes with its square
@@ -275,39 +278,37 @@ def _component_fraction(
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
         )
-    if normal is None:
-        den = _sl2n_euler(c.normal_rep, carrier)
-        if c.restricted == c.normal_rep:
-            return den, den
-        if isinstance(c.restricted, RepSum):
-            return _sl2n_euler(c.restricted, carrier), den
-        if carrier.integral:
-            return _integral_lift(c.restricted, carrier), den
-        return c.restricted, den
-
-    if normal.value is None:
-        raise NonInvertibleNormalEuler(
-            f"component {c.id}: normal Euler class has no invertible representative"
-        )
-    if c.restricted == c.normal_rep:
-        r_val = normal.value
-    elif isinstance(c.restricted, RepSum):
-        r_val = euler_rep(c.restricted, g.field).value
-        if r_val is None:
+    den = c.normal_rep.irreps()
+    if normal is not None:
+        if normal.value is None:
+            raise NonInvertibleNormalEuler(
+                f"component {c.id}: normal Euler class has no invertible representative"
+            )
+        # m*e with m even is a zero divisor (not over R), so e.g. 4e^2 / 4e^2
+        # has more quotients than 1, even where it cancels
+        if g.field.kind != REALS and any(irrep.m % 2 == 0 for irrep in den):
+            raise BadParameters(f"component {c.id}: the normal class leads with an even integer")
+        if (isinstance(c.restricted, RepSum) and c.restricted != c.normal_rep
+                and euler_rep(c.restricted, g.field).value is None):
             raise NonInvertibleNormalEuler(
                 f"component {c.id}: restricted class only known by its square"
             )
-    else:
-        r_val = c.restricted
-
+    r = c.restricted
+    if isinstance(r, RepSum):
+        if r.group != c.normal_rep.group:
+            raise BadParameters(f"component {c.id}: restricted {r.group} vs {c.normal_rep.group}")
+        num, den = whitney((r.irreps() - den).items(), carrier), den - r.irreps()
+        if pres.kind == TWISTED:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
+            num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
+        return num, den
+    if pres.kind == BSL2N:
+        return (_integral_lift(r, carrier) if carrier.integral else r), den
     if pres.kind == TWISTED:
-        # pi_*(r) for a class r on the twisted point; for a BN class r the
-        # projection formula gives pi_*(pi^* r) = r * pi_*(1)
-        r_val = (twisted_pushforward(r_val) if r_val.pres == pres
-                 else r_val * twisted_push_unit(pres.ctx))
-    if r_val.pres.kind != BNN:
+        # pi_*(r) for a class r on the twisted point, pi_*(pi^* r) for a BN class
+        r = twisted_pushforward(r) if r.pres == pres else r * twisted_push_unit(pres.ctx)
+    if r.pres.kind != BNN:
         raise BadParameters("restricted class must live over BN")
-    return localize_element(r_val, carrier), localize_element(normal.value, carrier)
+    return localize_element(r, carrier), den
 
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
@@ -330,34 +331,29 @@ def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
     and maps to the only quotient over W(k).  Numerators must be Whitney
     products or ring expressions whose coefficients read as integers."""
     g = p.group
-    if g.kind != "SL2n":
-        return None
     base, carrier = bsl2n(g.n, g.field), integral_bsl2n(g.n, g.field)
-    for c in p.components:
-        if isinstance(c.restricted, GradedElement) and (
-            c.restricted.pres != base or _integral_lift(c.restricted, carrier) is None
-        ):
-            return None
-    return carrier
+    lifted = all(
+        isinstance(r, RepSum) or r.pres == base and _integral_lift(r, carrier) is not None
+        for r in (c.restricted for c in p.components))
+    return carrier if g.kind == "SL2n" and lifted else None
 
 
-def _sum_fractions(
-    fractions: List[Tuple[GradedElement, GradedElement]], carrier: PresentationId
-):
-    """Sum the component fractions over carrier: (numerator, common
-    denominator or None when every fraction cleared, numerator / common
-    denominator or None).  One fold: (N, D) -> (N*d + n*D, D*d) for a
-    fraction n/d, and N -> N + q*D for one that clears to q."""
-    total_num, D, divided = zero_elem(carrier), one_elem(carrier), False
-    for num, den in fractions:
-        q = exact_divide(num, den)
-        if q is None:
-            total_num, D, divided = total_num * den + num * D, D * den, True
-        else:
-            total_num = total_num + q * D
-    if not divided:
-        return total_num, None, total_num
-    return total_num, D, exact_divide(total_num, D)
+def _sum_fractions(fractions: List[Tuple[GradedElement, Counter]], carrier: PresentationId):
+    """(sum, e(L) or None, quotient or None) for fractions n_i / d_i, each d_i
+    a Counter of irreps, over carrier.  L takes each irrep's maximum
+    multiplicity; the n_i * e(L - d_i) are summed once and divided by e(L)
+    once, or not at all when L is empty.  Any common multiple would do: e(L)
+    leads with an odd integer, so the quotient is unique."""
+    L: Counter = Counter()
+    for _, den in fractions:
+        L |= den
+    cofactors = [whitney((L - den).items(), carrier) for _, den in fractions]
+    total = sum_elements(carrier, [num * x for (num, _), x in zip(fractions, cofactors)])
+    if not L:
+        return total, None, total
+    # e(L) = e(L - d_0) * e(d_0), as d_0 lies in L
+    D = whitney(fractions[0][1].items(), carrier, out=cofactors[0])
+    return total, D, exact_divide(total, D)
 
 
 def bott_residue(p: LocalizationProblem) -> ResidueResult:
@@ -373,19 +369,17 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     carrier = bsl2n(g.n, g.field)
     work = _integral_carrier(p) or carrier
     fractions = [_component_fraction(c, g, work) for c in p.components]
-    summed = _sum_fractions(fractions, work)
-    total_num, D, cleared = (None if x is None else witt_image(x) for x in summed)
-
-    if D is not None:
-        value = LocalizedElement(carrier, total_num, D, 1)
-    elif g.kind == "SL2n":
-        value = LocalizedElement(carrier, total_num, e_star(g.n, g.field), 0)
-    else:
-        value = LocalizedElement(carrier, total_num, e_monomial(carrier, p.M or 1, e=1), 0)
+    total, D, cleared = _sum_fractions(fractions, work)
 
     degree_zero: Optional[WittClass] = None
-    if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):
-        degree_zero = cleared.constant_coefficient()
+    if cleared is None:
+        value = LocalizedElement(carrier, witt_image(total), witt_image(D), 1)
+    else:
+        cleared = witt_image(cleared)
+        unit = e_star(g.n, g.field) if g.kind == "SL2n" else e_monomial(carrier, p.M or 1, e=1)
+        value = LocalizedElement(carrier, cleared, unit, 0)
+        if cleared.is_zero() or cleared.degree() == 0:
+            degree_zero = cleared.constant_coefficient()
     return ResidueResult(value, cleared, degree_zero, flags)
 
 

@@ -15,9 +15,11 @@ K = sum k_m, written down directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import BadParameters, UnsupportedIrrep
 from .fields import FieldDescriptor
@@ -99,6 +101,10 @@ class RepSum:
     def rank(self) -> int:
         return sum(irrep.rank * mult for irrep, mult in self.summands)
 
+    def irreps(self) -> Counter:
+        """The multiset of irreps: each one's total multiplicity."""
+        return sum((Counter({irrep: mult}) for irrep, mult in self.summands), Counter())
+
     def concat(self, other: "RepSum") -> "RepSum":
         if other.group != self.group:
             raise BadParameters(f"{other.group} vs {self.group}")
@@ -163,7 +169,11 @@ def euler_tensor_pair(i: int, j: int, n: int, field: FieldDescriptor) -> GradedE
     return witt_image(_tensor_pair(i, j, integral_bsl2n(n, field)))
 
 
-def _irrep_euler(irrep: SL2nIrrep, pres: PresentationId) -> GradedElement:
+@lru_cache(maxsize=None)
+def _irrep_euler(irrep, pres: PresentationId) -> GradedElement:
+    """e(irrep) in pres, built once: an SL2^n shape above, or m*e for rho(m)."""
+    if isinstance(irrep, NIrrep):
+        return e_monomial(pres, irrep.m, e=1)  # rho0 and rho0- have m = 0
     nz = [(i, m) for i, m in enumerate(irrep.exponents, start=1) if m]
     if all(m % 2 == 0 for _, m in nz):
         # includes the single even-exponent case: odd rank forces vanishing
@@ -184,15 +194,15 @@ def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
     return ei * ei - ej * ej
 
 
-def _sl2n_euler(rep: RepSum, pres: PresentationId, power: int = 1) -> GradedElement:
-    """e(rep)^power as the Whitney product of the e(irrep)^(power*mult), in
-    the BSL2n presentation pres, over Z/N or over W(k); the engine works
-    with it over Z/N.  Squaring factor by factor is cheaper than squaring the
-    product, whose terms multiply pairwise."""
-    val = one_elem(pres)
-    for irrep, mult in rep.summands:
-        val = val * _irrep_euler(irrep, pres) ** (power * mult)
-    return val
+def whitney(pairs, pres: PresentationId, power: int = 1, out=None) -> GradedElement:
+    """out (default 1) times e(irrep)^(power*mult) over the (irrep, mult)
+    pairs, in the BSL2n presentation pres, over Z/N or over W(k), multiplied
+    on one factor at a time.  Squaring factor by factor is cheaper than
+    squaring the product, whose terms multiply pairwise."""
+    out = one_elem(pres) if out is None else out
+    for irrep, mult in pairs:
+        out = out * _irrep_euler(irrep, pres) ** (power * mult)
+    return out
 
 
 def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
@@ -203,11 +213,8 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
     """Whitney product over the summands with multiplicities."""
     if rep.group[0] == "SL2n":
         pres = integral_bsl2n(rep.group[1], field)
-        return EulerClassValue(
-            witt_image(_sl2n_euler(rep, pres)),
-            EXACT,
-            witt_image(_sl2n_euler(rep, pres, 2)),
-        )
+        return EulerClassValue(witt_image(whitney(rep.summands, pres)), EXACT,
+                               witt_image(whitney(rep.summands, pres, 2)))
 
     # with k_m summands rho(m): value c*e^K and square c^2*e^(2K), where
     # c = prod m^(k_m) and K = sum k_m; same-m sign ambiguities square away
@@ -216,9 +223,7 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
     if any(irrep.tag in (RHO0, RHO0_MINUS) for irrep, _ in rep.summands):
         z = zero_elem(pres)
         return EulerClassValue(z, EXACT, z)
-    counts: Dict[int, int] = {}
-    for irrep, mult in rep.summands:
-        counts[irrep.m] = counts.get(irrep.m, 0) + mult
+    counts = {irrep.m: k for irrep, k in rep.irreps().items()}
     c = prod(m ** k for m, k in counts.items())
     K = sum(counts.values())
     square = e_monomial(pres, c * c, e=2 * K)
@@ -236,5 +241,5 @@ def generic_euler(rep: RepSum, field: FieldDescriptor) -> GradedElement:
     if rep.rank % 2:
         return zero_elem(pres)
     if rep.group[0] == "SL2n":
-        return witt_image(_sl2n_euler(rep, integral_bsl2n(rep.group[1], field), 2))
+        return witt_image(whitney(rep.summands, integral_bsl2n(rep.group[1], field), 2))
     return euler_rep(rep, field).known_square

@@ -88,12 +88,13 @@ class _Parser:
 
 
 def parse_field(tag: str) -> FieldDescriptor:
-    tag = tag.strip()
-    m = re.fullmatch(r"(.+?)\(sqrt:(.+)\)", tag)
+    m = re.fullmatch(r"\s*(.+?)\(sqrt:(.+)\)\s*", tag)
     if m:
         base = parse_field(m.group(1))
-        a = parse_scalar(m.group(2), base)
+        # a is read in place, so an error in it reports its offset in the tag
+        a = parse_scalar(" " * m.start(2) + m.group(2), base)
         return quad_ext(base, a)
+    tag = tag.strip()
     if tag == "Q":
         return rationals()
     if tag == "R":

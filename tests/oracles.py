@@ -12,15 +12,19 @@ base-change kernel reference decides membership in <1,-a>*W(Q_v) by
 enumerating multipliers, and the Hasse invariant reference multiplies the
 Hilbert symbols of all pairs of entries.  Witt-triviality over Q_p at odd p
 has a reference by discriminant and Hasse invariant, against which
-Springer's theorem in the package is checked.
+Springer's theorem in the package is checked.  ``residue_by_evaluation``
+sums the fractions of a localization problem at random integer points,
+from the closed forms of the Euler classes, with no ring arithmetic.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from wittloc import fields as F
 from wittloc import places
+from wittloc.euler import RepSum, SL2nIrrep
 
 
 def _inv(x, p):
@@ -347,3 +351,68 @@ def local_in_ideal_by_enumeration(entries, a, v):
             if places.local_witt_zero(tuple((c, 1) for c in tuple(prod) + negated), v):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Bott residues by evaluation at points
+
+
+def _irrep_value(irrep, point):
+    """e(irrep) at point, from the closed forms: m!!*e_i^((m+1)/2) for
+    Sym^m F_i with m odd, e_i^2 - e_j^2 for F_i (x) F_j with i < j, 0 when
+    every exponent is even; m*e for rho(m), 0 for rho0 and rho0-."""
+    if not isinstance(irrep, SL2nIrrep):
+        return irrep.m * point[0]
+    odd = [(i, m) for i, m in enumerate(irrep.exponents) if m % 2]
+    if not odd:
+        return 0
+    if len(odd) == 1 and sum(irrep.exponents) == odd[0][1]:
+        i, m = odd[0]
+        return math.prod(range(m, 0, -2)) * point[i] ** ((m + 1) // 2)
+    if len(odd) == 2 and sum(irrep.exponents) == 2:
+        (i, _), (j, _) = odd
+        return point[i] ** 2 - point[j] ** 2
+    raise ValueError(f"no closed form for {irrep}")
+
+
+def _class_value(x, point):
+    """A RepSum's Euler class at point, as the product over its summands; a
+    ring expression over Q read term by term, each coefficient an integer
+    and each e_i point[i]."""
+    if isinstance(x, RepSum):
+        return math.prod(_irrep_value(irrep, point) ** k for irrep, k in x.summands)
+    if x.pres.kind != "BSL2n" or x.pres.field.kind != F.RATIONALS:
+        raise ValueError(f"only ring expressions over BSL2n/Q are read, not {x.pres}")
+    total = 0
+    for key, c in x.coeffs.items():
+        t = c.integer_value()
+        if t is None:
+            raise ValueError(f"coefficient {c} is not an integer")
+        total += t * math.prod(v ** k for v, k in zip(point, key))
+    return total
+
+
+def residue_by_evaluation(problem, points=3, seed=0):
+    """Sum over the components of e(restricted)/e(normal), evaluated in
+    Fraction at ``points`` seeded random integer points where no
+    denominator vanishes (nonzero e_i of distinct absolute values); the
+    common value, or AssertionError when the points disagree.
+
+    Agreement at a few points does not prove that the fractions sum to a
+    polynomial: only the Bott residue theorem or an exact division says so.
+    So this checks only sums that cleared, whose degree-0 answer is the
+    value here.  Components must be rational points; a ring-expression
+    numerator must be over Q with integer coefficients."""
+    rng = random.Random(seed)
+    n = problem.group.n
+    values = set()
+    for _ in range(points):
+        point = rng.sample(range(1, 1000), n)
+        total = Fraction(0)
+        for c in problem.components:
+            if c.residue != "rational":
+                raise ValueError(f"component {c.id} is not a rational point")
+            total += Fraction(_class_value(c.restricted, point), _class_value(c.normal_rep, point))
+        values.add(total)
+    assert len(values) == 1, f"the fractions sum to no constant: {sorted(values)}"
+    return values.pop()

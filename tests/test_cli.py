@@ -96,6 +96,12 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_field_tag_error_names_its_offset_in_the_tag(capsys):
+    code, out, err = run(capsys, "witt", "<1>", "--field", "Q(sqrt:2+x)")
+    assert code == 2 and out == ""
+    assert err.strip() == "parse error: unexpected token 'x' (at offset 9)"
+
+
 @pytest.mark.parametrize("expr, field", [("<1/0+r>", "Q(sqrt:2)"), ("<1/7+r>", "Fp:7(sqrt:3)")])
 def test_quadext_scalar_with_a_zero_denominator_exit_code(capsys, expr, field):
     code, out, err = run(capsys, "witt", expr, "--field", field)

@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -50,9 +50,9 @@ from wittloc.rings import (
     twisted_pushforward,
     zero_elem,
 )
-from wittloc.witt import WittClass, integer_class, square_class, witt, zero_class
+from wittloc.witt import WittClass, integer_class, integer_modulus, square_class, witt, zero_class
 
-from oracles import witt_divide_candidates
+from oracles import residue_by_evaluation, witt_divide_candidates
 
 Q = F.rationals()
 
@@ -363,6 +363,17 @@ def test_unsupported_residue_rejected():
         component_residue(comp, g)
 
 
+def test_restricted_representation_of_another_group_is_rejected():
+    """The restricted RepSum cancels against the normal one, so both must
+    be representations of one group."""
+    rho1, f1 = n_rep([NIrrep(RHO, 1)]), parse_rep("F@1", "SL2n", 1)
+    for kind, normal, restricted in (("N", rho1, f1), ("SL2n", f1, rho1)):
+        g = GroupDescriptor(kind, 1, Q)
+        comp = FixedComponent("pt", "rational", normal, restricted)
+        with pytest.raises(BadParameters, match="restricted"):
+            bott_residue(LocalizationProblem(g, (comp,)))
+
+
 def _spy_on_euler_classes(monkeypatch):
     seen = {"euler_rep": [], "generic_euler": []}
     for name in seen:
@@ -410,11 +421,24 @@ def _spy_on_divisions(monkeypatch):
     return seen
 
 
+def _spy_on_sums(monkeypatch):
+    seen = []
+    sum_fractions = engine._sum_fractions
+
+    def spy(fractions, carrier):
+        seen.append(carrier)
+        return sum_fractions(fractions, carrier)
+
+    monkeypatch.setattr(engine, "_sum_fractions", spy)
+    return seen
+
+
 @pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)
 def test_builder_problems_are_summed_over_z(monkeypatch, field):
-    seen = _spy_on_divisions(monkeypatch)
+    """Every Grassmannian fraction cancels to 1, so nothing is divided."""
+    seen, sums = _spy_on_divisions(monkeypatch), _spy_on_sums(monkeypatch)
     res = bott_residue(build_grassmannian_problem(2, 5, 2, field))
-    assert seen and all(p == integral_bsl2n(2, field) for p in seen)
+    assert sums == [integral_bsl2n(2, field)] and seen == []
     assert res.degree_zero == integer_class(2, field)
     assert res.cleared.pres == res.value.pres == bsl2n(2, field)
 
@@ -647,15 +671,7 @@ def test_integer_problems_are_summed_once_over_z_mod_n(monkeypatch, field, N):
         problem = _minus_e1_squared_problem(field)
     else:
         problem = engine.build_hypersurface_lines_problem(N, field)
-    seen = _spy_on_divisions(monkeypatch)
-    sums = []
-    sum_fractions = engine._sum_fractions
-
-    def spy(fractions, carrier):
-        sums.append(carrier)
-        return sum_fractions(fractions, carrier)
-
-    monkeypatch.setattr(engine, "_sum_fractions", spy)
+    seen, sums = _spy_on_divisions(monkeypatch), _spy_on_sums(monkeypatch)
     res = bott_residue(problem)
     zp = integral_bsl2n(problem.group.n, field)
     assert seen and all(p == zp for p in seen)
@@ -703,8 +719,9 @@ def _random_integer_problem(rng, field):
 
 @pytest.mark.parametrize("field", ZN_FIELDS, ids=str)
 def test_z_mod_n_sum_equals_the_witt_sum(field):
-    """bott_residue sums over Z/N; the reference sums the witt_image'd
-    fractions over W(k).  value, cleared and degree_zero agree."""
+    """bott_residue sums over Z/N; the reference sums the fractions with
+    witt_image'd numerators over W(k), where the denominators' irreps get
+    their W(k) classes.  value, cleared and degree_zero agree."""
     rng = random.Random(f"z-mod-n:{field}")
     cleared_count = 0
     for _ in range(12):
@@ -713,12 +730,12 @@ def test_z_mod_n_sum_equals_the_witt_sum(field):
         zp, carrier = integral_bsl2n(n, field), bsl2n(n, field)
         assert engine._integral_carrier(p) == zp
         fractions = [engine._component_fraction(c, p.group, zp) for c in p.components]
-        images = [(engine.witt_image(a), engine.witt_image(b)) for a, b in fractions]
+        images = [(engine.witt_image(num), den) for num, den in fractions]
         total, D, cleared = engine._sum_fractions(images, carrier)
-        if D is None:
-            value = LocalizedElement(carrier, total, e_star(n, field), 0)
-        else:
+        if cleared is None:
             value = LocalizedElement(carrier, total, D, 1)
+        else:
+            value = LocalizedElement(carrier, cleared, e_star(n, field), 0)
         degree_zero = None
         if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):
             degree_zero = cleared.constant_coefficient()
@@ -787,3 +804,127 @@ def test_n_component_order_does_not_matter(base):
             shuffled = rng.sample(p.components, len(p.components))
             got = bott_residue(LocalizationProblem(p.group, tuple(shuffled), p.M)).degree_zero
             assert got == want
+
+
+def _over(p, field):
+    """The problem p over Q, carried to field through its JSON document."""
+    doc = problem_to_json(p)
+    doc["group"]["field"] = str(field)
+    return problem_from_json(doc)
+
+
+def _reduced(t, field):
+    """t<1> in W(field), t read through Z/N, N = integer_modulus(field)."""
+    N = integer_modulus(field)
+    return integer_class(t % N if N else t, field)
+
+
+# Sym^m F_i blocks of one rank, as (m, count) lists: e^2, 3e^2; e^3, 3e^3,
+# 15e^3; swapping one for another scales a fraction by an odd ratio
+RANK_BLOCKS = [
+    [[(1, 2)], [(3, 1)]],
+    [[(1, 3)], [(3, 1), (1, 1)], [(5, 1)]],
+]
+
+
+def _random_repsum_problem(rng):
+    """An SL2n problem over Q whose restricted RepSums are the normal ones
+    with single-factor blocks swapped for blocks of the same rank, so each
+    fraction is an odd ratio such as 3, 5 or 1/15."""
+    n = rng.randint(1, 3)
+    comps = []
+    for c in range(rng.randint(1, 3)):
+        normal, restricted = [], []
+        for i in range(1, n + 1):
+            for _ in range(rng.randint(0, 2)):
+                options = rng.choice(RANK_BLOCKS)
+                for side in (normal, restricted):
+                    side += [f"{k}*Sym({m})@{i}" for m, k in rng.choice(options)]
+        if n > 1 and rng.random() < 0.5:
+            pair = "F@1*F@2"
+            normal.append(pair)
+            restricted.append(pair)
+        if not normal:
+            normal = restricted = ["F@1"]
+        comps.append(FixedComponent(f"c{c}", "rational", parse_rep(" + ".join(normal), "SL2n", n),
+                                    parse_rep(" + ".join(restricted), "SL2n", n)))
+    return LocalizationProblem(GroupDescriptor("SL2n", n, Q), tuple(comps))
+
+
+ORACLE_FIELDS = [F.finite_prime(7), F.finite_prime(13), F.quad_ext(Q, 2), F.quad_ext(Q, -7)]
+ORACLE_PROBLEMS = {
+    "builder": lambda rng: _random_sl2n_problem(rng, Q),
+    "repsum": _random_repsum_problem,
+    "ring": lambda rng: _random_integer_problem(rng, Q),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_PROBLEMS))
+def test_cleared_sums_agree_with_evaluation_at_points(kind):
+    """Every problem that clears over Q with a degree-0 answer t<1> has the
+    value t at random points, and clears over F_p and Q(sqrt a) to the
+    image of t through Z/N."""
+    rng = random.Random(f"oracle:{kind}")
+    checked = 0
+    for i in range(25):
+        p = ORACLE_PROBLEMS[kind](rng)
+        res = bott_residue(p)
+        if res.degree_zero is None:
+            continue
+        t = residue_by_evaluation(p, seed=i)
+        assert t.denominator == 1 and res.degree_zero == integer_class(t.numerator, Q)
+        for field in ORACLE_FIELDS:
+            assert bott_residue(_over(p, field)).degree_zero == _reduced(t.numerator, field)
+        checked += 1
+    assert checked >= 8
+
+
+TIER1_BUILDER_PROBLEMS = (
+    [(f"P^{d} n={n}", lambda k, d=d, n=n: build_projective_problem(d, n, k))
+     for n in (1, 2, 3) for d in (2 * n - 1, 2 * n)]
+    + [(f"Gr({2 * r},{2 * n})", lambda k, r=r, n=n: build_grassmannian_problem(2 * r, 2 * n, n, k))
+       for n in range(2, 5) for r in range(1, n)]
+    + [("Gr(3,8)", lambda k: build_grassmannian_problem(3, 8, 4, k)),
+       ("Gr(4,8)", lambda k: build_grassmannian_problem(4, 8, 4, k))]
+    + [(f"lines N={N}", lambda k, N=N: engine.build_hypersurface_lines_problem(N, k))
+       for N in (3, 5, 7, 9, 11, 13)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in TIER1_BUILDER_PROBLEMS],
+                         ids=[label for label, _ in TIER1_BUILDER_PROBLEMS])
+def test_builder_answers_agree_with_evaluation_at_points(build):
+    t = residue_by_evaluation(build(Q))
+    assert t.denominator == 1
+    for field in [Q] + ORACLE_FIELDS:
+        assert bott_residue(build(field)).degree_zero == _reduced(t.numerator, field)
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)
+def test_each_problem_divides_at_most_once(monkeypatch, field):
+    """Grassmannian and projective fractions all cancel to 1, so they divide
+    nothing; any other problem makes one division, by e(L)."""
+    seen = _spy_on_divisions(monkeypatch)
+    for label, build in TIER1_BUILDER_PROBLEMS:
+        seen.clear()
+        p = build(field)
+        bott_residue(p)
+        divided = [integral_bsl2n(p.group.n, field)] if label.startswith("lines") else []
+        assert seen == divided
+    rng = random.Random(f"one-division:{field}")
+    for _ in range(20):
+        p = rng.choice([_random_sl2n_problem, _random_integer_problem, _random_n_problem])(rng, field)
+        seen.clear()
+        bott_residue(p)
+        assert len(seen) <= 1
+
+
+@pytest.mark.parametrize("N, field", [(N, f) for f in (Q, F.finite_prime(7)) for N in (11, 13)],
+                         ids=str)
+def test_lines_beyond_the_old_wall(N, field):
+    """N = 13 took about 2 min while the sum folded its denominators."""
+    count = prod(range(2 * N - 3, 0, -2))
+    start = time.perf_counter()
+    res = bott_residue(engine.build_hypersurface_lines_problem(N, field))
+    assert time.perf_counter() - start < 10.0
+    assert res.degree_zero == integer_class(count, field)

@@ -297,6 +297,14 @@ def test_error_inside_a_class_literal_has_its_offset_in_the_whole_text():
     assert e.value.pos == 7
 
 
+@pytest.mark.parametrize("tag, pos", [("Q(sqrt:2+x)", 9), ("Fp:7(sqrt:1/7)", 11),
+                                      ("Q(sqrt:2 + 3x)", 12), (" Q(sqrt:*2)", 8)])
+def test_error_in_a_field_tag_has_its_offset_in_the_whole_tag(tag, pos):
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_field(tag)
+    assert e.value.pos == pos
+
+
 @pytest.mark.parametrize("text", ["1.5", "1e3", "r", "<2>", "2 3"])
 def test_scalar_forms_outside_the_grammar_are_rejected(text):
     with pytest.raises(ExprSyntaxError):
