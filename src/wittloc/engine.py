@@ -5,7 +5,9 @@ A problem is a group (SL2^n or N over a base field) plus a list of
 push(i^*(class)) / e(normal), whose denominator is kept as the multiset of
 normal irreps, and the fractions sum to a polynomial (Bott's residue
 formula).  They are summed once over a common multiple L of their
-denominators and divided by e(L) once (``_sum_fractions``).
+denominators and divided by e(L) once (``_sum_fractions``).  A RepSum is
+its canonical irrep multiset, so a restricted one equal to the normal one
+in any order is 1.  P^(2n) is built as Gr(1, 2n+1).
 
 An SL2^n problem whose numerators have integer coefficients is summed in
 (Z/N)[e_1..e_n], N the additive order of <1> in W(k), and mapped into
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .euler import (
     RepSum,
-    SL2nIrrep,
     double_factorial,
     euler_rep,
     fundamental,
@@ -69,7 +70,7 @@ from .rings import (
     twisted_pushforward,
     witt_image,
 )
-from .witt import WittClass, _leading_integer, integer_class, zero_class
+from .witt import WittClass, _leading_integer, integer_class, integer_modulus, zero_class
 
 RATIONAL_POINT = "rational"
 
@@ -359,10 +360,10 @@ def _sum_fractions(fractions: List[Tuple[GradedElement, Counter]], carrier: Pres
 def bott_residue(p: LocalizationProblem) -> ResidueResult:
     g = p.group
     flags: Dict[str, bool] = {}
-    if g.field.kind == FINITE_PRIME:
+    if (g.field.base or g.field).kind == FINITE_PRIME:  # F_p or F_p(sqrt a)
         flags["finite_char"] = True
-    # only the N-engine reads M (LocalizationProblem rejects it on SL2n)
-    if p.M is not None and p.M % 2 == 0 and g.field.kind not in (RATIONALS, REALS):
+    # an even M may kill an answer when <1> has finite order (M is N-only)
+    if p.M is not None and p.M % 2 == 0 and integer_modulus(g.field):
         flags["potentially_vacuous"] = True
 
     # the N-engine has n = 1, and its base carrier is BSL2n(1) too
@@ -388,18 +389,10 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
 
 
 def build_projective_problem(dim: int, n: int, field: FieldDescriptor) -> LocalizationProblem:
+    """P^dim as Gr(1, dim + 1): one fixed component, I={}, for dim = 2n."""
     if dim not in (2 * n - 1, 2 * n):
         raise BadDimension(f"dim must be 2n-1 or 2n for n={n}, got {dim}")
-    g = GroupDescriptor("SL2n", n, field)
-    if dim == 2 * n - 1:
-        return LocalizationProblem(g, ())
-    normal = sl2n_rep(n, [fundamental(n, i) for i in range(1, n + 1)])
-    comp = FixedComponent("origin", RATIONAL_POINT, normal, normal)
-    return LocalizationProblem(g, (comp,))
-
-
-def _tensor_irrep(n: int, i: int, j: int) -> SL2nIrrep:
-    return SL2nIrrep(tuple(1 if k in (i, j) else 0 for k in range(1, n + 1)))
+    return build_grassmannian_problem(1, dim + 1, n, field)
 
 
 def build_grassmannian_problem(
@@ -420,7 +413,7 @@ def build_grassmannian_problem(
         raise BadParameters(f"m={m} exceeds the invariant-subspace range")
     for I in combinations(range(1, n + 1), r):
         J = tuple(i for i in range(1, n + 1) if i not in I)
-        summands: List[SL2nIrrep] = [_tensor_irrep(n, i, j) for i in I for j in J]
+        summands = [fundamental(n, i, j) for i in I for j in J]
         if extra_line:
             if m % 2 == 1:
                 # W = F_I + trivial line; Hom(line, F_j) adds each F_j
@@ -451,7 +444,7 @@ def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> Localiza
     pres = bsl2n(m, field)
     comps = []
     for i in range(1, m + 1):
-        normal = sl2n_rep(m, [_tensor_irrep(m, i, j) for j in range(1, m + 1) if j != i])
+        normal = sl2n_rep(m, [fundamental(m, i, j) for j in range(1, m + 1) if j != i])
         num = from_int(pres, (-1) ** (i - 1) * double_factorial(2 * N - 3))
         num = num * gen(pres, f"e{i}") ** (N - 1)
         comps.append(FixedComponent(f"F{i}", RATIONAL_POINT, normal, num))

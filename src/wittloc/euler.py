@@ -11,6 +11,9 @@ For N, e(O~(m)) is +-m*e for odd m (sign surfaced as determinacy metadata)
 and only its square m^2 e^2 is available for even m; a sum with k_m copies
 of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
 K = sum k_m, written down directly.
+
+A ``RepSum`` is its irrep multiset in one canonical order, so every class
+above reads one form, and equal multisets compare equal.
 """
 
 from __future__ import annotations
@@ -77,14 +80,23 @@ class NIrrep:
         return 2 if self.tag == RHO else 1
 
 
+def _irrep_order(summand) -> Tuple:
+    """SL2^n irreps by reversed exponents (F@1 before F@2), N ones by (tag, m)."""
+    irrep = summand[0]
+    return irrep.exponents[::-1] if isinstance(irrep, SL2nIrrep) else (irrep.tag, irrep.m)
+
+
 @dataclass(frozen=True)
 class RepSum:
-    """Formal sum of irreps with positive multiplicities over SL2^n or N."""
+    """The irrep multiset of a representation over SL2^n or N: each irrep once
+    with its total multiplicity, in the order of ``_irrep_order``, which
+    ``whitney`` multiplies in.  So == and hash are multiset equality."""
 
     group: Tuple
     summands: Tuple[Tuple[object, int], ...]
 
     def __post_init__(self):
+        merged: Counter = Counter()
         for irrep, mult in self.summands:
             if mult < 1:
                 raise BadParameters("multiplicities must be >= 1")
@@ -96,6 +108,8 @@ class RepSum:
                     raise BadParameters(f"bad N irrep {irrep!r}")
             else:
                 raise BadParameters(f"unknown group {self.group!r}")
+            merged[irrep] += mult
+        object.__setattr__(self, "summands", tuple(sorted(merged.items(), key=_irrep_order)))
 
     @property
     def rank(self) -> int:
@@ -103,7 +117,7 @@ class RepSum:
 
     def irreps(self) -> Counter:
         """The multiset of irreps: each one's total multiplicity."""
-        return sum((Counter({irrep: mult}) for irrep, mult in self.summands), Counter())
+        return Counter(dict(self.summands))
 
     def concat(self, other: "RepSum") -> "RepSum":
         if other.group != self.group:
@@ -112,32 +126,21 @@ class RepSum:
 
 
 def sl2n_rep(n: int, items) -> RepSum:
-    """items: iterable of exponent tuples or (exponent tuple, multiplicity)."""
-    summands = []
-    for it in items:
-        if isinstance(it, tuple) and len(it) == 2 and isinstance(it[1], int) and isinstance(it[0], (tuple, SL2nIrrep)):
-            irrep, mult = it
-        else:
-            irrep, mult = it, 1
-        if not isinstance(irrep, SL2nIrrep):
-            irrep = SL2nIrrep(tuple(irrep))
-        summands.append((irrep, mult))
-    return RepSum(("SL2n", n), tuple(summands))
+    """items: irreps or exponent tuples, each alone or with a multiplicity."""
+    pairs = [it if isinstance(it, tuple) and len(it) == 2 and isinstance(it[0], (tuple, SL2nIrrep))
+             else (it, 1) for it in items]
+    return RepSum(("SL2n", n), tuple(
+        (x if isinstance(x, SL2nIrrep) else SL2nIrrep(tuple(x)), k) for x, k in pairs))
 
 
 def n_rep(items) -> RepSum:
-    summands = []
-    for it in items:
-        if isinstance(it, tuple):
-            irrep, mult = it
-        else:
-            irrep, mult = it, 1
-        summands.append((irrep, mult))
-    return RepSum(("N",), tuple(summands))
+    """items: N irreps, each alone or with a multiplicity."""
+    return RepSum(("N",), tuple(it if isinstance(it, tuple) else (it, 1) for it in items))
 
 
-def fundamental(n: int, i: int) -> SL2nIrrep:
-    return SL2nIrrep(tuple(1 if j == i - 1 else 0 for j in range(n)))
+def fundamental(n: int, *indices: int) -> SL2nIrrep:
+    """F_i, or F_i (x) F_j (x) ... for more factor indices."""
+    return SL2nIrrep(tuple(1 if j in indices else 0 for j in range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
     if any(irrep.tag in (RHO0, RHO0_MINUS) for irrep, _ in rep.summands):
         z = zero_elem(pres)
         return EulerClassValue(z, EXACT, z)
-    counts = {irrep.m: k for irrep, k in rep.irreps().items()}
+    counts = {irrep.m: k for irrep, k in rep.summands}
     c = prod(m ** k for m, k in counts.items())
     K = sum(counts.values())
     square = e_monomial(pres, c * c, e=2 * K)

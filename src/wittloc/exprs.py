@@ -88,7 +88,8 @@ class _Parser:
 
 
 def parse_field(tag: str) -> FieldDescriptor:
-    m = re.fullmatch(r"\s*(.+?)\(sqrt:(.+)\)\s*", tag)
+    # the last '(sqrt:' opens the tag: a nested tag's base is an extension
+    m = re.fullmatch(r"\s*(.+)\(sqrt:(.+)\)\s*", tag)
     if m:
         base = parse_field(m.group(1))
         # a is read in place, so an error in it reports its offset in the tag
@@ -265,8 +266,9 @@ def _atom(t: Tuple[str, str, int], p: _Parser, atoms: _Atoms):
 
 def parse_rep(text: str, group_kind: str, n: int = 1):
     """Sums of irrep literals: Sym(m)@i, F@i (and '*'-products of those),
-    rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand."""
-    from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, n_rep, sl2n_rep
+    rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand.  Equal
+    irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'."""
+    from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep
 
     p = _Parser(text)
     summands = []
@@ -327,9 +329,7 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
             continue
         break
     p.done()
-    if group_kind == "SL2n":
-        return sl2n_rep(n, summands)
-    return n_rep(summands)
+    return RepSum(("SL2n", n) if group_kind == "SL2n" else ("N",), tuple(summands))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +369,7 @@ def ring_str(x: GradedElement) -> str:
 
 
 def rep_str(rep) -> str:
+    """A RepSum's canonical literal: its merged summands, in its order."""
     from .euler import RHO, RHO0, RHO0_MINUS
 
     parts = []

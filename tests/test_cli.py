@@ -90,6 +90,12 @@ def test_euler_output(capsys):
     assert "euler:" in out and "determinacy: exact" in out
 
 
+def test_euler_prints_the_canonical_rep(capsys):
+    code, out, _ = run(capsys, "euler", "F@2 + F@1 + F@1", "--n", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["rep"] == "2*F@1 + F@2"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "witt", "<1> +", "--field", "Q")
     assert code == 2
@@ -100,6 +106,12 @@ def test_field_tag_error_names_its_offset_in_the_tag(capsys):
     code, out, err = run(capsys, "witt", "<1>", "--field", "Q(sqrt:2+x)")
     assert code == 2 and out == ""
     assert err.strip() == "parse error: unexpected token 'x' (at offset 9)"
+
+
+def test_nested_field_tag_is_a_computation_error(capsys):
+    code, out, err = run(capsys, "witt", "<1>", "--field", "Q(sqrt:2)(sqrt:3)")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: UnsupportedField: quadratic extensions may not be nested"
 
 
 @pytest.mark.parametrize("expr, field", [("<1/0+r>", "Q(sqrt:2)"), ("<1/7+r>", "Fp:7(sqrt:3)")])
@@ -299,6 +311,12 @@ def test_ring_on_the_twisted_presentation(capsys):
 
 def test_localize_prints_its_flags(capsys):
     code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--n", "1", "--field", "Fp:7")
+    assert code == 0
+    assert "flags: finite_char" in out.splitlines()
+
+
+def test_localize_flags_odd_characteristic_of_an_extension(capsys):
+    code, out, _ = run(capsys, "localize", "--builder", "p", "2n", "--n", "1", "--field", "Fp:7(sqrt:3)")
     assert code == 0
     assert "flags: finite_char" in out.splitlines()
 

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
 
 import pytest
@@ -30,8 +31,9 @@ from wittloc.errors import (
     UnsupportedIrrep,
     UnsupportedResidueField,
 )
-from wittloc.euler import NIrrep, RHO, RHO0, n_rep
-from wittloc.exprs import parse_rep, parse_ring_expr
+from wittloc.euler import (NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep, euler_rep,
+                           fundamental, generic_euler, n_rep)
+from wittloc.exprs import parse_rep, parse_ring_expr, rep_str
 from wittloc.quadext import make_context
 from wittloc.rings import (
     GradedElement,
@@ -339,6 +341,26 @@ def test_finite_field_flag():
     assert res.degree_zero == integer_class(1, f7)
 
 
+def test_odd_characteristic_flag_on_a_quadratic_extension():
+    f = F.quad_ext(F.finite_prime(7), 3)
+    res = bott_residue(build_projective_problem(2, 1, f))
+    assert res.flags == {"finite_char": True}
+    assert res.degree_zero == integer_class(1, f)
+
+
+@pytest.mark.parametrize("field, vacuous", [
+    (Q, False), (F.reals(), False), (F.quad_ext(Q, 2), False),
+    (F.quad_ext(Q, -1), True), (F.quad_ext(Q, -7), True), (F.finite_prime(7), True)], ids=str)
+def test_even_m_is_flagged_where_one_has_finite_order(field, vacuous):
+    """<1> has finite order exactly when integer_modulus(k) != 0; then an
+    even M may kill the answer.  An odd M never does."""
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    comps = (FixedComponent("pt", "rational", rho1, rho1),)
+    g = GroupDescriptor("N", 1, field)
+    assert bott_residue(LocalizationProblem(g, comps, M=2)).flags.get("potentially_vacuous", False) == vacuous
+    assert "potentially_vacuous" not in bott_residue(LocalizationProblem(g, comps, M=3)).flags
+
+
 def test_json_round_trip():
     prob = build_grassmannian_problem(2, 4, 2, Q)
     doc = problem_to_json(prob)
@@ -387,7 +409,8 @@ def _spy_on_euler_classes(monkeypatch):
 
 def test_n_components_compute_each_euler_class_once(monkeypatch):
     """One euler_rep per N component whose restricted class is its normal
-    one, one more when it is another RepSum, and no generic square."""
+    one in any order, one more when it is another RepSum, and no generic
+    square."""
     seen = _spy_on_euler_classes(monkeypatch)
     g = GroupDescriptor("N", 1, Q)
     rho1 = n_rep([NIrrep(RHO, 1)])
@@ -398,7 +421,8 @@ def test_n_components_compute_each_euler_class_once(monkeypatch):
         FixedComponent("pt2", "rational", rho31, rho13),
     )
     res = bott_residue(LocalizationProblem(g, comps, M=2))
-    assert seen == {"euler_rep": [rho1, rho1, rho31, rho13], "generic_euler": []}
+    assert rho13 == rho31
+    assert seen == {"euler_rep": [rho1, rho1, rho31], "generic_euler": []}
     assert res.degree_zero == integer_class(1, Q) + square_class(Q, Fraction(2))
 
 
@@ -898,6 +922,90 @@ def test_builder_answers_agree_with_evaluation_at_points(build):
     assert t.denominator == 1
     for field in [Q] + ORACLE_FIELDS:
         assert bott_residue(build(field)).degree_zero == _reduced(t.numerator, field)
+
+
+def _random_rep(rng, group):
+    """A RepSum of up to four random summands, equal irreps among them:
+    Sym^m F_i and F_i (x) F_j over SL2^n, rho(m), rho0 and rho0- over N."""
+    if group[0] == "N":
+        pool = [NIrrep(RHO, m) for m in range(1, 6)] + [NIrrep(RHO0), NIrrep(RHO0_MINUS)]
+    else:
+        n = group[1]
+        pool = [SL2nIrrep(tuple(m if j == i else 0 for j in range(1, n + 1)))
+                for i in range(1, n + 1) for m in range(1, 6)]
+        pool += [fundamental(n, i, j) for i, j in combinations(range(1, n + 1), 2)]
+    return RepSum(group, tuple((rng.choice(pool), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 4))))
+
+
+def _rewritten(rep, rng):
+    """(text, RepSum): rep's literal with each multiplicity split into parts
+    and the parts shuffled, and what parse_rep reads from it."""
+    parts = []
+    for irrep, k in rep.summands:
+        while k:
+            j = rng.randint(1, k)
+            parts.append(rep_str(RepSum(rep.group, ((irrep, j),))))
+            k -= j
+    rng.shuffle(parts)
+    text = " + ".join(parts)
+    return text, parse_rep(text, *rep.group)
+
+
+@pytest.mark.parametrize("group", [("SL2n", 1), ("SL2n", 2), ("SL2n", 3), ("N",)], ids=str)
+def test_a_rep_sum_is_its_irrep_multiset(group):
+    """A RepSum and a rewriting of its literal are equal, hash equal, print
+    alike, parse back to themselves and have the same Euler classes."""
+    rng = random.Random(f"multiset:{group}")
+    reordered = 0
+    for _ in range(20):
+        rep = _random_rep(rng, group)
+        text, copy = _rewritten(rep, rng)
+        reordered += text != rep_str(rep)
+        assert copy == rep and hash(copy) == hash(rep) and rep_str(copy) == rep_str(rep)
+        for r in (rep, copy):
+            assert parse_rep(rep_str(r), *group) == r
+        for field in (Q, F.finite_prime(7)):
+            assert euler_rep(copy, field) == euler_rep(rep, field)
+            assert generic_euler(copy, field) == generic_euler(rep, field)
+    assert reordered >= 10
+
+
+def _random_n_rep_problem(rng):
+    """An N problem over Q at rational points whose restricted RepSums are the
+    normal ones with some rho(1) raised to rho(3) or rho(5), so each fraction
+    is an odd integer."""
+    comps = []
+    for c in range(rng.randint(1, 3)):
+        ms = [rng.choice([1, 1, 3, 5]) for _ in range(rng.randint(1, 4))]
+        raised = [rng.choice([3, 5]) if m == 1 and rng.random() < 0.4 else m for m in ms]
+        comps.append(FixedComponent(f"c{c}", "rational", n_rep([NIrrep(RHO, m) for m in ms]),
+                                    n_rep([NIrrep(RHO, m) for m in raised])))
+    return LocalizationProblem(GroupDescriptor("N", 1, Q), tuple(comps), rng.choice([None, 1, 3]))
+
+
+@pytest.mark.parametrize("make", [_random_repsum_problem, _random_n_rep_problem],
+                         ids=["SL2n", "N"])
+def test_rewritten_rep_sums_have_the_same_residue(make):
+    """A problem whose RepSums are all rewritten (``_rewritten``) is the same
+    problem: bott_residue and the evaluation oracle give the same answer,
+    which agree with each other where the sum clears."""
+    rng = random.Random(f"rewritten:{make.__name__}")
+    cleared = 0
+    for i in range(15):
+        p = make(rng)
+        copy = LocalizationProblem(p.group, tuple(
+            FixedComponent(c.id, c.residue, _rewritten(c.normal_rep, rng)[1],
+                           _rewritten(c.restricted, rng)[1]) for c in p.components), p.M)
+        assert copy == p
+        got, want = bott_residue(copy), bott_residue(p)
+        assert (got.value, got.cleared, got.degree_zero) == (want.value, want.cleared, want.degree_zero)
+        t = residue_by_evaluation(copy, seed=i)
+        assert t == residue_by_evaluation(p, seed=i)
+        if want.degree_zero is not None:
+            assert t.denominator == 1 and want.degree_zero == integer_class(t.numerator, Q)
+            cleared += 1
+    assert cleared >= 5
 
 
 @pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)

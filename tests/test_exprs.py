@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import ExprSyntaxError
+from wittloc.errors import ExprSyntaxError, UnsupportedField
 from wittloc.exprs import (
     parse_field,
     parse_rep,
@@ -121,7 +121,7 @@ def test_rep_literals():
     t = parse_rep("F@1*F@2", "SL2n", 2)
     assert t.summands[0][0].exponents == (1, 1)
     n = parse_rep("rho(3) + rho0 + rho0- + 2*rho(1)", "N")
-    assert [s[1] for s in n.summands] == [1, 1, 1, 2]
+    assert [s[1] for s in n.summands] == [2, 1, 1, 1]
 
 
 def test_rep_round_trip():
@@ -303,6 +303,23 @@ def test_error_in_a_field_tag_has_its_offset_in_the_whole_tag(tag, pos):
     with pytest.raises(ExprSyntaxError) as e:
         parse_field(tag)
     assert e.value.pos == pos
+
+
+def test_nested_field_tag_is_rejected_by_the_field():
+    """The outer tag is the last '(sqrt:'; its base is a quadratic extension,
+    which quad_ext refuses, and the a of the inner tag keeps its offset."""
+    with pytest.raises(UnsupportedField, match="may not be nested"):
+        parse_field("Q(sqrt:2)(sqrt:3)")
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_field("Q(sqrt:2+x)(sqrt:3)")
+    assert e.value.pos == 9
+
+
+def test_equal_irrep_multisets_read_as_one_rep_sum():
+    a, b = parse_rep("F@2 + F@1 + F@1", "SL2n", 2), parse_rep("2*F@1 + F@2", "SL2n", 2)
+    assert a == b and hash(a) == hash(b)
+    assert rep_str(a) == rep_str(b) == "2*F@1 + F@2"
+    assert rep_str(parse_rep("rho(3) + rho0- + rho(1) + rho0", "N")) == "rho(1) + rho(3) + rho0 + rho0-"
 
 
 @pytest.mark.parametrize("text", ["1.5", "1e3", "r", "<2>", "2 3"])
