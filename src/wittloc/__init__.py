@@ -45,7 +45,6 @@ from .rings import (
     bn,
     bnn,
     bsl2n,
-    e_star,
     gen,
     kunneth,
     loc_eq,

@@ -184,11 +184,11 @@ def _cmd_localize(args) -> int:
     from .engine import bott_residue
 
     res = bott_residue(_build_problem(args))
-    val = res.value
-    num, den = ring_str(val.numerator), ring_str(val.inverted)
-    payload = {"localized": num if val.dexp == 0 else f"({num}) / ({den})^{val.dexp}"}
     if res.cleared is not None:
-        payload["cleared"] = ring_str(res.cleared)
+        payload = {"cleared": ring_str(res.cleared)}
+    else:
+        num, den = ring_str(res.value.numerator), ring_str(res.value.inverted)
+        payload = {"localized": f"({num}) / ({den})^{res.value.dexp}"}
     if res.degree_zero is not None:
         payload["degree_zero"] = witt_str(res.degree_zero)
     lines = [f"{k}: {x}" for k, x in payload.items()]

@@ -34,6 +34,7 @@ from .errors import (
     ExprSyntaxError,
     InconsistentField,
     NonInvertibleNormalEuler,
+    PresentationMismatch,
     UnsupportedIrrep,
     UnsupportedResidueField,
 )
@@ -57,8 +58,6 @@ from .rings import (
     PresentationId,
     bnn,
     bsl2n,
-    e_monomial,
-    e_star,
     from_int,
     gen,
     integral_bsl2n,
@@ -115,7 +114,10 @@ class LocalizationProblem:
 
 @dataclass
 class ResidueResult:
-    value: LocalizedElement
+    """Exactly one of value and cleared is set: the polynomial the sum clears
+    to, or else the fraction (sum) / e(L) with exponent 1."""
+
+    value: Optional[LocalizedElement]
     cleared: Optional[GradedElement]
     degree_zero: Optional[WittClass]
     flags: Dict[str, bool] = dc_field(default_factory=dict)
@@ -240,14 +242,20 @@ def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
 
 
 def push_to_base(x, c: FixedComponent):
-    """Pushforward from a component's coefficient ring to the base ring; an
-    element of the inverted twisted point raises PresentationMismatch."""
+    """Pushforward from a component to the base ring: x itself from a
+    rational point; from a twisted point pi_*(x) for a class x on it and
+    x * pi_*(1) = pi_*(pi^* x) for a BN class x (the projection formula).
+    An element of the inverted twisted point raises PresentationMismatch."""
     if c.residue == RATIONAL_POINT:
         return x
     if not isinstance(c.residue, QuadExtContext):
         raise UnsupportedResidueField(f"unsupported residue data {c.residue!r}")
     if not isinstance(x, GradedElement):
         raise BadParameters(f"cannot push {x!r}")
+    if x.pres.kind == BNN:
+        return x * twisted_push_unit(c.residue)
+    if x.pres.ctx != c.residue:
+        raise PresentationMismatch(f"cannot push {x.pres} from component {c.id}")
     return twisted_pushforward(x)
 
 
@@ -304,9 +312,7 @@ def _component_fraction(
         return num, den
     if pres.kind == BSL2N:
         return (_integral_lift(r, carrier) if carrier.integral else r), den
-    if pres.kind == TWISTED:
-        # pi_*(r) for a class r on the twisted point, pi_*(pi^* r) for a BN class
-        r = twisted_pushforward(r) if r.pres == pres else r * twisted_push_unit(pres.ctx)
+    r = push_to_base(r, c)
     if r.pres.kind != BNN:
         raise BadParameters("restricted class must live over BN")
     return localize_element(r, carrier), den
@@ -371,17 +377,12 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     work = _integral_carrier(p) or carrier
     fractions = [_component_fraction(c, g, work) for c in p.components]
     total, D, cleared = _sum_fractions(fractions, work)
-
-    degree_zero: Optional[WittClass] = None
     if cleared is None:
         value = LocalizedElement(carrier, witt_image(total), witt_image(D), 1)
-    else:
-        cleared = witt_image(cleared)
-        unit = e_star(g.n, g.field) if g.kind == "SL2n" else e_monomial(carrier, p.M or 1, e=1)
-        value = LocalizedElement(carrier, cleared, unit, 0)
-        if cleared.is_zero() or cleared.degree() == 0:
-            degree_zero = cleared.constant_coefficient()
-    return ResidueResult(value, cleared, degree_zero, flags)
+        return ResidueResult(value, None, None, flags)
+    cleared = witt_image(cleared)
+    scalar = cleared.is_zero() or cleared.degree() == 0
+    return ResidueResult(None, cleared, cleared.constant_coefficient() if scalar else None, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ def _atom(t: Tuple[str, str, int], p: _Parser, atoms: _Atoms):
 def parse_rep(text: str, group_kind: str, n: int = 1):
     """Sums of irrep literals: Sym(m)@i, F@i (and '*'-products of those),
     rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand.  Equal
-    irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'."""
+    irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'.  A product names
+    each factor index at most once."""
     from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep
 
     p = _Parser(text)
@@ -282,7 +283,7 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
             mult = int(t[1])
             p.expect("*")
         if group_kind == "SL2n":
-            exps = [0] * n
+            exps, seen = [0] * n, set()
             while True:
                 tag = p.next()
                 if tag[1] == "Sym":
@@ -300,7 +301,12 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
                 itok = p.next()
                 if itok[0] != "int" or not 1 <= int(itok[1]) <= n:
                     raise ExprSyntaxError(f"factor index out of range 1..{n}", itok[2])
-                exps[int(itok[1]) - 1] += m
+                i = int(itok[1]) - 1
+                # F@1*F@1 is Sym^2 F + 1, not Sym(2)@1: one index per factor
+                if i in seen:
+                    raise ExprSyntaxError(f"factor index {i + 1} repeated in one irrep", itok[2])
+                seen.add(i)
+                exps[i] = m
                 if p.at("*"):
                     p.next()
                 else:

@@ -432,21 +432,7 @@ def twisted_pushforward(t: GradedElement) -> GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# distinguished elements
-
-
-@lru_cache(maxsize=None)
-def e_star(n: int, field: FieldDescriptor) -> GradedElement:
-    """prod_i e_i * prod_{j<i} (e_i - e_j) in BSL2n(n), multiplied out over
-    Z/N and mapped into W(k) once per (n, field)."""
-    pres = integral_bsl2n(n, field)
-    es = [gen(pres, name) for name in key_generators(BSL2N, n)]
-    out = one_elem(pres)
-    for i, ei in enumerate(es):
-        out = out * ei
-        for ej in es[:i]:
-            out = out * (ei - ej)
-    return witt_image(out)
+# the integral image, Kunneth products and the N multiplier
 
 
 def witt_image(x: GradedElement) -> GradedElement:

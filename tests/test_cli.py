@@ -96,6 +96,31 @@ def test_euler_prints_the_canonical_rep(capsys):
     assert json.loads(out)["rep"] == "2*F@1 + F@2"
 
 
+def test_euler_rejects_a_factor_index_repeated_in_one_irrep(capsys):
+    code, out, err = run(capsys, "euler", "F@1*F@1")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: factor index 1 repeated in one irrep")
+
+
+def test_localize_prints_a_cleared_sum_once(capsys):
+    argv = ["localize", "--builder", "gr", "--m", "2", "--ambient", "4", "--n", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["cleared: 2*<1>", "degree_zero: 2*<1>"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and "localized" not in json.loads(out)
+
+
+def test_localize_prints_an_uncleared_sum_as_one_fraction(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "SL2n", "n": 2, "field": "Q"},
+        "components": [{"id": "pt", "normal": "F@1*F@2", "restricted": "Sym(3)@1"}],
+    }
+    code, out, _ = _localize_doc(tmp_path, capsys, doc)
+    assert code == 0
+    assert out.splitlines() == ["localized: (3*<1>*e1^2) / (<-1>*e2^2 + e1^2)^1"]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "witt", "<1> +", "--field", "Q")
     assert code == 2

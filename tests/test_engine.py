@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +33,7 @@ from wittloc.errors import (
     UnsupportedResidueField,
 )
 from wittloc.euler import (NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep, euler_rep,
-                           fundamental, generic_euler, n_rep)
+                           fundamental, generic_euler, n_rep, whitney)
 from wittloc.exprs import parse_rep, parse_ring_expr, rep_str
 from wittloc.quadext import make_context
 from wittloc.rings import (
@@ -40,7 +41,6 @@ from wittloc.rings import (
     LocalizedElement,
     bnn,
     bsl2n,
-    e_star,
     from_int,
     from_witt,
     gen,
@@ -274,6 +274,33 @@ def test_twisted_numerator_is_the_localized_pushforward_of_the_pullback(base, a)
         assert numerator == localize_element(r, carrier) * push_one
 
 
+@pytest.mark.parametrize("base, a", [(Q, Fraction(3)), (F.finite_prime(7), 3)], ids=str)
+def test_push_to_base_gives_the_component_numerator(base, a):
+    """push_to_base is the one pushforward rule: a BN class r is pushed as
+    pi_*(pi^* r), and r or a class on the twisted point, localized, is the
+    numerator that bott_residue sums."""
+    ctx = make_context(base, F.coerce(base, a))
+    g = GroupDescriptor("N", 1, base)
+    tp, bn, carrier = twisted_point(ctx), bnn(1, base), bsl2n(1, base)
+    normal = n_rep([NIrrep(RHO, 3)])
+    rng = random.Random(f"push:{base}")
+    for _ in range(20):
+        r = zero_elem(bn)
+        for _ in range(rng.randint(1, 3)):
+            c = integer_class(rng.randint(-3, 3), base) + witt(base, F.coerce(base, rng.randint(1, 6)))
+            r = r + from_witt(bn, c) * gen(bn, "x") ** rng.randint(0, 1) * gen(bn, "e") ** rng.randint(0, 3)
+        t = twisted_pullback(r, tp) * (one_elem(tp) + rng.randint(0, 1) * gen(tp, "y"))
+        for x in (r, t):
+            comp = FixedComponent("tw", ctx, normal, x)
+            num, _ = engine._component_fraction(comp, g, carrier)
+            assert localize_element(push_to_base(x, comp), carrier) == num
+        comp = FixedComponent("tw", ctx, normal, r)
+        assert push_to_base(r, comp) == push_to_base(twisted_pullback(r, tp), comp)
+    other = FixedComponent("tw", make_context(base, F.coerce(base, 5)), normal, normal)
+    with pytest.raises(PresentationMismatch):
+        push_to_base(one_elem(tp), other)
+
+
 def test_zero_normal_euler_rejected():
     g = GroupDescriptor("N", 1, Q)
     rep = n_rep([NIrrep(RHO0)])
@@ -464,7 +491,7 @@ def test_builder_problems_are_summed_over_z(monkeypatch, field):
     res = bott_residue(build_grassmannian_problem(2, 5, 2, field))
     assert sums == [integral_bsl2n(2, field)] and seen == []
     assert res.degree_zero == integer_class(2, field)
-    assert res.cleared.pres == res.value.pres == bsl2n(2, field)
+    assert res.cleared.pres == bsl2n(2, field) and res.value is None
 
 
 @pytest.mark.parametrize(
@@ -484,8 +511,7 @@ def test_division_that_holds_only_in_witt_falls_back(field, degree):
     res = bott_residue(LocalizationProblem(g, (FixedComponent("c", "rational", normal, restricted),)))
     assert res.degree_zero == square_class(field, Fraction(degree))
     assert res.degree_zero == integer_class(-1, field)
-    assert res.cleared == from_int(pres, -1)
-    assert res.value == LocalizedElement(pres, from_int(pres, -1), e_star(2, field), 0)
+    assert res.cleared == from_int(pres, -1) and res.value is None
 
 
 def test_ring_expression_with_a_non_integer_coefficient_stays_on_witt(monkeypatch):
@@ -501,7 +527,7 @@ def test_ring_expression_with_a_non_integer_coefficient_stays_on_witt(monkeypatc
     assert seen and all(p == pres for p in seen)
     want = square_class(Q, Fraction(2)) + integer_class(1, Q)
     assert res.degree_zero == want
-    assert res.value == LocalizedElement(pres, from_witt(pres, want), e_star(1, Q), 0)
+    assert res.cleared == from_witt(pres, want) and res.value is None
 
 
 def _sl2n1_problem(field, normal):
@@ -756,10 +782,7 @@ def test_z_mod_n_sum_equals_the_witt_sum(field):
         fractions = [engine._component_fraction(c, p.group, zp) for c in p.components]
         images = [(engine.witt_image(num), den) for num, den in fractions]
         total, D, cleared = engine._sum_fractions(images, carrier)
-        if cleared is None:
-            value = LocalizedElement(carrier, total, D, 1)
-        else:
-            value = LocalizedElement(carrier, cleared, e_star(n, field), 0)
+        value = LocalizedElement(carrier, total, D, 1) if cleared is None else None
         degree_zero = None
         if cleared is not None and (cleared.is_zero() or cleared.degree() == 0):
             degree_zero = cleared.constant_coefficient()
@@ -1036,3 +1059,36 @@ def test_lines_beyond_the_old_wall(N, field):
     res = bott_residue(engine.build_hypersurface_lines_problem(N, field))
     assert time.perf_counter() - start < 10.0
     assert res.degree_zero == integer_class(count, field)
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)
+def test_each_residue_holds_its_answer_once(field):
+    """Exactly one of value and cleared is set.  A sum that does not clear
+    is value = sum / e(L) with exponent 1, L each normal irrep's largest
+    multiplicity and sum the numerators times the classes of the irreps of
+    L that their denominators lack; a sum that clears is cleared, with
+    cleared * e(L) = sum."""
+    rng = random.Random(f"one-answer:{field}")
+    makers = [_random_sl2n_problem, _random_integer_problem, _random_n_problem]
+    problems = [make(rng, field) for make in makers for _ in range(10)]
+    if field == Q:
+        problems += [make(rng) for make in (_random_repsum_problem, _random_n_rep_problem)
+                     for _ in range(10)]
+    outcomes = Counter()
+    for p in problems:
+        res = bott_residue(p)
+        assert (res.value is None) != (res.cleared is None)
+        carrier = bsl2n(p.group.n, field)
+        fractions = [engine._component_fraction(c, p.group, carrier) for c in p.components]
+        L = Counter()
+        for _, den in fractions:
+            L |= den
+        total = sum((num * whitney((L - den).items(), carrier) for num, den in fractions),
+                    zero_elem(carrier))
+        if res.cleared is None:
+            assert res.value == LocalizedElement(carrier, total, whitney(L.items(), carrier), 1)
+            assert res.degree_zero is None
+        else:
+            assert res.cleared * whitney(L.items(), carrier) == total
+        outcomes[res.cleared is None] += 1
+    assert outcomes[True] >= 3 and outcomes[False] >= 3

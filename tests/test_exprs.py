@@ -124,6 +124,17 @@ def test_rep_literals():
     assert [s[1] for s in n.summands] == [2, 1, 1, 1]
 
 
+@pytest.mark.parametrize("text, pos", [("F@1*F@1", 6), ("Sym(1)@1*Sym(2)@1", 16),
+                                       ("F@2*Sym(3)@1*F@2", 15), ("Sym(0)@1*Sym(0)@1", 16)])
+def test_a_factor_index_repeated_in_one_irrep_is_rejected(text, pos):
+    """F (x) F = Sym^2 F + 1 has rank 4 and F (x) Sym^2 F = Sym^3 F + F rank 6;
+    adding the exponents would read Sym(2)@1 (rank 3) and Sym(3)@1 (rank 4)."""
+    with pytest.raises(ExprSyntaxError, match="repeated") as e:
+        parse_rep(text, "SL2n", 2)
+    assert e.value.pos == pos
+    assert parse_rep("F@1 + F@1", "SL2n", 2) == parse_rep("2*F@1", "SL2n", 2)
+
+
 def test_rep_round_trip():
     for text in ("Sym(5)@1 + 2*F@2", "F@1*F@2 + Sym(2)@2"):
         r = parse_rep(text, "SL2n", 2)

@@ -18,7 +18,6 @@ from wittloc.rings import (
     bnn,
     bsl2n,
     e_monomial,
-    e_star,
     from_int,
     from_witt,
     gen,
@@ -177,13 +176,6 @@ def test_kunneth_concatenates():
     out = kunneth([e, gen(p2, "e2")])
     assert out.pres == bsl2n(3, Q)
     assert out == gen(bsl2n(3, Q), "e1") * gen(bsl2n(3, Q), "e3")
-
-
-def test_e_star_form():
-    es = e_star(2, Q)
-    pres = bsl2n(2, Q)
-    e1, e2 = gen(pres, "e1"), gen(pres, "e2")
-    assert es == e1 * e2 * (e2 - e1)
 
 
 def test_n_loc_multiplier():
