@@ -62,7 +62,6 @@ from .rings import (
     gen,
     integral_bsl2n,
     localize_element,
-    one_elem,
     sum_elements,
     twisted_point,
     twisted_push_unit,

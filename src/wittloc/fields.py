@@ -4,6 +4,7 @@ A field is one of Q, R (with exact rational representatives), F_p for an odd
 prime p, or a single quadratic step k(sqrt(a)) over one of those.  Elements
 are plain Python values: ``Fraction`` for Q and R, ``int`` residues for F_p,
 and ``(u, v)`` pairs meaning u + v*sqrt(a) for quadratic extensions.
+The characteristic of F_p is checked by ``is_prime``, an exact test.
 """
 
 from __future__ import annotations
@@ -14,14 +15,113 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from sympy import isprime
-
-from .errors import UnsupportedField, ZeroInput
+from .errors import UnsupportedField
 
 RATIONALS = "Q"
 REALS = "R"
 FINITE_PRIME = "Fp"
 QUAD_EXT = "QuadExt"
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+# strong Miller-Rabin to the first 13 prime bases is correct below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = _SMALL_PRIMES[:13]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong Fermat test of the odd n > a to the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of the odd n > 1 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35 (1980)).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # (D/n) is never -1 for a square n
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k mod n for the prefixes k of d, read from the top bit
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of an integer.
+
+    Trial division by the primes below 1000, then strong Miller-Rabin to the
+    first 13 prime bases, which is proven correct below ``_MR_BOUND``
+    (about 3.3e24).  Above it, the strong Baillie-PSW test: Miller-Rabin to
+    base 2 and a strong Lucas test, with no known counterexample.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 @dataclass(frozen=True)
@@ -50,7 +150,7 @@ def reals() -> FieldDescriptor:
 
 
 def finite_prime(p: int) -> FieldDescriptor:
-    if not isinstance(p, int) or p == 2 or not isprime(p):
+    if not isinstance(p, int) or p == 2 or not is_prime(p):
         raise UnsupportedField(f"need an odd prime, got {p!r}")
     return FieldDescriptor(FINITE_PRIME, p=p)
 

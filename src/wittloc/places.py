@@ -23,17 +23,72 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from sympy import factorint
-
 from . import fields as F
-from .fields import least_nonresidue, _legendre
+from .fields import least_nonresidue, _legendre, _SMALL_PRIMES
 
 INF = "inf"
 
 
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor below 1000.
+
+    Pollard's rho with Brent's cycle search and batched gcds (Brent, BIT 20
+    (1980)), iterating x -> x^2 + c from 2 for c = 1, 2, ... until a c
+    splits n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=None)
 def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(factorint(n).items()))
+    """Prime factorization of n >= 1 as sorted (p, e) pairs.
+
+    Trial division by the primes below 1000, then ``_rho`` on what is left.
+    Every cofactor is tested with ``fields.is_prime``, so the answer is exact;
+    the rho constants affect only the time.
+    """
+    if n < 1:
+        raise ValueError(f"need a positive integer, got {n}")
+    exps: Dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if F.is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            pending += (d, m // d)
+    return tuple(sorted(exps.items()))
 
 
 @lru_cache(maxsize=None)

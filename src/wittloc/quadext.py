@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import fields as F
 from . import places

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from oracles import bn_naive_mul, bn_naive_reduce, fp_witt_equivalent
+from oracles import bn_naive_mul, fp_witt_equivalent
 
 from wittloc import fields as F
 from wittloc.engine import (

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wittloc
 from wittloc.cli import main
 from wittloc.engine import bott_residue, problem_from_json
 from wittloc.exprs import parse_field, parse_ring_expr, parse_witt_expr
@@ -12,6 +16,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_the_cli_imports_no_sympy():
+    src = os.path.dirname(os.path.dirname(wittloc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wittloc.cli; assert 'sympy' not in sys.modules, 'sympy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_witt_hyperbolic(capsys):

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from sympy import isprime, jacobi_symbol, nextprime
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from wittloc import fields as F
 from wittloc.errors import UnsupportedField
@@ -90,3 +93,49 @@ def test_real_sign_in_quad_ext():
     y = F.coerce(qe, (Fraction(1), Fraction(1)))
     assert F.real_sign(qe, y, positive_root=True) == 1
     assert F.real_sign(qe, y, positive_root=False) == -1
+
+
+# Carmichael numbers, then the least strong pseudoprimes to the prime bases up to 7, 31 and 37
+CARMICHAEL = [561, 1105, 1729, 41041]
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_matches_sympy_below_ten_thousand():
+    assert [n for n in range(-5, 10_000) if F.is_prime(n)] == [n for n in range(-5, 10_000) if isprime(n)]
+
+
+@pytest.mark.parametrize("digits", [4, 6, 8, 12, 16, 20, 24, 25, 26, 30])
+def test_is_prime_matches_sympy_on_seeded_integers(digits):
+    rng = random.Random(digits)
+    for _ in range(300):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        assert F.is_prime(n) == isprime(n), n
+        p = nextprime(n)  # a prime in every draw, not one in 2.3 * digits
+        assert F.is_prime(p), p
+
+
+@pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not F.is_prime(n)
+
+
+def test_the_miller_rabin_bound_takes_the_lucas_test():
+    n = F._MR_BOUND
+    # the least strong pseudoprime to all 13 bases: only the Lucas half of BPSW rejects it
+    assert all(F._strong_probable_prime(n, a) for a in F._MR_BASES)
+    assert not F._strong_lucas_probable_prime(n)
+    assert not F.is_prime(n)
+    assert F.is_prime(nextprime(n)) and F.is_prime(2**89 - 1)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # 5459, 5777, 10877, 16109, 18971 are strong Lucas pseudoprimes (OEIS A217255)
+    odd = range(3, 20_000, 2)
+    assert [n for n in odd if F._strong_lucas_probable_prime(n)] == [n for n in odd if is_strong_lucas_prp(n)]
+    assert not F.is_prime(5459) and F._strong_lucas_probable_prime(5459)
+
+
+def test_jacobi_symbol_matches_sympy():
+    for n in range(1, 400, 2):
+        for a in range(-50, 50):
+            assert F._jacobi(a, n) == jacobi_symbol(a, n), (a, n)

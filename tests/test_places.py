@@ -5,9 +5,8 @@ from itertools import product
 
 import pytest
 from oracles import hasse_invariant_pairwise, local_in_ideal_by_enumeration, local_witt_zero_by_hasse
-from sympy import primefactors
+from sympy import factorint, nextprime, primefactors
 
-from wittloc import fields as F
 from wittloc.places import (
     INF,
     WF_ZERO,
@@ -26,6 +25,7 @@ from wittloc.places import (
     wf_add,
     wf_neg,
     wf_units,
+    _factor,
     _residue_forms_zero,
     sqrt_mod_prime_power,
 )
@@ -34,6 +34,50 @@ from wittloc.places import (
 def _counted(entries):
     """(entry, count) terms of a diagonal form."""
     return tuple(Counter(entries).items())
+
+
+@pytest.mark.parametrize("digits", [3, 6, 9, 12, 15, 18, 20])
+def test_factor_matches_sympy_on_seeded_integers(digits):
+    rng = random.Random(digits)
+    for _ in range(150):
+        n = rng.randrange(1, 10**digits)
+        assert _factor(n) == tuple(sorted(factorint(n).items())), n
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (561, ((3, 1), (11, 1), (17, 1))),
+        (1105, ((5, 1), (13, 1), (17, 1))),
+        (1729, ((7, 1), (13, 1), (19, 1))),
+        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+        (3215031751, ((151, 1), (751, 1), (28351, 1))),
+        (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+        (318665857834031151167461, ((399165290221, 1), (798330580441, 1))),
+        (3317044064679887385961981, ((1287836182261, 1), (2575672364521, 1))),
+    ],
+)
+def test_factor_splits_carmichael_numbers_and_strong_pseudoprimes(n, expected):
+    assert _factor(n) == expected
+
+
+@pytest.mark.parametrize("p, q", [(1009, 1013), (999983, 1000003), (10**9 + 7, 10**9 + 9)])
+def test_factor_of_prime_powers_above_the_trial_bound(p, q):
+    assert _factor(p) == ((p, 1),)
+    assert _factor(p**2) == ((p, 2),)
+    assert _factor(p**3) == ((p, 3),)
+    assert _factor(p * q**2) == ((p, 1), (q, 2))
+    assert _factor(2**5 * 997 * p * q) == ((2, 5), (997, 1), (p, 1), (q, 1))
+
+
+def test_factor_edge_cases():
+    assert _factor(1) == ()
+    assert _factor(2) == ((2, 1),)
+    big = nextprime(10**25)
+    assert _factor(big) == ((big, 1),)
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError):
+            _factor(n)
 
 
 def test_squarefree_part():

@@ -10,7 +10,7 @@ from wittloc.errors import (
     PresentationMismatch,
     UnknownGenerator,
 )
-from wittloc.quadext import make_context, one_minus_a
+from wittloc.quadext import make_context
 from wittloc.rings import (
     GradedElement,
     LocalizedElement,
@@ -27,7 +27,6 @@ from wittloc.rings import (
     kunneth,
     loc_eq,
     localize,
-    localize_element,
     localization_carrier,
     module_action,
     n_loc_multiplier,
@@ -36,7 +35,7 @@ from wittloc.rings import (
     witt_image,
     zero_elem,
 )
-from wittloc.witt import integer_class, square_class, witt
+from wittloc.witt import integer_class, witt
 
 Q = F.rationals()
 

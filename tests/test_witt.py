@@ -13,7 +13,6 @@ from wittloc.quadext import base_change, make_context
 from wittloc.witt import (
     WittClass,
     diagonalize,
-    form,
     integer_class,
     integer_modulus,
     square_class,
