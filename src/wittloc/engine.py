@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from math import prod
 from operator import add, not_
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -39,9 +40,10 @@ from .errors import (
     UnsupportedResidueField,
 )
 from .euler import (
+    SQUARE_ONLY,
     RepSum,
+    _n_determinacy,
     double_factorial,
-    euler_rep,
     fundamental,
     generic_euler,
     sl2n_rep,
@@ -278,17 +280,13 @@ def _component_fraction(
     restricted RepSum cancels against the normal irreps first: what is left
     of it is the numerator, and what is left of them the denominator."""
     pres = component_presentation(c.residue, g)
-    # an SL2n Euler class is 0 exactly when its generic square is, as every
-    # factor leads with an odd integer; an N class comes with its square
-    normal = None if g.kind == "SL2n" else euler_rep(c.normal_rep, g.field)
-    square = generic_euler(c.normal_rep, g.field) if normal is None else normal.known_square
-    if square.is_zero():
+    if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
         )
-    den = c.normal_rep.irreps()
-    if normal is not None:
-        if normal.value is None:
+    den, r = c.normal_rep.irreps(), c.restricted
+    if g.kind == "N":
+        if _n_determinacy(c.normal_rep) == SQUARE_ONLY:
             raise NonInvertibleNormalEuler(
                 f"component {c.id}: normal Euler class has no invertible representative"
             )
@@ -296,12 +294,11 @@ def _component_fraction(
         # has more quotients than 1, even where it cancels
         if g.field.kind != REALS and any(irrep.m % 2 == 0 for irrep in den):
             raise BadParameters(f"component {c.id}: the normal class leads with an even integer")
-        if (isinstance(c.restricted, RepSum) and c.restricted != c.normal_rep
-                and euler_rep(c.restricted, g.field).value is None):
+        # a restricted class equal to the normal one passed the test above
+        if isinstance(r, RepSum) and r.group == ("N",) and _n_determinacy(r) == SQUARE_ONLY:
             raise NonInvertibleNormalEuler(
                 f"component {c.id}: restricted class only known by its square"
             )
-    r = c.restricted
     if isinstance(r, RepSum):
         if r.group != c.normal_rep.group:
             raise BadParameters(f"component {c.id}: restricted {r.group} vs {c.normal_rep.group}")
@@ -315,6 +312,16 @@ def _component_fraction(
     if r.pres.kind != BNN:
         raise BadParameters("restricted class must live over BN")
     return localize_element(r, carrier), den
+
+
+def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
+    """Whether e(rep) = 0: for SL2n when its generic square is, as every
+    factor leads with an odd integer; for N, +-c*e^K with c = prod m^(k_m)
+    (m = 0 for rho0, rho0-), when the additive order of <1> divides c^2."""
+    if rep.group[0] == "SL2n":
+        return generic_euler(rep, field).is_zero()
+    c, modulus = prod(irrep.m ** k for irrep, k in rep.summands), integer_modulus(field)
+    return c == 0 or modulus != 0 and c * c % modulus == 0
 
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
@@ -390,6 +397,7 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
 
 def build_projective_problem(dim: int, n: int, field: FieldDescriptor) -> LocalizationProblem:
     """P^dim as Gr(1, dim + 1): one fixed component, I={}, for dim = 2n."""
+    GroupDescriptor("SL2n", n, field)  # rejects n < 1 first
     if dim not in (2 * n - 1, 2 * n):
         raise BadDimension(f"dim must be 2n-1 or 2n for n={n}, got {dim}")
     return build_grassmannian_problem(1, dim + 1, n, field)
@@ -398,11 +406,11 @@ def build_projective_problem(dim: int, n: int, field: FieldDescriptor) -> Locali
 def build_grassmannian_problem(
     m: int, ambient: int, n: int, field: FieldDescriptor
 ) -> LocalizationProblem:
+    g = GroupDescriptor("SL2n", n, field)  # rejects n < 1 first
     if ambient not in (2 * n, 2 * n + 1):
         raise BadParameters(f"ambient must be 2n or 2n+1 for n={n}, got {ambient}")
     if not 0 < m < ambient:
         raise BadParameters(f"need 0 < m < ambient, got m={m}")
-    g = GroupDescriptor("SL2n", n, field)
     comps: List[FixedComponent] = []
     extra_line = ambient == 2 * n + 1
     if m % 2 == 1 and not extra_line:

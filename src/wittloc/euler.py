@@ -10,7 +10,7 @@ mapped into W(k)[e_1..e_n] once, when a public function returns them.
 For N, e(O~(m)) is +-m*e for odd m (sign surfaced as determinacy metadata)
 and only its square m^2 e^2 is available for even m; a sum with k_m copies
 of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
-K = sum k_m, written down directly.
+K = sum k_m.  Every class and square is a ``whitney`` product.
 
 A ``RepSum`` is its irrep multiset in one canonical order, so every class
 above reads one form, and equal multisets compare equal.
@@ -30,8 +30,6 @@ from .rings import (
     GradedElement,
     PresentationId,
     bnn,
-    bsl2n,
-    e_monomial,
     from_int,
     gen,
     integral_bsl2n,
@@ -176,7 +174,7 @@ def euler_tensor_pair(i: int, j: int, n: int, field: FieldDescriptor) -> GradedE
 def _irrep_euler(irrep, pres: PresentationId) -> GradedElement:
     """e(irrep) in pres, built once: an SL2^n shape above, or m*e for rho(m)."""
     if isinstance(irrep, NIrrep):
-        return e_monomial(pres, irrep.m, e=1)  # rho0 and rho0- have m = 0
+        return from_int(pres, irrep.m) * gen(pres, "e")  # rho0 and rho0- have m = 0
     nz = [(i, m) for i, m in enumerate(irrep.exponents, start=1) if m]
     if all(m % 2 == 0 for _, m in nz):
         # includes the single even-exponent case: odd rank forces vanishing
@@ -199,7 +197,7 @@ def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
 
 def whitney(pairs, pres: PresentationId, power: int = 1, out=None) -> GradedElement:
     """out (default 1) times e(irrep)^(power*mult) over the (irrep, mult)
-    pairs, in the BSL2n presentation pres, over Z/N or over W(k), multiplied
+    pairs, in the presentation pres (BSL2n over Z/N or W(k), or BN), multiplied
     on one factor at a time.  Squaring factor by factor is cheaper than
     squaring the product, whose terms multiply pairwise."""
     out = one_elem(pres) if out is None else out
@@ -212,37 +210,34 @@ def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
     return euler_rep(n_rep([irrep]), field)
 
 
-def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
-    """Whitney product over the summands with multiplicities."""
-    if rep.group[0] == "SL2n":
-        pres = integral_bsl2n(rep.group[1], field)
-        return EulerClassValue(witt_image(whitney(rep.summands, pres)), EXACT,
-                               witt_image(whitney(rep.summands, pres, 2)))
+def _n_determinacy(rep: RepSum) -> str:
+    """How well e(rep) is defined for an N RepSum, read off its multiplicities:
+    exact when it is 0 (a rho0 or rho0- is present) or every count is even,
+    as same-m signs square away pairwise; square only when an even m comes
+    an odd number of times; else up to sign."""
+    counts = [(irrep.m, k) for irrep, k in rep.summands if irrep.tag == RHO]
+    if len(counts) < len(rep.summands):
+        return EXACT
+    if any(m % 2 == 0 and k % 2 for m, k in counts):
+        return SQUARE_ONLY
+    return UP_TO_SIGN if any(k % 2 for _, k in counts) else EXACT
 
-    # with k_m summands rho(m): value c*e^K and square c^2*e^(2K), where
-    # c = prod m^(k_m) and K = sum k_m; same-m sign ambiguities square away
-    # pairwise, and an odd count of an even m leaves only the square
-    pres = bnn(1, field)
-    if any(irrep.tag in (RHO0, RHO0_MINUS) for irrep, _ in rep.summands):
-        z = zero_elem(pres)
-        return EulerClassValue(z, EXACT, z)
-    counts = {irrep.m: k for irrep, k in rep.summands}
-    c = prod(m ** k for m, k in counts.items())
-    K = sum(counts.values())
-    square = e_monomial(pres, c * c, e=2 * K)
-    if any(m % 2 == 0 and k % 2 for m, k in counts.items()):
-        return EulerClassValue(None, SQUARE_ONLY, square)
-    value = e_monomial(pres, c, e=K)
-    if any(k % 2 for k in counts.values()):
-        return EulerClassValue(value, UP_TO_SIGN, square)
-    return EulerClassValue(value, EXACT, square)
+
+def _class_ring(rep: RepSum, field: FieldDescriptor) -> PresentationId:
+    """Where the classes of rep multiply: (Z/N)[e_1..e_n] for SL2^n, BN for N."""
+    return integral_bsl2n(rep.group[1], field) if rep.group[0] == "SL2n" else bnn(1, field)
+
+
+def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
+    """Whitney products over the summands with multiplicities: the class,
+    unless only its square is defined, and the square."""
+    pres = _class_ring(rep, field)
+    determinacy = EXACT if rep.group[0] == "SL2n" else _n_determinacy(rep)
+    value = None if determinacy == SQUARE_ONLY else witt_image(whitney(rep.summands, pres))
+    return EulerClassValue(value, determinacy, witt_image(whitney(rep.summands, pres, 2)))
 
 
 def generic_euler(rep: RepSum, field: FieldDescriptor) -> GradedElement:
     """The well-defined square representative e(V^gen)^2; 0 for odd rank."""
-    pres = bsl2n(rep.group[1], field) if rep.group[0] == "SL2n" else bnn(1, field)
-    if rep.rank % 2:
-        return zero_elem(pres)
-    if rep.group[0] == "SL2n":
-        return witt_image(whitney(rep.summands, integral_bsl2n(rep.group[1], field), 2))
-    return euler_rep(rep, field).known_square
+    pres = _class_ring(rep, field)
+    return witt_image(zero_elem(pres) if rep.rank % 2 else whitney(rep.summands, pres, 2))

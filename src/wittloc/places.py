@@ -92,18 +92,15 @@ def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def squarefree_int(n: int) -> int:
-    """Squarefree part of a nonzero integer (sign preserved)."""
-    s = -1 if n < 0 else 1
-    for p, e in _factor(abs(n)):
-        if e % 2:
-            s *= p
-    return s
+def _odd_primes(n: int) -> Tuple[int, ...]:
+    """The primes at which the nonzero integer n has odd valuation, read off
+    one factorization: those of the squarefree part of q when n = num*den(q)."""
+    return tuple(p for p, e in _factor(abs(n)) if e % 2)
 
 
 def squarefree_part(q: Fraction) -> int:
     """Squarefree integer in the square class of a nonzero rational."""
-    return squarefree_int(q.numerator * q.denominator)
+    return (-1 if q < 0 else 1) * math.prod(_odd_primes(q.numerator * q.denominator))
 
 
 def vp(q: Fraction, p: int) -> int:
@@ -173,8 +170,7 @@ def wq_key(entries: Tuple[Fraction, ...]):
     residues: Dict[int, List[Tuple[bool, int]]] = {}
     for c in entries:
         sig += 1 if c > 0 else -1
-        sf = squarefree_part(c)
-        for q, _ in _factor(abs(sf)):
+        for q in _odd_primes(c.numerator * c.denominator):
             if q == 2:
                 dy ^= 1
                 continue
@@ -345,7 +341,7 @@ def ker_iota_rational(terms, a: Fraction) -> bool:
         return False
     support = {2}
     for c, _ in terms:
-        support.update(q for q, _ in _factor(abs(squarefree_part(c))))
+        support.update(_odd_primes(c.numerator * c.denominator))
     return all(local_witt_zero(terms, v) for v in support if is_square_qv(a, v))
 
 

@@ -208,9 +208,10 @@ def lam_exactness_check(ctx: QuadExtContext, samples) -> LamReport:
     for s in samples:
         if s.field == ctx.base:
             rep.checked += 1
-            if not scaled_transfer(base_change(s, ctx), ctx).is_zero():
+            t = base_change(s, ctx)
+            if not scaled_transfer(t, ctx).is_zero():
                 rep.violations.append(f"scaled_transfer(iota({s!r})) != 0")
-            if not in_Ia(transfer(base_change(s, ctx), ctx), ctx):
+            if not in_Ia(transfer(t, ctx), ctx):
                 rep.violations.append(f"transfer(iota({s!r})) not in I_a")
             dead = iota_is_zero(s, ctx)
             try:

@@ -15,6 +15,9 @@ has a reference by discriminant and Hasse invariant, against which
 Springer's theorem in the package is checked.  ``residue_by_evaluation``
 sums the fractions of a localization problem at random integer points,
 from the closed forms of the Euler classes, with no ring arithmetic.
+``n_verdict_by_closed_forms`` runs the N-component checks on the Euler
+class polynomials c*e^K and c^2*e^(2K), then sums the fractions over the
+product of all denominators.
 """
 
 import math
@@ -24,7 +27,10 @@ from itertools import combinations_with_replacement, product
 
 from wittloc import fields as F
 from wittloc import places
-from wittloc.euler import RepSum, SL2nIrrep
+from wittloc.engine import exact_divide, push_to_base
+from wittloc.errors import BadParameters, NonInvertibleNormalEuler
+from wittloc.euler import RHO, RepSum, SL2nIrrep
+from wittloc.rings import bnn, bsl2n, e_monomial, localize_element, one_elem, sum_elements
 
 
 def _inv(x, p):
@@ -416,3 +422,60 @@ def residue_by_evaluation(problem, points=3, seed=0):
         values.add(total)
     assert len(values) == 1, f"the fractions sum to no constant: {sorted(values)}"
     return values.pop()
+
+
+# ---------------------------------------------------------------------------
+# N-group verdicts from the Euler class polynomials
+
+
+def _n_euler_polynomials(rep, field):
+    """(e(rep) or None, e(rep)^2) in BN: with k_m summands rho(m), c*e^K and
+    c^2*e^(2K) for c = prod m^(k_m) and K = sum k_m, 0 with a rho0 or rho0-;
+    the value is None when an even m comes an odd number of times."""
+    pres = bnn(1, field)
+    if any(irrep.tag != RHO for irrep, _ in rep.summands):
+        return e_monomial(pres, 0), e_monomial(pres, 0)
+    c = math.prod(irrep.m ** k for irrep, k in rep.summands)
+    K = sum(k for _, k in rep.summands)
+    square = e_monomial(pres, c * c, e=2 * K)
+    if any(irrep.m % 2 == 0 and k % 2 for irrep, k in rep.summands):
+        return None, square
+    return e_monomial(pres, c, e=K), square
+
+
+def n_verdict_by_closed_forms(problem):
+    """(exception type, message) for the first component of an N problem
+    that fails a check, else ``degree_zero``: the constant the fractions
+    e(restricted)/e(normal) sum to, or None when they sum to no polynomial.
+
+    The checks, in order: the square of the normal class is 0; the normal
+    class is known only by its square; over a field other than R, it leads
+    with an even integer; a restricted RepSum is known only by its square.
+    The fractions are summed over the product of all normal classes, with
+    no irrep cancelled, and divided by it once."""
+    field = problem.group.field
+    carrier = bsl2n(1, field)
+    nums, dens = [], []
+    for c in problem.components:
+        value, square = _n_euler_polynomials(c.normal_rep, field)
+        where = f"component {c.id}: "
+        if square.is_zero():
+            return NonInvertibleNormalEuler, where + "generic Euler class of the normal bundle vanishes"
+        if value is None:
+            return NonInvertibleNormalEuler, where + "normal Euler class has no invertible representative"
+        if field.kind != F.REALS and any(irrep.m % 2 == 0 for irrep, _ in c.normal_rep.summands):
+            return BadParameters, where + "the normal class leads with an even integer"
+        r = c.restricted
+        if isinstance(r, RepSum):
+            r = _n_euler_polynomials(r, field)[0]
+            if r is None:
+                return NonInvertibleNormalEuler, where + "restricted class only known by its square"
+        nums.append(localize_element(push_to_base(r, c), carrier))
+        dens.append(localize_element(value, carrier))
+    total = sum_elements(carrier, [
+        num * math.prod(dens[:i] + dens[i + 1:], start=one_elem(carrier))
+        for i, num in enumerate(nums)])
+    cleared = exact_divide(total, math.prod(dens, start=one_elem(carrier)))
+    if cleared is None or not (cleared.is_zero() or cleared.degree() == 0):
+        return None
+    return cleared.constant_coefficient()

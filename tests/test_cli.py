@@ -60,6 +60,13 @@ def test_localize_projective_odd(capsys):
     assert "degree_zero: 0" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_localize_builder_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "localize", "--builder", "p", "2n", "--n", n)
+    assert code == 1 and out == ""
+    assert err.strip() == "error: BadParameters: n must be >= 1"
+
+
 def test_localize_grassmannian_json(capsys):
     code, out, _ = run(
         capsys, "localize", "--builder", "gr", "--m", "2", "--ambient", "4",

@@ -23,6 +23,7 @@ from wittloc.engine import (
     push_to_base,
 )
 from wittloc import engine
+from wittloc import euler as E
 from wittloc.errors import (
     BadDimension,
     BadParameters,
@@ -188,6 +189,18 @@ def test_projective_odd_dimension_degree_zero():
 def test_projective_bad_dimension():
     with pytest.raises(BadDimension):
         build_projective_problem(5, 1, Q)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_builders_reject_n_below_one_first(n):
+    """n is checked before the dimension, the ambient and m, whose messages
+    would name a value the caller did not get wrong."""
+    for build in (lambda: build_projective_problem(2 * n, n, Q),
+                  lambda: build_projective_problem(5, n, Q),
+                  lambda: build_grassmannian_problem(1, 2 * n + 1, n, Q),
+                  lambda: build_grassmannian_problem(2, 4, n, Q)):
+        with pytest.raises(BadParameters, match=r"^n must be >= 1$"):
+            build()
 
 
 def test_grassmannian_table():
@@ -424,20 +437,24 @@ def test_restricted_representation_of_another_group_is_rejected():
 
 
 def _spy_on_euler_classes(monkeypatch):
+    """Record the RepSums passed to euler_rep and generic_euler, whether
+    called through the euler module or through a name the engine imported."""
     seen = {"euler_rep": [], "generic_euler": []}
     for name in seen:
-        def spy(rep, field, real=getattr(engine, name), calls=seen[name]):
+        def spy(rep, field, real=getattr(E, name), calls=seen[name]):
             calls.append(rep)
             return real(rep, field)
 
-        monkeypatch.setattr(engine, name, spy)
+        for module in (E, engine):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     return seen
 
 
-def test_n_components_compute_each_euler_class_once(monkeypatch):
-    """One euler_rep per N component whose restricted class is its normal
-    one in any order, one more when it is another RepSum, and no generic
-    square."""
+def test_n_components_build_no_euler_class(monkeypatch):
+    """Every N check reads the irrep multiset: no component builds its
+    normal or restricted Euler class or a generic square, whether the
+    restricted class is the normal one in any order or another RepSum."""
     seen = _spy_on_euler_classes(monkeypatch)
     g = GroupDescriptor("N", 1, Q)
     rho1 = n_rep([NIrrep(RHO, 1)])
@@ -446,11 +463,12 @@ def test_n_components_compute_each_euler_class_once(monkeypatch):
         FixedComponent("pt", "rational", rho1, rho1),
         FixedComponent("tw", make_context(Q, Fraction(2)), rho1, rho1),
         FixedComponent("pt2", "rational", rho31, rho13),
+        FixedComponent("pt3", "rational", rho1, n_rep([NIrrep(RHO, 3)])),
     )
     res = bott_residue(LocalizationProblem(g, comps, M=2))
     assert rho13 == rho31
-    assert seen == {"euler_rep": [rho1, rho1, rho31], "generic_euler": []}
-    assert res.degree_zero == integer_class(1, Q) + square_class(Q, Fraction(2))
+    assert seen == {"euler_rep": [], "generic_euler": []}
+    assert res.degree_zero == integer_class(4, Q) + square_class(Q, Fraction(2))
 
 
 def test_sl2n_components_test_the_generic_square_once(monkeypatch):
@@ -755,7 +773,7 @@ def _random_integer_problem(rng, field):
             else:
                 irreps.append(rng.choice(["F", "Sym(3)", "F"]) + f"@{i}")
         normal = parse_rep(" + ".join(irreps), "SL2n", n)
-        den = engine.euler_rep(normal, field).value
+        den = euler_rep(normal, field).value
         num = from_int(pres, rng.randint(-3, 3)) * den
         if rng.random() < 0.6:
             degree = sum(next(iter(den.coeffs)))

@@ -1,6 +1,6 @@
 """Randomized structural properties: canonicalization invariance,
-hyperbolic absorption, ring axioms, Euler multiplicativity, and
-printer/parser round trips."""
+hyperbolic absorption, ring axioms, Euler multiplicativity, printer/parser
+round trips, and N-problem verdicts against the Euler class polynomials."""
 
 import random
 from fractions import Fraction
@@ -8,11 +8,15 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc.euler import NIrrep, RHO, SL2nIrrep, euler_rep, n_rep, sl2n_rep
+from wittloc.engine import FixedComponent, GroupDescriptor, LocalizationProblem, bott_residue
+from wittloc.errors import WittlocError
+from wittloc.euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, euler_rep, n_rep, sl2n_rep
 from wittloc.exprs import parse_ring_expr, parse_witt_expr, ring_str, witt_str
 from wittloc.quadext import make_context
-from wittloc.rings import bnn, bsl2n, from_witt, gen, generator_names, twisted_point
+from wittloc.rings import bnn, bsl2n, e_monomial, from_witt, gen, generator_names, twisted_point
 from wittloc.witt import WittClass, witt
+
+from oracles import n_verdict_by_closed_forms
 
 Q = F.rationals()
 NONZERO = [1, -1, 2, -2, 3, -3, 5, 7, -7, 10, 15, -30]
@@ -155,3 +159,47 @@ def test_ring_printer_round_trip(pres):
         assert parse_ring_expr(ring_str(x), pres) == x
         x = random_ring_elem(rng, pres, multiples=True)
         assert parse_ring_expr(ring_str(x), pres) == x
+
+
+def random_n_rep(rng):
+    """One or two N irreps, each once or twice; rho0, rho0- and even m now
+    and then."""
+    irreps = []
+    for _ in range(rng.randint(1, 2)):
+        u = rng.random()
+        irrep = NIrrep(RHO0) if u < 0.04 else NIrrep(RHO0_MINUS) if u < 0.08 else \
+            NIrrep(RHO, rng.choice([1, 1, 3, 3, 5, 7, 2, 4]))
+        irreps.append((irrep, rng.randint(1, 2)))
+    return n_rep(irreps)
+
+
+# a non-square a of each base field with twisted points, and fields without
+N_FIELDS = [(Q, [2, 3, -1]), (F.reals(), [-1]), (F.finite_prime(5), [2]),
+            (F.finite_prime(7), [3]), (F.quad_ext(Q, 2), []), (F.quad_ext(Q, -7), []),
+            (F.quad_ext(Q, -1), [])]
+
+
+@pytest.mark.parametrize("field, twists", N_FIELDS, ids=[str(f) for f, _ in N_FIELDS])
+def test_n_problem_verdicts_match_the_euler_class_polynomials(field, twists):
+    """On random N problems, bott_residue raises the error (type and message)
+    of the first check that the Euler class polynomials fail, or answers the
+    degree_zero their fractions sum to (``n_verdict_by_closed_forms``)."""
+    rng = random.Random(f"n-verdicts:{field}")
+    pres = bnn(1, field)
+    for _ in range(60):
+        comps = []
+        for i in range(rng.randint(1, 2)):
+            residue = "rational"
+            if twists and rng.random() < 0.3:
+                residue = make_context(field, Fraction(rng.choice(twists)))
+            normal, u = random_n_rep(rng), rng.random()
+            restricted = normal if u < 0.5 else random_n_rep(rng) if u < 0.8 else \
+                e_monomial(pres, rng.randint(-3, 3), e=rng.randint(0, 3))
+            comps.append(FixedComponent(f"c{i}", residue, normal, restricted))
+        prob = LocalizationProblem(GroupDescriptor("N", 1, field), tuple(comps))
+        want = n_verdict_by_closed_forms(prob)
+        try:
+            got = bott_residue(prob).degree_zero
+        except WittlocError as e:
+            got = (type(e), str(e))
+        assert got == want, [(c.normal_rep, c.restricted, c.residue) for c in comps]
