@@ -111,6 +111,19 @@ class LocalizationProblem:
             raise BadParameters(
                 "M is the N-engine's multiplier (n_loc_multiplier); SL2n does not read it"
             )
+        for c in self.components:
+            _check_groups(c, self.group)
+
+
+def _check_groups(c: FixedComponent, g: GroupDescriptor) -> None:
+    """BadParameters unless the normal RepSum, and a restricted one, are
+    representations of g: of N, or of SL2^n with g's n."""
+    group = ("SL2n", g.n) if g.kind == "SL2n" else ("N",)
+    for role, rep in (("normal", c.normal_rep), ("restricted", c.restricted)):
+        if isinstance(rep, RepSum) and rep.group != group:
+            raise BadParameters(
+                f"component {c.id}: {role} representation of {rep.group} in a {group} problem"
+            )
 
 
 @dataclass
@@ -267,6 +280,7 @@ def push_to_base(x, c: FixedComponent):
 def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement:
     """The fraction of ``_component_fraction`` over BSL2n(n), its denominator
     multiplied out: 1 / 1 when the restricted RepSum is the normal one."""
+    _check_groups(c, g)
     carrier = bsl2n(g.n, g.field)
     num, den = _component_fraction(c, g, carrier)
     return LocalizedElement(carrier, num, whitney(den.items(), carrier), 1)
@@ -295,13 +309,11 @@ def _component_fraction(
         if g.field.kind != REALS and any(irrep.m % 2 == 0 for irrep in den):
             raise BadParameters(f"component {c.id}: the normal class leads with an even integer")
         # a restricted class equal to the normal one passed the test above
-        if isinstance(r, RepSum) and r.group == ("N",) and _n_determinacy(r) == SQUARE_ONLY:
+        if isinstance(r, RepSum) and _n_determinacy(r) == SQUARE_ONLY:
             raise NonInvertibleNormalEuler(
                 f"component {c.id}: restricted class only known by its square"
             )
     if isinstance(r, RepSum):
-        if r.group != c.normal_rep.group:
-            raise BadParameters(f"component {c.id}: restricted {r.group} vs {c.normal_rep.group}")
         num, den = whitney((r.irreps() - den).items(), carrier), den - r.irreps()
         if pres.kind == TWISTED:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
             num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
@@ -315,11 +327,16 @@ def _component_fraction(
 
 
 def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
-    """Whether e(rep) = 0: for SL2n when its generic square is, as every
-    factor leads with an odd integer; for N, +-c*e^K with c = prod m^(k_m)
-    (m = 0 for rho0, rho0-), when the additive order of <1> divides c^2."""
+    """Whether e(rep) = 0: for SL2n when the generic square of one of its
+    distinct irreps is, as e(rep) is their Whitney product and each nonzero
+    factor leads with an odd integer (every irrep is tested, so a shape
+    with no closed form raises UnsupportedIrrep); for N, +-c*e^K with
+    c = prod m^(k_m) (m = 0 for rho0, rho0-), when the additive order of
+    <1> divides c^2."""
     if rep.group[0] == "SL2n":
-        return generic_euler(rep, field).is_zero()
+        squares = [generic_euler(RepSum(rep.group, ((irrep, 1),)), field)
+                   for irrep, _ in rep.summands]
+        return any(x.is_zero() for x in squares)
     c, modulus = prod(irrep.m ** k for irrep, k in rep.summands), integer_modulus(field)
     return c == 0 or modulus != 0 and c * c % modulus == 0
 

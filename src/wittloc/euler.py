@@ -196,14 +196,15 @@ def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
 
 
 def whitney(pairs, pres: PresentationId, power: int = 1, out=None) -> GradedElement:
-    """out (default 1) times e(irrep)^(power*mult) over the (irrep, mult)
-    pairs, in the presentation pres (BSL2n over Z/N or W(k), or BN), multiplied
-    on one factor at a time.  Squaring factor by factor is cheaper than
-    squaring the product, whose terms multiply pairwise."""
-    out = one_elem(pres) if out is None else out
+    """out times e(irrep)^(power*mult) over the (irrep, mult) pairs, in the
+    presentation pres (BSL2n over Z/N or W(k), or BN), multiplied on one
+    factor at a time from out, or from the first factor when out is None
+    (1 when there are no pairs either).  Squaring factor by factor is
+    cheaper than squaring the product, whose terms multiply pairwise."""
     for irrep, mult in pairs:
-        out = out * _irrep_euler(irrep, pres) ** (power * mult)
-    return out
+        x = _irrep_euler(irrep, pres) ** (power * mult)
+        out = x if out is None else out * x
+    return one_elem(pres) if out is None else out
 
 
 def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:

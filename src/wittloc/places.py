@@ -1,9 +1,9 @@
 """Square-class bookkeeping for W(Q): residue invariants and local tests.
 
-One W(F_q) class algebra (``wf_units``, ``wf_add``, ``wf_neg``) on (rank
-mod 2, signed discriminant is a square) pairs serves the keys of F_p,
-F_{p^2} and C, the second residues in W(Q) keys, and Springer's theorem at
-every odd place.  W(Q) equality is decided through the split residue
+One W(F_q) class algebra (``wf_units``, ``wf_add``, ``wf_neg``,
+``wf_scale``) on (rank mod 2, signed discriminant is a square) pairs serves
+the keys of F_p, F_{p^2} and C, the second residues in W(Q) keys, and
+Springer's theorem at every odd place.  W(Q) equality is decided through the split residue
 decomposition (signature, second residues at odd primes valued in W(F_p),
 and a dyadic parity slot).  This module also carries the local machinery
 (Witt-triviality over Q_v: the signature at the real place, Springer at odd
@@ -158,6 +158,14 @@ def wf_neg(c, minus_one_square: bool) -> Tuple[int, bool]:
     return (r, s != (r == 1 and not minus_one_square))
 
 
+def wf_scale(c, t: int, minus_one_square: bool) -> Tuple[int, bool]:
+    """t*c: 4 kills W(F_q), so t mod 4 additions (t < 0 too)."""
+    out = WF_ZERO
+    for _ in range(t % 4):
+        out = wf_add(out, c, minus_one_square)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # W(Q) invariant bundle
 
@@ -193,6 +201,13 @@ def wq_key_add(k1, k2):
 
 def wq_key_neg(k):
     return (-k[0], tuple((q, wf_neg(c, q % 4 == 1)) for q, c in k[1]), k[2])
+
+
+def wq_key_scale(k, t: int):
+    """t times the class of k: the signature times t, each residue scaled
+    in W(F_p) (``wf_scale``), the dyadic parity kept for odd t."""
+    residues = ((q, wf_scale(c, t, q % 4 == 1)) for q, c in k[1])
+    return (k[0] * t, tuple((q, c) for q, c in residues if c != WF_ZERO), k[2] & t)
 
 
 WQ_ZERO = (0, (), 0)

@@ -79,12 +79,14 @@ class PresentationId:
         return f"BNTwistedModule/{self.field}"
 
 
+@lru_cache(maxsize=None)
 def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     if n < 1:
         raise BadParameters("n must be >= 1")
     return PresentationId(BSL2N, n, field)
 
 
+@lru_cache(maxsize=None)
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     """(Z/N)[e_1..e_n] with N = ``integer_modulus(field)``, the image of
     Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
@@ -256,8 +258,10 @@ class GradedElement:
     def __pow__(self, k: int) -> "GradedElement":
         if k < 0:
             raise ZeroInput("negative powers need localization")
-        r = one_elem(self.pres)
-        for _ in range(k):
+        if k == 0:
+            return one_elem(self.pres)
+        r = self
+        for _ in range(k - 1):
             r = r * self
         return r
 
@@ -449,7 +453,7 @@ def witt_image(x: GradedElement) -> GradedElement:
         if c not in classes:
             classes[c] = integer_class(c, field)
         out[k] = classes[c]
-    return GradedElement._nonzero(replace(x.pres, integral=False), out)
+    return GradedElement._nonzero(bsl2n(x.pres.n, field), out)
 
 
 def kunneth(xs: List[GradedElement]) -> GradedElement:

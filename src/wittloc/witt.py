@@ -2,14 +2,16 @@
 
 Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A class
 is a key of its field kind's ``_Keyed`` record; sums, negations and integer
-multiples (by doubling) work on keys.  Products, base change, transfers and
-printing read the counted representative ``terms``, (entry, count) pairs
-built from the key on first use, so they cost the number of distinct
-entries, not the rank.  Over Q, R, F_p, F_{p^2} and C the key is the
-complete invariant: signature, second residues and dyadic slot over Q;
-signature over R; over F_p, F_{p^2} and C one record of (rank mod 2,
-signed discriminant is a square), added and negated by the W(F_q) algebra
-of ``places``, which also carries the residues of the Q key.  Over
+multiples work on keys, the multiples in closed form (the signature times
+t, each W(F_q) part t mod 4 times, each Q(sqrt a) count times t).
+Products, base change, transfers and printing read the counted
+representative ``terms``, (entry, count) pairs built from the key on first
+use, so they cost the number of distinct entries, not the rank.  Over Q,
+R, F_p, F_{p^2} and C the key is the complete invariant: signature, second
+residues and dyadic slot over Q; signature over R; over F_p, F_{p^2} and C
+one record of (rank mod 2, signed discriminant is a square), added,
+negated and scaled by the W(F_q) algebra of ``places``, which also carries
+the residues of the Q key.  Over
 Q(sqrt a) it is sorted (normalized entry, count) pairs, and is its own
 counted representative: each distinct entry is cleared of rational square
 factors once, in ``from_entries``; sums merge counts and cancel hyperbolic
@@ -142,6 +144,7 @@ class _Keyed(NamedTuple):
     key: Callable  # (field, diagonal entries) -> key of the form
     add: Callable  # (field, key, key) -> key of the sum
     neg: Callable  # (field, key) -> key of the negation
+    scale: Callable  # (field, key, t) -> key of t times the class, in closed form
     # (field, key) -> counted representative: (entry, count) pairs, count
     # >= 1, distinct entries, whose sum of count*<entry> is the class
     rep: Callable
@@ -202,6 +205,7 @@ _RATIONAL_KEYS = _Keyed(
     lambda field, entries: places.wq_key(entries),
     lambda field, k1, k2: places.wq_key_add(k1, k2),
     lambda field, k: places.wq_key_neg(k),
+    lambda field, k, t: places.wq_key_scale(k, t),
     lambda field, k: _reconstruct_rationals(k),
 )
 _REAL_KEYS = _Keyed(
@@ -209,6 +213,7 @@ _REAL_KEYS = _Keyed(
     lambda field, entries: (sum(1 if c > 0 else -1 for c in entries),),
     lambda field, k1, k2: (k1[0] + k2[0],),
     lambda field, k: (-k[0],),
+    lambda field, k, t: (k[0] * t,),
     lambda field, k: _signed_ones(k[0]),
 )
 # F_p, F_{p^2} and C: (rank mod 2, signed discriminant is a square)
@@ -217,6 +222,7 @@ _FINITE_KEYS = _Keyed(
     _finite_key,
     lambda field, k1, k2: places.wf_add(k1, k2, _minus_one_square(field)),
     lambda field, k: places.wf_neg(k, _minus_one_square(field)),
+    lambda field, k, t: places.wf_scale(k, t, _minus_one_square(field)),
     _finite_rep,
 )
 _KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FINITE_KEYS,
@@ -307,13 +313,29 @@ def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
     return _qext_sorted((r, n) for r, n in kept if n)
 
 
+def _neg_qext(field: FieldDescriptor, k) -> Tuple:
+    return _qext_sorted((F.neg(field, r), n) for r, n in k)
+
+
+def _scale_qext(field: FieldDescriptor, k, t: int) -> Tuple:
+    """t times the key k: -k scaled by |t| for t < 0, each count times |t|
+    mod N.  The entries of a key are pairwise not hyperbolic, so nothing
+    new cancels and the order holds."""
+    if t < 0:
+        k, t = _neg_qext(field, k), -t
+    N = integer_modulus(field)
+    scaled = ((r, n * t % N if N else n * t) for r, n in k)
+    return tuple((r, n) for r, n in scaled if n)
+
+
 _QEXT_KEYS = _Keyed(
     (),
     lambda field, entries: _cancel_qext(
         field, [(_normalize_qext_entry(c), n) for c, n in Counter(entries).items()]
     ),
     lambda field, k1, k2: _cancel_qext(field, k1 + k2),
-    lambda field, k: _qext_sorted((F.neg(field, r), n) for r, n in k),
+    _neg_qext,
+    _scale_qext,
     lambda field, k: k,
 )
 
@@ -400,18 +422,10 @@ class WittClass:
         return self + (-other)
 
     def _int_scale(self, t: int) -> "WittClass":
-        """t-fold sum, by doubling on keys (over Q(sqrt a) the counts
-        double, so t<1> is one entry of count t, mod ``integer_modulus``)."""
-        base = -self if t < 0 else self
-        t = abs(t)
-        acc = zero_class(self.field)
-        while t:
-            if t & 1:
-                acc = acc + base
-            t >>= 1
-            if t:
-                base = base + base
-        return acc
+        """The t-fold sum, read off the key in closed form (over Q(sqrt a)
+        the counts scale, so t<1> is one entry of count t, mod
+        ``integer_modulus``)."""
+        return WittClass(self.field, _keyed(self.field).scale(self.field, self.key, t))
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -425,6 +425,33 @@ def test_unsupported_residue_rejected():
         component_residue(comp, g)
 
 
+@pytest.mark.parametrize("kind, n, normal", [
+    ("N", 1, ("F@1", "SL2n", 1)),
+    ("SL2n", 1, ("rho(1)", "N", 1)),
+    ("SL2n", 2, ("F@1", "SL2n", 3)),
+    ("SL2n", 2, ("F@1", "SL2n", 1)),
+], ids=["N-with-SL2n", "SL2n-with-N", "SL2n(2)-with-SL2n(3)", "SL2n(2)-with-SL2n(1)"])
+def test_normal_representation_of_another_group_is_rejected(kind, n, normal):
+    rep = parse_rep(*normal)
+    comp = FixedComponent("pt", "rational", rep, rep)
+    g = GroupDescriptor(kind, n, Q)
+    with pytest.raises(BadParameters, match="normal representation"):
+        LocalizationProblem(g, (comp,))
+    with pytest.raises(BadParameters, match="normal representation"):
+        component_residue(comp, g)
+
+
+@pytest.mark.parametrize("kind, n, normal", [("N", 1, "F@1"), ("SL2n", 1, "rho(1)"),
+                                             ("SL2n", 2, "F@3")])
+def test_json_normal_is_read_against_the_problem_group(kind, n, normal):
+    """problem_from_json parses each normal for the problem's own group, so
+    a literal of another group is a typed parse error, not an answer."""
+    doc = {"group": {"kind": kind, "n": n, "field": "Q"},
+           "components": [{"id": "pt", "normal": normal}]}
+    with pytest.raises(ExprSyntaxError):
+        problem_from_json(doc)
+
+
 def test_restricted_representation_of_another_group_is_rejected():
     """The restricted RepSum cancels against the normal one, so both must
     be representations of one group."""
@@ -472,10 +499,39 @@ def test_n_components_build_no_euler_class(monkeypatch):
 
 
 def test_sl2n_components_test_the_generic_square_once(monkeypatch):
+    """The zero test squares one irrep at a time: every generic_euler call
+    the engine makes gets a single-irrep RepSum, once for each distinct
+    irrep of each component, however often the irrep occurs."""
     seen = _spy_on_euler_classes(monkeypatch)
-    prob = build_grassmannian_problem(2, 5, 2, Q)
-    bott_residue(prob)
-    assert seen == {"euler_rep": [], "generic_euler": [c.normal_rep for c in prob.components]}
+    twice = parse_rep("2*F@1 + Sym(3)@2 + F@1*F@2", "SL2n", 2)
+    comps = build_grassmannian_problem(2, 5, 2, Q).components + (
+        FixedComponent("twice", "rational", twice, twice),)
+    bott_residue(LocalizationProblem(GroupDescriptor("SL2n", 2, Q), comps))
+    singles = [RepSum(("SL2n", 2), ((irrep, 1),))
+               for c in comps for irrep, _ in c.normal_rep.summands]
+    assert len(singles) == 7
+    assert seen == {"euler_rep": [], "generic_euler": singles}
+
+
+@pytest.mark.parametrize("m, ambient, degree", [(6, 14, 35), (8, 16, 70)])
+def test_large_grassmannians_solve_quickly(m, ambient, degree):
+    """Gr(6,14) and Gr(8,16) over Q, whose whole-normal squares took 7.8 s
+    and 462 s to expand, are each tested factor by factor."""
+    prob = build_grassmannian_problem(m, ambient, ambient // 2, Q)
+    start = time.perf_counter()
+    res = bott_residue(prob)
+    assert time.perf_counter() - start < 1
+    assert res.degree_zero == integer_class(degree, Q)
+    assert residue_by_evaluation(prob) == degree
+
+
+def test_normal_irrep_with_no_closed_form_is_unsupported():
+    """Sym^2 F_1 (x) F_2 has no Euler-class formula, so its zero test
+    raises, though the restricted class would cancel it to 1."""
+    rep = parse_rep("Sym(2)@1*Sym(1)@2", "SL2n", 2)
+    comp = FixedComponent("c", "rational", rep, rep)
+    with pytest.raises(UnsupportedIrrep):
+        bott_residue(LocalizationProblem(GroupDescriptor("SL2n", 2, Q), (comp,)))
 
 
 def _spy_on_divisions(monkeypatch):
@@ -1010,6 +1066,23 @@ def test_a_rep_sum_is_its_irrep_multiset(group):
             assert euler_rep(copy, field) == euler_rep(rep, field)
             assert generic_euler(copy, field) == generic_euler(rep, field)
     assert reordered >= 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_per_irrep_zero_test_agrees_with_the_whole_square(n):
+    """The engine tests e(N) = 0 one distinct irrep at a time; on seeded
+    RepSums it agrees with expanding the square of the whole class."""
+    rng = random.Random(f"zero-test:{n}")
+    fields = [Q, F.reals(), F.finite_prime(5), F.finite_prime(7),
+              F.quad_ext(F.finite_prime(3), 2), F.quad_ext(Q, 2), F.quad_ext(Q, -7)]
+    vanishing = 0
+    for _ in range(30):
+        rep = _random_rep(rng, ("SL2n", n))
+        for field in fields:
+            zero = engine._normal_class_vanishes(rep, field)
+            assert zero == generic_euler(rep, field).is_zero(), (rep, field)
+        vanishing += zero
+    assert 0 < vanishing < 30
 
 
 def _random_n_rep_problem(rng):

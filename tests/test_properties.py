@@ -14,7 +14,7 @@ from wittloc.euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, euler_rep, n
 from wittloc.exprs import parse_ring_expr, parse_witt_expr, ring_str, witt_str
 from wittloc.quadext import make_context
 from wittloc.rings import bnn, bsl2n, e_monomial, from_witt, gen, generator_names, twisted_point
-from wittloc.witt import WittClass, witt
+from wittloc.witt import WittClass, integer_class, integer_modulus, witt, zero_class
 
 from oracles import n_verdict_by_closed_forms
 
@@ -74,6 +74,46 @@ def test_hyperbolic_absorption(field):
             neg_c = -c
         padded = WittClass.from_entries(field, tuple(x.entries) + (c, neg_c))
         assert padded == x
+
+
+# the additive order N of <1> is 0, 0, 2, 4, 2, 0, 2 and 8
+SCALE_FIELDS = [Q, F.reals(), F.finite_prime(5), F.finite_prime(7),
+                F.quad_ext(F.finite_prime(3), 2), F.quad_ext(Q, 2), F.quad_ext(Q, -1),
+                F.quad_ext(Q, -7)]
+BIG = 2 ** 61 + 1
+
+
+def _doubled(x, k):
+    """2^k copies of x, summed by k doublings."""
+    for _ in range(k):
+        x = x + x
+    return x
+
+
+@pytest.mark.parametrize("field", SCALE_FIELDS, ids=str)
+def test_integer_multiples_are_repeated_sums(field):
+    """The closed-form t*x has the key of |t| copies of x summed (of -x for
+    t < 0), for t in -40..40 and t = +-(2^61 + 1)."""
+    rng = random.Random(f"scale:{field}")
+    for _ in range(12):
+        x = random_class(rng, field)
+        plus, minus = [zero_class(field)], [zero_class(field)]
+        for _ in range(40):
+            plus.append(plus[-1] + x)
+            minus.append(minus[-1] - x)
+        for t in range(-40, 41):
+            assert (t * x).key == (plus[t] if t >= 0 else minus[-t]).key, (t, x)
+        assert (BIG * x).key == (_doubled(x, 61) + x).key
+        assert (-BIG * x).key == (_doubled(-x, 61) - x).key
+
+
+@pytest.mark.parametrize("field", SCALE_FIELDS[:5], ids=str)
+def test_integer_classes_read_back(field):
+    """integer_class(t).integer_value() is t over the keyed fields, taken
+    mod N when <1> has additive order N."""
+    N = integer_modulus(field)
+    for t in list(range(-40, 41)) + [BIG, -BIG]:
+        assert integer_class(t, field).integer_value() == (t % N if N else t)
 
 
 def random_ring_elem(rng, pres, max_terms=4, multiples=False):
