@@ -18,14 +18,11 @@ from .errors import (
 )
 from .fields import FieldDescriptor, finite_prime, quad_ext, rationals, reals
 from .witt import (
-    QuadraticForm,
     WittClass,
     diagonalize,
-    form,
     integer_class,
     square_class,
     witt,
-    witt_class,
     zero_class,
 )
 from .quadext import (
@@ -46,10 +43,6 @@ from .rings import (
     bnn,
     bsl2n,
     gen,
-    kunneth,
-    loc_eq,
-    localize,
-    n_loc_multiplier,
     twisted_point,
 )
 from .euler import (
@@ -71,7 +64,6 @@ from .engine import (
     bott_residue,
     build_grassmannian_problem,
     build_projective_problem,
-    component_residue,
     exact_divide,
     problem_from_json,
     problem_to_json,

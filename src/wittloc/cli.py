@@ -188,7 +188,7 @@ def _cmd_localize(args) -> int:
         payload = {"cleared": ring_str(res.cleared)}
     else:
         num, den = ring_str(res.value.numerator), ring_str(res.value.inverted)
-        payload = {"localized": f"({num}) / ({den})^{res.value.dexp}"}
+        payload = {"localized": f"({num}) / ({den})^1"}
     if res.degree_zero is not None:
         payload["degree_zero"] = witt_str(res.degree_zero)
     lines = [f"{k}: {x}" for k, x in payload.items()]

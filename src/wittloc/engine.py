@@ -50,7 +50,7 @@ from .euler import (
     whitney,
 )
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
-from .quadext import QuadExtContext
+from .quadext import QuadExtContext, sqrt_a_class
 from .rings import (
     BNN,
     BSL2N,
@@ -109,7 +109,7 @@ class LocalizationProblem:
             raise BadParameters("M must be nonzero when provided")
         if self.M is not None and self.group.kind == "SL2n":
             raise BadParameters(
-                "M is the N-engine's multiplier (n_loc_multiplier); SL2n does not read it"
+                "M is the N-engine's localization multiplier; SL2n does not read it"
             )
         for c in self.components:
             _check_groups(c, self.group)
@@ -162,8 +162,7 @@ def _witt_quotient(c: WittClass, t: int) -> Optional[WittClass]:
         sp, sm = c.signature(True), c.signature(False)
         if sp % t or sm % t:
             return None
-        sqrt_a = WittClass.from_entries(field, (F.coerce(field, (0, 1)),))
-        z = (sp + sm) // (2 * t) * one + (sp - sm) // (2 * t) * sqrt_a
+        z = (sp + sm) // (2 * t) * one + (sp - sm) // (2 * t) * sqrt_a_class(field)
     else:
         z = zero_class(field)  # k has no ordering: W(k) is torsion
     r = (t + 3) % 8 - 3
@@ -258,8 +257,7 @@ def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
 def push_to_base(x, c: FixedComponent):
     """Pushforward from a component to the base ring: x itself from a
     rational point; from a twisted point pi_*(x) for a class x on it and
-    x * pi_*(1) = pi_*(pi^* x) for a BN class x (the projection formula).
-    An element of the inverted twisted point raises PresentationMismatch."""
+    x * pi_*(1) = pi_*(pi^* x) for a BN class x (the projection formula)."""
     if c.residue == RATIONAL_POINT:
         return x
     if not isinstance(c.residue, QuadExtContext):
@@ -275,15 +273,6 @@ def push_to_base(x, c: FixedComponent):
 
 # ---------------------------------------------------------------------------
 # residues
-
-
-def component_residue(c: FixedComponent, g: GroupDescriptor) -> LocalizedElement:
-    """The fraction of ``_component_fraction`` over BSL2n(n), its denominator
-    multiplied out: 1 / 1 when the restricted RepSum is the normal one."""
-    _check_groups(c, g)
-    carrier = bsl2n(g.n, g.field)
-    num, den = _component_fraction(c, g, carrier)
-    return LocalizedElement(carrier, num, whitney(den.items(), carrier), 1)
 
 
 def _component_fraction(
@@ -401,7 +390,7 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     fractions = [_component_fraction(c, g, work) for c in p.components]
     total, D, cleared = _sum_fractions(fractions, work)
     if cleared is None:
-        value = LocalizedElement(carrier, witt_image(total), witt_image(D), 1)
+        value = LocalizedElement(carrier, witt_image(total), witt_image(D))
         return ResidueResult(value, None, None, flags)
     cleared = witt_image(cleared)
     scalar = cleared.is_zero() or cleared.degree() == 0

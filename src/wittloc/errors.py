@@ -41,14 +41,6 @@ class PresentationMismatch(WittlocError):
     """Ring operands belong to different presentations."""
 
 
-class NonHomogeneousDenominator(WittlocError):
-    """Localization denominator is not homogeneous of positive degree."""
-
-
-class NonPositiveExponent(WittlocError):
-    """Character exponent m must be >= 1."""
-
-
 class UnsupportedIrrep(WittlocError):
     """No closed Euler-class formula for this representation shape."""
 

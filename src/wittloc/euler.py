@@ -94,6 +94,8 @@ class RepSum:
     summands: Tuple[Tuple[object, int], ...]
 
     def __post_init__(self):
+        if self.group[0] == "SL2n" and self.group[1] < 1:
+            raise BadParameters("n must be >= 1")
         merged: Counter = Counter()
         for irrep, mult in self.summands:
             if mult < 1:
@@ -160,16 +162,6 @@ def double_factorial(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def euler_sl2n_irrep(irrep: SL2nIrrep, n: int, field: FieldDescriptor) -> EulerClassValue:
-    # RepSum rejects an irrep whose exponent count is not n
-    return euler_rep(RepSum(("SL2n", n), ((irrep, 1),)), field)
-
-
-def euler_tensor_pair(i: int, j: int, n: int, field: FieldDescriptor) -> GradedElement:
-    """e(F_i (x) F_j) = e_i^2 - e_j^2 as written (antisymmetric in i, j)."""
-    return witt_image(_tensor_pair(i, j, integral_bsl2n(n, field)))
-
-
 @lru_cache(maxsize=None)
 def _irrep_euler(irrep, pres: PresentationId) -> GradedElement:
     """e(irrep) in pres, built once: an SL2^n shape above, or m*e for rho(m)."""
@@ -184,15 +176,12 @@ def _irrep_euler(irrep, pres: PresentationId) -> GradedElement:
         ei = gen(pres, f"e{i}")
         return ei if m == 1 else from_int(pres, double_factorial(m)) * ei ** ((m + 1) // 2)
     if len(nz) == 2 and all(m == 1 for _, m in nz):
-        return _tensor_pair(nz[0][0], nz[1][0], pres)
+        # e(F_i (x) F_j) = e_i^2 - e_j^2 for i < j
+        ei, ej = (gen(pres, f"e{i}") for i, _ in nz)
+        return ei * ei - ej * ej
     raise UnsupportedIrrep(
         f"no closed Euler-class formula for exponents {irrep.exponents}"
     )
-
-
-def _tensor_pair(i: int, j: int, pres: PresentationId) -> GradedElement:
-    ei, ej = gen(pres, f"e{i}"), gen(pres, f"e{j}")
-    return ei * ei - ej * ej
 
 
 def whitney(pairs, pres: PresentationId, power: int = 1, out=None) -> GradedElement:
@@ -205,10 +194,6 @@ def whitney(pairs, pres: PresentationId, power: int = 1, out=None) -> GradedElem
         x = _irrep_euler(irrep, pres) ** (power * mult)
         out = x if out is None else out * x
     return one_elem(pres) if out is None else out
-
-
-def euler_n_irrep(irrep: NIrrep, field: FieldDescriptor) -> EulerClassValue:
-    return euler_rep(n_rep([irrep]), field)
 
 
 def _n_determinacy(rep: RepSum) -> str:

@@ -24,11 +24,10 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
-from .errors import ExprSyntaxError, UnknownGenerator
+from .errors import BadParameters, ExprSyntaxError, UnknownGenerator
 from .fields import QUAD_EXT, FieldDescriptor, finite_prime, quad_ext, rationals, reals
 from .witt import WittClass, integer_class, square_class
-from .rings import (BN_TWISTED_MODULE, GradedElement, PresentationId, from_witt, gen,
-                    key_generators, sum_elements)
+from .rings import GradedElement, PresentationId, from_witt, gen, key_generators, sum_elements
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
 
@@ -231,8 +230,10 @@ def _factor(p: _Parser, atoms: _Atoms):
         t = p.next()
         if t[0] != "int":
             raise ExprSyntaxError("exponent must be a nonnegative integer", t[2])
-        acc = atoms.integer(1)
-        for _ in range(int(t[1])):
+        # x^k is k - 1 products from x; x^0 is the integer 1
+        k = int(t[1])
+        acc = base if k else atoms.integer(1)
+        for _ in range(k - 1):
             acc = acc * base
         base = acc
     return base
@@ -268,9 +269,12 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
     """Sums of irrep literals: Sym(m)@i, F@i (and '*'-products of those),
     rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand.  Equal
     irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'.  A product names
-    each factor index at most once."""
+    each factor index at most once.  SL2^n with n < 1 raises BadParameters
+    before the literal is read."""
     from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep
 
+    if group_kind == "SL2n" and n < 1:
+        raise BadParameters("n must be >= 1")
     p = _Parser(text)
     summands = []
     while True:
@@ -348,10 +352,7 @@ def witt_str(x: WittClass) -> str:
 
 def _mono_str(pres: PresentationId, key) -> str:
     names = key_generators(pres.kind, pres.n)
-    parts = [s if m == 1 else f"{s}^{m}" for s, m in zip(names, key) if m]
-    if pres.kind == BN_TWISTED_MODULE:
-        parts.append("eT")
-    return "*".join(parts)
+    return "*".join(s if m == 1 else f"{s}^{m}" for s, m in zip(names, key) if m)
 
 
 def ring_str(x: GradedElement) -> str:

@@ -34,8 +34,9 @@ def make_context(base: FieldDescriptor, a) -> QuadExtContext:
     return QuadExtContext(base, ext.a, ext)
 
 
-def sqrt_a_class(ctx: QuadExtContext) -> WittClass:
-    return WittClass.from_entries(ctx.ext, (F.coerce(ctx.ext, (0, 1)),))
+def sqrt_a_class(ext: FieldDescriptor) -> WittClass:
+    """<sqrt a> over the extension field k(sqrt a)."""
+    return WittClass.from_entries(ext, (F.coerce(ext, (0, 1)),))
 
 
 def one_minus_a(ctx: QuadExtContext) -> WittClass:

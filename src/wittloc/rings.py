@@ -7,47 +7,34 @@ Presentations:
     injectively into W(k)[e_1..e_n];
   * BNn(n):   n-fold product of W(k)[x,e]/((1+x)e, x^2-1), x of degree 0;
   * TwistedPoint(ctx): W(k)[e,y]/(y^2 - 2(<1>-<a>), I_a*y, I_a*e) with the
-    degree-0 generator x acting as the scalar <a>;
-  * BNTwistedModule: the free W(k)[e]-module on one degree-2 generator eT,
-    with x*eT = -eT; products of two module elements are rejected.
+    degree-0 generator x acting as the scalar <a>.
 
 Each ring has a finite confluent rewrite system, applied eagerly so every
 stored element is in normal form.
 
 A monomial key, in every presentation, is the flat tuple of exponents of
-``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e; and e for
-the module, whose key (m,) stands for e^m*eT.  Only this module reads or
-writes keys, in the maps between presentations too: pi^* and pi_* between
-BN and a twisted point.  Other modules name generators (``gen``,
-``e_monomial``).
+``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e.  Only this
+module reads or writes keys, in the maps between presentations too: pi^*
+and pi_* between BN and a twisted point, and the localization of BN^n in
+BSL2n(n).  Other modules name generators (``gen``, ``e_monomial``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import fields as F
-from .errors import (
-    BadParameters,
-    FieldMismatch,
-    NonHomogeneousDenominator,
-    NonPositiveExponent,
-    PresentationMismatch,
-    UnknownGenerator,
-    ZeroInput,
-)
-from .fields import REALS, FieldDescriptor
+from .errors import BadParameters, FieldMismatch, PresentationMismatch, UnknownGenerator, ZeroInput
+from .fields import FieldDescriptor
 from .quadext import QuadExtContext, in_Ia, one_minus_a
-from .witt import WittClass, _leading_integer, integer_class, integer_modulus, zero_class
+from .witt import WittClass, integer_class, integer_modulus, zero_class
 
 BSL2N = "BSL2n"
 BNN = "BNn"
 TWISTED = "TwistedPoint"
-BN_TWISTED_MODULE = "BNTwistedModule"
 
 
 @dataclass(frozen=True)
@@ -56,7 +43,6 @@ class PresentationId:
     n: int
     field: FieldDescriptor
     ctx: Optional[QuadExtContext] = None
-    inverted: bool = False
     integral: bool = False  # BSL2n only: coefficients in Z/N, not W(field)
 
     def __post_init__(self):
@@ -73,10 +59,7 @@ class PresentationId:
             return f"BSL2n({self.n})/{self.field}"
         if self.kind == BNN:
             return f"BN^{self.n}/{self.field}"
-        if self.kind == TWISTED:
-            inv = ", e inverted" if self.inverted else ""
-            return f"TwistedPoint({self.ctx.ext}{inv})"
-        return f"BNTwistedModule/{self.field}"
+        return f"TwistedPoint({self.ctx.ext})"
 
 
 @lru_cache(maxsize=None)
@@ -103,12 +86,8 @@ def bn(field: FieldDescriptor) -> PresentationId:
     return bnn(1, field)
 
 
-def twisted_point(ctx: QuadExtContext, inverted: bool = False) -> PresentationId:
-    return PresentationId(TWISTED, 1, ctx.base, ctx=ctx, inverted=inverted)
-
-
-def bn_twisted_module(field: FieldDescriptor) -> PresentationId:
-    return PresentationId(BN_TWISTED_MODULE, 1, field)
+def twisted_point(ctx: QuadExtContext) -> PresentationId:
+    return PresentationId(TWISTED, 1, ctx.base, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +99,6 @@ _FACTOR_GENERATORS = {
     BSL2N: ("e",),
     BNN: ("x", "e"),
     TWISTED: ("y", "e"),
-    BN_TWISTED_MODULE: ("e",),
 }
 
 
@@ -135,24 +113,18 @@ def key_generators(kind: str, n: int) -> Tuple[str, ...]:
 
 
 def _unit_key(pres: PresentationId):
-    if pres.kind == BN_TWISTED_MODULE:
-        raise PresentationMismatch("the twisted module has no unit")
     return (0,) * len(key_generators(pres.kind, pres.n))
 
 
 def key_degree(pres: PresentationId, key) -> int:
-    """2 per power of an e; x and y have degree 0, eT degree 2."""
+    """2 per power of an e; x and y have degree 0."""
     names = key_generators(pres.kind, pres.n)
-    degree = 2 * sum(m for s, m in zip(names, key) if s[0] == "e")
-    return degree + 2 if pres.kind == BN_TWISTED_MODULE else degree
-
-
-def _coeff_reduced_mod_ia(pres: PresentationId, key) -> bool:
-    return pres.kind == TWISTED and (pres.inverted or key != (0, 0))
+    return 2 * sum(m for s, m in zip(names, key) if s[0] == "e")
 
 
 def _coeff_is_zero(pres: PresentationId, key, c: WittClass) -> bool:
-    if _coeff_reduced_mod_ia(pres, key):
+    # on the twisted point every coefficient but the constant one is taken mod I_a
+    if pres.kind == TWISTED and key != (0, 0):
         return in_Ia(c, pres.ctx)
     return c.is_zero()
 
@@ -230,10 +202,6 @@ class GradedElement:
         if isinstance(other, WittClass):
             return self * from_witt(self.pres, other)
         self._check(other)
-        if self.pres.kind == BN_TWISTED_MODULE:
-            raise PresentationMismatch(
-                "products of twisted-module elements are not defined"
-            )
         out: Dict = {}
         if self.pres.kind == BSL2N:
             # a polynomial ring: exponent vectors add, no extra coefficient
@@ -323,8 +291,6 @@ def from_witt(pres: PresentationId, w: WittClass) -> GradedElement:
         raise PresentationMismatch(f"{pres} has integer coefficients, not W(k)")
     if w.field != pres.field:
         raise FieldMismatch(f"{w.field} vs {pres.field}")
-    if pres.kind == BN_TWISTED_MODULE:
-        raise PresentationMismatch("the twisted module has no scalars")
     return GradedElement(pres, {_unit_key(pres): w})
 
 
@@ -341,9 +307,7 @@ def one_elem(pres: PresentationId) -> GradedElement:
 def generator_names(pres: PresentationId) -> List[str]:
     """Every name ``gen`` accepts: the key generators letter by letter, and
     for one factor first their aliases e1, x1; then x (the scalar <a>) on
-    the twisted point.  The twisted module accepts only eT."""
-    if pres.kind == BN_TWISTED_MODULE:
-        return ["eT"]
+    the twisted point."""
     if pres.kind == TWISTED:
         return sorted(key_generators(TWISTED, 1)) + ["x"]
     letters = key_generators(pres.kind, 1)
@@ -359,10 +323,7 @@ def gen(pres: PresentationId, name: str) -> GradedElement:
     if pres.kind == TWISTED and name == "x":
         # the degree-0 class x restricts to the scalar <a>
         return from_witt(pres, WittClass.from_entries(pres.ctx.base, (pres.ctx.a,)))
-    if pres.kind == BN_TWISTED_MODULE:
-        if name == "eT":
-            return GradedElement(pres, {(0,): one})
-    elif name in names:
+    if name in names:
         i = names.index(name)
         return GradedElement(pres, {tuple(int(j == i) for j in range(len(names))): one})
     raise UnknownGenerator(f"{name!r} is not a generator of {pres}")
@@ -379,20 +340,6 @@ def e_monomial(pres: PresentationId, c, **powers: int) -> GradedElement:
     x = from_int(pres, c) if isinstance(c, int) else from_witt(pres, c)
     key = tuple(powers.get(s, 0) for s in names)
     return GradedElement(pres, {key: v for v in x.coeffs.values()})
-
-
-def module_action(b: GradedElement, t: GradedElement) -> GradedElement:
-    """W(k)[x,e]-action on the twisted module.  As x*eT = -eT, b acts as its
-    localization x -> -1 in BSL2n(1), where the key (m,) of e^m*eT is e^m."""
-    if b.pres.kind != BNN or b.pres.n != 1:
-        raise PresentationMismatch("module scalars must come from BN")
-    if t.pres.kind != BN_TWISTED_MODULE:
-        raise PresentationMismatch("module_action needs a twisted-module element")
-    if b.pres.field != t.pres.field:
-        raise FieldMismatch(f"{b.pres.field} vs {t.pres.field}")
-    carrier = bsl2n(1, t.pres.field)
-    product = localize_element(b, carrier) * GradedElement._nonzero(carrier, t.coeffs)
-    return GradedElement._nonzero(t.pres, product.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +372,8 @@ def twisted_pushforward(t: GradedElement) -> GradedElement:
     """pi_* by the projection formula pi_*(t) = t~ * pi_*(1), t~ the y-free
     part of t: 1 -> <2> + <2a>x, e^m -> (<2> - <2a>)e^m for m > 0 (x*e = -e)
     and y -> 0.  <2> - <2a> kills I_a, so a coefficient of e^m or y,
-    taken mod I_a, has one image.  On the inverted twisted point the
-    constant coefficient c is taken mod I_a too, and <2>c + <2a>c*x depends
-    on its representative, so that presentation raises PresentationMismatch."""
-    if t.pres.kind != TWISTED or t.pres.inverted:
+    taken mod I_a, has one image."""
+    if t.pres.kind != TWISTED:
         raise PresentationMismatch(f"cannot push {t.pres} to BN")
     # the key (0, m) is e^m in BN too; a stored coefficient is not in I_a, so not 0
     y_free = {k: c for k, c in t.coeffs.items() if not k[0]}
@@ -436,7 +381,7 @@ def twisted_pushforward(t: GradedElement) -> GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# the integral image, Kunneth products and the N multiplier
+# the integral image
 
 
 def witt_image(x: GradedElement) -> GradedElement:
@@ -456,142 +401,34 @@ def witt_image(x: GradedElement) -> GradedElement:
     return GradedElement._nonzero(bsl2n(x.pres.n, field), out)
 
 
-def kunneth(xs: List[GradedElement]) -> GradedElement:
-    """External product over a product presentation (BSL2n or BNn factors)."""
-    if not xs:
-        raise BadParameters("kunneth needs at least one factor")
-    kind = xs[0].pres.kind
-    field = xs[0].pres.field
-    if kind not in (BSL2N, BNN):
-        raise PresentationMismatch(f"kunneth is defined for BSL2n/BNn, not {kind}")
-    total_n = 0
-    for x in xs:
-        if x.pres.kind != kind:
-            raise PresentationMismatch(f"{x.pres.kind} vs {kind}")
-        if x.pres.field != field:
-            raise FieldMismatch(f"{x.pres.field} vs {field}")
-        total_n += x.pres.n
-    pres = bsl2n(total_n, field) if kind == BSL2N else bnn(total_n, field)
-    out: Dict = {(): integer_class(1, field)}
-    for x in xs:
-        nxt: Dict = {}
-        for k1, c1 in out.items():
-            for k2, c2 in x.coeffs.items():
-                key = k1 + k2
-                c = c1 * c2
-                nxt[key] = nxt[key] + c if key in nxt else c
-        out = nxt
-    return GradedElement(pres, out)
-
-
-def n_loc_multiplier(orbit_types: List[Tuple[int, str]]) -> int:
-    """lcm of {1 for type a, m for b and c+, 2m for c-}."""
-    M = 1
-    for m, tag in orbit_types:
-        if m < 1:
-            raise NonPositiveExponent(f"character exponent must be >= 1, got {m}")
-        if tag == "a":
-            part = 1
-        elif tag in ("b", "c+"):
-            part = m
-        elif tag == "c-":
-            part = 2 * m
-        else:
-            raise BadParameters(f"unknown orbit type tag {tag!r}")
-        M = math.lcm(M, part)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # localization
 
 
 @dataclass(frozen=True)
 class LocalizedElement:
+    """The fraction numerator / inverted^1 over the carrier presentation."""
+
     pres: PresentationId          # carrier presentation after localizing
     numerator: GradedElement
-    inverted: GradedElement       # homogeneous nonzero denominator base
-    dexp: int
+    inverted: GradedElement       # homogeneous nonzero denominator
 
     def __repr__(self):
         from .exprs import ring_str
 
-        if self.dexp == 0:
-            return f"Localized({ring_str(self.numerator)})"
-        return (
-            f"Localized(({ring_str(self.numerator)}) / "
-            f"({ring_str(self.inverted)})^{self.dexp})"
-        )
-
-
-def localization_carrier(pres: PresentationId) -> PresentationId:
-    if pres.kind == BSL2N:
-        return pres
-    if pres.kind == BNN:
-        return bsl2n(pres.n, pres.field)
-    if pres.kind == TWISTED:
-        return twisted_point(pres.ctx, inverted=True)
-    raise PresentationMismatch(f"cannot localize {pres}")
+        return f"Localized(({ring_str(self.numerator)}) / ({ring_str(self.inverted)})^1)"
 
 
 def localize_element(x: GradedElement, carrier: PresentationId) -> GradedElement:
-    """Image of x under the localization map into the carrier presentation."""
+    """Image of x under the localization map into the carrier BSL2n(n): x
+    itself over BSL2n, and over BN^n each x_i maps to -1."""
     if x.pres.kind == BSL2N:
         return x
-    if x.pres.kind == BNN:
-        # x_i maps to -1
-        out: Dict = {}
-        for key, c in x.coeffs.items():
-            newkey = key[1::2]
-            cc = -c if sum(key[::2]) % 2 else c
-            out[newkey] = out[newkey] + cc if newkey in out else cc
-        return GradedElement(carrier, out)
-    if x.pres.kind == TWISTED:
-        return GradedElement(carrier, dict(x.coeffs))
-    raise PresentationMismatch(f"cannot localize {x.pres}")
-
-
-def localize(x: GradedElement, s: GradedElement) -> LocalizedElement:
-    if x.pres != s.pres:
-        raise PresentationMismatch(f"{x.pres} vs {s.pres}")
-    carrier = localization_carrier(x.pres)
-    s_loc = localize_element(s, carrier)
-    if not s_loc.is_homogeneous() or s_loc.is_zero() or s_loc.degree() == 0:
-        raise NonHomogeneousDenominator(
-            "denominator must be homogeneous of positive degree and nonzero "
-            "in the localized ring"
-        )
-    return LocalizedElement(carrier, localize_element(x, carrier), s_loc, 0)
-
-
-def loc_eq(u: LocalizedElement, v: LocalizedElement) -> bool:
-    """Whether s^k kills u.numerator*s^(v.dexp) - v.numerator*s^(u.dexp) for
-    some k, s the inverted class; k runs up to ``_shift_bound(s)``."""
-    if u.pres != v.pres:
-        return False
-    if u.inverted != v.inverted:
-        raise PresentationMismatch("localized elements invert different classes")
-    s = u.inverted
-    diff = u.numerator * (s ** v.dexp) - v.numerator * (s ** u.dexp)
-    for _ in range(_shift_bound(s)):
-        if diff.is_zero():
-            return True
-        diff = diff * s
-    return diff.is_zero()
-
-
-def _shift_bound(s: GradedElement) -> int:
-    """0 when s is not a zero divisor: its leading coefficient is t<1> with
-    t odd (any t != 0 over Z and R), which kills no nonzero class, and its
-    leading monomial is a product of e's (y is nilpotent in the twisted
-    carrier), so leading terms multiply.  3 when s = t*e^m with t even:
-    s^k c = 0 makes t^k kill every coefficient of c, so each is torsion, and
-    8 | t^3 kills torsion.  Any other s raises BadParameters."""
-    lead = max(s.coeffs)
-    t = s.coeffs[lead] if s.pres.integral else _leading_integer(s.coeffs[lead])
-    if t is not None and (s.pres.kind == BSL2N or lead[0] == 0):
-        if t % 2 or s.pres.field.kind == REALS or s.pres.integral and not s.pres.modulus:
-            return 0
-        if len(s.coeffs) == 1:
-            return 3
-    raise BadParameters(f"no bound on the shifts that {s!r} needs")
+    if x.pres.kind != BNN:
+        raise PresentationMismatch(f"cannot localize {x.pres}")
+    out: Dict = {}
+    for key, c in x.coeffs.items():
+        newkey = key[1::2]
+        cc = -c if sum(key[::2]) % 2 else c
+        out[newkey] = out[newkey] + cc if newkey in out else cc
+    return GradedElement(carrier, out)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -42,31 +41,12 @@ from .errors import (
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    field: FieldDescriptor
-    entries: Tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-
-def form(field: FieldDescriptor, entries: Sequence) -> QuadraticForm:
-    coerced = []
-    for c in entries:
-        e = F.coerce(field, c)
-        if F.is_zero(field, e):
-            raise ZeroInput("diagonal entries must be nonzero")
-        coerced.append(e)
-    return QuadraticForm(field, tuple(coerced))
-
-
 # ---------------------------------------------------------------------------
 # Gram-matrix diagonalization (char != 2 symmetric elimination)
 
 
-def diagonalize(gram: Sequence[Sequence], field: FieldDescriptor) -> QuadraticForm:
+def diagonalize(gram: Sequence[Sequence], field: FieldDescriptor) -> Tuple:
+    """The diagonal entries of a form isometric to the symmetric Gram matrix."""
     n = len(gram)
     M = [[F.coerce(field, gram[i][j]) for j in range(n)] for i in range(n)]
     if any(len(row) != n for row in gram):
@@ -109,7 +89,7 @@ def diagonalize(gram: Sequence[Sequence], field: FieldDescriptor) -> QuadraticFo
                 continue
             for j in range(n):
                 M[j][i] = F.sub(field, M[j][i], F.mul(field, f, M[j][k]))
-    return QuadraticForm(field, tuple(entries))
+    return tuple(entries)
 
 
 def trace_form_entries(c, base: FieldDescriptor, a) -> Tuple:
@@ -507,13 +487,13 @@ def _leading_integer(d: WittClass) -> Optional[int]:
     return n if c == (1, 0) else -n if c == (-1, 0) else None
 
 
-def witt_class(f: QuadraticForm) -> WittClass:
-    return WittClass.from_entries(f.field, f.entries)
-
-
 def witt(field: FieldDescriptor, *entries) -> WittClass:
-    """Convenience constructor: witt(Q, 1, -2) = <1> + <-2>."""
-    return witt_class(form(field, entries))
+    """Convenience constructor: witt(Q, 1, -2) = <1> + <-2>; a zero entry
+    raises ZeroInput."""
+    coerced = tuple(F.coerce(field, c) for c in entries)
+    if any(F.is_zero(field, c) for c in coerced):
+        raise ZeroInput("diagonal entries must be nonzero")
+    return WittClass.from_entries(field, coerced)
 
 
 def zero_class(field: FieldDescriptor) -> WittClass:

@@ -228,7 +228,7 @@ def qext_nonzero_by_invariants(x):
         for (u, v), n in x.terms:
             c0, c1 = s0 * u + a * s1 * v, s0 * v + s1 * u
             gram = [[2 * c0, 2 * a * c1], [2 * a * c1, 2 * a * c0]]
-            total = total + n * WittClass.from_entries(Q, diagonalize(gram, Q).entries)
+            total = total + n * WittClass.from_entries(Q, diagonalize(gram, Q))
         if not total.is_zero():
             return True
     return None

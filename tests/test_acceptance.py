@@ -23,10 +23,10 @@ from wittloc.euler import (
     RHO,
     SL2nIrrep,
     double_factorial,
-    euler_n_irrep,
-    euler_sl2n_irrep,
-    euler_tensor_pair,
+    euler_rep,
+    fundamental,
     n_rep,
+    sl2n_rep,
 )
 from wittloc.quadext import all_witt_classes, lam_exactness_check, make_context
 from wittloc.rings import (
@@ -208,18 +208,18 @@ def test_criterion_6_euler_formulas():
     e = gen(pres1, "e")
     ok = True
     for m in (3, 5, 7, 9):
-        val = euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q)
+        val = euler_rep(sl2n_rep(1, [SL2nIrrep((m,))]), Q)
         ok = ok and val.value == from_int(pres1, double_factorial(m)) * e ** ((m + 1) // 2)
-    ok = ok and euler_sl2n_irrep(SL2nIrrep((1,)), 1, Q).value == e
+    ok = ok and euler_rep(sl2n_rep(1, [SL2nIrrep((1,))]), Q).value == e
     for m in (2, 4, 6, 8):
-        ok = ok and euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q).value.is_zero()
+        ok = ok and euler_rep(sl2n_rep(1, [SL2nIrrep((m,))]), Q).value.is_zero()
     pres2 = bsl2n(2, Q)
     e1, e2 = gen(pres2, "e1"), gen(pres2, "e2")
-    ok = ok and euler_tensor_pair(1, 2, 2, Q) == e1 ** 2 - e2 ** 2
+    ok = ok and euler_rep(sl2n_rep(2, [fundamental(2, 1, 2)]), Q).value == e1 ** 2 - e2 ** 2
     bn = bnn(1, Q)
     eb = gen(bn, "e")
     for m in range(1, 7):
-        val = euler_n_irrep(NIrrep(RHO, m), Q)
+        val = euler_rep(n_rep([NIrrep(RHO, m)]), Q)
         ok = ok and val.known_square == from_int(bn, m * m) * eb * eb
     elapsed = time.perf_counter() - t0
     report(6, "closed-form Euler classes", ok and elapsed < 1)

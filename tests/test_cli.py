@@ -62,9 +62,11 @@ def test_localize_projective_odd(capsys):
 
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_localize_builder_rejects_n_below_one(capsys, n):
-    code, out, err = run(capsys, "localize", "--builder", "p", "2n", "--n", n)
-    assert code == 1 and out == ""
-    assert err.strip() == "error: BadParameters: n must be >= 1"
+    """So do euler and ring: n is checked before the literal is read."""
+    for argv in (["localize", "--builder", "p", "2n"], ["euler", "F@1"], ["ring", "e"]):
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert code == 1 and out == ""
+        assert err.strip() == "error: BadParameters: n must be >= 1"
 
 
 def test_localize_grassmannian_json(capsys):

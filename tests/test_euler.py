@@ -15,10 +15,7 @@ from wittloc.euler import (
     UP_TO_SIGN,
     SL2nIrrep,
     double_factorial,
-    euler_n_irrep,
     euler_rep,
-    euler_sl2n_irrep,
-    euler_tensor_pair,
     fundamental,
     generic_euler,
     n_rep,
@@ -41,7 +38,7 @@ def test_double_factorial():
 def test_sym_m_odd(m):
     pres = bsl2n(1, Q)
     e = gen(pres, "e")
-    val = euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q)
+    val = euler_rep(sl2n_rep(1, [SL2nIrrep((m,))]), Q)
     assert val.determinacy == EXACT
     assert val.value == from_int(pres, double_factorial(m)) * e ** ((m + 1) // 2)
 
@@ -54,7 +51,7 @@ def test_degree_equals_rank_for_every_accepted_irrep(n):
     accepted = []
     for exps in product(range(10), repeat=n):
         try:
-            val = euler_sl2n_irrep(SL2nIrrep(exps), n, Q).value
+            val = euler_rep(sl2n_rep(n, [SL2nIrrep(exps)]), Q).value
         except UnsupportedIrrep:
             continue
         accepted.append(SL2nIrrep(exps))
@@ -71,13 +68,13 @@ def test_degree_equals_rank_for_every_accepted_irrep(n):
 
 def test_sym_one_is_the_generator():
     pres = bsl2n(1, Q)
-    val = euler_sl2n_irrep(SL2nIrrep((1,)), 1, Q)
+    val = euler_rep(sl2n_rep(1, [SL2nIrrep((1,))]), Q)
     assert val.value == gen(pres, "e")
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_sym_m_even_vanishes(m):
-    val = euler_sl2n_irrep(SL2nIrrep((m,)), 1, Q)
+    val = euler_rep(sl2n_rep(1, [SL2nIrrep((m,))]), Q)
     assert val.determinacy == EXACT
     assert val.value.is_zero()
 
@@ -85,20 +82,21 @@ def test_sym_m_even_vanishes(m):
 def test_tensor_pair():
     pres = bsl2n(3, Q)
     e1, e3 = gen(pres, "e1"), gen(pres, "e3")
-    assert euler_tensor_pair(1, 3, 3, Q) == e1 ** 2 - e3 ** 2
-    assert euler_tensor_pair(3, 1, 3, Q) == -(e1 ** 2 - e3 ** 2)
+    assert euler_rep(sl2n_rep(3, [fundamental(3, 1, 3)]), Q).value == e1 ** 2 - e3 ** 2
 
 
 def test_tensor_via_irrep():
-    val = euler_sl2n_irrep(SL2nIrrep((1, 1)), 2, Q)
-    assert val.value == euler_tensor_pair(1, 2, 2, Q)
+    pres = bsl2n(2, Q)
+    e1, e2 = gen(pres, "e1"), gen(pres, "e2")
+    val = euler_rep(sl2n_rep(2, [SL2nIrrep((1, 1))]), Q)
+    assert val.value == e1 ** 2 - e2 ** 2
 
 
 def test_unsupported_shapes_raise():
     with pytest.raises(UnsupportedIrrep):
-        euler_sl2n_irrep(SL2nIrrep((1, 3)), 2, Q)
+        euler_rep(sl2n_rep(2, [SL2nIrrep((1, 3))]), Q)
     with pytest.raises(UnsupportedIrrep):
-        euler_sl2n_irrep(SL2nIrrep((1, 1, 1)), 3, Q)
+        euler_rep(sl2n_rep(3, [SL2nIrrep((1, 1, 1))]), Q)
 
 
 def test_whitney_product():
@@ -112,7 +110,7 @@ def test_whitney_product():
 def test_twisted_line_odd(m):
     pres = bnn(1, Q)
     e = gen(pres, "e")
-    val = euler_n_irrep(NIrrep(RHO, m), Q)
+    val = euler_rep(n_rep([NIrrep(RHO, m)]), Q)
     assert val.determinacy == UP_TO_SIGN
     assert val.value == from_int(pres, m) * e
     assert val.known_square == from_int(pres, m * m) * e * e
@@ -122,7 +120,7 @@ def test_twisted_line_odd(m):
 def test_twisted_line_even_square_only(m):
     pres = bnn(1, Q)
     e = gen(pres, "e")
-    val = euler_n_irrep(NIrrep(RHO, m), Q)
+    val = euler_rep(n_rep([NIrrep(RHO, m)]), Q)
     assert val.determinacy == SQUARE_ONLY
     assert val.value is None
     assert val.known_square == from_int(pres, m * m) * e * e
@@ -130,7 +128,7 @@ def test_twisted_line_even_square_only(m):
 
 def test_rank_one_characters_vanish():
     for tag in (RHO0, RHO0_MINUS):
-        val = euler_n_irrep(NIrrep(tag), Q)
+        val = euler_rep(n_rep([NIrrep(tag)]), Q)
         assert val.value.is_zero()
 
 

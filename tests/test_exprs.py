@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import ExprSyntaxError, UnsupportedField
+from wittloc.errors import BadParameters, ExprSyntaxError, UnsupportedField
 from wittloc.exprs import (
     parse_field,
     parse_rep,
@@ -16,8 +16,10 @@ from wittloc.exprs import (
     ring_str,
     witt_str,
 )
+from wittloc.euler import RepSum
 from wittloc.quadext import make_context
 from wittloc.rings import (
+    GradedElement,
     bnn,
     bsl2n,
     from_witt,
@@ -225,6 +227,25 @@ def test_parsed_sum_tests_each_monomial_once(monkeypatch):
     assert 0 < len(calls) <= 1330
 
 
+def test_a_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
+    """x^k is k - 1 products starting from x, not k starting from 1; x^0 is
+    the integer 1."""
+    pres = bsl2n(1, Q)
+    want = gen(pres, "e1") ** 5
+    calls = []
+    real_mul = GradedElement.__mul__
+    monkeypatch.setattr(GradedElement, "__mul__",
+                        lambda self, other: calls.append(1) or real_mul(self, other))
+    assert parse_ring_expr("e1^5", pres) == want
+    assert len(calls) == 4
+    calls.clear()
+    assert parse_ring_expr("e1^0", pres) == from_witt(pres, integer_class(1, Q))
+    assert parse_ring_expr("e1^1", pres) == gen(pres, "e1")
+    assert calls == []
+    assert parse_witt_expr("<2>^0", Q) == integer_class(1, Q)
+    assert parse_scalar("3^0", Q) == 1
+
+
 def test_parsing_forms_no_partial_sum():
     """Over Q(sqrt -7) the first four terms sum to 0 and all five to <3>*e.
     Summed term by term with the incomplete zero test, a partial sum raised
@@ -337,3 +358,14 @@ def test_equal_irrep_multisets_read_as_one_rep_sum():
 def test_scalar_forms_outside_the_grammar_are_rejected(text):
     with pytest.raises(ExprSyntaxError):
         parse_scalar(text, Q)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sl2n_representations_need_n_at_least_one(n):
+    """n < 1 is rejected as a parameter before the literal is read."""
+    with pytest.raises(BadParameters, match=r"^n must be >= 1$"):
+        parse_rep("F@1", "SL2n", n)
+    with pytest.raises(BadParameters, match=r"^n must be >= 1$"):
+        parse_rep("no literal", "SL2n", n)
+    with pytest.raises(BadParameters, match=r"^n must be >= 1$"):
+        RepSum(("SL2n", n), ())

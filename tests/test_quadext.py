@@ -25,7 +25,6 @@ from wittloc.witt import (
     integer_class,
     trace_form_entries,
     witt,
-    witt_class,
 )
 
 Q = F.rationals()
@@ -62,14 +61,14 @@ def test_closed_form_trace_form_matches_the_gram_matrix(base, a):
         g00 = F.mul(base, two, c0)
         g01 = F.mul(base, two, F.mul(base, a, c1))
         g11 = F.mul(base, two, F.mul(base, a, c0))
-        gram = witt_class(diagonalize([[g00, g01], [g01, g11]], base))
+        gram = WittClass.from_entries(base, diagonalize([[g00, g01], [g01, g11]], base))
         closed = WittClass.from_entries(base, trace_form_entries((c0, c1), base, a))
         assert closed == gram, (c0, c1)
 
 
 def test_transfer_of_sqrt_a_vanishes():
     ctx = ctx_q2()
-    assert transfer(sqrt_a_class(ctx), ctx).is_zero()
+    assert transfer(sqrt_a_class(ctx.ext), ctx).is_zero()
 
 
 def test_scaled_transfer_kills_base_change():
@@ -171,8 +170,8 @@ def test_large_counts_cost_their_distinct_entries():
     t0 = time.perf_counter()
     assert witt(Q, 2) * (integer_class(t, Q) + witt(Q, 3)) == t * witt(Q, 2) + witt(Q, 6)
     assert base_change(integer_class(t, Q), ctx) == integer_class(t, ctx.ext)
-    big = integer_class(t, ctx.ext) + sqrt_a_class(ctx)
-    assert transfer(big, ctx) == t * witt(Q, 2, 4) + transfer(sqrt_a_class(ctx), ctx)
+    big = integer_class(t, ctx.ext) + sqrt_a_class(ctx.ext)
+    assert transfer(big, ctx) == t * witt(Q, 2, 4) + transfer(sqrt_a_class(ctx.ext), ctx)
     assert scaled_transfer(big, ctx) == t * scaled_transfer(integer_class(1, ctx.ext), ctx) + witt(Q, 2, 4)
     assert str(integer_class(-t, F.reals())) == f"{t}*<-1>"
     # reading the |t| diagonal entries instead takes seconds

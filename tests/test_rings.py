@@ -4,17 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import (
-    BadParameters,
-    NonHomogeneousDenominator,
-    PresentationMismatch,
-    UnknownGenerator,
-)
+from wittloc.errors import PresentationMismatch, UnknownGenerator
 from wittloc.quadext import make_context
 from wittloc.rings import (
-    GradedElement,
-    LocalizedElement,
-    bn_twisted_module,
     bnn,
     bsl2n,
     e_monomial,
@@ -24,12 +16,7 @@ from wittloc.rings import (
     generator_names,
     integral_bsl2n,
     key_generators,
-    kunneth,
-    loc_eq,
-    localize,
-    localization_carrier,
-    module_action,
-    n_loc_multiplier,
+    localize_element,
     one_elem,
     twisted_point,
     witt_image,
@@ -62,8 +49,6 @@ _ALL_PRESENTATIONS = [
     bnn(1, Q),
     bnn(2, F.finite_prime(5)),
     twisted_point(make_context(Q, Fraction(2))),
-    twisted_point(make_context(Q, Fraction(2)), inverted=True),
-    bn_twisted_module(Q),
 ]
 
 
@@ -79,20 +64,17 @@ def test_generator_names_lists():
     assert generator_names(bnn(1, Q)) == ["x1", "e1", "x", "e"]
     assert generator_names(bnn(2, Q)) == ["x1", "x2", "e1", "e2"]
     assert generator_names(twisted_point(make_context(Q, Fraction(2)))) == ["e", "y", "x"]
-    assert generator_names(bn_twisted_module(Q)) == ["eT"]
 
 
 def test_keys_are_flat_exponent_tuples():
     one = integer_class(1, Q)
-    assert gen(bn_twisted_module(Q), "eT").coeffs == {(0,): one}
     assert gen(bnn(2, Q), "e2").coeffs == {(0, 0, 0, 1): one}
     assert gen(bnn(2, Q), "x1").coeffs == {(1, 0, 0, 0): one}
     assert gen(twisted_point(make_context(Q, Fraction(2))), "y").coeffs == {(1, 0): one}
     assert gen(bsl2n(1, Q), "e1").coeffs == {(1,): one}
 
 
-@pytest.mark.parametrize("pres", [p for p in _ALL_PRESENTATIONS if p.kind != "BNTwistedModule"],
-                         ids=str)
+@pytest.mark.parametrize("pres", _ALL_PRESENTATIONS, ids=str)
 def test_e_monomial_is_the_product_of_powers_of_gen(pres):
     es = [s for s in key_generators(pres.kind, pres.n) if s[0] == "e"]
     powers = {s: i + 1 for i, s in enumerate(es)}
@@ -157,60 +139,18 @@ def test_twisted_coefficients_mod_Ia():
     assert not killer.is_zero()
 
 
-def test_module_action_sign():
-    ctx_field = Q
-    mod = bn_twisted_module(ctx_field)
-    bn = bnn(1, ctx_field)
-    t = GradedElement(mod, {(0,): integer_class(1, ctx_field)})  # the class of eT
-    x = gen(bn, "x")
-    assert module_action(x, t) == -t
-    e = gen(bn, "e")
-    assert module_action(e, t) == GradedElement(mod, {(1,): integer_class(1, ctx_field)})
-
-
-def test_kunneth_concatenates():
-    p1 = bsl2n(1, Q)
-    p2 = bsl2n(2, Q)
-    e = gen(p1, "e")
-    out = kunneth([e, gen(p2, "e2")])
-    assert out.pres == bsl2n(3, Q)
-    assert out == gen(bsl2n(3, Q), "e1") * gen(bsl2n(3, Q), "e3")
-
-
-def test_n_loc_multiplier():
-    assert n_loc_multiplier([(1, "a")]) == 1
-    assert n_loc_multiplier([(3, "b"), (5, "c+")]) == 15
-    assert n_loc_multiplier([(3, "c-")]) == 6
-    assert n_loc_multiplier([(2, "b"), (3, "b")]) == 6
-
-
 def test_localize_bn_sends_x_to_minus_one():
-    pres = bnn(1, Q)
+    pres, carrier = bnn(1, Q), bsl2n(1, Q)
     x, e = gen(pres, "x"), gen(pres, "e")
-    u = localize(x, e)
-    carrier = localization_carrier(pres)
-    minus_one = localize(-one_elem(pres), e)
-    assert loc_eq(u, minus_one)
-    assert u.pres == carrier
-
-
-def test_localize_rejects_bad_denominator():
-    pres = bnn(1, Q)
-    x, e = gen(pres, "x"), gen(pres, "e")
-    with pytest.raises(NonHomogeneousDenominator):
-        localize(e, one_elem(pres) + e)
-    with pytest.raises(NonHomogeneousDenominator):
-        # (1+x)e dies in the localization, so it cannot be inverted
-        localize(e, (one_elem(pres) + x) * e)
-
-
-def test_loc_eq_with_shifts():
-    pres = bsl2n(1, Q)
-    e = gen(pres, "e")
-    u = localize(e * e, e)
-    w = localize(e * e * e, e)
-    v = LocalizedElement(w.pres, w.numerator, w.inverted, dexp=1)
-    assert loc_eq(u, v)
+    assert localize_element(x, carrier) == -one_elem(carrier)
+    assert localize_element(x * e + 3 * e, carrier) == 2 * gen(carrier, "e")
+    two = bnn(2, Q)
+    assert (localize_element(gen(two, "x1") * gen(two, "e2") ** 2, bsl2n(2, Q))
+            == -gen(bsl2n(2, Q), "e2") ** 2)
+    # a twisted-point class is pushed to BN before it is localized
+    tp = twisted_point(make_context(Q, Fraction(2)))
+    with pytest.raises(PresentationMismatch):
+        localize_element(gen(tp, "e"), carrier)
 
 
 def test_mixed_presentation_product_rejected():
@@ -229,37 +169,6 @@ def test_integral_coefficients_are_residues_mod_n():
     assert witt_image(-e) == from_witt(bsl2n(1, f7), integer_class(-1, f7)) * gen(bsl2n(1, f7), "e")
     # over Q, N = 0: no reduction
     assert (5 * gen(integral_bsl2n(1, Q), "e")).coeffs == {(1,): 5}
-
-
-def test_loc_eq_shifts_are_derived_from_the_denominator():
-    """s = 2e: over Z/4 (F_7), 2 and 0 agree after one shift, as 2 * 2e = 0.
-    Over Q(sqrt -7), 8<1> = 0 but 4<1> != 0, so <1> and 0 agree only after
-    three shifts.  Over Q, 2^k<1> is never 0."""
-    for field, shifts in ((F.finite_prime(7), 1), (F.quad_ext(Q, -7), 3)):
-        for pres in (integral_bsl2n(1, field), bsl2n(1, field)):
-            s = 2 * gen(pres, "e")
-            c = from_int(pres, 2 if shifts == 1 else 1)
-            u = LocalizedElement(pres, c, s, 0)
-            assert loc_eq(u, LocalizedElement(pres, zero_elem(pres), s, 0))
-            assert not (c * s ** (shifts - 1)).is_zero() and (c * s ** shifts).is_zero()
-    pres = bsl2n(1, Q)
-    s = 2 * gen(pres, "e")
-    assert not loc_eq(LocalizedElement(pres, one_elem(pres), s, 0),
-                      LocalizedElement(pres, zero_elem(pres), s, 0))
-
-
-def test_loc_eq_without_a_shift_bound_is_rejected():
-    """2e1 + e2 over Q leads with the zero divisor 2<1> and is not a
-    monomial, and y*e is nilpotent in the twisted carrier; no shift bound
-    is known for either, so there is no certified answer.  e is fine."""
-    pres = bsl2n(2, Q)
-    tp = twisted_point(make_context(Q, Fraction(3)), inverted=True)
-    e, y = gen(tp, "e"), gen(tp, "y")
-    for s in (2 * gen(pres, "e1") + gen(pres, "e2"), y * e):
-        u = LocalizedElement(s.pres, one_elem(s.pres), s, 0)
-        with pytest.raises(BadParameters):
-            loc_eq(u, u)
-    assert loc_eq(LocalizedElement(tp, y, e, 0), LocalizedElement(tp, y * e, e, 1))
 
 
 def test_witt_image_tests_no_image_for_zero(monkeypatch):
