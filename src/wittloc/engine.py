@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 from operator import add, not_
@@ -303,7 +304,8 @@ def _component_fraction(
                 f"component {c.id}: restricted class only known by its square"
             )
     if isinstance(r, RepSum):
-        num, den = whitney((r.irreps() - den).items(), carrier), den - r.irreps()
+        r_irreps = r.irreps()
+        num, den = whitney((r_irreps - den).items(), carrier), den - r_irreps
         if pres.kind == TWISTED:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
             num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
         return num, den
@@ -315,15 +317,23 @@ def _component_fraction(
     return localize_element(r, carrier), den
 
 
+@lru_cache(maxsize=None)
+def _single_irrep(group: Tuple, irrep) -> RepSum:
+    """The RepSum of one copy of irrep, built once per (group, irrep)."""
+    return RepSum(group, ((irrep, 1),))
+
+
 def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
     """Whether e(rep) = 0: for SL2n when the generic square of one of its
     distinct irreps is, as e(rep) is their Whitney product and each nonzero
     factor leads with an odd integer (every irrep is tested, so a shape
     with no closed form raises UnsupportedIrrep); for N, +-c*e^K with
     c = prod m^(k_m) (m = 0 for rho0, rho0-), when the additive order of
-    <1> divides c^2."""
+    <1> divides c^2.  The one-irrep RepSums and their squares are memoized
+    (``_single_irrep``, ``generic_euler``), so an irrep that recurs across
+    components and problems is squared and mapped into W(k) once per field."""
     if rep.group[0] == "SL2n":
-        squares = [generic_euler(RepSum(rep.group, ((irrep, 1),)), field)
+        squares = [generic_euler(_single_irrep(rep.group, irrep), field)
                    for irrep, _ in rep.summands]
         return any(x.is_zero() for x in squares)
     c, modulus = prod(irrep.m ** k for irrep, k in rep.summands), integer_modulus(field)

@@ -223,7 +223,10 @@ def euler_rep(rep: RepSum, field: FieldDescriptor) -> EulerClassValue:
     return EulerClassValue(value, determinacy, witt_image(whitney(rep.summands, pres, 2)))
 
 
+@lru_cache(maxsize=None)
 def generic_euler(rep: RepSum, field: FieldDescriptor) -> GradedElement:
-    """The well-defined square representative e(V^gen)^2; 0 for odd rank."""
+    """The well-defined square representative e(V^gen)^2; 0 for odd rank.
+    Memoized per (rep, field), like ``_irrep_euler``: the square is built
+    and mapped into W(k) once per process (an error is not cached)."""
     pres = _class_ring(rep, field)
     return witt_image(zero_elem(pres) if rep.rank % 2 else whitney(rep.summands, pres, 2))

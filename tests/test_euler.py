@@ -20,8 +20,11 @@ from wittloc.euler import (
     generic_euler,
     n_rep,
     sl2n_rep,
+    whitney,
 )
-from wittloc.rings import bnn, bsl2n, from_int, gen, one_elem, zero_elem
+from wittloc.exprs import parse_rep
+from wittloc.rings import (bnn, bsl2n, from_int, gen, integral_bsl2n, one_elem, witt_image,
+                           zero_elem)
 from wittloc.witt import WittClass
 
 Q = F.rationals()
@@ -151,6 +154,21 @@ def test_generic_euler_square():
     pres = bnn(1, Q)
     e = gen(pres, "e")
     assert generic_euler(rep, Q) == from_int(pres, 9) * e * e
+
+
+def test_generic_square_cache_is_keyed_by_field_and_keeps_no_error():
+    """generic_euler is memoized per (rep, field): one RepSum gets the square
+    of its own field each time, equal to an uncached Whitney square, and a
+    shape with no closed form raises on every call, not only the first."""
+    rep = sl2n_rep(2, [fundamental(2, 1, 2)])
+    for field in (Q, F.finite_prime(7), F.quad_ext(Q, 2)):
+        got = generic_euler(rep, field)
+        assert got.pres.field == field
+        assert got == witt_image(whitney(rep.summands, integral_bsl2n(2, field), 2))
+    bad = parse_rep("Sym(2)@1*Sym(1)@2", "SL2n", 2)
+    for _ in range(2):
+        with pytest.raises(UnsupportedIrrep):
+            generic_euler(bad, Q)
 
 
 @pytest.mark.parametrize(
