@@ -1,19 +1,21 @@
 """Square-class bookkeeping for W(Q): residue invariants and local tests.
 
 One W(F_q) class algebra (``wf_units``, ``wf_add``, ``wf_neg``,
-``wf_scale``) on (rank mod 2, signed discriminant is a square) pairs serves
-the keys of F_p, F_{p^2} and C, the second residues in W(Q) keys, and
-Springer's theorem at every odd place.  W(Q) equality is decided through the split residue
-decomposition (signature, second residues at odd primes valued in W(F_p),
-and a dyadic parity slot).  This module also carries the local machinery
-(Witt-triviality over Q_v: the signature at the real place, Springer at odd
-primes, Hilbert symbols and Hasse invariants only at 2) used to decide
-whether a rational Witt class dies after a quadratic base change.  That
-test is closed form: where a is not a square in Q_v, W(Q_v) ->
-W(Q_v(sqrt a)) kills exactly the even-rank forms of signed discriminant in
-{1, a} Q_v*^2, as restriction of Brauer groups kills the 2-torsion that
-holds the Hasse invariant.  Zero in W(Q(sqrt a)) is decided place by place
-as well (``qext_witt_zero``).
+``wf_scale``, ``wf_mul``) on (rank mod 2, signed discriminant is a square)
+pairs serves the keys of F_p, F_{p^2} and C, the second residues in W(Q)
+keys, and Springer's theorem at every odd place.  W(Q) equality is decided
+through the split residue decomposition (signature, second residues at odd
+primes valued in W(F_p), and a dyadic parity slot).  W(Q) keys are added,
+negated, scaled and multiplied in closed form; a product reads each first
+residue off the key (``wq_first_residue``) and factors nothing.  This module
+also carries the local machinery (Witt-triviality over Q_v: the signature
+at the real place, Springer at odd primes, Hilbert symbols and Hasse
+invariants only at 2) used to decide whether a rational Witt class dies
+after a quadratic base change.  That test is closed form: where a is not a
+square in Q_v, W(Q_v) -> W(Q_v(sqrt a)) kills exactly the even-rank forms
+of signed discriminant in {1, a} Q_v*^2, as restriction of Brauer groups
+kills the 2-torsion that holds the Hasse invariant.  Zero in W(Q(sqrt a)) is
+decided place by place as well (``qext_witt_zero``).
 """
 
 from __future__ import annotations
@@ -166,6 +168,16 @@ def wf_scale(c, t: int, minus_one_square: bool) -> Tuple[int, bool]:
     return out
 
 
+def wf_mul(c1, c2) -> Tuple[int, bool]:
+    """c1*c2.  Write b for 'the signed discriminant is not a square'.  When
+    -1 is a square, W(F_q) is the group ring F_2[F_q*/F_q*^2], a<1> + b<s>
+    with rank a + b; when it is not, W(F_q) is Z/4 with t<1> keyed (t mod 2,
+    t mod 4 < 2), so t = r + 2b.  Both rings give rank r1*r2 and b = r1*b2 +
+    r2*b1 mod 2, so the rule needs no minus_one_square."""
+    (r1, s1), (r2, s2) = c1, c2
+    return (r1 * r2, (r1 == 1 and not s2) == (r2 == 1 and not s1))
+
+
 # ---------------------------------------------------------------------------
 # W(Q) invariant bundle
 
@@ -201,6 +213,41 @@ def wq_key_add(k1, k2):
 
 def wq_key_neg(k):
     return (-k[0], tuple((q, wf_neg(c, q % 4 == 1)) for q, c in k[1]), k[2])
+
+
+def wq_first_residue(k, p: int) -> Tuple[int, bool]:
+    """The first residue s_p of the class of k at the odd prime p, in
+    W(F_p), read off the key.  Over Q_p a class is s + <p>*d with s, d
+    unimodular; s_p = s mod p and d mod p is the second residue.  With a, b
+    the rank parities of s and d (a = signature - b mod 2), the signed
+    discriminants satisfy D = (-1)^(ab) p^b d+-(s) d+-(d) up to squares.  D
+    is (-1)^(sig(sig-1)/2) 2^dyadic times the primes whose residue has odd
+    rank, so its unit part at p, times (-1)^(ab) and d+-(d), gives d+-(s)."""
+    sig, residues, dy = k
+    b, square = next((c for q, c in residues if q == p), WF_ZERO)
+    a = (sig - b) % 2
+    u = (-1) ** ((sig * (sig - 1) // 2 + a * b) % 2) * 2 ** dy
+    for q, (r2, _) in residues:
+        if r2 and q != p:
+            u = u * q % p
+    return (a, (_legendre(u, p) == 1) == square)
+
+
+def wq_key_mul(k1, k2):
+    """The key of the product of the classes of k1 and k2, from the keys:
+    the signatures multiply; the dyadic parity, the rank parity of the
+    residue at 2, is d1*sig2 + sig1*d2 mod 2; and since W(Q_p) = W(F_p) +
+    W(F_p)*<p> with <p>^2 = 1, the residue at each odd p is s_p(x)*d_p(y) +
+    d_p(x)*s_p(y) (``wq_first_residue``, ``wf_mul``; Lam, ch. VI).  Nothing
+    is factored."""
+    (sig1, res1, dy1), (sig2, res2, dy2) = k1, k2
+    residues = {}
+    for res, other in ((res1, k2), (res2, k1)):
+        for p, d in res:
+            c = wf_mul(d, wq_first_residue(other, p))
+            residues[p] = wf_add(residues.get(p, WF_ZERO), c, p % 4 == 1)
+    items = tuple(sorted((q, c) for q, c in residues.items() if c != WF_ZERO))
+    return (sig1 * sig2, items, (dy1 * sig2 + sig1 * dy2) % 2)
 
 
 def wq_key_scale(k, t: int):

@@ -1,23 +1,26 @@
 """Exact arithmetic in Witt rings W(k) with canonical-form equality.
 
 Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A class
-is a key of its field kind's ``_Keyed`` record; sums, negations and integer
-multiples work on keys, the multiples in closed form (the signature times
-t, each W(F_q) part t mod 4 times, each Q(sqrt a) count times t).
-Products, base change, transfers and printing read the counted
-representative ``terms``, (entry, count) pairs built from the key on first
-use, so they cost the number of distinct entries, not the rank.  Over Q,
-R, F_p, F_{p^2} and C the key is the complete invariant: signature, second
-residues and dyadic slot over Q; signature over R; over F_p, F_{p^2} and C
-one record of (rank mod 2, signed discriminant is a square), added,
-negated and scaled by the W(F_q) algebra of ``places``, which also carries
-the residues of the Q key.  Over
-Q(sqrt a) it is sorted (normalized entry, count) pairs, and is its own
-counted representative: each distinct entry is cleared of rational square
-factors once, in ``from_entries``; sums merge counts and cancel hyperbolic
-pairs by count (counts mod ``integer_modulus``), so t<1> is one entry of
-count t.  That key is not a complete invariant: zero and equality are
-decided place by place (``places.qext_witt_zero``).
+is a key of its field kind's ``_Keyed`` record; sums, negations, integer
+multiples and products work on keys, the multiples in closed form (the
+signature times t, each W(F_q) part t mod 4 times, each Q(sqrt a) count
+times t).  A product multiplies signatures over R, is ``places.wf_mul`` over
+F_p, F_{p^2} and C, and over Q is ``places.wq_key_mul``, which reads each
+first residue off the key, so nothing is factored.  Over Q(sqrt a) it sums
+the pairwise products of entries.  Base change, transfers and printing read
+the counted representative ``terms``, (entry, count) pairs built from the
+key on first use, so they cost the number of distinct entries, not the
+rank.  Over Q, R, F_p, F_{p^2} and C the key is the complete invariant:
+signature, second residues and dyadic slot over Q; signature over R; over
+F_p, F_{p^2} and C one record of (rank mod 2, signed discriminant is a
+square), added, negated, scaled and multiplied by the W(F_q) algebra of
+``places``, which also carries the residues of the Q key.  Over Q(sqrt a) it
+is sorted (normalized entry, count) pairs, and is its own counted
+representative: each distinct entry is cleared of rational square factors
+once, in ``from_entries``; sums merge counts and cancel hyperbolic pairs by
+count (counts mod ``integer_modulus``), so t<1> is one entry of count t.
+That key is not a complete invariant: zero and equality are decided place
+by place (``places.qext_witt_zero``).
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class _Keyed(NamedTuple):
     add: Callable  # (field, key, key) -> key of the sum
     neg: Callable  # (field, key) -> key of the negation
     scale: Callable  # (field, key, t) -> key of t times the class, in closed form
+    mul: Callable  # (field, key, key) -> key of the product
     # (field, key) -> counted representative: (entry, count) pairs, count
     # >= 1, distinct entries, whose sum of count*<entry> is the class
     rep: Callable
@@ -186,6 +190,7 @@ _RATIONAL_KEYS = _Keyed(
     lambda field, k1, k2: places.wq_key_add(k1, k2),
     lambda field, k: places.wq_key_neg(k),
     lambda field, k, t: places.wq_key_scale(k, t),
+    lambda field, k1, k2: places.wq_key_mul(k1, k2),
     lambda field, k: _reconstruct_rationals(k),
 )
 _REAL_KEYS = _Keyed(
@@ -194,6 +199,7 @@ _REAL_KEYS = _Keyed(
     lambda field, k1, k2: (k1[0] + k2[0],),
     lambda field, k: (-k[0],),
     lambda field, k, t: (k[0] * t,),
+    lambda field, k1, k2: (k1[0] * k2[0],),
     lambda field, k: _signed_ones(k[0]),
 )
 # F_p, F_{p^2} and C: (rank mod 2, signed discriminant is a square)
@@ -203,6 +209,7 @@ _FINITE_KEYS = _Keyed(
     lambda field, k1, k2: places.wf_add(k1, k2, _minus_one_square(field)),
     lambda field, k: places.wf_neg(k, _minus_one_square(field)),
     lambda field, k, t: places.wf_scale(k, t, _minus_one_square(field)),
+    lambda field, k1, k2: places.wf_mul(k1, k2),
     _finite_rep,
 )
 _KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FINITE_KEYS,
@@ -308,6 +315,28 @@ def _scale_qext(field: FieldDescriptor, k, t: int) -> Tuple:
     return tuple((r, n) for r, n in scaled if n)
 
 
+def _qext_integer(k) -> Optional[int]:
+    """t with the key k of one entry <1> or <-1> of count |t|, as
+    ``integer_class`` builds, 0 for the empty key, else None; no zero test."""
+    if len(k) != 1:
+        return None if k else 0
+    ((c, n),) = k
+    return n if c == (1, 0) else -n if c == (-1, 0) else None
+
+
+def _mul_qext(field: FieldDescriptor, k1, k2) -> Tuple:
+    """The key of the product: the other key scaled when one key reads as
+    an integer (``_qext_integer``), else the pairwise products of entries
+    with their counts multiplied, one canonicalization per distinct count."""
+    for x, y in ((k1, k2), (k2, k1)):
+        t = _qext_integer(y)
+        if t is not None:
+            return _scale_qext(field, x, t)
+    return _counted_class(field, (
+        ((F.mul(field, c, d),), n * m) for c, n in k1 for d, m in k2
+    )).key
+
+
 _QEXT_KEYS = _Keyed(
     (),
     lambda field, entries: _cancel_qext(
@@ -316,6 +345,7 @@ _QEXT_KEYS = _Keyed(
     lambda field, k1, k2: _cancel_qext(field, k1 + k2),
     _neg_qext,
     _scale_qext,
+    _mul_qext,
     lambda field, k: k,
 )
 
@@ -411,13 +441,7 @@ class WittClass:
         if isinstance(other, int):
             return self._int_scale(other)
         self._check(other)
-        for x, y in ((self, other), (other, self)):
-            t = _leading_integer(y)
-            if t is not None:
-                return x._int_scale(t)
-        return _counted_class(self.field, (
-            ((F.mul(self.field, c, d),), n * m) for c, n in self.terms for d, m in other.terms
-        ))
+        return WittClass(self.field, _keyed(self.field).mul(self.field, self.key, other.key))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -476,15 +500,9 @@ class WittClass:
 
 def _leading_integer(d: WittClass) -> Optional[int]:
     """t with d = t<1>, or None.  Over the keyed fields the key decides
-    (``integer_value``); over Q(sqrt a) a key of one entry <1> or <-1> of
-    count n, as ``integer_class`` builds, is read as +-n without a zero
-    test."""
-    if not _is_qext_q(d.field):
-        return d.integer_value()
-    if len(d.key) != 1:
-        return None if d.key else 0
-    ((c, n),) = d.key
-    return n if c == (1, 0) else -n if c == (-1, 0) else None
+    (``integer_value``); over Q(sqrt a) ``_qext_integer`` reads the key
+    without a zero test."""
+    return _qext_integer(d.key) if _is_qext_q(d.field) else d.integer_value()
 
 
 def witt(field: FieldDescriptor, *entries) -> WittClass:

@@ -3,7 +3,9 @@
 The finite-field oracle decides Witt equivalence of diagonal forms by
 explicit isotropic-vector search and hyperbolic splitting, using only
 hand-rolled modular linear algebra.  The naive presented-ring oracle
-multiplies monomials by literal relation rewriting.  The W(Q(sqrt a))
+multiplies monomials by literal relation rewriting.  Products of Witt
+classes are summed over the pairs of counted terms, and the first residue
+at an odd prime is read from the entries of even valuation.  The W(Q(sqrt a))
 references cancel hyperbolic pairs by a pairwise search and show a class
 nonzero by rank parity, signatures and the two transfers to W(Q).
 The W(k) division reference collects the verified quotients of a candidate
@@ -158,6 +160,34 @@ def bn_naive_add(t1, t2):
     for k, c in t2.items():
         out[k] = out[k] + c if k in out else c
     return bn_naive_reduce(out)
+
+
+# ---------------------------------------------------------------------------
+# W(k) products and first residues through the counted representative
+
+
+def witt_product_by_terms(x, y):
+    """x*y as the sum of n*m<c*d> over the pairs of (entry, count) terms of
+    x and y, one canonicalization per distinct count."""
+    from wittloc.witt import WittClass, zero_class
+
+    by_count = {}
+    for c, n in x.terms:
+        for d, m in y.terms:
+            by_count.setdefault(n * m, []).append(F.mul(x.field, c, d))
+    total = zero_class(x.field)
+    for n, entries in by_count.items():
+        total = total + n * WittClass.from_entries(x.field, entries)
+    return total
+
+
+def first_residue_by_terms(terms, p):
+    """The first residue at the odd prime p of sum n*<c> over rational
+    (entry, count) terms: the W(F_p) class of the unit parts mod p of the
+    entries of even valuation, each square or not by Euler's criterion."""
+    units = ((pow(places.unit_part_mod_p(c, p), (p - 1) // 2, p) == 1, n)
+             for c, n in terms if places.vp(c, p) % 2 == 0)
+    return places.wf_units(units, p % 4 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import hasse_invariant_pairwise, local_in_ideal_by_enumeration, local_witt_zero_by_hasse
+from oracles import (
+    fp_witt_equivalent,
+    hasse_invariant_pairwise,
+    local_in_ideal_by_enumeration,
+    local_witt_zero_by_hasse,
+)
 from sympy import factorint, nextprime, primefactors
 
+from wittloc.fields import least_nonresidue
 from wittloc.places import (
     INF,
     WF_ZERO,
@@ -23,6 +29,7 @@ from wittloc.places import (
     wq_key_neg,
     WQ_ZERO,
     wf_add,
+    wf_mul,
     wf_neg,
     wf_units,
     _factor,
@@ -153,6 +160,30 @@ def test_fp_group_structure():
             assert total == WF_ZERO
             assert wf_add(c, wf_neg(c, m1), m1) == WF_ZERO
         assert (wf_add((1, True), (1, True), m1) == WF_ZERO) == m1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_wf_mul_table_matches_diagonal_products(p):
+    """Every product of two W(F_p) classes is the class of the pairwise
+    products of diagonal representatives, with Witt equivalence decided by
+    hyperbolic splitting."""
+    s = least_nonresidue(p)
+    m1 = p % 4 == 1
+    reps = {(0, True): [], (1, True): [1], (1, False): [s],
+            (0, False): [1, s] if m1 else [1, 1]}
+    for key, entries in reps.items():
+        assert wf_units(((pow(u, (p - 1) // 2, p) == 1, 1) for u in entries), m1) == key
+    for (k1, e1), (k2, e2) in product(reps.items(), repeat=2):
+        prod_entries = [u * w % p for u in e1 for w in e2]
+        assert fp_witt_equivalent(prod_entries, reps[wf_mul(k1, k2)], p), (k1, k2)
+    if m1:
+        # -1 is a square: <s>^2 = <1> and <1, s>^2 = 0
+        assert wf_mul((1, False), (1, False)) == (1, True)
+        assert wf_mul((0, False), (0, False)) == WF_ZERO
+    else:
+        # Z/4: 2<1> * 2<1> = 0 and <-1>^2 = <1>
+        assert wf_mul((0, False), (0, False)) == WF_ZERO
+        assert wf_mul((1, False), (1, False)) == (1, True)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

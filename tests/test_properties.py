@@ -2,12 +2,14 @@
 hyperbolic absorption, ring axioms, Euler multiplicativity, printer/parser
 round trips, and N-problem verdicts against the Euler class polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from wittloc import fields as F
+from wittloc import places
 from wittloc.engine import FixedComponent, GroupDescriptor, LocalizationProblem, bott_residue
 from wittloc.errors import WittlocError
 from wittloc.euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, euler_rep, n_rep, sl2n_rep
@@ -16,7 +18,7 @@ from wittloc.quadext import make_context
 from wittloc.rings import bnn, bsl2n, e_monomial, from_witt, gen, generator_names, twisted_point
 from wittloc.witt import WittClass, integer_class, integer_modulus, witt, zero_class
 
-from oracles import n_verdict_by_closed_forms
+from oracles import first_residue_by_terms, n_verdict_by_closed_forms, witt_product_by_terms
 
 Q = F.rationals()
 NONZERO = [1, -1, 2, -2, 3, -3, 5, 7, -7, 10, 15, -30]
@@ -114,6 +116,53 @@ def test_integer_classes_read_back(field):
     N = integer_modulus(field)
     for t in list(range(-40, 41)) + [BIG, -BIG]:
         assert integer_class(t, field).integer_value() == (t % N if N else t)
+
+
+PRIMES_TO_43 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+PRODUCT_FIELDS = [Q, F.reals(), F.finite_prime(5), F.finite_prime(7),
+                  F.quad_ext(F.finite_prime(3), 2)]
+
+
+def colliding_rational(rng):
+    """A nonzero rational: mostly a signed product of up to three primes
+    <= 43 over 1, 2, 3 or 4, so that classes share residue primes; else an
+    integer of height up to 10^6."""
+    if rng.random() < 0.8:
+        num = math.prod(rng.sample(PRIMES_TO_43, rng.randint(0, 3)))
+        return Fraction(rng.choice((1, -1)) * num, rng.choice((1, 1, 2, 3, 4)))
+    return Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 6))
+
+
+def product_operand(rng, field):
+    """A random class; over Q of colliding rationals, half the time t*x + y
+    with |t| up to 10^6."""
+    if field != Q:
+        return random_class(rng, field, multiples=rng.random() < 0.5)
+    x = witt(Q, *(colliding_rational(rng) for _ in range(rng.randint(0, 5))))
+    if rng.random() < 0.5:
+        y = witt(Q, *(colliding_rational(rng) for _ in range(rng.randint(0, 2))))
+        x = rng.randint(-10 ** 6, 10 ** 6) * x + y
+    return x
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_key_product_matches_the_product_through_representatives(field):
+    """x*y, computed on the keys, has the key of the sum of n*m<c*d> over
+    the counted terms of x and y."""
+    rng = random.Random(f"mul:{field}")
+    for _ in range(2000 if field == Q else 300):
+        x, y = product_operand(rng, field), product_operand(rng, field)
+        assert (x * y).key == witt_product_by_terms(x, y).key, (x, y)
+
+
+def test_first_residue_read_off_the_key_matches_the_terms():
+    """s_p read off a W(Q) key equals s_p summed over its counted terms, for
+    every odd p <= 43."""
+    rng = random.Random("first-residue")
+    for _ in range(1000):
+        x = product_operand(rng, Q)
+        for p in PRIMES_TO_43[1:]:
+            assert places.wq_first_residue(x.key, p) == first_residue_by_terms(x.terms, p), (x, p)
 
 
 def random_ring_elem(rng, pres, max_terms=4, multiples=False):

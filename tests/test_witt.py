@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import qext_nonzero_by_invariants, qext_reduce_pairwise
+from oracles import qext_nonzero_by_invariants, qext_reduce_pairwise, witt_product_by_terms
 
 from wittloc import fields as F
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
@@ -250,6 +250,24 @@ def test_rational_arithmetic_builds_no_representative(monkeypatch):
     assert not z.is_zero() and (z - z).is_zero()
     assert calls == []
     assert x.entries and x.entries == x.entries and len(calls) == 1
+
+
+def test_rational_product_is_computed_on_the_keys(monkeypatch):
+    """A product over Q canonicalizes nothing and builds no representative,
+    however many residue primes its factors have."""
+    witt_module = importlib.import_module("wittloc.witt")
+    x = witt(Q, 3, -5, 7, Fraction(11, 2), 13, 13 * 17)
+    y = witt(Q, 15, -21, 22, Fraction(1, 13))
+    assert len({p for p, _ in x.key[1]} | {p for p, _ in y.key[1]}) >= 4
+    calls = []
+    for name in ("_canonicalize", "_reconstruct_rationals"):
+        real = getattr(witt_module, name)
+        monkeypatch.setattr(witt_module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    z = x * y
+    assert calls == []
+    monkeypatch.undo()
+    assert z == witt_product_by_terms(x, y)
 
 
 # -- W(Q(sqrt a)): closed-form normalization against the pool scan -------------
