@@ -201,9 +201,10 @@ def one(field: FieldDescriptor):
 
 
 def is_zero(field: FieldDescriptor, x) -> bool:
+    # elements are canonical: Fractions, or residues reduced mod p
     if field.kind == QUAD_EXT:
-        return is_zero(field.base, x[0]) and is_zero(field.base, x[1])
-    return x == zero(field)
+        return x[0] == 0 and x[1] == 0
+    return x == 0
 
 
 def add(field: FieldDescriptor, x, y):

@@ -438,8 +438,9 @@ def sqrt_mod_prime_power(d: int, p: int, k: int) -> int:
 
 
 def qext_witt_zero(field, terms) -> bool:
-    """Whether x = sum n*<c> over (entry, count) terms is 0 in W(K), K =
-    Q(sqrt a), a = d f^2 with d squarefree (Lam, ch. VI).
+    """Whether x = sum n*<c> over (entry, count) terms, the entries int
+    pairs as in a ``WittClass`` key, is 0 in W(K), K = Q(sqrt a), a = d f^2
+    with d squarefree (Lam, ch. VI).
 
     Even rank and a square signed discriminant put x in I^2 K.  If x dies
     at every finite place but one dyadic place, Hilbert reciprocity kills
@@ -470,8 +471,8 @@ def qext_witt_zero(field, terms) -> bool:
     f = F._fraction_square_root(field.a / d)
     ints = []  # (u, v, norm, count) for u + v*sqrt(d) in Z[sqrt d]
     for (u, v), n in terms:
-        L2 = math.lcm(u.denominator, (v * f).denominator) ** 2
-        u, v = int(u * L2), int(v * f * L2)
+        L2 = (v * f).denominator ** 2
+        u, v = u * L2, int(v * f * L2)
         ints.append((u, v, Fraction(u * u - d * v * v), n))
     primes = {q for _, _, N, _ in ints for q, _ in _factor(abs(N.numerator)) if q != 2}
     for p in sorted(primes) + ([2] if d % 8 == 1 else []):

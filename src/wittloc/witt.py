@@ -15,12 +15,19 @@ signature, second residues and dyadic slot over Q; signature over R; over
 F_p, F_{p^2} and C one record of (rank mod 2, signed discriminant is a
 square), added, negated, scaled and multiplied by the W(F_q) algebra of
 ``places``, which also carries the residues of the Q key.  Over Q(sqrt a) it
-is sorted (normalized entry, count) pairs, and is its own counted
-representative: each distinct entry is cleared of rational square factors
-once, in ``from_entries``; sums merge counts and cancel hyperbolic pairs by
-count (counts mod ``integer_modulus``), so t<1> is one entry of count t.
-That key is not a complete invariant: zero and equality are decided place
-by place (``places.qext_witt_zero``).
+is sorted (normalized entry, count) pairs: each distinct entry u + v*sqrt(a)
+is scaled by a rational square to integral u, v with no common square
+factor once, in ``from_entries``, and stored as the int pair (u, v); its
+counted representative is the same pairs with ``Fraction`` coordinates.
+Sums merge counts and cancel hyperbolic pairs by count (counts mod
+``integer_modulus``), so t<1> is one entry of count t.  <r, s> is
+hyperbolic when -r*s is a square, decided in integers
+(``_hyperbolic_qext``): for a = A/B in lowest terms, B^2*(-r*s) = U +
+V*sqrt(a) has integral U and V, with B^2 | V, so its norm U^2 - a*V^2 is an
+integer, and the rule of ``fields.is_square`` (U or U*A*B a square when V =
+0, else the norm a square w^2 and 2*(U +- w) a square for one sign) needs
+no fraction.  That key is not a complete invariant: zero and equality are
+decided place by place (``places.qext_witt_zero``).
 """
 
 from __future__ import annotations
@@ -261,15 +268,44 @@ def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
 # --- Q(sqrt a): counted reduced form, zero decided place by place --------
 
 
-def _normalize_qext_entry(c):
+def _normalize_qext_entry(c) -> Tuple[int, int]:
     """c = u + v*sqrt(a) scaled by a rational square to integral u, v with
-    no common square factor: the same square class in Q(sqrt a)."""
+    no common square factor, the same square class in Q(sqrt a): the int
+    pair (u, v)."""
     u, v = c
     L = math.lcm(u.denominator, v.denominator)
     ui = int(u * L * L)
     vi = int(v * L * L)
     k = math.prod(q ** (e // 2) for q, e in places._factor(math.gcd(ui, vi)))
-    return (Fraction(ui // (k * k)), Fraction(vi // (k * k)))
+    return (ui // (k * k), vi // (k * k))
+
+
+def _is_square_int(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _hyperbolic_qext(A: int, B: int, r, s) -> bool:
+    """Whether <r, s> is hyperbolic, that is -r*s a square in Q(sqrt a), for
+    a = A/B in lowest terms and entries r, s of integral coordinates:
+    ``fields.is_square`` done in integers.  The square B^2 scales -r*s to
+
+        U + V*sqrt(a),  U = -B*(B*u*u' + A*v*v'),  V = -B^2*(u*v' + v*u'),
+
+    both integers.  For V = 0 it is a square iff U or U/a is a rational
+    square, and U/a = U*A*B / A^2.  Else its norm N = U^2 - a*V^2, an
+    integer as B^4 divides V^2, must be a square w^2, and then (U +- w)/2,
+    which are p^2 and a*q^2 for a root p + q*sqrt(a), must be a rational
+    square for one sign, that is 2*(U +- w) a perfect square."""
+    (u, v), (u2, v2) = r, s
+    U = -B * (B * u * u2 + A * v * v2)
+    S = u * v2 + v * u2  # V = -B^2 * S
+    if not S:
+        return _is_square_int(U) or _is_square_int(U * A * B)
+    N = U * U - A * B ** 3 * S * S
+    if N < 0:
+        return False
+    w = math.isqrt(N)
+    return w * w == N and (_is_square_int(2 * (U + w)) or _is_square_int(2 * (U - w)))
 
 
 def _qext_sorted(pairs) -> Tuple:
@@ -280,9 +316,10 @@ def _qext_sorted(pairs) -> Tuple:
 
 def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
     """The key of the sum of (normalized entry, count) pairs: hyperbolic
-    pairs <r, r'> with -r*r' a square cancelled by count, each entry against
-    the later ones, and counts taken mod N = ``integer_modulus`` (N<c> =
-    <c>*N<1> = 0)."""
+    pairs <r, r'> (``_hyperbolic_qext``) cancelled by count, each entry
+    against the later ones, and counts taken mod N = ``integer_modulus``
+    (N<c> = <c>*N<1> = 0)."""
+    A, B = field.a.numerator, field.a.denominator
     counts: Dict = {}
     for r, n in pairs:
         counts[r] = counts.get(r, 0) + n
@@ -291,7 +328,7 @@ def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
         for sm in work[i + 1:]:
             if not rn[1]:
                 break
-            if sm[1] and F.is_square(field, F.neg(field, F.mul(field, rn[0], sm[0]))):
+            if sm[1] and _hyperbolic_qext(A, B, rn[0], sm[0]):
                 m = min(rn[1], sm[1])
                 rn[1] -= m
                 sm[1] -= m
@@ -346,7 +383,8 @@ _QEXT_KEYS = _Keyed(
     _neg_qext,
     _scale_qext,
     _mul_qext,
-    lambda field, k: k,
+    # the int pairs of the key as field elements, Fraction pairs
+    lambda field, k: tuple(((Fraction(u), Fraction(v)), n) for (u, v), n in k),
 )
 
 
@@ -411,7 +449,12 @@ class WittClass:
 
     @staticmethod
     def from_entries(field: FieldDescriptor, entries) -> "WittClass":
-        return WittClass(field, _canonicalize(field, tuple(entries)))
+        """The class of the diagonal form <entries>, entries in the field's
+        representation; a zero entry raises ZeroInput."""
+        entries = tuple(entries)
+        if any(F.is_zero(field, c) for c in entries):
+            raise ZeroInput("diagonal entries must be nonzero")
+        return WittClass(field, _canonicalize(field, entries))
 
     # -- ring structure ----------------------------------------------------
 
@@ -474,7 +517,10 @@ class WittClass:
 
     def __hash__(self):
         if _is_qext_q(self.field):
-            return hash((self.field, sum(n for _, n in self.key) % 2))
+            # Witt invariants read off the key: rank parity and, for a > 0,
+            # both real signatures
+            real = (self.signature(True), self.signature(False)) if self.field.a > 0 else ()
+            return hash((self.field, sum(n for _, n in self.key) % 2, real))
         return hash((self.field, self.key))
 
     # -- inspection --------------------------------------------------------
@@ -506,12 +552,9 @@ def _leading_integer(d: WittClass) -> Optional[int]:
 
 
 def witt(field: FieldDescriptor, *entries) -> WittClass:
-    """Convenience constructor: witt(Q, 1, -2) = <1> + <-2>; a zero entry
-    raises ZeroInput."""
-    coerced = tuple(F.coerce(field, c) for c in entries)
-    if any(F.is_zero(field, c) for c in coerced):
-        raise ZeroInput("diagonal entries must be nonzero")
-    return WittClass.from_entries(field, coerced)
+    """Convenience constructor: witt(Q, 1, -2) = <1> + <-2>, the entries
+    coerced into the field (``from_entries`` rejects a zero one)."""
+    return WittClass.from_entries(field, (F.coerce(field, c) for c in entries))
 
 
 def zero_class(field: FieldDescriptor) -> WittClass:

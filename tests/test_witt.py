@@ -41,6 +41,16 @@ def test_degenerate_entry_rejected():
         witt(Q, 1, 0)
 
 
+@pytest.mark.parametrize("field", [Q, R, F.finite_prime(7), F.quad_ext(F.finite_prime(7), 3),
+                                   F.quad_ext(Q, 2)], ids=str)
+def test_from_entries_rejects_a_zero_entry(field):
+    """A zero diagonal entry is the typed ZeroInput over every field kind,
+    not a class and not an untyped error."""
+    for entries in ((F.zero(field),), (F.one(field), F.zero(field))):
+        with pytest.raises(ZeroInput):
+            WittClass.from_entries(field, entries)
+
+
 def test_ring_axioms_small():
     a = witt(Q, 1, 2)
     b = witt(Q, -3)
@@ -273,7 +283,8 @@ def test_rational_product_is_computed_on_the_keys(monkeypatch):
 # -- W(Q(sqrt a)): closed-form normalization against the pool scan -------------
 
 witt_module = importlib.import_module("wittloc.witt")
-QEXT_FIELDS = [F.quad_ext(Q, a) for a in (2, 3, 5, 12, -1, -2)]
+# a = 1/2 has a denominator, a = -7 level 8
+QEXT_FIELDS = [F.quad_ext(Q, a) for a in (2, 3, 5, 12, -1, -2, Fraction(1, 2), -7)]
 
 
 def random_qext_entry(rng, field):
@@ -323,6 +334,44 @@ def test_qext_canonicalization_is_idempotent(field):
     for _ in range(40):
         x = WittClass.from_entries(field, random_qext_form(rng, field))
         assert WittClass.from_entries(field, x.entries).entries == x.entries
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS + [F.quad_ext(Q, a) for a in (
+    Fraction(3, 4), Fraction(5, 3), Fraction(-7, 9), Fraction(-2, 5))], ids=str)
+def test_qext_integer_pair_test_is_the_field_square_test(field):
+    """The integer test of <r, s> hyperbolic agrees with fields.is_square
+    of -r*s on normalized entries, half of the pairs built hyperbolic (s =
+    -r*t^2, t among them a multiple of sqrt(a), so that -r*s can be a
+    rational non-square times a)."""
+    A, B = field.a.numerator, field.a.denominator
+    rng = random.Random(f"qext-pair-{field}")
+    outcomes = set()
+    for i in range(200):
+        c = random_qext_entry(rng, field)
+        if i % 2:
+            t = F.coerce(field, (rng.randint(-4, 4), rng.randint(-3, 3)) if rng.random() < 0.7
+                         else (0, Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+            if F.is_zero(field, t):
+                t = F.one(field)
+            d = F.neg(field, F.mul(field, c, F.mul(field, t, t)))
+        else:
+            d = random_qext_entry(rng, field)
+        r, s = witt_module._normalize_qext_entry(c), witt_module._normalize_qext_entry(d)
+        want = F.is_square(field, F.neg(field, F.mul(field, F.coerce(field, r), F.coerce(field, s))))
+        assert witt_module._hyperbolic_qext(A, B, r, s) == want, (r, s)
+        outcomes.add((i % 2, want))
+    assert outcomes >= {(1, True), (0, False)}
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS, ids=str)
+def test_qext_key_is_int_pairs_and_terms_are_field_elements(field):
+    rng = random.Random(f"qext-types-{field}")
+    for _ in range(20):
+        x = WittClass.from_entries(field, random_qext_form(rng, field))
+        for y in (x, x + x, -x, 3 * x, x * x):
+            assert all(type(u) is int and type(v) is int for (u, v), _ in y.key), y.key
+            assert all(type(u) is Fraction and type(v) is Fraction for (u, v), _ in y.terms)
+            assert tuple(n for _, n in y.terms) == tuple(n for _, n in y.key)
 
 
 def test_qext_integer_class_225_takes_under_a_second():
@@ -413,7 +462,18 @@ def test_qext_isometric_pairs_are_equal(a):
         entries = [_small_entry(rng, field) for _ in range(rng.randint(1, 4))]
         x = WittClass.from_entries(field, entries)
         y = WittClass.from_entries(field, _isometric_rewrite(rng, field, entries))
-        assert x == y and (x - y).is_zero(), (entries, y)
+        assert x == y and (x - y).is_zero() and hash(x) == hash(y), (entries, y)
+
+
+def test_qext_hash_reads_the_real_signatures():
+    """2<1> and 0 over Q(sqrt 2) have the same rank parity but differ in
+    both signatures."""
+    field = F.quad_ext(Q, 2)
+    assert hash(integer_class(2, field)) != hash(zero_class(field))
+    assert hash(integer_class(2, field)) != hash(integer_class(-2, field))
+    r = F.coerce(field, (0, 1))
+    # <sqrt 2> has signatures +1 and -1, <1> has +1 and +1
+    assert hash(WittClass.from_entries(field, (r,))) != hash(integer_class(1, field))
 
 
 @pytest.mark.parametrize("a", DECISION_A, ids=str)
