@@ -21,13 +21,12 @@ coefficient that is a zero divisor or not recognized raises BadParameters.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 from operator import add, not_
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import fields as F
 from .errors import (
@@ -47,7 +46,6 @@ from .euler import (
     double_factorial,
     fundamental,
     generic_euler,
-    sl2n_rep,
     whitney,
 )
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
@@ -278,17 +276,19 @@ def push_to_base(x, c: FixedComponent):
 
 def _component_fraction(
     c: FixedComponent, g: GroupDescriptor, carrier: PresentationId
-) -> Tuple[GradedElement, Counter]:
-    """(numerator over carrier, denominator as a Counter of normal irreps);
-    carrier is the localized base ring, or for SL2n its integral form.  A
-    restricted RepSum cancels against the normal irreps first: what is left
-    of it is the numerator, and what is left of them the denominator."""
+) -> Tuple[GradedElement, Mapping]:
+    """(numerator over carrier, denominator as a mapping normal irrep ->
+    multiplicity); carrier is the localized base ring, or for SL2n its
+    integral form.  A restricted RepSum cancels against the normal irreps
+    first, in one pass over its distinct irreps: what is left of it is the
+    numerator, and what is left of them the denominator, each in its
+    RepSum's order."""
     pres = component_presentation(c.residue, g)
     if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
         )
-    den, r = c.normal_rep.irreps(), c.restricted
+    den, r = c.normal_rep.counts, c.restricted
     if g.kind == "N":
         if _n_determinacy(c.normal_rep) == SQUARE_ONLY:
             raise NonInvertibleNormalEuler(
@@ -304,8 +304,16 @@ def _component_fraction(
                 f"component {c.id}: restricted class only known by its square"
             )
     if isinstance(r, RepSum):
-        r_irreps = r.irreps()
-        num, den = whitney((r_irreps - den).items(), carrier), den - r_irreps
+        left, den = [], den.copy()
+        for irrep, k in r.summands:
+            have = den.get(irrep, 0)
+            if have > k:
+                den[irrep] = have - k  # keeps its place in the normal order
+            else:
+                den.pop(irrep, None)
+                if k > have:
+                    left.append((irrep, k - have))
+        num = whitney(left, carrier)
         if pres.kind == TWISTED:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
             num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
         return num, den
@@ -367,17 +375,24 @@ def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
     return carrier if g.kind == "SL2n" and lifted else None
 
 
-def _sum_fractions(fractions: List[Tuple[GradedElement, Counter]], carrier: PresentationId):
+def _sum_fractions(fractions: List[Tuple[GradedElement, Mapping]], carrier: PresentationId):
     """(sum, e(L) or None, quotient or None) for fractions n_i / d_i, each d_i
-    a Counter of irreps, over carrier.  L takes each irrep's maximum
-    multiplicity; the n_i * e(L - d_i) are summed once and divided by e(L)
-    once, or not at all when L is empty.  Any common multiple would do: e(L)
-    leads with an odd integer, so the quotient is unique."""
-    L: Counter = Counter()
+    a mapping irrep -> multiplicity, over carrier.  L takes each irrep's
+    maximum multiplicity; the n_i * e(L - d_i) are summed once (n_i itself
+    when d_i = L) and divided by e(L) once, or not at all when L is empty.
+    Any common multiple would do: e(L) leads with an odd integer, so the
+    quotient is unique."""
+    L: Dict = {}
     for _, den in fractions:
-        L |= den
-    cofactors = [whitney((L - den).items(), carrier) for _, den in fractions]
-    total = sum_elements(carrier, [num * x for (num, _), x in zip(fractions, cofactors)])
+        for irrep, k in den.items():
+            if k > L.get(irrep, 0):
+                L[irrep] = k
+    cofactors = []
+    for _, den in fractions:
+        rest = [(irrep, k - den.get(irrep, 0)) for irrep, k in L.items() if k > den.get(irrep, 0)]
+        cofactors.append(whitney(rest, carrier) if rest else None)
+    total = sum_elements(carrier, [num if x is None else num * x
+                                   for (num, _), x in zip(fractions, cofactors)])
     if not L:
         return total, None, total
     # e(L) = e(L - d_0) * e(d_0), as d_0 lies in L
@@ -437,17 +452,17 @@ def build_grassmannian_problem(
         raise BadParameters(f"m={m} exceeds the invariant-subspace range")
     for I in combinations(range(1, n + 1), r):
         J = tuple(i for i in range(1, n + 1) if i not in I)
-        summands = [fundamental(n, i, j) for i in I for j in J]
+        summands = [(fundamental(n, i, j), 1) for i in I for j in J]
         if extra_line:
             if m % 2 == 1:
                 # W = F_I + trivial line; Hom(line, F_j) adds each F_j
-                summands += [fundamental(n, j) for j in J]
+                summands += [(fundamental(n, j), 1) for j in J]
             else:
                 # V/W contains the trivial line; Hom(F_i, line) adds each F_i
-                summands += [fundamental(n, i) for i in I]
+                summands += [(fundamental(n, i), 1) for i in I]
         if not summands:
             raise BadParameters("degenerate fixed component with no normal directions")
-        normal = sl2n_rep(n, summands)
+        normal = RepSum(("SL2n", n), tuple(summands))
         comp = FixedComponent(
             f"I={{{','.join(map(str, I))}}}", RATIONAL_POINT, normal, normal
         )
@@ -468,7 +483,8 @@ def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> Localiza
     pres = bsl2n(m, field)
     comps = []
     for i in range(1, m + 1):
-        normal = sl2n_rep(m, [fundamental(m, i, j) for j in range(1, m + 1) if j != i])
+        normal = RepSum(("SL2n", m),
+                        tuple((fundamental(m, i, j), 1) for j in range(1, m + 1) if j != i))
         num = from_int(pres, (-1) ** (i - 1) * double_factorial(2 * N - 3))
         num = num * gen(pres, f"e{i}") ** (N - 1)
         comps.append(FixedComponent(f"F{i}", RATIONAL_POINT, normal, num))

@@ -19,10 +19,11 @@ above reads one form, and equal multisets compare equal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import prod
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import BadParameters, UnsupportedIrrep
 from .fields import FieldDescriptor
@@ -53,6 +54,10 @@ class SL2nIrrep:
 
     exponents: Tuple[int, ...]
 
+    def __post_init__(self):
+        if any(isinstance(m, bool) or not isinstance(m, int) or m < 0 for m in self.exponents):
+            raise BadParameters(f"Sym exponents must be integers >= 0, got {self.exponents!r}")
+
     @property
     def rank(self) -> int:
         return prod(m + 1 for m in self.exponents)
@@ -78,46 +83,68 @@ class NIrrep:
         return 2 if self.tag == RHO else 1
 
 
-def _irrep_order(summand) -> Tuple:
-    """SL2^n irreps by reversed exponents (F@1 before F@2), N ones by (tag, m)."""
-    irrep = summand[0]
-    return irrep.exponents[::-1] if isinstance(irrep, SL2nIrrep) else (irrep.tag, irrep.m)
+def _sl2n_order(summand) -> Tuple[int, ...]:
+    """SL2^n irreps by reversed exponents: F@1 before F@2."""
+    return summand[0].exponents[::-1]
+
+
+def _n_order(summand) -> Tuple:
+    """N irreps by (tag, m)."""
+    return summand[0].tag, summand[0].m
 
 
 @dataclass(frozen=True)
 class RepSum:
     """The irrep multiset of a representation over SL2^n or N: each irrep once
-    with its total multiplicity, in the order of ``_irrep_order``, which
-    ``whitney`` multiplies in.  So == and hash are multiset equality."""
+    with its total multiplicity, in the order of ``_sl2n_order`` or
+    ``_n_order``, which ``whitney`` multiplies in.  So == and hash are
+    multiset equality.  ``counts`` is the same multiset as a read-only
+    mapping irrep -> multiplicity, in the same order; it and the hash are
+    computed once, when the RepSum is made."""
 
     group: Tuple
     summands: Tuple[Tuple[object, int], ...]
+    counts: Mapping = dc_field(init=False, repr=False, compare=False)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.group[0] == "SL2n" and self.group[1] < 1:
-            raise BadParameters("n must be >= 1")
-        merged: Counter = Counter()
+        if self.group[0] == "SL2n":
+            n, kind, order = self.group[1], SL2nIrrep, _sl2n_order
+            if n < 1:
+                raise BadParameters("n must be >= 1")
+        elif self.group[0] == "N":
+            n, kind, order = None, NIrrep, _n_order
+        else:
+            raise BadParameters(f"unknown group {self.group!r}")
+        merged: Dict = {}
         for irrep, mult in self.summands:
             if mult < 1:
                 raise BadParameters("multiplicities must be >= 1")
-            if self.group[0] == "SL2n":
-                if not isinstance(irrep, SL2nIrrep) or len(irrep.exponents) != self.group[1]:
-                    raise BadParameters(f"bad SL2n({self.group[1]}) irrep {irrep!r}")
-            elif self.group[0] == "N":
-                if not isinstance(irrep, NIrrep):
-                    raise BadParameters(f"bad N irrep {irrep!r}")
-            else:
-                raise BadParameters(f"unknown group {self.group!r}")
-            merged[irrep] += mult
-        object.__setattr__(self, "summands", tuple(sorted(merged.items(), key=_irrep_order)))
+            if not isinstance(irrep, kind) or n is not None and len(irrep.exponents) != n:
+                what = "N" if n is None else f"SL2n({n})"
+                raise BadParameters(f"bad {what} irrep {irrep!r}")
+            merged[irrep] = merged.get(irrep, 0) + mult
+        summands = tuple(sorted(merged.items(), key=order))
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "counts", MappingProxyType(dict(summands)))
+        object.__setattr__(self, "_hash", hash((self.group, summands)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles are made anew: a mapping proxy does not pickle,
+        # and a string's hash differs from one process to the next
+        return RepSum, (self.group, self.summands)
 
     @property
     def rank(self) -> int:
         return sum(irrep.rank * mult for irrep, mult in self.summands)
 
     def irreps(self) -> Counter:
-        """The multiset of irreps: each one's total multiplicity."""
-        return Counter(dict(self.summands))
+        """The multiset of irreps: each one's total multiplicity, as a new
+        Counter that the caller may change."""
+        return Counter(self.counts)
 
     def concat(self, other: "RepSum") -> "RepSum":
         if other.group != self.group:
@@ -138,8 +165,12 @@ def n_rep(items) -> RepSum:
     return RepSum(("N",), tuple(it if isinstance(it, tuple) else (it, 1) for it in items))
 
 
+@lru_cache(maxsize=None)
 def fundamental(n: int, *indices: int) -> SL2nIrrep:
-    """F_i, or F_i (x) F_j (x) ... for more factor indices."""
+    """F_i, or F_i (x) F_j (x) ... for more factor indices, each in 1..n and
+    named once; built once per (n, indices)."""
+    if not indices or len(set(indices)) < len(indices) or not all(1 <= i <= n for i in indices):
+        raise BadParameters(f"need distinct factor indices in 1..{n}, got {indices}")
     return SL2nIrrep(tuple(1 if j in indices else 0 for j in range(1, n + 1)))
 
 

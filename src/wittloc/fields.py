@@ -159,7 +159,13 @@ def quad_ext(base: FieldDescriptor, a) -> FieldDescriptor:
     """k(sqrt(a)) for a a nonzero non-square of the base field."""
     if base.kind == QUAD_EXT:
         raise UnsupportedField("quadratic extensions may not be nested")
-    a = coerce(base, a)
+    return _quad_ext(base, coerce(base, a))
+
+
+@lru_cache(maxsize=None)
+def _quad_ext(base: FieldDescriptor, a) -> FieldDescriptor:
+    """``quad_ext`` for a coerced a: a is proved a non-square once per
+    (base, a); a rejected a raises each time, as no error is cached."""
     if is_zero(base, a):
         raise UnsupportedField("sqrt(0) does not generate an extension")
     if is_square(base, a):

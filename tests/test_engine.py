@@ -1181,7 +1181,7 @@ def test_each_residue_holds_its_answer_once(field):
         L = Counter()
         for _, den in fractions:
             L |= den
-        total = sum((num * whitney((L - den).items(), carrier) for num, den in fractions),
+        total = sum((num * whitney((L - Counter(den)).items(), carrier) for num, den in fractions),
                     zero_elem(carrier))
         if res.cleared is None:
             assert res.value == LocalizedElement(carrier, total, whitney(L.items(), carrier))

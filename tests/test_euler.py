@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from itertools import product
 
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import UnsupportedIrrep
+from wittloc.errors import BadParameters, UnsupportedIrrep
 from wittloc.euler import (
     EXACT,
     NIrrep,
@@ -13,6 +15,7 @@ from wittloc.euler import (
     RHO0_MINUS,
     SQUARE_ONLY,
     UP_TO_SIGN,
+    RepSum,
     SL2nIrrep,
     double_factorial,
     euler_rep,
@@ -154,6 +157,72 @@ def test_generic_euler_square():
     pres = bnn(1, Q)
     e = gen(pres, "e")
     assert generic_euler(rep, Q) == from_int(pres, 9) * e * e
+
+
+@pytest.mark.parametrize("group", [("SL2n", 3), ("N",)], ids=str)
+def test_repsums_of_one_multiset_are_equal_and_hash_equal(group):
+    """A RepSum is its multiset: permuting the summands, splitting a
+    multiplicity into several summands or merging them gives a RepSum that
+    is == and hash-equal, with the same canonical summands and counts."""
+    rng = random.Random(f"multiset:{group}")
+    if group[0] == "SL2n":
+        irreps = [fundamental(3, 1), fundamental(3, 3), fundamental(3, 1, 2),
+                  SL2nIrrep((3, 0, 0)), SL2nIrrep((0, 2, 1))]
+    else:
+        irreps = [NIrrep(RHO, 1), NIrrep(RHO, 4), NIrrep(RHO0), NIrrep(RHO0_MINUS)]
+    for _ in range(30):
+        multiset = {x: rng.randint(1, 4) for x in rng.sample(irreps, rng.randint(1, len(irreps)))}
+        merged = RepSum(group, tuple(multiset.items()))
+        split = [(x, 1) for x, k in multiset.items() for _ in range(k)]
+        rng.shuffle(split)
+        for pairs in (list(multiset.items())[::-1], split):
+            other = RepSum(group, tuple(pairs))
+            assert other == merged and hash(other) == hash(merged)
+            assert other.summands == merged.summands
+            assert list(other.counts.items()) == list(merged.summands)
+        assert RepSum(group, tuple(split[1:])) != merged
+
+
+def test_repsum_copies_and_pickles_are_equal_repsums():
+    rep = parse_rep("2*F@1 + Sym(3)@2 + F@1*F@2", "SL2n", 2)
+    for other in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert other == rep and hash(other) == hash(rep)
+        assert dict(other.counts) == dict(rep.counts)
+
+
+def test_changing_the_irreps_counter_leaves_the_repsum_unchanged():
+    rep = sl2n_rep(2, [fundamental(2, 1), (fundamental(2, 1, 2), 2)])
+    before = (rep.summands, dict(rep.counts), hash(rep))
+    counter = rep.irreps()
+    counter[fundamental(2, 1)] += 5
+    counter[fundamental(2, 2)] = 1
+    del counter[fundamental(2, 1, 2)]
+    assert (rep.summands, dict(rep.counts), hash(rep)) == before
+    assert rep.irreps() == {fundamental(2, 1): 1, fundamental(2, 1, 2): 2}
+    with pytest.raises(TypeError):
+        rep.counts[fundamental(2, 1)] = 3
+
+
+@pytest.mark.parametrize("n, indices", [(2, (3,)), (2, (0,)), (2, (1, 1)), (2, ()),
+                                        (3, (1, 4)), (3, (2, 1, 2)), (0, (1,))])
+def test_fundamental_rejects_bad_factor_indices(n, indices):
+    """An index outside 1..n, a repeated index or no index is BadParameters,
+    not an irrep that ignores it."""
+    with pytest.raises(BadParameters, match=r"^need distinct factor indices in 1\.\."):
+        fundamental(n, *indices)
+
+
+def test_fundamental_is_one_irrep_per_index_set():
+    assert fundamental(3, 2) == SL2nIrrep((0, 1, 0))
+    assert fundamental(3, 3, 1) is fundamental(3, 3, 1) == SL2nIrrep((1, 0, 1))
+
+
+@pytest.mark.parametrize("exponents", [(-1,), (1, -3), (1.0,), (True, 0), ("1",)], ids=str)
+def test_sl2n_irrep_exponents_are_integers_at_least_zero(exponents):
+    """A negative or non-integer exponent is BadParameters, as rho(m) with
+    m < 1 is; it used to give a rank-0 class <1>."""
+    with pytest.raises(BadParameters, match=r"^Sym exponents must be integers >= 0"):
+        SL2nIrrep(exponents)
 
 
 def test_generic_square_cache_is_keyed_by_field_and_keeps_no_error():

@@ -31,6 +31,28 @@ def test_quad_ext_rejects_square_a():
         F.quad_ext(F.rationals(), Fraction(0))
 
 
+def test_quad_ext_proves_a_non_square_once_and_keeps_no_error(monkeypatch):
+    """k(sqrt a) is checked once per (base, a), however often it is made;
+    a square a is tested again on every call, as the error is not cached."""
+    F._quad_ext.cache_clear()
+    calls = []
+
+    def spy(field, x, real=F.is_square):
+        calls.append((field, x))
+        return real(field, x)
+
+    monkeypatch.setattr(F, "is_square", spy)
+    f7 = F.finite_prime(7)
+    for _ in range(3):
+        assert F.quad_ext(F.rationals(), 3) == F.quad_ext(F.rationals(), Fraction(6, 2))
+        assert F.quad_ext(f7, 3).a == 3
+    assert calls == [(F.rationals(), 3), (f7, 3)]
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            F.quad_ext(F.rationals(), 4)
+    assert len(calls) == 4
+
+
 def test_quad_ext_no_nesting():
     qe = F.quad_ext(F.rationals(), Fraction(2))
     with pytest.raises(UnsupportedField):
