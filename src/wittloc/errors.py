@@ -28,9 +28,8 @@ class ZeroInput(WittlocError):
 
 
 class Undecided(WittlocError):
-    """Membership could not be certified either way: raised only by
-    ``quadext.principal_ideal_certificate`` when its bounded multiplier
-    search finds no witness for a class in the base-change kernel."""
+    """Membership could not be certified either way.  Nothing in wittloc
+    raises it; it stays only because the benchmark harness names it."""
 
 
 class UnknownGenerator(WittlocError):

@@ -18,7 +18,6 @@ above reads one form, and equal multisets compare equal.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import prod
@@ -118,8 +117,8 @@ class RepSum:
             raise BadParameters(f"unknown group {self.group!r}")
         merged: Dict = {}
         for irrep, mult in self.summands:
-            if mult < 1:
-                raise BadParameters("multiplicities must be >= 1")
+            if type(mult) is not int or mult < 1:  # a bool is not a multiplicity
+                raise BadParameters(f"multiplicities must be integers >= 1, got {mult!r}")
             if not isinstance(irrep, kind) or n is not None and len(irrep.exponents) != n:
                 what = "N" if n is None else f"SL2n({n})"
                 raise BadParameters(f"bad {what} irrep {irrep!r}")
@@ -140,11 +139,6 @@ class RepSum:
     @property
     def rank(self) -> int:
         return sum(irrep.rank * mult for irrep, mult in self.summands)
-
-    def irreps(self) -> Counter:
-        """The multiset of irreps: each one's total multiplicity, as a new
-        Counter that the caller may change."""
-        return Counter(self.counts)
 
     def concat(self, other: "RepSum") -> "RepSum":
         if other.group != self.group:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Dict, List, Tuple
 
 from . import fields as F
@@ -258,6 +259,60 @@ def wq_key_scale(k, t: int):
 
 
 WQ_ZERO = (0, (), 0)
+
+
+def wq_kernel_preimage(key, a: Fraction):
+    """A key y with <1, -a>*y = key under ``wq_key_mul``, or None exactly
+    when the class of key is not in <1, -a>W(Q).  The product rule is solved
+    coordinate by coordinate, with at most one auxiliary prime q where
+    (a0/q) = 1, as README ("The kernel of base change") derives."""
+    sig, residues, dy = key
+    res, a0 = dict(residues), squarefree_part(a)
+    P = [p for p in _odd_primes(abs(a0)) if p != 2]
+    odd = [p for p, _ in residues if a0 % p]  # y has odd rank at these primes
+    if (sig if a0 > 0 else sig % 2) or a0 % 2 and dy \
+            or any(res[p][0] or _legendre(a0, p) == 1 for p in odd):
+        return None
+    parities = [res.get(p, WF_ZERO)[0] for p in P] + [sig // 2 % 2] * (a0 < 0) + [dy] * (not a0 % 2)
+    if len(set(parities)) > 1:  # each must be sigma(y) mod 2
+        return None
+    s = max(parities, default=0)
+
+    def bits(q: int) -> int:  # bit i: q is not a square mod P[i]
+        return sum(1 << i for i, p in enumerate(P) if _legendre(q, p) != 1)
+
+    diag = sum(1 << i for i, p in enumerate(P) if _legendre(-a0 // p, p) != 1)
+    # unknowns: the rank parity of y at each p in P, its dyadic slot, and
+    # whether sigma(y) is 2 or 3 mod 4 (known when a0 < 0)
+    cols = [bits(p) & ~(1 << i) | diag & 1 << i for i, p in enumerate(P)]
+    cols += [bits(2)] + [bits(-1)] * (a0 > 0)
+    rhs = sum(1 << i for i, p in enumerate(P) if not res.get(p, WF_ZERO)[1]) ^ (diag if s else 0)
+    rhs ^= bits(-1) if a0 < 0 and sig // 2 % 4 >= 2 else 0
+    for q in odd:
+        rhs ^= bits(q)
+    basis = {}  # top bit -> (vector, the unknowns whose columns sum to it)
+
+    def reduce(v: int, m: int = 0):
+        while v.bit_length() in basis:
+            w, n = basis[v.bit_length()]
+            v, m = v ^ w, m ^ n
+        return v, m
+
+    for j, c in enumerate(cols):
+        v, m = reduce(c, 1 << j)
+        if v:
+            basis[v.bit_length()] = v, m
+    left, m = reduce(rhs)
+    if left:  # the split primes realize every vector, or the even ones if a0 = 1 mod 4
+        if a0 % 4 == 1 and left.bit_count() % 2 and not any(c.bit_count() % 2 for c in cols):
+            return None
+        split = (q for q in count(3, 2) if a0 % q and F.is_prime(q) and _legendre(a0, q) == 1)
+        q = next(q for q in split if not reduce(rhs ^ bits(q))[0])  # ends, by Dirichlet
+        m = reduce(rhs ^ bits(q))[1]
+        odd.append(q)
+    odd += [p for j, p in enumerate(P) if m >> j & 1]
+    sig_y = sig // 2 if a0 < 0 else s + 2 * (m >> len(P) + 1 & 1)
+    return (sig_y, tuple(sorted((p, (1, True)) for p in odd)), m >> len(P) & 1)
 
 
 # ---------------------------------------------------------------------------

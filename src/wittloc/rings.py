@@ -167,9 +167,6 @@ class GradedElement:
     def degrees(self) -> List[int]:
         return sorted({key_degree(self.pres, k) for k in self.coeffs})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> Optional[int]:
         ds = self.degrees()
         return ds[0] if len(ds) == 1 else None

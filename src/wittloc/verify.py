@@ -87,18 +87,20 @@ _DEFAULT_LAM = (
 
 
 def _lam_samples(ctx, count: int, seed: int) -> List[WittClass]:
+    """Over Q, in turn: a small form, (1 - <a>) times one, and (1 - <a>)
+    times a form with entries +-{1, 2}*p*q, p and q primes <= 43 or q = 1."""
     if ctx.base.kind == FINITE_PRIME:
         return all_witt_classes(ctx.base) + all_witt_classes(ctx.ext)
     rng = random.Random(seed)
-    pool = [1, -1, 2, -2, 3, 5, -5, 7, 10]
-    out = []
+    pool, primes = [1, -1, 2, -2, 3, 5, -5, 7, 10], [2] + _primes_upto(43)
     gen_cls = witt(ctx.base, 1, -ctx.a)
-    for _ in range(count // 2):
-        rank = rng.randint(0, 3)
-        entries = [Fraction(rng.choice(pool)) for _ in range(rank)]
-        out.append(witt(ctx.base, *entries))
-        # constructed kernel members: (1 - <a>) * small form
-        out.append(gen_cls * witt(ctx.base, *entries))
+    out = []
+    for i in range(count):
+        entries = [rng.choice(pool) for _ in range(rng.randint(0, 3))] if i % 3 < 2 else \
+            [rng.choice((1, -1, 2, -2)) * rng.choice(primes) * rng.choice([1] + primes)
+             for _ in range(rng.randint(1, 6))]
+        x = witt(ctx.base, *map(Fraction, entries))
+        out.append(gen_cls * x if i % 3 else x)
     return out
 
 

@@ -191,16 +191,29 @@ def test_repsum_copies_and_pickles_are_equal_repsums():
 
 
 def test_changing_the_irreps_counter_leaves_the_repsum_unchanged():
+    """A dict copied from ``counts`` may change; ``counts`` itself is
+    read-only."""
     rep = sl2n_rep(2, [fundamental(2, 1), (fundamental(2, 1, 2), 2)])
     before = (rep.summands, dict(rep.counts), hash(rep))
-    counter = rep.irreps()
+    counter = dict(rep.counts)
     counter[fundamental(2, 1)] += 5
     counter[fundamental(2, 2)] = 1
     del counter[fundamental(2, 1, 2)]
     assert (rep.summands, dict(rep.counts), hash(rep)) == before
-    assert rep.irreps() == {fundamental(2, 1): 1, fundamental(2, 1, 2): 2}
     with pytest.raises(TypeError):
         rep.counts[fundamental(2, 1)] = 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sl2n_rep(1, [(SL2nIrrep((1,)), 1.5)]),
+    lambda: sl2n_rep(1, [(SL2nIrrep((1,)), True)]),
+    lambda: n_rep([(NIrrep(RHO, 1), 2.0)]),
+], ids=["float", "bool", "integral-float"])
+def test_repsum_multiplicities_are_integers(make):
+    """A multiplicity that is not an int, or is a bool, is BadParameters:
+    1.5 used to give rank 3.0 and an untyped TypeError in euler_rep."""
+    with pytest.raises(BadParameters, match="multiplicities must be integers >= 1"):
+        make()
 
 
 @pytest.mark.parametrize("n, indices", [(2, (3,)), (2, (0,)), (2, (1, 1)), (2, ()),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
+from wittloc import places
 from wittloc.errors import FieldMismatch
 from wittloc.quadext import (
     all_witt_classes,
@@ -212,9 +213,9 @@ def test_negative_a_base_change():
     (-3, 12, "<2> + 5*<1>"),
 ])
 def test_certificate_of_an_integer_class_past_the_rank_bound(a, t, want):
-    """When a < 0, (1 - <a>)*4<1> = 8<1>, so 8k<1> is peeled off before the
-    bounded search and 4k<1> joins the multiplier: t<1> is certified for t
-    far past the search's rank bound."""
+    """When a < 0 the multiplier has half the signature, so t<1> is
+    certified for t of any size, and by the smallest key the equations
+    allow."""
     ctx = make_context(Q, Fraction(a))
     x = integer_class(t, Q)
     y = principal_ideal_certificate(x, ctx)
@@ -229,3 +230,62 @@ def test_certificate_over_the_reals():
     ctx = make_context(R, -1)
     assert principal_ideal_certificate(integer_class(4, R), ctx) == integer_class(2, R)
     assert principal_ideal_certificate(integer_class(3, R), ctx) is None
+
+
+_PRIMES_TO_43 = [p for p in range(2, 44) if all(p % q for q in range(2, p))]
+
+
+def test_kernel_preimage_is_exactly_the_kernel():
+    """3,200 seeded classes: half (1 - <a>)*y for y of rank 1-6 with
+    entries +-{1, 2}*p*q (p, q primes <= 43, q may be 1), half such a
+    class plus a random form.  Each class that the closed-form kernel test
+    ``ker_iota_rational`` puts in ker(iota) gets a key y with
+    (1 - <a>)*y = x; each other class gets None.  The two procedures share
+    no code."""
+    rng = random.Random("kernel-preimage")
+    a_values = [-1, 2, -2, -3, 5, -7, 10, 17, 2310, -2310, 1001, -1001,
+                3 * 5 * 7 * 11 * 13 * 17, -3 * 5 * 7 * 11 * 13 * 17 * 19]
+
+    def form(rank):
+        return witt(Q, *(Fraction(rng.choice((1, -1, 2, -2)) * rng.choice(_PRIMES_TO_43)
+                                  * rng.choice([1] + _PRIMES_TO_43)) for _ in range(rank)))
+
+    counts = {True: 0, False: 0}
+    for i in range(3200):
+        a = Fraction(rng.choice(a_values))
+        gen = witt(Q, 1, -a)
+        x = gen * form(rng.randint(1, 6))
+        if i % 2:
+            x = x + rng.choice((1, 2, 4)) * form(rng.choice((0, 1, 2, 2, 4)))
+        key = places.wq_kernel_preimage(x.key, a)
+        dead = places.ker_iota_rational(x.terms, a)
+        counts[dead] += 1
+        if dead:
+            assert key is not None and gen * WittClass(Q, key) == x, (a, x)
+        else:
+            assert key is None, (a, x, key)
+    assert min(counts.values()) > 600
+
+
+def test_certificate_needs_a_prime_outside_the_support():
+    """With a = -2310 no multiplier supported on the primes of a and of x
+    exists; one auxiliary prime q with (a/q) = 1 is enough."""
+    ctx = make_context(Q, Fraction(-2310))
+    x = witt(Q, 2, 3, 3, 5, 10) + 5 * witt(Q, -1)
+    y = principal_ideal_certificate(x, ctx)
+    assert one_minus_a(ctx) * y == x
+    assert {p for p, _ in y.key[1]} - {3, 5, 7, 11}
+
+
+def test_certificate_of_a_class_with_residues_at_twelve_primes():
+    """The equations are solved one prime at a time, so twelve residue
+    primes cost milliseconds, not a search over their classes."""
+    ctx = make_context(Q, Fraction(-2310))
+    inert = [q for q in range(13, 400) if places._odd_primes(q) == (q,)
+             and F._legendre(-2310, q) == -1][:12]
+    x = one_minus_a(ctx) * witt(Q, *inert)
+    assert len(x.key[1]) >= 12
+    t0 = time.perf_counter()
+    y = principal_ideal_certificate(x, ctx)
+    assert time.perf_counter() - t0 < 0.1
+    assert one_minus_a(ctx) * y == x
