@@ -9,14 +9,16 @@ denominators and divided by e(L) once (``_sum_fractions``).  A RepSum is
 its canonical irrep multiset, so a restricted one equal to the normal one
 in any order is 1.  P^(2n) is built as Gr(1, 2n+1).
 
-An SL2^n problem whose numerators have integer coefficients is summed in
+An SL2^n problem whose numerators have coefficients t<1> (read by
+``WittClass.integer_value``, exact over every field) is summed in
 (Z/N)[e_1..e_n], N the additive order of <1> in W(k), and mapped into
 W(k)[e_1..e_n] once; Z/N -> W(k) is injective, so the answer is the one
 W(k) arithmetic would give.  ``exact_divide`` is long division by the
 leading term in the lex order over Z, Z/N or W(k).  Every Euler class
 divided by leads with t<1>, t odd, and the quotient by it is unique
-(``_witt_quotient``), so a failed step means no quotient exists; a leading
-coefficient that is a zero divisor or not recognized raises BadParameters.
+(``WittClass.odd_quotient``, built from ``WittClass.signatures``), so a
+failed step means no quotient exists; a leading coefficient that is a zero
+divisor or not t<1> raises BadParameters.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .euler import (
     generic_euler,
     whitney,
 )
-from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
-from .quadext import QuadExtContext, sqrt_a_class
+from .fields import FINITE_PRIME, REALS, FieldDescriptor
+from .quadext import QuadExtContext
 from .rings import (
     BNN,
     BSL2N,
@@ -69,7 +71,7 @@ from .rings import (
     twisted_pushforward,
     witt_image,
 )
-from .witt import WittClass, _leading_integer, integer_class, integer_modulus, zero_class
+from .witt import WittClass, integer_modulus
 
 RATIONAL_POINT = "rational"
 
@@ -83,6 +85,8 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.kind not in ("SL2n", "N"):
             raise BadParameters(f"unknown group kind {self.kind!r}")
+        if type(self.n) is not int:  # a bool is not a factor count
+            raise BadParameters(f"n must be an integer, got {self.n!r}")
         if self.kind == "N" and self.n != 1:
             raise BadParameters("the N-engine handles a single factor")
         if self.n < 1:
@@ -104,8 +108,8 @@ class LocalizationProblem:
     M: Optional[int] = None
 
     def __post_init__(self):
-        if self.M == 0:
-            raise BadParameters("M must be nonzero when provided")
+        if self.M is not None and (type(self.M) is not int or self.M == 0):
+            raise BadParameters(f"M must be a nonzero integer when provided, got {self.M!r}")
         if self.M is not None and self.group.kind == "SL2n":
             raise BadParameters(
                 "M is the N-engine's localization multiplier; SL2n does not read it"
@@ -140,42 +144,14 @@ class ResidueResult:
 # exact division in the polynomial carrier
 
 
-def _witt_quotient(c: WittClass, t: int) -> Optional[WittClass]:
-    """The q with t*q = c, for t odd (any t != 0 over R), or None.
-
-    z has signature sig(c)/t at every ordering of k, so c - t*z is torsion
-    (Pfister) and 8 kills it over every supported k; r = t mod 8 in
-    {+-1, +-3} has t*r = 1 mod 8, so t*(z + r*(c - t*z)) = c.  Two
-    quotients differ by torsion that t kills, so q is the only one.  No
-    equality is tested."""
-    field = c.field
-    one = integer_class(1, field)
-    if field.kind in (RATIONALS, REALS):
-        s = c.signature()
-        if s % t:
-            return None
-        z = s // t * one
-        if field.kind == REALS:
-            return z
-    elif field.kind == QUAD_EXT and field.base.kind == RATIONALS and field.a > 0:
-        sp, sm = c.signature(True), c.signature(False)
-        if sp % t or sm % t:
-            return None
-        z = (sp + sm) // (2 * t) * one + (sp - sm) // (2 * t) * sqrt_a_class(field)
-    else:
-        z = zero_class(field)  # k has no ordering: W(k) is torsion
-    r = (t + 3) % 8 - 3
-    return z + r * (c - t * z)
-
-
 def _coefficient_divider(d, pres: PresentationId) -> Callable:
     """c -> c / d or None, for the leading coefficient d of a denominator in
     pres: integer division over Z, multiplication by the inverse of d over
-    Z/N, ``_witt_quotient`` over W(k)."""
+    Z/N, ``WittClass.odd_quotient`` over W(k)."""
     modulus = pres.modulus
     if pres.integral and not modulus:
         return lambda c: c // d if c % d == 0 else None
-    t = d if pres.integral else _leading_integer(d)
+    t = d if pres.integral else d.integer_value()
     # Z/N has no ordering, so an even t is a zero divisor there too
     if t is None or (t % 2 == 0 and pres.field.kind != REALS):
         raise BadParameters(
@@ -185,7 +161,7 @@ def _coefficient_divider(d, pres: PresentationId) -> Callable:
     if pres.integral:
         inverse = pow(t, -1, modulus)
         return lambda c: c * inverse % modulus
-    return lambda c: _witt_quotient(c, t)
+    return lambda c: c.odd_quotient(t)
 
 
 def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedElement]:
@@ -194,8 +170,8 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
 
     Long division by the leading term of den in the lex order: each step
     divides the remainder's leading coefficient by den's (integer division
-    over Z, the inverse of an odd residue over Z/N, ``_witt_quotient`` over
-    W(k)) and subtracts that multiple of den, reducing mod N over Z/N.  The
+    over Z, the inverse of an odd residue over Z/N, ``WittClass.odd_quotient``
+    over W(k)) and subtracts that multiple of den, reducing mod N over Z/N.  The
     quotient is unique, so a failed step means den does not divide num.
     Over W(k) and Z/N den's leading coefficient must be t<1> with t odd (any
     t != 0 over R); any other one raises BadParameters.
@@ -350,10 +326,10 @@ def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
 
 def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
     """The preimage in the integral carrier of a W(k) polynomial whose
-    coefficients all read as integer classes (``_leading_integer``), or None."""
+    coefficients are all integer classes (``WittClass.integer_value``), or None."""
     out: Dict = {}
     for k, c in x.coeffs.items():
-        t = _leading_integer(c)
+        t = c.integer_value()
         if t is None:
             return None
         out[k] = t
@@ -438,10 +414,10 @@ def build_grassmannian_problem(
     m: int, ambient: int, n: int, field: FieldDescriptor
 ) -> LocalizationProblem:
     g = GroupDescriptor("SL2n", n, field)  # rejects n < 1 first
-    if ambient not in (2 * n, 2 * n + 1):
-        raise BadParameters(f"ambient must be 2n or 2n+1 for n={n}, got {ambient}")
-    if not 0 < m < ambient:
-        raise BadParameters(f"need 0 < m < ambient, got m={m}")
+    if type(ambient) is not int or ambient not in (2 * n, 2 * n + 1):
+        raise BadParameters(f"ambient must be the integer 2n or 2n+1 for n={n}, got {ambient!r}")
+    if type(m) is not int or not 0 < m < ambient:
+        raise BadParameters(f"need an integer 0 < m < ambient, got m={m!r}")
     comps: List[FixedComponent] = []
     extra_line = ambient == 2 * n + 1
     if m % 2 == 1 and not extra_line:
@@ -477,7 +453,7 @@ def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> Localiza
     e(Sym^(2N-3) F_i): normal classes are stored as prod (e_lo^2 - e_hi^2),
     and the sign turns each into the class prod_{j != i} (e_i^2 - e_j^2) of
     the normal bundle sum_j Hom(F_i, F_j)."""
-    if N < 3 or N % 2 == 0:
+    if type(N) is not int or N < 3 or N % 2 == 0:
         raise BadParameters(f"N must be odd and at least 3, got {N}")
     m = (N + 1) // 2
     pres = bsl2n(m, field)

@@ -68,6 +68,8 @@ class NIrrep:
     m: int = 0
 
     def __post_init__(self):
+        if type(self.m) is not int:  # a bool is not an exponent
+            raise BadParameters(f"an N-irrep exponent must be an integer, got {self.m!r}")
         if self.tag == RHO:
             if self.m < 1:
                 raise BadParameters("rho(m) needs m >= 1")

@@ -331,21 +331,12 @@ def real_sign(field: FieldDescriptor, x, positive_root: bool = True) -> int:
         return (x > 0) - (x < 0)
     if field.kind != QUAD_EXT or field.base.kind != RATIONALS or field.a <= 0:
         raise UnsupportedField("real embeddings need Q(sqrt:a) with a > 0")
-    u, v = x
-    if not positive_root:
-        v = -v
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return (v > 0) - (v < 0)
-    # compare u against -v*sqrt(a) exactly
-    if v > 0:
-        if u >= 0:
-            return 1
-        return 1 if u * u < field.a * v * v else -1
-    if u <= 0:
-        return -1
-    return -1 if u * u < field.a * v * v else 1
+    u, v = x[0], x[1] if positive_root else -x[1]
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    # opposite signs: the larger of u^2 and a*v^2 (never equal) decides
+    return su if u * u > field.a * v * v else sv
 
 
 def elements(field: FieldDescriptor) -> Iterator:

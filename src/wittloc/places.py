@@ -492,6 +492,14 @@ def sqrt_mod_prime_power(d: int, p: int, k: int) -> int:
     return s
 
 
+def qext_signatures(field, terms):
+    """The signatures of sum n*<c> over (entry, count) terms of Q(sqrt a),
+    sqrt(a) sent to +sqrt(a) and then -sqrt(a), one at a time; none if a < 0."""
+    if field.a > 0:
+        for root in (True, False):
+            yield sum(n * F.real_sign(field, c, root) for c, n in terms)
+
+
 def qext_witt_zero(field, terms) -> bool:
     """Whether x = sum n*<c> over (entry, count) terms, the entries int
     pairs as in a ``WittClass`` key, is 0 in W(K), K = Q(sqrt a), a = d f^2
@@ -513,8 +521,7 @@ def qext_witt_zero(field, terms) -> bool:
     rank = sum(n for _, n in terms)
     if rank % 2:
         return False
-    if field.a > 0 and any(sum(n * F.real_sign(field, c, root) for c, n in terms)
-                           for root in (True, False)):
+    if any(qext_signatures(field, terms)):  # stops at the first nonzero one
         return False
     disc = F.coerce(field, (-1) ** (rank // 2 % 2))
     for c, n in terms:

@@ -21,6 +21,7 @@ from . import places
 from .errors import FieldMismatch
 from .fields import FINITE_PRIME, RATIONALS, REALS, FieldDescriptor
 from .witt import WittClass, _counted_class, integer_class, trace_class
+from .witt import sqrt_a_class  # noqa: F401  re-exported
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,6 @@ class QuadExtContext:
 def make_context(base: FieldDescriptor, a) -> QuadExtContext:
     ext = F.quad_ext(base, a)
     return QuadExtContext(base, ext.a, ext)
-
-
-def sqrt_a_class(ext: FieldDescriptor) -> WittClass:
-    """<sqrt a> over the extension field k(sqrt a)."""
-    return WittClass.from_entries(ext, (F.coerce(ext, (0, 1)),))
 
 
 def one_minus_a(ctx: QuadExtContext) -> WittClass:
@@ -117,17 +113,14 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
     if ctx.base.kind == FINITE_PRIME:
         return next((y for y in all_witt_classes(ctx.base) if gen * y == x), None)
     if ctx.base.kind == REALS:
-        t = x.signature()
-        if t % 2:
-            return None
-        y = integer_class(t // 2, ctx.base)
-        return y if gen * y == x else None
-    if ctx.base.kind != RATIONALS:
+        (t,) = x.signatures()
+        y = None if t % 2 else integer_class(t // 2, ctx.base)
+    elif ctx.base.kind == RATIONALS:
+        key = places.wq_kernel_preimage(x.key, ctx.a)
+        y = None if key is None else WittClass(ctx.base, key)
+    else:
         raise FieldMismatch(f"unsupported base field {ctx.base}")
-    key = places.wq_kernel_preimage(x.key, ctx.a)
-    y = None if key is None else WittClass(ctx.base, key)
-    assert y is None or gen * y == x
-    return y
+    return y if y is not None and gen * y == x else None
 
 
 # ---------------------------------------------------------------------------

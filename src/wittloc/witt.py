@@ -28,6 +28,11 @@ integer, and the rule of ``fields.is_square`` (U or U*A*B a square when V =
 0, else the norm a square w^2 and 2*(U +- w) a square for one sign) needs
 no fraction.  That key is not a complete invariant: zero and equality are
 decided place by place (``places.qext_witt_zero``).
+
+Each field has one exact reader of t with x = t<1>, ``integer_value`` (the
+key decides, or one zero test per candidate t over Q(sqrt a)), and one of
+the signatures at its orderings, ``signatures``, from which ``odd_quotient``
+divides by t<1>, t odd.
 """
 
 from __future__ import annotations
@@ -492,18 +497,47 @@ class WittClass:
         return NotImplemented
 
     def integer_value(self) -> Optional[int]:
-        """t with self == t*<1>, or None when there is none; exact over the
-        keyed fields (over F_p, F_{p^2} and C, t is taken in
-        0..integer_modulus - 1), UnsupportedField over Q(sqrt a)."""
-        if self.field.kind == RATIONALS:
-            sig, residues, dyadic = self.key
+        """t with self == t*<1>, or None when there is none, exact over every
+        supported field, t taken in 0..N - 1 when N = ``integer_modulus`` > 0.
+        The key decides over Q and R and, over Q(sqrt a), when it is one entry
+        <1> or <-1>; else ``==`` tests each t < N when N > 0 (one
+        ``places.qext_witt_zero`` test over Q(sqrt a), failed at once by a
+        rank of the other parity) and the common signature when a > 0."""
+        field, key = self.field, self.key
+        if field.kind == RATIONALS:
+            sig, residues, dyadic = key
             return None if residues or dyadic else sig
-        if self.field.kind == REALS:
-            return self.key[0]
-        if _is_qext_q(self.field):
-            raise UnsupportedField(f"no integer test over {self.field}")
-        keys = _torsion_integer_keys(self.field)
-        return keys.index(self.key) if self.key in keys else None
+        if field.kind == REALS:
+            return key[0]
+        N = integer_modulus(field)
+        t = _qext_integer(key) if _is_qext_q(field) else None
+        if t is not None:
+            return t % N if N else t
+        if N:
+            keys = _torsion_integer_keys(field)
+            return next((t for t, k in enumerate(keys) if self == WittClass(field, k)), None)
+        sp, sm = self.signatures()  # Q(sqrt a) with a > 0
+        return sp if sp == sm and self == integer_class(sp, field) else None
+
+    def odd_quotient(self, t: int) -> Optional["WittClass"]:
+        """The q with t*q = self, for t odd (any t != 0 over R), or None.
+
+        z has signature sig/t at every ordering of k (``signatures``; z = 0
+        when k has none), so self - t*z is torsion (Pfister) and 8 kills it
+        over every supported k; r = t mod 8 in {+-1, +-3} has t*r = 1 mod 8,
+        so t*(z + r*(self - t*z)) = self.  Over R, self - t*z is 0, so the
+        quotient is z for an even t too.  Two quotients differ by torsion
+        that t kills, so q is the only one.  No equality is tested."""
+        sigs = self.signatures()
+        if any(s % t for s in sigs):
+            return None
+        q = [s // t for s in sigs]  # the signatures of z
+        # <1> has signature 1 at every ordering, <sqrt a> 1 and then -1
+        z = integer_class(sum(q) // max(len(q), 1), self.field)
+        if len(q) == 2:
+            z = z + (q[0] - q[1]) // 2 * sqrt_a_class(self.field)
+        r = (t + 3) % 8 - 3
+        return z + r * (self - t * z)
 
     def is_zero(self) -> bool:
         if _is_qext_q(self.field):
@@ -517,20 +551,19 @@ class WittClass:
 
     def __hash__(self):
         if _is_qext_q(self.field):
-            # Witt invariants read off the key: rank parity and, for a > 0,
-            # both real signatures
-            real = (self.signature(True), self.signature(False)) if self.field.a > 0 else ()
-            return hash((self.field, sum(n for _, n in self.key) % 2, real))
+            # Witt invariants read off the key: rank parity and the signatures
+            return hash((self.field, sum(n for _, n in self.key) % 2, self.signatures()))
         return hash((self.field, self.key))
 
     # -- inspection --------------------------------------------------------
 
-    def signature(self, positive_root: bool = True) -> int:
+    def signatures(self) -> Tuple[int, ...]:
+        """The signature at each ordering of k: one over Q and R, two over
+        Q(sqrt a) with a > 0 (``places.qext_signatures``: sqrt(a) positive,
+        then negative), none over the other fields."""
         if self.field.kind in (RATIONALS, REALS):
-            return self.key[0]
-        if _is_qext_q(self.field) and self.field.a > 0:
-            return sum(n * F.real_sign(self.field, c, positive_root) for c, n in self.key)
-        raise UnsupportedField(f"no real embedding data for {self.field}")
+            return (self.key[0],)
+        return tuple(places.qext_signatures(self.field, self.key)) if _is_qext_q(self.field) else ()
 
     def __str__(self):
         """``<c>`` for a term of count 1, ``n*<c>`` otherwise, which
@@ -542,13 +575,6 @@ class WittClass:
 
     def __repr__(self):
         return f"WittClass({self} over {self.field})" if self.terms else "WittClass(0)"
-
-
-def _leading_integer(d: WittClass) -> Optional[int]:
-    """t with d = t<1>, or None.  Over the keyed fields the key decides
-    (``integer_value``); over Q(sqrt a) ``_qext_integer`` reads the key
-    without a zero test."""
-    return _qext_integer(d.key) if _is_qext_q(d.field) else d.integer_value()
 
 
 def witt(field: FieldDescriptor, *entries) -> WittClass:
@@ -563,6 +589,11 @@ def zero_class(field: FieldDescriptor) -> WittClass:
 
 def square_class(field: FieldDescriptor, c) -> WittClass:
     return witt(field, c)
+
+
+def sqrt_a_class(field: FieldDescriptor) -> WittClass:
+    """<sqrt a> over the extension field k(sqrt a)."""
+    return WittClass.from_entries(field, (F.coerce(field, (0, 1)),))
 
 
 def integer_class(n: int, field: FieldDescriptor) -> WittClass:

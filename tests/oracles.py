@@ -289,9 +289,9 @@ def witt_divide_candidates(c, d):
             push(q)
         return out
     if field.kind == F.REALS:
-        t = d.signature()
-        if t != 0 and c.signature() % t == 0:
-            push(integer_class(c.signature() // t, field))
+        (t,), (s,) = d.signatures(), c.signatures()
+        if t != 0 and s % t == 0:
+            push(integer_class(s // t, field))
         return out
     for u in d.entries:
         push(c * WittClass.from_entries(field, (u,)))
@@ -332,6 +332,33 @@ def rational_divide_by_int(c, t):
             if t * q == c:
                 results.append(q)
     return results
+
+
+def witt_quotient_reference(c, t):
+    """The q with t*q = c for t odd (any t != 0 over R), or None: the
+    field-by-field closed form z + r*(c - t*z), r = t mod 8 in {+-1, +-3},
+    with z of signature sig(c)/t at every ordering and z itself over R."""
+    from wittloc.quadext import sqrt_a_class
+    from wittloc.witt import integer_class, zero_class
+
+    field = c.field
+    one = integer_class(1, field)
+    if field.kind in (F.RATIONALS, F.REALS):
+        (s,) = c.signatures()
+        if s % t:
+            return None
+        z = s // t * one
+        if field.kind == F.REALS:
+            return z
+    elif field.kind == F.QUAD_EXT and field.base.kind == F.RATIONALS and field.a > 0:
+        sp, sm = c.signatures()
+        if sp % t or sm % t:
+            return None
+        z = (sp + sm) // (2 * t) * one + (sp - sm) // (2 * t) * sqrt_a_class(field)
+    else:
+        z = zero_class(field)  # k has no ordering: W(k) is torsion
+    r = (t + 3) % 8 - 3
+    return z + r * (c - t * z)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ def test_localize_prints_a_cleared_sum_once(capsys):
     assert code == 0 and "localized" not in json.loads(out)
 
 
+def test_localize_reads_an_integer_written_otherwise(tmp_path, capsys):
+    """<2> + <3> is 2<1> over Q(sqrt 6), so the answer prints as 2*<1>."""
+    doc = {
+        "group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:6)"},
+        "components": [{"id": "pt", "normal": "F@1", "restricted": "(<2>+<3>)*e"}],
+    }
+    code, out, _ = _localize_doc(tmp_path, capsys, doc)
+    assert code == 0
+    assert out.splitlines() == ["cleared: 2*<1>", "degree_zero: 2*<1>"]
+
+
 def test_localize_prints_an_uncleared_sum_as_one_fraction(tmp_path, capsys):
     doc = {
         "group": {"kind": "SL2n", "n": 2, "field": "Q"},

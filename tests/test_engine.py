@@ -85,6 +85,68 @@ def test_leading_coefficient_other_than_odd_t_is_rejected():
     assert exact_divide(5 * r1 ** 3 * r2, 2 * r1) is None
 
 
+def test_exact_divide_by_an_integer_written_otherwise():
+    """<2> = <1> over Q(sqrt 2), so e / <2>e is 1; <1 + sqrt 2> has
+    signatures 1 and -1, so it is no t<1> and raises."""
+    field = F.quad_ext(Q, 2)
+    pres = bsl2n(1, field)
+    e = gen(pres, "e")
+    assert exact_divide(e, e * witt(field, 2)) == one_elem(pres)
+    with pytest.raises(BadParameters):
+        exact_divide(e, e * WittClass.from_entries(field, (F.coerce(field, (1, 1)),)))
+
+
+def test_restricted_integer_written_otherwise_is_summed_over_z():
+    """<2> + <3> = 2<1> over Q(sqrt 6): the restricted class (<2> + <3>)e
+    lifts to the integral carrier, and F@1's residue is 2<1>."""
+    doc = {"group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:6)"},
+           "components": [{"id": "pt", "normal": "F@1", "restricted": "(<2>+<3>)*e"}]}
+    res = bott_residue(problem_from_json(doc))
+    assert str(res.degree_zero) == "2*<1>"
+
+
+def test_n_problem_with_a_non_integer_rho_is_rejected():
+    """normal = restricted = rho(1.5) gave <1>: the input was accepted and
+    then ignored."""
+    g = GroupDescriptor("N", 1, Q)
+    with pytest.raises(BadParameters):
+        rep = n_rep([(NIrrep(RHO, 1.5), 1)])
+        bott_residue(LocalizationProblem(g, (FixedComponent("pt", "rational", rep, rep),)))
+
+
+@pytest.mark.parametrize("kind, n", [("SL2n", True), ("SL2n", 1.0), ("SL2n", 2.0),
+                                     ("N", True), ("N", 1.0)], ids=str)
+def test_group_n_is_an_integer(kind, n):
+    with pytest.raises(BadParameters, match=r"^n must be an integer"):
+        GroupDescriptor(kind, n, Q)
+
+
+def test_projective_builder_rejects_a_non_integer_n():
+    """build_projective_problem(2, 1.0, Q) raised an untyped TypeError."""
+    with pytest.raises(BadParameters, match=r"^n must be an integer"):
+        build_projective_problem(2, 1.0, Q)
+
+
+@pytest.mark.parametrize("m, ambient", [(2.0, 4), (True, 3), (2, 4.0)], ids=str)
+def test_grassmannian_builder_rejects_a_non_integer_size(m, ambient):
+    """m = 2.0 raised an untyped TypeError, and m = True and ambient = 4.0
+    were accepted."""
+    with pytest.raises(BadParameters, match=r"integer"):
+        build_grassmannian_problem(m, ambient, 2 if ambient == 4 else 1, Q)
+
+
+def test_hypersurface_builder_rejects_a_non_integer_N():
+    with pytest.raises(BadParameters):
+        engine.build_hypersurface_lines_problem(5.0, Q)
+
+
+@pytest.mark.parametrize("M", [1.5, True, 3.0, "3"], ids=str)
+def test_localization_multiplier_is_a_nonzero_integer(M):
+    """M = 1.5 and M = True were accepted."""
+    with pytest.raises(BadParameters, match=r"^M must be a nonzero integer"):
+        LocalizationProblem(GroupDescriptor("N", 1, Q), (), M)
+
+
 def test_even_euler_coefficient_of_an_n_component_is_rejected():
     """e(2*rho(2)) = 4e^2: 4<1> is a zero divisor in W(Q), so 4e^2 / 4e^2 has
     more quotients than <1> and none is certified."""

@@ -230,6 +230,15 @@ def test_fundamental_is_one_irrep_per_index_set():
     assert fundamental(3, 3, 1) is fundamental(3, 3, 1) == SL2nIrrep((1, 0, 1))
 
 
+@pytest.mark.parametrize("tag, m", [(RHO, 1.5), (RHO, "3"), (RHO, True), (RHO, 3.0),
+                                    (RHO0, False), (RHO0_MINUS, 0.0)], ids=str)
+def test_n_irrep_exponents_are_integers(tag, m):
+    """rho(1.5) and rho(True) were accepted, and rho("3") raised an untyped
+    TypeError; an exponent that is not an int, or is a bool, is BadParameters."""
+    with pytest.raises(BadParameters, match=r"^an N-irrep exponent must be an integer"):
+        NIrrep(tag, m)
+
+
 @pytest.mark.parametrize("exponents", [(-1,), (1, -3), (1.0,), (True, 0), ("1",)], ids=str)
 def test_sl2n_irrep_exponents_are_integers_at_least_zero(exponents):
     """A negative or non-integer exponent is BadParameters, as rho(m) with

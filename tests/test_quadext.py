@@ -112,6 +112,19 @@ def test_certificate_over_q():
     assert principal_ideal_certificate(witt(Q, 1), ctx) is None
 
 
+def test_a_wrong_rational_certificate_is_refused(monkeypatch):
+    """The multiplier is multiplied back by an if test, which python -O
+    keeps: a wrong key from the solver gives None, and verify lam reports
+    the kernel class as a violation."""
+    ctx = ctx_q2()
+    x = one_minus_a(ctx) * witt(Q, 3)
+    assert not x.is_zero()
+    monkeypatch.setattr(places, "wq_kernel_preimage", lambda key, a: places.WQ_ZERO)
+    assert principal_ideal_certificate(x, ctx) is None
+    assert lam_exactness_check(ctx, [x]).violations == [
+        f"{x!r} in ker(iota) but not in (1-<a>)W(k)"]
+
+
 def test_certificate_field_mismatch():
     ctx = ctx_q2()
     with pytest.raises(FieldMismatch):
@@ -146,7 +159,7 @@ def test_iota_is_zero_over_the_reals():
         x = witt(ctx.base, *(rng.choice([1, -1, 2, -3]) for _ in range(rng.randint(0, 6))))
         dead = iota_is_zero(x, ctx)
         assert dead == base_change(x, ctx).is_zero()
-        assert dead == (x.signature() % 2 == 0)
+        assert dead == (x.signatures()[0] % 2 == 0)
 
 
 def test_lam_exactness_sampled_rational():

@@ -4,7 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import qext_nonzero_by_invariants, qext_reduce_pairwise, witt_product_by_terms
+from oracles import (qext_nonzero_by_invariants, qext_reduce_pairwise, witt_product_by_terms,
+                     witt_quotient_reference)
 
 from wittloc import fields as F
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
@@ -82,9 +83,9 @@ def test_diagonalize_rejects_singular_and_asymmetric():
 
 def test_signature_over_reals():
     x = witt(R, 1, 1, -1)
-    assert x.signature() == 1
+    assert x.signatures() == (1,)
     assert x == integer_class(1, R)
-    assert integer_class(-3, R).signature() == -3
+    assert integer_class(-3, R).signatures() == (-3,)
 
 
 def test_rational_canonical_invariants():
@@ -474,6 +475,94 @@ def test_qext_hash_reads_the_real_signatures():
     r = F.coerce(field, (0, 1))
     # <sqrt 2> has signatures +1 and -1, <1> has +1 and +1
     assert hash(WittClass.from_entries(field, (r,))) != hash(integer_class(1, field))
+
+
+def _integers_written_otherwise(rng, field):
+    """Classes equal to t<1> whose keys are not one entry <1> or <-1>:
+    signed sums of squares of random elements, plus hyperbolic planes."""
+    out = []
+    for _ in range(6):
+        entries = [F.mul(field, _square(rng, field), F.coerce(field, rng.choice((1, -1))))
+                   for _ in range(rng.randint(1, 4))]
+        h = _small_entry(rng, field)
+        entries += [h, F.neg(field, F.mul(field, h, _square(rng, field)))] * rng.randint(0, 1)
+        out.append(WittClass.from_entries(field, entries))
+    return out
+
+
+# <2> = <1> over Q(sqrt 2); <2, 3> = 2<1> over Q(sqrt 6); <-1> = <1> over Q(sqrt -1)
+WRITTEN_INTEGERS = {Fraction(2): ([2], 1), Fraction(6): ([2, 3], 2), Fraction(-1): ([-1], 1)}
+
+
+@pytest.mark.parametrize("field", QEXT_FIELDS + [F.quad_ext(Q, 6)], ids=str)
+def test_qext_integer_value_is_exact(field):
+    """integer_value() is t exactly when x == t<1> (t mod N when N > 0), on
+    random forms, integers written as sums of squares, t<1> plus a form
+    minus an isometric one, and the written integers above."""
+    rng = random.Random(f"qext-integer-value:{field}")
+    N = integer_modulus(field)
+    classes = [WittClass.from_entries(field, random_qext_form(rng, field)) for _ in range(8)]
+    classes += _integers_written_otherwise(rng, field)
+    for _ in range(4):
+        entries = [_small_entry(rng, field) for _ in range(rng.randint(1, 3))]
+        rewrite = WittClass.from_entries(field, _isometric_rewrite(rng, field, entries))
+        classes.append(rng.randint(-4, 4) * integer_class(1, field)
+                       + WittClass.from_entries(field, entries) - rewrite)
+    if field.a in WRITTEN_INTEGERS:
+        entries, t = WRITTEN_INTEGERS[field.a]
+        x = witt(field, *entries)
+        assert len(x.key) == len(entries) and x.integer_value() == t
+        classes.append(x)
+    found = 0
+    for x in classes:
+        v = x.integer_value()
+        assert v is None or x == integer_class(v, field) and (not N or 0 <= v < N)
+        for t in range(-9, 10):
+            same = v is not None and ((v - t) % N == 0 if N else v == t)
+            assert (x == integer_class(t, field)) == same, (x, t, v)
+        found += v is not None
+    assert 0 < found < len(classes)
+
+
+SIGNATURE_FIELDS = [Q, R, F.finite_prime(7), F.quad_ext(Q, 2), F.quad_ext(Q, 5),
+                    F.quad_ext(Q, -7)]
+
+
+def _random_class(rng, field):
+    if field.kind == F.QUAD_EXT:
+        return WittClass.from_entries(field, random_qext_form(rng, field))
+    entries = [rng.choice([1, -1, 2, -3, 5, 6, -10, 13]) for _ in range(rng.randint(0, 5))]
+    return witt(field, *entries)
+
+
+@pytest.mark.parametrize("field", SIGNATURE_FIELDS, ids=str)
+def test_odd_quotient_agrees_with_the_field_by_field_reference(field):
+    """c.odd_quotient(t) is the reference closed form, t*q = c when it is a
+    class, and it recovers x from t*x, for t odd and, over R, t even."""
+    rng = random.Random(f"odd-quotient:{field}")
+    ts = [1, -1, 3, -3, 5, 7, -9, 15] + ([2, -4, 6] if field.kind == F.REALS else [])
+    for _ in range(12):
+        x, c = _random_class(rng, field), _random_class(rng, field)
+        for t in ts:
+            for dividend in (c, t * x):
+                q = dividend.odd_quotient(t)
+                ref = witt_quotient_reference(dividend, t)
+                assert (q is None) == (ref is None) and (q is None or q == ref), (dividend, t)
+                assert q is None or t * q == dividend
+            assert (t * x).odd_quotient(t) == x
+
+
+@pytest.mark.parametrize("field, want", [
+    (Q, 1), (R, 1), (F.finite_prime(7), 0), (F.quad_ext(F.finite_prime(7), 3), 0),
+    (F.quad_ext(Q, 2), 2), (F.quad_ext(Q, Fraction(1, 2)), 2), (F.quad_ext(Q, -7), 0)], ids=str)
+def test_signatures_are_one_per_ordering(field, want):
+    """One signature over Q and R, two over Q(sqrt a) with a > 0 (sqrt(a)
+    positive, then negative), none over the fields with no ordering."""
+    assert integer_class(3, field).signatures() == (3,) * want
+    if want == 2:
+        root = WittClass.from_entries(field, (F.coerce(field, (1, 1)),))
+        assert root.signatures() == (1, 1 if field.a < 1 else -1)
+        assert (3 * root - integer_class(1, field)).signatures() == (2, 2 if field.a < 1 else -4)
 
 
 @pytest.mark.parametrize("a", DECISION_A, ids=str)
