@@ -9,8 +9,8 @@ denominators and divided by e(L) once (``_sum_fractions``).  A RepSum is
 its canonical irrep multiset, so a restricted one equal to the normal one
 in any order is 1.  P^(2n) is built as Gr(1, 2n+1).
 
-An SL2^n problem whose numerators have coefficients t<1> (read by
-``WittClass.integer_value``, exact over every field) is summed in
+An SL2^n problem whose numerators have coefficients t<1> (each read once
+by ``WittClass.integer_value``, exact over every field) is summed in
 (Z/N)[e_1..e_n], N the additive order of <1> in W(k), and mapped into
 W(k)[e_1..e_n] once; Z/N -> W(k) is injective, so the answer is the one
 W(k) arithmetic would give.  ``exact_divide`` is long division by the
@@ -61,6 +61,7 @@ from .rings import (
     PresentationId,
     bnn,
     bsl2n,
+    check_factor_count,
     from_int,
     gen,
     integral_bsl2n,
@@ -85,12 +86,9 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.kind not in ("SL2n", "N"):
             raise BadParameters(f"unknown group kind {self.kind!r}")
-        if type(self.n) is not int:  # a bool is not a factor count
-            raise BadParameters(f"n must be an integer, got {self.n!r}")
+        check_factor_count(self.n)
         if self.kind == "N" and self.n != 1:
             raise BadParameters("the N-engine handles a single factor")
-        if self.n < 1:
-            raise BadParameters("n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -255,10 +253,11 @@ def _component_fraction(
 ) -> Tuple[GradedElement, Mapping]:
     """(numerator over carrier, denominator as a mapping normal irrep ->
     multiplicity); carrier is the localized base ring, or for SL2n its
-    integral form.  A restricted RepSum cancels against the normal irreps
-    first, in one pass over its distinct irreps: what is left of it is the
-    numerator, and what is left of them the denominator, each in its
-    RepSum's order."""
+    integral form, where an SL2n ring-expression restricted class must
+    already live (``_integral_components`` lifts it).  A restricted RepSum
+    cancels against the normal irreps first, in one pass over its distinct
+    irreps: what is left of it is the numerator, and what is left of them
+    the denominator, each in its RepSum's order."""
     pres = component_presentation(c.residue, g)
     if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
@@ -294,7 +293,7 @@ def _component_fraction(
             num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
         return num, den
     if pres.kind == BSL2N:
-        return (_integral_lift(r, carrier) if carrier.integral else r), den
+        return r, den  # over carrier already: see ``_integral_components``
     r = push_to_base(r, c)
     if r.pres.kind != BNN:
         raise BadParameters("restricted class must live over BN")
@@ -336,19 +335,29 @@ def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[Graded
     return GradedElement(carrier, out)
 
 
-def _integral_carrier(p: LocalizationProblem) -> Optional[PresentationId]:
-    """(Z/N)[e_1..e_n], N = ``integer_modulus(k)``, when an SL2n problem can be
-    summed there, else None.  Z/N -> W(k) is injective and Whitney-product
-    denominators lead with +-(odd), a unit of Z/N (over Z the signature
-    forces the quotient), so each division step stays in the image of Z/N
-    and maps to the only quotient over W(k).  Numerators must be Whitney
-    products or ring expressions whose coefficients read as integers."""
+def _integral_components(p: LocalizationProblem) -> Optional[List[FixedComponent]]:
+    """The components of an SL2n problem that can be summed in (Z/N)[e_1..e_n],
+    N = ``integer_modulus(k)``, each ring-expression restricted class lifted
+    there once; None for any other problem.  Z/N -> W(k) is injective and
+    Whitney-product denominators lead with +-(odd), a unit of Z/N (over Z
+    the signature forces the quotient), so each division step stays in the
+    image of Z/N and maps to the only quotient over W(k).  Numerators must
+    be Whitney products or ring expressions whose coefficients read as
+    integers."""
     g = p.group
+    if g.kind != "SL2n":
+        return None
     base, carrier = bsl2n(g.n, g.field), integral_bsl2n(g.n, g.field)
-    lifted = all(
-        isinstance(r, RepSum) or r.pres == base and _integral_lift(r, carrier) is not None
-        for r in (c.restricted for c in p.components))
-    return carrier if g.kind == "SL2n" and lifted else None
+    out = []
+    for c in p.components:
+        r = c.restricted
+        if not isinstance(r, RepSum):
+            r = _integral_lift(r, carrier) if r.pres == base else None
+            if r is None:
+                return None
+            c = FixedComponent(c.id, c.residue, c.normal_rep, r)
+        out.append(c)
+    return out
 
 
 def _sum_fractions(fractions: List[Tuple[GradedElement, Mapping]], carrier: PresentationId):
@@ -387,8 +396,9 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
 
     # the N-engine has n = 1, and its base carrier is BSL2n(1) too
     carrier = bsl2n(g.n, g.field)
-    work = _integral_carrier(p) or carrier
-    fractions = [_component_fraction(c, g, work) for c in p.components]
+    comps = _integral_components(p)
+    work = carrier if comps is None else integral_bsl2n(g.n, g.field)
+    fractions = [_component_fraction(c, g, work) for c in comps or p.components]
     total, D, cleared = _sum_fractions(fractions, work)
     if cleared is None:
         value = LocalizedElement(carrier, witt_image(total), witt_image(D))

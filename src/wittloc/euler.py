@@ -12,7 +12,9 @@ and only its square m^2 e^2 is available for even m; a sum with k_m copies
 of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
 K = sum k_m.  Every class and square is a ``whitney`` product.
 
-A ``RepSum`` is its irrep multiset in one canonical order, so every class
+An irrep is one object per value (checked, then looked up), so == and
+hash on irreps are identity, and a copy or pickle is the same object.  A
+``RepSum`` is its irrep multiset in one canonical order, so every class
 above reads one form, and equal multisets compare equal.
 """
 
@@ -30,6 +32,7 @@ from .rings import (
     GradedElement,
     PresentationId,
     bnn,
+    check_factor_count,
     from_int,
     gen,
     integral_bsl2n,
@@ -47,37 +50,82 @@ RHO0 = "rho0"
 RHO0_MINUS = "rho0-"
 
 
-@dataclass(frozen=True)
-class SL2nIrrep:
-    """Sym^{m_1}(F_1) (x) ... (x) Sym^{m_n}(F_n)."""
+class _Canonical:
+    """An immutable value with one object per value: the constructor checks
+    its arguments, then returns the object already made for them, so == and
+    hash are identity, and a copy or pickle is that object again."""
 
-    exponents: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(isinstance(m, bool) or not isinstance(m, int) or m < 0 for m in self.exponents):
-            raise BadParameters(f"Sym exponents must be integers >= 0, got {self.exponents!r}")
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _canonical(cls, table: Dict, key: Tuple, **attrs):
+        x = table.get(key)
+        if x is None:
+            x = object.__new__(cls)
+            for name, value in attrs.items():
+                object.__setattr__(x, name, value)
+            # setdefault: of two racing constructions, one object wins
+            x = table.setdefault(key, x)
+        return x
+
+
+_SL2N_IRREPS: Dict[Tuple[int, ...], "SL2nIrrep"] = {}
+_N_IRREPS: Dict[Tuple[str, int], "NIrrep"] = {}
+
+
+class SL2nIrrep(_Canonical):
+    """Sym^{m_1}(F_1) (x) ... (x) Sym^{m_n}(F_n), one object per exponent
+    tuple; ``order`` is the tuple reversed, the key of ``_sl2n_order``."""
+
+    __slots__ = ("exponents", "order")
+
+    def __new__(cls, exponents: Tuple[int, ...]):
+        # checked before the lookup: (True,) == (1,) is not an exponent tuple
+        if type(exponents) is not tuple or any(type(m) is not int or m < 0 for m in exponents):
+            raise BadParameters(
+                f"Sym exponents must be integers >= 0, in a tuple, got {exponents!r}")
+        return cls._canonical(_SL2N_IRREPS, exponents,
+                              exponents=exponents, order=exponents[::-1])
+
+    def __reduce__(self):
+        return SL2nIrrep, (self.exponents,)
+
+    def __repr__(self):
+        return f"SL2nIrrep(exponents={self.exponents!r})"
 
     @property
     def rank(self) -> int:
         return prod(m + 1 for m in self.exponents)
 
 
-@dataclass(frozen=True)
-class NIrrep:
-    tag: str
-    m: int = 0
+class NIrrep(_Canonical):
+    """rho(m), rho0 or rho0-, one object per (tag, m)."""
 
-    def __post_init__(self):
-        if type(self.m) is not int:  # a bool is not an exponent
-            raise BadParameters(f"an N-irrep exponent must be an integer, got {self.m!r}")
-        if self.tag == RHO:
-            if self.m < 1:
+    __slots__ = ("tag", "m")
+
+    def __new__(cls, tag: str, m: int = 0):
+        if type(m) is not int:  # a bool is not an exponent
+            raise BadParameters(f"an N-irrep exponent must be an integer, got {m!r}")
+        if tag == RHO:
+            if m < 1:
                 raise BadParameters("rho(m) needs m >= 1")
-        elif self.tag in (RHO0, RHO0_MINUS):
-            if self.m:
-                raise BadParameters(f"{self.tag} carries no exponent")
+        elif tag in (RHO0, RHO0_MINUS):
+            if m:
+                raise BadParameters(f"{tag} carries no exponent")
         else:
-            raise BadParameters(f"unknown N-irrep tag {self.tag!r}")
+            raise BadParameters(f"unknown N-irrep tag {tag!r}")
+        return cls._canonical(_N_IRREPS, (tag, m), tag=tag, m=m)
+
+    def __reduce__(self):
+        return NIrrep, (self.tag, self.m)
+
+    def __repr__(self):
+        return f"NIrrep(tag={self.tag!r}, m={self.m!r})"
 
     @property
     def rank(self) -> int:
@@ -86,7 +134,7 @@ class NIrrep:
 
 def _sl2n_order(summand) -> Tuple[int, ...]:
     """SL2^n irreps by reversed exponents: F@1 before F@2."""
-    return summand[0].exponents[::-1]
+    return summand[0].order
 
 
 def _n_order(summand) -> Tuple:
@@ -111,8 +159,7 @@ class RepSum:
     def __post_init__(self):
         if self.group[0] == "SL2n":
             n, kind, order = self.group[1], SL2nIrrep, _sl2n_order
-            if n < 1:
-                raise BadParameters("n must be >= 1")
+            check_factor_count(n)
         elif self.group[0] == "N":
             n, kind, order = None, NIrrep, _n_order
         else:

@@ -27,7 +27,8 @@ from . import fields as F
 from .errors import BadParameters, ExprSyntaxError, UnknownGenerator
 from .fields import QUAD_EXT, FieldDescriptor, finite_prime, quad_ext, rationals, reals
 from .witt import WittClass, integer_class, square_class
-from .rings import GradedElement, PresentationId, from_witt, gen, key_generators, sum_elements
+from .rings import (GradedElement, PresentationId, check_factor_count, from_witt, gen,
+                    key_generators, sum_elements)
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
 
@@ -269,12 +270,12 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
     """Sums of irrep literals: Sym(m)@i, F@i (and '*'-products of those),
     rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand.  Equal
     irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'.  A product names
-    each factor index at most once.  SL2^n with n < 1 raises BadParameters
-    before the literal is read."""
+    each factor index at most once.  SL2^n with n not an int >= 1 raises
+    BadParameters before the literal is read."""
     from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep
 
-    if group_kind == "SL2n" and n < 1:
-        raise BadParameters("n must be >= 1")
+    if group_kind == "SL2n":
+        check_factor_count(n)
     p = _Parser(text)
     summands = []
     while True:

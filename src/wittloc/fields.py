@@ -5,12 +5,14 @@ prime p, or a single quadratic step k(sqrt(a)) over one of those.  Elements
 are plain Python values: ``Fraction`` for Q and R, ``int`` residues for F_p,
 and ``(u, v)`` pairs meaning u + v*sqrt(a) for quadratic extensions.
 The characteristic of F_p is checked by ``is_prime``, an exact test.
+A ``FieldDescriptor`` compares by value; its hash is computed once, when
+it is made, and a copy or pickle is made anew through the constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -130,6 +132,17 @@ class FieldDescriptor:
     p: Optional[int] = None
     base: Optional["FieldDescriptor"] = None
     a: object = None
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.base, self.a)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a string's hash differs from one process to the next
+        return FieldDescriptor, (self.kind, self.p, self.base, self.a)
 
     def __str__(self) -> str:
         if self.kind == RATIONALS:

@@ -8,7 +8,8 @@ diagonal of the trace form on the basis {1, sqrt(a)}, scaled by its count;
 the scaled transfer twists by <sqrt(a)> first.  The ideal I_a is the kernel
 of multiplication by 1 - <a>, which equals the image of the transfer.  The
 kernel of base change is (1 - <a>)W(k); a class in it is certified by a
-multiplier, over Q solved for on the W(Q) keys, never searched for.
+multiplier, over Q solved for on the W(Q) keys, never searched for.  A
+``QuadExtContext`` is hashed once, when it is made, like a field.
 """
 
 from __future__ import annotations
@@ -26,9 +27,22 @@ from .witt import sqrt_a_class  # noqa: F401  re-exported
 
 @dataclass(frozen=True)
 class QuadExtContext:
+    """k(sqrt a) over k; compares by value, hashed once when made."""
+
     base: FieldDescriptor
     a: object
     ext: FieldDescriptor
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.a, self.ext)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a string's hash differs from one process to the next
+        return QuadExtContext, (self.base, self.a, self.ext)
 
 
 def make_context(base: FieldDescriptor, a) -> QuadExtContext:

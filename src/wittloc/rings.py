@@ -10,7 +10,9 @@ Presentations:
     degree-0 generator x acting as the scalar <a>.
 
 Each ring has a finite confluent rewrite system, applied eagerly so every
-stored element is in normal form.
+stored element is in normal form.  A ``PresentationId`` compares by
+value; its hash is computed once, when it is made, and a copy or pickle is
+made anew through the constructor.
 
 A monomial key, in every presentation, is the flat tuple of exponents of
 ``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e.  Only this
@@ -21,7 +23,7 @@ BSL2n(n).  Other modules name generators (``gen``, ``e_monomial``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
@@ -45,11 +47,22 @@ class PresentationId:
     ctx: Optional[QuadExtContext] = None
     integral: bool = False  # BSL2n only: coefficients in Z/N, not W(field)
 
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         # N of the coefficients Z/N (``integer_modulus``), 0 over W(k); set at
         # construction, as a later write through __dict__ slows attribute reads
         n = integer_modulus(self.field) if self.integral else 0
         object.__setattr__(self, "modulus", n)
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.n, self.field, self.ctx, self.integral)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a string's hash differs from one process to the next
+        return PresentationId, (self.kind, self.n, self.field, self.ctx, self.integral)
 
     def __str__(self):
         if self.kind == BSL2N:
@@ -62,14 +75,24 @@ class PresentationId:
         return f"TwistedPoint({self.ctx.ext})"
 
 
-@lru_cache(maxsize=None)
-def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
+def check_factor_count(n) -> None:
+    """BadParameters unless n is an int >= 1, the factor count of a group
+    or presentation."""
+    if type(n) is not int:  # a bool is not a factor count
+        raise BadParameters(f"n must be an integer, got {n!r}")
     if n < 1:
         raise BadParameters("n must be >= 1")
+
+
+# typed: True == 1 and 2.0 == 2, so an untyped cache would answer them from
+# the slot of 1 or 2 without the check
+@lru_cache(maxsize=None, typed=True)
+def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
+    check_factor_count(n)
     return PresentationId(BSL2N, n, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     """(Z/N)[e_1..e_n] with N = ``integer_modulus(field)``, the image of
     Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
@@ -77,8 +100,7 @@ def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
 
 
 def bnn(n: int, field: FieldDescriptor) -> PresentationId:
-    if n < 1:
-        raise BadParameters("n must be >= 1")
+    check_factor_count(n)
     return PresentationId(BNN, n, field)
 
 

@@ -96,13 +96,22 @@ def test_exact_divide_by_an_integer_written_otherwise():
         exact_divide(e, e * WittClass.from_entries(field, (F.coerce(field, (1, 1)),)))
 
 
-def test_restricted_integer_written_otherwise_is_summed_over_z():
+def test_restricted_integer_written_otherwise_is_summed_over_z(monkeypatch):
     """<2> + <3> = 2<1> over Q(sqrt 6): the restricted class (<2> + <3>)e
-    lifts to the integral carrier, and F@1's residue is 2<1>."""
-    doc = {"group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:6)"},
-           "components": [{"id": "pt", "normal": "F@1", "restricted": "(<2>+<3>)*e"}]}
-    res = bott_residue(problem_from_json(doc))
-    assert str(res.degree_zero) == "2*<1>"
+    lifts to the integral carrier, and F@1's residue is 2<1>.  Each
+    coefficient is read by integer_value once, for the carrier and the
+    numerator both: it was read twice."""
+    read, calls = WittClass.integer_value, []
+    monkeypatch.setattr(WittClass, "integer_value", lambda x: calls.append(x) or read(x))
+    comp = {"normal": "F@1", "restricted": "(<2>+<3>)*e"}
+    for k, want in ((1, "2*<1>"), (3, "6*<1>")):
+        doc = {"group": {"kind": "SL2n", "n": 1, "field": "Q(sqrt:6)"},
+               "components": [dict(comp, id=f"pt{i}") for i in range(k)]}
+        p = problem_from_json(doc)
+        calls.clear()
+        res = bott_residue(p)
+        assert str(res.degree_zero) == want
+        assert len(calls) == k
 
 
 def test_n_problem_with_a_non_integer_rho_is_rejected():
@@ -921,8 +930,9 @@ def test_z_mod_n_sum_equals_the_witt_sum(field):
         p = _random_integer_problem(rng, field)
         n = p.group.n
         zp, carrier = integral_bsl2n(n, field), bsl2n(n, field)
-        assert engine._integral_carrier(p) == zp
-        fractions = [engine._component_fraction(c, p.group, zp) for c in p.components]
+        comps = engine._integral_components(p)
+        assert all(c.restricted.pres == zp for c in comps if not isinstance(c.restricted, RepSum))
+        fractions = [engine._component_fraction(c, p.group, zp) for c in comps]
         images = [(engine.witt_image(num), den) for num, den in fractions]
         total, D, cleared = engine._sum_fractions(images, carrier)
         value = LocalizedElement(carrier, total, D) if cleared is None else None

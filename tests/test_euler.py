@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -184,10 +186,70 @@ def test_repsums_of_one_multiset_are_equal_and_hash_equal(group):
 
 
 def test_repsum_copies_and_pickles_are_equal_repsums():
-    rep = parse_rep("2*F@1 + Sym(3)@2 + F@1*F@2", "SL2n", 2)
-    for other in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
-        assert other == rep and hash(other) == hash(rep)
-        assert dict(other.counts) == dict(rep.counts)
+    """A copy or pickle is rebuilt through the constructor: an equal,
+    hash-equal RepSum of the very same irrep objects, which a dict keyed by
+    the original finds."""
+    for rep in (parse_rep("2*F@1 + Sym(3)@2 + F@1*F@2", "SL2n", 2),
+                parse_rep("rho(3) + 2*rho0- + rho(1)", "N")):
+        for other in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            assert other == rep and hash(other) == hash(rep)
+            assert {rep: "found"}[other] == "found"
+            assert dict(other.counts) == dict(rep.counts)
+            assert all(x is y for (x, _), (y, _) in zip(other.summands, rep.summands))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SL2nIrrep((1, 0)),
+    lambda: fundamental(2, 1),
+    lambda: parse_rep("F@1", "SL2n", 2).summands[0][0],
+    lambda: SL2nIrrep(exponents=(3, 1, 0)),
+    lambda: NIrrep(RHO, 3),
+    lambda: parse_rep("rho(3)", "N").summands[0][0],
+    lambda: NIrrep(RHO0_MINUS),
+], ids=["sl2n", "fundamental", "parsed-sl2n", "keyword", "rho", "parsed-rho", "rho0-"])
+def test_an_irrep_is_one_object_per_value(make):
+    """Irreps built separately, and their copies and pickles, are one
+    object, whose == and hash are identity; the repr is the dataclass one."""
+    irrep = make()
+    assert make() is irrep
+    for other in (copy.copy(irrep), copy.deepcopy(irrep), pickle.loads(pickle.dumps(irrep))):
+        assert other is irrep
+    assert type(irrep).__eq__ is object.__eq__ and type(irrep).__hash__ is object.__hash__
+    assert eval(repr(irrep)) is irrep
+    value = type(irrep).__slots__[0]  # exponents, or tag
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(irrep, value, getattr(irrep, value))
+
+
+def test_racing_constructions_of_an_irrep_yield_one_object():
+    """Threads that build the same new irreps at once all get one object
+    per value: the first stored wins, and the others return it."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        keys = [(k, 7, 0, 3) for k in range(1000, 1400)]  # made by no other test
+        got = [[] for _ in range(8)]
+        threads = [threading.Thread(target=lambda out: out.extend(map(SL2nIrrep, keys)),
+                                    args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert all(x is y for out in got[1:] for x, y in zip(out, got[0]))
+    assert [x.exponents for x in got[0]] == keys and all(len(out) == len(keys) for out in got)
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+def test_an_sl2n_group_n_is_an_integer(n):
+    """RepSum(("SL2n", True), ()) and parse_rep("F@1", "SL2n", 2.0) were
+    accepted; the check is the presentation builders' one."""
+    with pytest.raises(BadParameters, match=r"^n must be an integer"):
+        RepSum(("SL2n", n), ())
+    with pytest.raises(BadParameters, match=r"^n must be an integer"):
+        parse_rep("F@1", "SL2n", n)
 
 
 def test_changing_the_irreps_counter_leaves_the_repsum_unchanged():
@@ -234,15 +296,23 @@ def test_fundamental_is_one_irrep_per_index_set():
                                     (RHO0, False), (RHO0_MINUS, 0.0)], ids=str)
 def test_n_irrep_exponents_are_integers(tag, m):
     """rho(1.5) and rho(True) were accepted, and rho("3") raised an untyped
-    TypeError; an exponent that is not an int, or is a bool, is BadParameters."""
+    TypeError; an exponent that is not an int, or is a bool, is BadParameters.
+    The irreps equal to rho(True) and rho0(False) are made first: the check
+    comes before the lookup of the one object per value."""
+    NIrrep(RHO, 1), NIrrep(RHO0)
     with pytest.raises(BadParameters, match=r"^an N-irrep exponent must be an integer"):
         NIrrep(tag, m)
 
 
-@pytest.mark.parametrize("exponents", [(-1,), (1, -3), (1.0,), (True, 0), ("1",)], ids=str)
+@pytest.mark.parametrize("exponents", [(-1,), (1, -3), (1.0,), (True, 0), (True,), ("1",),
+                                       [1, 0], range(2), b"\x01"], ids=str)
 def test_sl2n_irrep_exponents_are_integers_at_least_zero(exponents):
     """A negative or non-integer exponent is BadParameters, as rho(m) with
-    m < 1 is; it used to give a rank-0 class <1>."""
+    m < 1 is; it used to give a rank-0 class <1>.  So are exponents not in a
+    tuple: a list was accepted, and sl2n_rep then raised an untyped
+    TypeError.  The irreps equal to (True,) and (True, 0) are made first:
+    the check comes before the lookup of the one object per value."""
+    SL2nIrrep((1,)), SL2nIrrep((1, 0))
     with pytest.raises(BadParameters, match=r"^Sym exponents must be integers >= 0"):
         SL2nIrrep(exponents)
 

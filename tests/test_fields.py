@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +17,29 @@ def test_field_tags_print_and_compare():
     assert str(F.finite_prime(7)) == "Fp:7"
     assert F.finite_prime(7) == F.finite_prime(7)
     assert F.finite_prime(7) != F.finite_prime(5)
+
+
+@pytest.mark.parametrize("make", [
+    F.rationals,
+    F.reals,
+    lambda: F.finite_prime(7),
+    # quad_ext makes one object per (base, a); the constructor makes another
+    lambda: F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=Fraction(2)),
+    lambda: F.FieldDescriptor(F.QUAD_EXT, base=F.finite_prime(7), a=3),
+], ids=["Q", "R", "Fp7", "Q(sqrt 2)", "F7(sqrt 3)"])
+def test_equal_fields_compare_equal_and_hash_equal(make):
+    """A field is hashed once, when it is made.  Equal fields built apart,
+    and copies and pickles, which are made anew through the constructor,
+    compare equal, hash equal and find each other in a dict."""
+    field = make()
+    for other in (make(), copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert other is not field
+        assert other == field and hash(other) == hash(field)
+        assert {field: "found"}[other] == "found"
+        assert str(other) == str(field) and repr(other) == repr(field)
+    if field.kind == F.QUAD_EXT:
+        assert F.quad_ext(field.base, field.a) == field
+    assert "_hash" not in repr(field)
 
 
 def test_finite_prime_rejects_bad_characteristic():

@@ -1,12 +1,18 @@
+import copy
 import importlib
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import PresentationMismatch, UnknownGenerator
-from wittloc.quadext import make_context
+from wittloc.errors import BadParameters, PresentationMismatch, UnknownGenerator
+from wittloc.quadext import QuadExtContext, make_context
 from wittloc.rings import (
+    BNN,
+    BSL2N,
+    TWISTED,
+    PresentationId,
     bnn,
     bsl2n,
     e_monomial,
@@ -191,3 +197,43 @@ def test_witt_image_tests_no_image_for_zero(monkeypatch):
     for N, count in ((3, 3), (5, 105)):
         res = bott_residue(build_hypersurface_lines_problem(N, field))
         assert res.degree_zero == integer_class(count, field)
+
+
+def _context_apart():
+    """Q(sqrt 3) over Q, built past the caches of quad_ext and make_context."""
+    q = F.rationals()
+    return QuadExtContext(q, Fraction(3), F.FieldDescriptor(F.QUAD_EXT, base=q, a=Fraction(3)))
+
+
+@pytest.mark.parametrize("make, made", [
+    (lambda: PresentationId(BSL2N, 2, F.rationals()), lambda: bsl2n(2, Q)),
+    (lambda: PresentationId(BSL2N, 3, F.finite_prime(7), integral=True),
+     lambda: integral_bsl2n(3, F.finite_prime(7))),
+    (lambda: PresentationId(BNN, 2, F.rationals()), lambda: bnn(2, Q)),
+    (lambda: PresentationId(TWISTED, 1, F.rationals(), ctx=_context_apart()),
+     lambda: twisted_point(make_context(Q, 3))),
+    (_context_apart, lambda: make_context(Q, 3)),
+], ids=["bsl2n", "integral", "bnn", "twisted", "context"])
+def test_equal_presentations_and_contexts_compare_equal_and_hash_equal(make, made):
+    """A presentation or a context is hashed once, when it is made.  Equal
+    ones built apart, and copies and pickles, which are made anew through
+    the constructor, compare equal, hash equal and find each other in a
+    dict; a presentation keeps its modulus."""
+    x = make()
+    for other in (made(), make(), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert other is not x
+        assert other == x and hash(other) == hash(x)
+        assert {x: "found"}[other] == "found"
+        assert repr(other) == repr(x) and "_hash" not in repr(x)
+        assert getattr(other, "modulus", None) == getattr(x, "modulus", None)
+
+
+@pytest.mark.parametrize("build", [bsl2n, integral_bsl2n, bnn], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [True, 1.0, 2.0, 1.5, "2", None], ids=repr)
+def test_presentation_builders_reject_a_non_integer_n(build, n):
+    """bsl2n(2.0, Q) printed BSL2n(2.0)/Q, and its gen raised an untyped
+    TypeError; bsl2n(True, Q) printed BSL2n(True)/Q and bnn(1.5, Q) BN^1.5/Q.
+    True == 1 and 2.0 == 2, so a cached n = 1 or 2 must not answer them."""
+    build(1, Q), build(2, Q)
+    with pytest.raises(BadParameters, match=r"^n must be an integer"):
+        build(n, Q)
