@@ -48,6 +48,7 @@ from .euler import (
     double_factorial,
     fundamental,
     generic_euler,
+    rep_group,
     whitney,
 )
 from .fields import FINITE_PRIME, REALS, FieldDescriptor
@@ -61,7 +62,6 @@ from .rings import (
     PresentationId,
     bnn,
     bsl2n,
-    check_factor_count,
     from_int,
     gen,
     integral_bsl2n,
@@ -84,11 +84,7 @@ class GroupDescriptor:
     field: FieldDescriptor
 
     def __post_init__(self):
-        if self.kind not in ("SL2n", "N"):
-            raise BadParameters(f"unknown group kind {self.kind!r}")
-        check_factor_count(self.n)
-        if self.kind == "N" and self.n != 1:
-            raise BadParameters("the N-engine handles a single factor")
+        rep_group(self.kind, self.n)
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class LocalizationProblem:
 def _check_groups(c: FixedComponent, g: GroupDescriptor) -> None:
     """BadParameters unless the normal RepSum, and a restricted one, are
     representations of g: of N, or of SL2^n with g's n."""
-    group = ("SL2n", g.n) if g.kind == "SL2n" else ("N",)
+    group = rep_group(g.kind, g.n)
     for role, rep in (("normal", c.normal_rep), ("restricted", c.restricted)):
         if isinstance(rep, RepSum) and rep.group != group:
             raise BadParameters(

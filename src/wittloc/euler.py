@@ -12,22 +12,23 @@ and only its square m^2 e^2 is available for even m; a sum with k_m copies
 of rho(m) has class c*e^K and square c^2*e^(2K), c = prod m^(k_m) and
 K = sum k_m.  Every class and square is a ``whitney`` product.
 
-An irrep is one object per value (checked, then looked up), so == and
-hash on irreps are identity, and a copy or pickle is the same object.  A
-``RepSum`` is its irrep multiset in one canonical order, so every class
-above reads one form, and equal multisets compare equal.
+Irreps and RepSums are one object per value (``fields.Canonical``:
+checked, then looked up), so == and hash are identity, and a copy or
+pickle is the same object.  A ``RepSum`` is its irrep multiset in one
+canonical order, so every class above reads one form, and equal
+multisets are one RepSum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import BadParameters, UnsupportedIrrep
-from .fields import FieldDescriptor
+from .fields import Canonical, FieldDescriptor
 from .rings import (
     GradedElement,
     PresentationId,
@@ -50,63 +51,32 @@ RHO0 = "rho0"
 RHO0_MINUS = "rho0-"
 
 
-class _Canonical:
-    """An immutable value with one object per value: the constructor checks
-    its arguments, then returns the object already made for them, so == and
-    hash are identity, and a copy or pickle is that object again."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    @classmethod
-    def _canonical(cls, table: Dict, key: Tuple, **attrs):
-        x = table.get(key)
-        if x is None:
-            x = object.__new__(cls)
-            for name, value in attrs.items():
-                object.__setattr__(x, name, value)
-            # setdefault: of two racing constructions, one object wins
-            x = table.setdefault(key, x)
-        return x
-
-
-_SL2N_IRREPS: Dict[Tuple[int, ...], "SL2nIrrep"] = {}
-_N_IRREPS: Dict[Tuple[str, int], "NIrrep"] = {}
-
-
-class SL2nIrrep(_Canonical):
+class SL2nIrrep(Canonical):
     """Sym^{m_1}(F_1) (x) ... (x) Sym^{m_n}(F_n), one object per exponent
     tuple; ``order`` is the tuple reversed, the key of ``_sl2n_order``."""
 
-    __slots__ = ("exponents", "order")
+    _fields = ("exponents",)
+    __slots__ = _fields + ("order",)
 
     def __new__(cls, exponents: Tuple[int, ...]):
         # checked before the lookup: (True,) == (1,) is not an exponent tuple
         if type(exponents) is not tuple or any(type(m) is not int or m < 0 for m in exponents):
             raise BadParameters(
                 f"Sym exponents must be integers >= 0, in a tuple, got {exponents!r}")
-        return cls._canonical(_SL2N_IRREPS, exponents,
-                              exponents=exponents, order=exponents[::-1])
+        return cls._canonical(exponents)
 
-    def __reduce__(self):
-        return SL2nIrrep, (self.exponents,)
-
-    def __repr__(self):
-        return f"SL2nIrrep(exponents={self.exponents!r})"
+    def _made(self):
+        object.__setattr__(self, "order", self.exponents[::-1])
 
     @property
     def rank(self) -> int:
         return prod(m + 1 for m in self.exponents)
 
 
-class NIrrep(_Canonical):
+class NIrrep(Canonical):
     """rho(m), rho0 or rho0-, one object per (tag, m)."""
 
-    __slots__ = ("tag", "m")
+    __slots__ = _fields = ("tag", "m")
 
     def __new__(cls, tag: str, m: int = 0):
         if type(m) is not int:  # a bool is not an exponent
@@ -119,13 +89,7 @@ class NIrrep(_Canonical):
                 raise BadParameters(f"{tag} carries no exponent")
         else:
             raise BadParameters(f"unknown N-irrep tag {tag!r}")
-        return cls._canonical(_N_IRREPS, (tag, m), tag=tag, m=m)
-
-    def __reduce__(self):
-        return NIrrep, (self.tag, self.m)
-
-    def __repr__(self):
-        return f"NIrrep(tag={self.tag!r}, m={self.m!r})"
+        return cls._canonical(tag, m)
 
     @property
     def rank(self) -> int:
@@ -142,48 +106,43 @@ def _n_order(summand) -> Tuple:
     return summand[0].tag, summand[0].m
 
 
-@dataclass(frozen=True)
-class RepSum:
-    """The irrep multiset of a representation over SL2^n or N: each irrep once
-    with its total multiplicity, in the order of ``_sl2n_order`` or
-    ``_n_order``, which ``whitney`` multiplies in.  So == and hash are
-    multiset equality.  ``counts`` is the same multiset as a read-only
-    mapping irrep -> multiplicity, in the same order; it and the hash are
-    computed once, when the RepSum is made."""
+def rep_group(kind: str, n: int = 1) -> Tuple:
+    """The group of a RepSum: ("SL2n", n) for an int n >= 1, or ("N",) for
+    n = 1; BadParameters for any other kind or n."""
+    if kind not in ("SL2n", "N"):
+        raise BadParameters(f"unknown group kind {kind!r}")
+    check_factor_count(n)
+    if kind == "N" and n != 1:
+        raise BadParameters("the N-engine handles a single factor")
+    return (kind, n) if kind == "SL2n" else ("N",)
 
-    group: Tuple
-    summands: Tuple[Tuple[object, int], ...]
-    counts: Mapping = dc_field(init=False, repr=False, compare=False)
-    _hash: int = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.group[0] == "SL2n":
-            n, kind, order = self.group[1], SL2nIrrep, _sl2n_order
-            check_factor_count(n)
-        elif self.group[0] == "N":
-            n, kind, order = None, NIrrep, _n_order
-        else:
-            raise BadParameters(f"unknown group {self.group!r}")
+class RepSum(Canonical):
+    """The irrep multiset of a representation over SL2^n or N, one object
+    per multiset: each irrep once with its total multiplicity, in the order
+    of ``_sl2n_order`` or ``_n_order``, which ``whitney`` multiplies in.
+    ``counts`` is the same multiset as a read-only mapping irrep ->
+    multiplicity, in the same order, made once with the RepSum."""
+
+    _fields = ("group", "summands")
+    __slots__ = _fields + ("counts",)
+
+    def __new__(cls, group: Tuple, summands: Tuple[Tuple[object, int], ...]):
+        if type(group) is not tuple or not group or group != rep_group(*group[:2]):
+            raise BadParameters(f"unknown group {group!r}")
+        kind, order = (SL2nIrrep, _sl2n_order) if group[0] == "SL2n" else (NIrrep, _n_order)
         merged: Dict = {}
-        for irrep, mult in self.summands:
+        for irrep, mult in summands:
             if type(mult) is not int or mult < 1:  # a bool is not a multiplicity
                 raise BadParameters(f"multiplicities must be integers >= 1, got {mult!r}")
-            if not isinstance(irrep, kind) or n is not None and len(irrep.exponents) != n:
-                what = "N" if n is None else f"SL2n({n})"
+            if not isinstance(irrep, kind) or kind is SL2nIrrep and len(irrep.exponents) != group[1]:
+                what = f"SL2n({group[1]})" if kind is SL2nIrrep else "N"
                 raise BadParameters(f"bad {what} irrep {irrep!r}")
             merged[irrep] = merged.get(irrep, 0) + mult
-        summands = tuple(sorted(merged.items(), key=order))
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "counts", MappingProxyType(dict(summands)))
-        object.__setattr__(self, "_hash", hash((self.group, summands)))
+        return cls._canonical(group, tuple(sorted(merged.items(), key=order)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # copies and pickles are made anew: a mapping proxy does not pickle,
-        # and a string's hash differs from one process to the next
-        return RepSum, (self.group, self.summands)
+    def _made(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.summands)))
 
     @property
     def rank(self) -> int:

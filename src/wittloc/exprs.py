@@ -27,7 +27,7 @@ from . import fields as F
 from .errors import BadParameters, ExprSyntaxError, UnknownGenerator
 from .fields import QUAD_EXT, FieldDescriptor, finite_prime, quad_ext, rationals, reals
 from .witt import WittClass, integer_class, square_class
-from .rings import (GradedElement, PresentationId, check_factor_count, from_witt, gen,
+from .rings import (GradedElement, PresentationId, from_witt, gen,
                     key_generators, sum_elements)
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
@@ -270,12 +270,12 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
     """Sums of irrep literals: Sym(m)@i, F@i (and '*'-products of those),
     rho(m), rho0, rho0-; an integer prefix 'k*' repeats a summand.  Equal
     irreps merge: 'F@2 + F@1 + F@1' is '2*F@1 + F@2'.  A product names
-    each factor index at most once.  SL2^n with n not an int >= 1 raises
+    each factor index at most once.  A group kind other than SL2n or N, an
+    SL2^n n that is not an int >= 1, or an N n other than 1 raises
     BadParameters before the literal is read."""
-    from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep
+    from .euler import NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep, rep_group
 
-    if group_kind == "SL2n":
-        check_factor_count(n)
+    group = rep_group(group_kind, n)
     p = _Parser(text)
     summands = []
     while True:
@@ -340,7 +340,7 @@ def parse_rep(text: str, group_kind: str, n: int = 1):
             continue
         break
     p.done()
-    return RepSum(("SL2n", n) if group_kind == "SL2n" else ("N",), tuple(summands))
+    return RepSum(group, tuple(summands))
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,19 @@ prime p, or a single quadratic step k(sqrt(a)) over one of those.  Elements
 are plain Python values: ``Fraction`` for Q and R, ``int`` residues for F_p,
 and ``(u, v)`` pairs meaning u + v*sqrt(a) for quadratic extensions.
 The characteristic of F_p is checked by ``is_prime``, an exact test.
-A ``FieldDescriptor`` compares by value; its hash is computed once, when
-it is made, and a copy or pickle is made anew through the constructor.
+
+``Canonical`` is the base of every immutable key of the library (fields,
+presentations, quadratic-extension contexts, irreps and RepSums): one
+object per value, so == and hash are identity, and a copy or pickle is
+that object again.  Every value made is kept for the life of the process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from .errors import UnsupportedField
 
@@ -126,23 +128,60 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    kind: str
-    p: Optional[int] = None
-    base: Optional["FieldDescriptor"] = None
-    a: object = None
-    _hash: int = dc_field(init=False, repr=False, compare=False)
+# ---------------------------------------------------------------------------
+# canonical values
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.base, self.a)))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Canonical:
+    """An immutable value, one object per value, so == and hash are
+    identity.  A subclass lists its value attributes in ``_fields``; its
+    ``__new__`` checks its arguments and returns ``_canonical(*values)``.
+    The table is keyed by the values and their types, as with
+    ``lru_cache(typed=True)``: 2 and Fraction(2), or True and 1, make two
+    objects.  A copy or pickle goes through the constructor, so it is the
+    same object; ``_made`` sets derived attributes before it is shared."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    @classmethod
+    def _canonical(cls, *values):
+        key = (*values, *map(type, values))
+        x = cls._table.get(key)
+        if x is None:
+            x = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(x, name, value)
+            x._made()
+            # setdefault: of two racing constructions, one object wins
+            x = cls._table.setdefault(key, x)
+        return x
+
+    def _made(self) -> None:
+        pass
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        # a string's hash differs from one process to the next
-        return FieldDescriptor, (self.kind, self.p, self.base, self.a)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({values})"
+
+
+class FieldDescriptor(Canonical):
+    __slots__ = _fields = ("kind", "p", "base", "a")
+
+    def __new__(cls, kind: str, p: Optional[int] = None,
+                base: Optional["FieldDescriptor"] = None, a: object = None):
+        return cls._canonical(kind, p, base, a)
 
     def __str__(self) -> str:
         if self.kind == RATIONALS:

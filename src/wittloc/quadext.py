@@ -9,7 +9,7 @@ the scaled transfer twists by <sqrt(a)> first.  The ideal I_a is the kernel
 of multiplication by 1 - <a>, which equals the image of the transfer.  The
 kernel of base change is (1 - <a>)W(k); a class in it is certified by a
 multiplier, over Q solved for on the W(Q) keys, never searched for.  A
-``QuadExtContext`` is hashed once, when it is made, like a field.
+``QuadExtContext`` is one object per value, like a field (``Canonical``).
 """
 
 from __future__ import annotations
@@ -20,29 +20,18 @@ from typing import List, Optional
 from . import fields as F
 from . import places
 from .errors import FieldMismatch
-from .fields import FINITE_PRIME, RATIONALS, REALS, FieldDescriptor
+from .fields import FINITE_PRIME, RATIONALS, REALS, Canonical, FieldDescriptor
 from .witt import WittClass, _counted_class, integer_class, trace_class
 from .witt import sqrt_a_class  # noqa: F401  re-exported
 
 
-@dataclass(frozen=True)
-class QuadExtContext:
-    """k(sqrt a) over k; compares by value, hashed once when made."""
+class QuadExtContext(Canonical):
+    """k(sqrt a) over k, one object per (base, a, ext)."""
 
-    base: FieldDescriptor
-    a: object
-    ext: FieldDescriptor
-    _hash: int = dc_field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("base", "a", "ext")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.base, self.a, self.ext)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a string's hash differs from one process to the next
-        return QuadExtContext, (self.base, self.a, self.ext)
+    def __new__(cls, base: FieldDescriptor, a, ext: FieldDescriptor):
+        return cls._canonical(base, a, ext)
 
 
 def make_context(base: FieldDescriptor, a) -> QuadExtContext:

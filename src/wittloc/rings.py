@@ -10,9 +10,8 @@ Presentations:
     degree-0 generator x acting as the scalar <a>.
 
 Each ring has a finite confluent rewrite system, applied eagerly so every
-stored element is in normal form.  A ``PresentationId`` compares by
-value; its hash is computed once, when it is made, and a copy or pickle is
-made anew through the constructor.
+stored element is in normal form.  A ``PresentationId`` is one object
+per value, like a field (``fields.Canonical``).
 
 A monomial key, in every presentation, is the flat tuple of exponents of
 ``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e.  Only this
@@ -23,14 +22,14 @@ BSL2n(n).  Other modules name generators (``gen``, ``e_monomial``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import fields as F
 from .errors import BadParameters, FieldMismatch, PresentationMismatch, UnknownGenerator, ZeroInput
-from .fields import FieldDescriptor
+from .fields import Canonical, FieldDescriptor
 from .quadext import QuadExtContext, in_Ia, one_minus_a
 from .witt import WittClass, integer_class, integer_modulus, zero_class
 
@@ -39,30 +38,20 @@ BNN = "BNn"
 TWISTED = "TwistedPoint"
 
 
-@dataclass(frozen=True)
-class PresentationId:
-    kind: str
-    n: int
-    field: FieldDescriptor
-    ctx: Optional[QuadExtContext] = None
-    integral: bool = False  # BSL2n only: coefficients in Z/N, not W(field)
+class PresentationId(Canonical):
+    """A presented ring with n >= 1 factors; ``integral`` (BSL2n only) takes
+    coefficients in Z/N, N = ``modulus``, instead of W(field)."""
 
-    _hash: int = dc_field(init=False, repr=False, compare=False)
+    _fields = ("kind", "n", "field", "ctx", "integral")
+    __slots__ = _fields + ("modulus",)
 
-    def __post_init__(self):
-        # N of the coefficients Z/N (``integer_modulus``), 0 over W(k); set at
-        # construction, as a later write through __dict__ slows attribute reads
-        n = integer_modulus(self.field) if self.integral else 0
-        object.__setattr__(self, "modulus", n)
-        object.__setattr__(self, "_hash", hash(
-            (self.kind, self.n, self.field, self.ctx, self.integral)))
+    def __new__(cls, kind: str, n: int, field: FieldDescriptor,
+                ctx: Optional[QuadExtContext] = None, integral: bool = False):
+        check_factor_count(n)
+        return cls._canonical(kind, n, field, ctx, integral)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a string's hash differs from one process to the next
-        return PresentationId, (self.kind, self.n, self.field, self.ctx, self.integral)
+    def _made(self):  # N = ``integer_modulus``, or 0 over W(field)
+        object.__setattr__(self, "modulus", integer_modulus(self.field) if self.integral else 0)
 
     def __str__(self):
         if self.kind == BSL2N:
@@ -84,11 +73,10 @@ def check_factor_count(n) -> None:
         raise BadParameters("n must be >= 1")
 
 
-# typed: True == 1 and 2.0 == 2, so an untyped cache would answer them from
-# the slot of 1 or 2 without the check
+# cached for speed (a presentation is one object per value anyway); typed,
+# so True and 2.0 are checked, not answered from the slot of 1 or 2
 @lru_cache(maxsize=None, typed=True)
 def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
-    check_factor_count(n)
     return PresentationId(BSL2N, n, field)
 
 
@@ -96,11 +84,10 @@ def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     """(Z/N)[e_1..e_n] with N = ``integer_modulus(field)``, the image of
     Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
-    return replace(bsl2n(n, field), integral=True)
+    return PresentationId(BSL2N, n, field, integral=True)
 
 
 def bnn(n: int, field: FieldDescriptor) -> PresentationId:
-    check_factor_count(n)
     return PresentationId(BNN, n, field)
 
 

@@ -27,7 +27,9 @@ V*sqrt(a) has integral U and V, with B^2 | V, so its norm U^2 - a*V^2 is an
 integer, and the rule of ``fields.is_square`` (U or U*A*B a square when V =
 0, else the norm a square w^2 and 2*(U +- w) a square for one sign) needs
 no fraction.  That key is not a complete invariant: zero and equality are
-decided place by place (``places.qext_witt_zero``).
+decided place by place (``places.qext_witt_zero``), and the hash reads
+Witt invariants, rank parity, the signatures and the W(Q) keys of the
+transfers of x and <sqrt a>x.
 
 Each field has one exact reader of t with x = t<1>, ``integer_value`` (the
 key decides, or one zero test per candidate t over Q(sqrt a)), and one of
@@ -551,8 +553,12 @@ class WittClass:
 
     def __hash__(self):
         if _is_qext_q(self.field):
-            # Witt invariants read off the key: rank parity and the signatures
-            return hash((self.field, sum(n for _, n in self.key) % 2, self.signatures()))
+            # Witt invariants: rank parity, the signatures, and the W(Q) keys
+            # of the transfers of x and of <sqrt a>x
+            sqrt_a = F.coerce(self.field, (0, 1))
+            return hash((self.field, sum(n for _, n in self.key) % 2, self.signatures(),
+                         trace_class(self.field, self.terms).key,
+                         trace_class(self.field, self.terms, sqrt_a).key))
         return hash((self.field, self.key))
 
     # -- inspection --------------------------------------------------------

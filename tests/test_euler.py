@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -28,8 +29,8 @@ from wittloc.euler import (
     whitney,
 )
 from wittloc.exprs import parse_rep
-from wittloc.rings import (bnn, bsl2n, from_int, gen, integral_bsl2n, one_elem, witt_image,
-                           zero_elem)
+from wittloc.rings import (BSL2N, PresentationId, bnn, bsl2n, from_int, gen, integral_bsl2n,
+                           one_elem, witt_image, zero_elem)
 from wittloc.witt import WittClass
 
 Q = F.rationals()
@@ -164,8 +165,8 @@ def test_generic_euler_square():
 @pytest.mark.parametrize("group", [("SL2n", 3), ("N",)], ids=str)
 def test_repsums_of_one_multiset_are_equal_and_hash_equal(group):
     """A RepSum is its multiset: permuting the summands, splitting a
-    multiplicity into several summands or merging them gives a RepSum that
-    is == and hash-equal, with the same canonical summands and counts."""
+    multiplicity into several summands or merging them gives the same
+    RepSum object, whose counts follow its canonical summands."""
     rng = random.Random(f"multiset:{group}")
     if group[0] == "SL2n":
         irreps = [fundamental(3, 1), fundamental(3, 3), fundamental(3, 1, 2),
@@ -179,23 +180,19 @@ def test_repsums_of_one_multiset_are_equal_and_hash_equal(group):
         rng.shuffle(split)
         for pairs in (list(multiset.items())[::-1], split):
             other = RepSum(group, tuple(pairs))
-            assert other == merged and hash(other) == hash(merged)
-            assert other.summands == merged.summands
+            assert other is merged
             assert list(other.counts.items()) == list(merged.summands)
         assert RepSum(group, tuple(split[1:])) != merged
 
 
 def test_repsum_copies_and_pickles_are_equal_repsums():
-    """A copy or pickle is rebuilt through the constructor: an equal,
-    hash-equal RepSum of the very same irrep objects, which a dict keyed by
-    the original finds."""
+    """A copy or pickle is rebuilt through the constructor, so it is the
+    RepSum itself, which a dict keyed by the original finds."""
     for rep in (parse_rep("2*F@1 + Sym(3)@2 + F@1*F@2", "SL2n", 2),
                 parse_rep("rho(3) + 2*rho0- + rho(1)", "N")):
         for other in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
-            assert other == rep and hash(other) == hash(rep)
+            assert other is rep
             assert {rep: "found"}[other] == "found"
-            assert dict(other.counts) == dict(rep.counts)
-            assert all(x is y for (x, _), (y, _) in zip(other.summands, rep.summands))
 
 
 @pytest.mark.parametrize("make", [
@@ -221,15 +218,15 @@ def test_an_irrep_is_one_object_per_value(make):
         setattr(irrep, value, getattr(irrep, value))
 
 
-def test_racing_constructions_of_an_irrep_yield_one_object():
-    """Threads that build the same new irreps at once all get one object
-    per value: the first stored wins, and the others return it."""
+def _race(make):
+    """Build make(k) for 400 keys k, in each of 8 threads at once, and check
+    that every thread got one object per key."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        keys = [(k, 7, 0, 3) for k in range(1000, 1400)]  # made by no other test
+        keys = range(1000, 1400)
         got = [[] for _ in range(8)]
-        threads = [threading.Thread(target=lambda out: out.extend(map(SL2nIrrep, keys)),
+        threads = [threading.Thread(target=lambda out: out.extend(map(make, keys)),
                                     args=(out,)) for out in got]
         for t in threads:
             t.start()
@@ -239,7 +236,26 @@ def test_racing_constructions_of_an_irrep_yield_one_object():
     finally:
         sys.setswitchinterval(old)
     assert all(x is y for out in got[1:] for x, y in zip(out, got[0]))
-    assert [x.exponents for x in got[0]] == keys and all(len(out) == len(keys) for out in got)
+    assert all(len(out) == len(keys) for out in got)
+    assert len({id(x) for x in got[0]}) == len(keys)
+    return got[0]
+
+
+def test_racing_constructions_of_an_irrep_yield_one_object():
+    """Threads that build the same new irreps at once all get one object
+    per value: the first stored wins, and the others return it."""
+    made = _race(lambda k: SL2nIrrep((k, 7, 0, 3)))  # made by no other test
+    assert [x.exponents for x in made] == [(k, 7, 0, 3) for k in range(1000, 1400)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: F.FieldDescriptor(F.QUAD_EXT, base=Q, a=Fraction(-k)),
+    lambda k: PresentationId(BSL2N, k, Q),
+], ids=["field", "presentation"])
+def test_racing_constructions_of_a_field_or_presentation_yield_one_object(make):
+    """As for irreps: every canonical value is stored once, with
+    setdefault.  The keys are made by no other test."""
+    _race(make)
 
 
 @pytest.mark.parametrize("n", [True, 2.0], ids=repr)
@@ -250,6 +266,28 @@ def test_an_sl2n_group_n_is_an_integer(n):
         RepSum(("SL2n", n), ())
     with pytest.raises(BadParameters, match=r"^n must be an integer"):
         parse_rep("F@1", "SL2n", n)
+
+
+@pytest.mark.parametrize("group", [("N", 5, "x"), ("N", 1), ("SL2n",), ("SL2n", 2, "x"),
+                                   ("SL3", 2), (), ["N"], ["SL2n", 2]], ids=repr)
+def test_a_repsum_group_is_sl2n_n_or_exactly_n(group):
+    """RepSum(("N", 5, "x"), ...) was accepted, and its euler_rep over Q
+    returned e."""
+    with pytest.raises(BadParameters):
+        RepSum(group, ((NIrrep(RHO, 1), 1),))
+    with pytest.raises(BadParameters):
+        RepSum(group, ())
+
+
+@pytest.mark.parametrize("kind, n", [("SL3", 2), ("N", 7), ("N", 2), ("N", True), ("n", 1),
+                                     ("SL2N", 1)], ids=repr)
+def test_parse_rep_rejects_an_unknown_group_or_an_n_group_with_n_not_1(kind, n):
+    """parse_rep("rho(1)", "SL3", 2) returned an N RepSum, and
+    parse_rep("rho(1)", "N", 7) ignored the 7."""
+    for text in ("rho(1)", "F@1"):
+        with pytest.raises(BadParameters):
+            parse_rep(text, kind, n)
+    assert parse_rep("rho(1)", "N", 1) is parse_rep("rho(1)", "N")
 
 
 def test_changing_the_irreps_counter_leaves_the_repsum_unchanged():

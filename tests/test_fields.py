@@ -9,6 +9,7 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from wittloc import fields as F
 from wittloc.errors import UnsupportedField
+from wittloc.exprs import parse_field
 
 
 def test_field_tags_print_and_compare():
@@ -23,23 +24,39 @@ def test_field_tags_print_and_compare():
     F.rationals,
     F.reals,
     lambda: F.finite_prime(7),
-    # quad_ext makes one object per (base, a); the constructor makes another
+    # quad_ext and the constructor make one object per (base, a)
     lambda: F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=Fraction(2)),
     lambda: F.FieldDescriptor(F.QUAD_EXT, base=F.finite_prime(7), a=3),
 ], ids=["Q", "R", "Fp7", "Q(sqrt 2)", "F7(sqrt 3)"])
 def test_equal_fields_compare_equal_and_hash_equal(make):
-    """A field is hashed once, when it is made.  Equal fields built apart,
-    and copies and pickles, which are made anew through the constructor,
-    compare equal, hash equal and find each other in a dict."""
+    """A field is one object per value.  Equal fields built apart, and
+    copies and pickles, which are made anew through the constructor, are
+    that object, so they compare equal, hash equal and find each other in
+    a dict."""
     field = make()
     for other in (make(), copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
-        assert other is not field
+        assert other is field
         assert other == field and hash(other) == hash(field)
         assert {field: "found"}[other] == "found"
         assert str(other) == str(field) and repr(other) == repr(field)
     if field.kind == F.QUAD_EXT:
-        assert F.quad_ext(field.base, field.a) == field
-    assert "_hash" not in repr(field)
+        assert F.quad_ext(field.base, field.a) is field
+    assert parse_field(str(field)) is field
+
+
+def test_a_field_is_keyed_by_its_values_and_their_types():
+    """As lru_cache(typed=True) keys: equal values of one type make one
+    object, but an int a is not the Fraction a that quad_ext coerces to,
+    and True is not 1, though each pair is ==."""
+    raw = F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=1234567)  # made first
+    field = F.quad_ext(F.rationals(), 1234567)
+    assert field is not raw and raw.a == field.a
+    assert type(field.a) is Fraction and type(raw.a) is int
+    assert field is F.quad_ext(F.rationals(), Fraction(1234567))
+    assert F.quad_ext(F.rationals(), 2) is F.quad_ext(F.rationals(), Fraction(2))
+    assert F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=2) is not F.quad_ext(F.rationals(), 2)
+    assert F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=Fraction(2)) is F.quad_ext(F.rationals(), 2)
+    assert F.FieldDescriptor(F.FINITE_PRIME, p=True) is not F.FieldDescriptor(F.FINITE_PRIME, p=1)
 
 
 def test_finite_prime_rejects_bad_characteristic():

@@ -10,7 +10,7 @@ from oracles import (qext_nonzero_by_invariants, qext_reduce_pairwise, witt_prod
 from wittloc import fields as F
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
 from wittloc.places import ker_iota_rational
-from wittloc.quadext import base_change, make_context
+from wittloc.quadext import base_change, make_context, scaled_transfer, transfer
 from wittloc.witt import (
     WittClass,
     diagonalize,
@@ -475,6 +475,28 @@ def test_qext_hash_reads_the_real_signatures():
     r = F.coerce(field, (0, 1))
     # <sqrt 2> has signatures +1 and -1, <1> has +1 and +1
     assert hash(WittClass.from_entries(field, (r,))) != hash(integer_class(1, field))
+
+
+@pytest.mark.parametrize("a", [-7, -1, 2], ids=str)
+def test_qext_hash_separates_classes_whose_transfer_keys_differ(a):
+    """Over Q(sqrt -7) the hash read rank parity alone, so every even-rank
+    class landed in one bucket.  It reads the W(Q) keys of Tr(x) and
+    Tr(<sqrt a>x) too, which equal classes share."""
+    ctx = make_context(Q, a)
+    field = ctx.ext
+    assert witt(field, 1, 1) == witt(field, 2, 2)
+    assert hash(witt(field, 1, 1)) == hash(witt(field, 2, 2))
+    rng = random.Random(f"qext-hash:{a}")
+    by_keys = {}
+    for _ in range(40):
+        entries = [_small_entry(rng, field) for _ in range(2 * rng.randint(1, 2))]
+        x = WittClass.from_entries(field, entries)
+        keys = (transfer(x, ctx).key, scaled_transfer(x, ctx).key)
+        # at even rank the transfer keys also fix the signatures, so they fix the hash
+        by_keys.setdefault(keys, hash(x))
+        assert hash(x) == by_keys[keys]
+    hashes = list(by_keys.values())
+    assert len(by_keys) >= 8 and len(set(hashes)) == len(hashes)
 
 
 def _integers_written_otherwise(rng, field):
