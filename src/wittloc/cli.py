@@ -123,8 +123,7 @@ def _presentation_from_args(args):
     _reject_unread(args, ["n"], "--presentation twisted")
     if args.a is None:
         raise ExprSyntaxError("twisted presentation needs --a")
-    ctx = make_context(field, parse_scalar(args.a, field))
-    return twisted_point(ctx)
+    return twisted_point(make_context(field, parse_scalar(args.a, field)))
 
 
 def _cmd_ring(args) -> int:

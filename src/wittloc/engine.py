@@ -56,7 +56,6 @@ from .quadext import QuadExtContext
 from .rings import (
     BNN,
     BSL2N,
-    TWISTED,
     GradedElement,
     LocalizedElement,
     PresentationId,
@@ -72,7 +71,7 @@ from .rings import (
     twisted_pushforward,
     witt_image,
 )
-from .witt import WittClass, integer_modulus
+from .witt import WittClass
 
 RATIONAL_POINT = "rational"
 
@@ -205,22 +204,26 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
 # component rings and pushforwards
 
 
+def _check_residue(residue, g: GroupDescriptor) -> None:
+    """UnsupportedResidueField or InconsistentField unless residue is a
+    rational point, or for N a twisted point over g's field."""
+    if residue == RATIONAL_POINT:
+        return
+    if g.kind == "SL2n":
+        raise UnsupportedResidueField("SL2n components must be rational points")
+    if not isinstance(residue, QuadExtContext):
+        raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
+    if residue.base != g.field:
+        raise InconsistentField(f"{residue.base} vs {g.field}")
+
+
 def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
     """The ring of a component with this residue data: BSL2n, BN or the
     twisted point."""
+    _check_residue(residue, g)
     if g.kind == "SL2n":
-        if residue != RATIONAL_POINT:
-            raise UnsupportedResidueField(
-                "SL2n components must be rational points"
-            )
         return bsl2n(g.n, g.field)
-    if residue == RATIONAL_POINT:
-        return bnn(1, g.field)
-    if isinstance(residue, QuadExtContext):
-        if residue.base != g.field:
-            raise InconsistentField(f"{residue.base} vs {g.field}")
-        return twisted_point(residue)
-    raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
+    return bnn(1, g.field) if residue == RATIONAL_POINT else twisted_point(residue)
 
 
 def push_to_base(x, c: FixedComponent):
@@ -254,7 +257,7 @@ def _component_fraction(
     cancels against the normal irreps first, in one pass over its distinct
     irreps: what is left of it is the numerator, and what is left of them
     the denominator, each in its RepSum's order."""
-    pres = component_presentation(c.residue, g)
+    _check_residue(c.residue, g)
     if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
@@ -285,10 +288,10 @@ def _component_fraction(
                 if k > have:
                     left.append((irrep, k - have))
         num = whitney(left, carrier)
-        if pres.kind == TWISTED:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
-            num = num * localize_element(twisted_push_unit(pres.ctx), carrier)
+        if c.residue != RATIONAL_POINT:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
+            num = num * localize_element(twisted_push_unit(c.residue), carrier)
         return num, den
-    if pres.kind == BSL2N:
+    if g.kind == "SL2n":
         return r, den  # over carrier already: see ``_integral_components``
     r = push_to_base(r, c)
     if r.pres.kind != BNN:
@@ -315,7 +318,7 @@ def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
         squares = [generic_euler(_single_irrep(rep.group, irrep), field)
                    for irrep, _ in rep.summands]
         return any(x.is_zero() for x in squares)
-    c, modulus = prod(irrep.m ** k for irrep, k in rep.summands), integer_modulus(field)
+    c, modulus = prod(irrep.m ** k for irrep, k in rep.summands), field.modulus
     return c == 0 or modulus != 0 and c * c % modulus == 0
 
 
@@ -331,19 +334,18 @@ def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[Graded
     return GradedElement(carrier, out)
 
 
-def _integral_components(p: LocalizationProblem) -> Optional[List[FixedComponent]]:
-    """The components of an SL2n problem that can be summed in (Z/N)[e_1..e_n],
-    N = ``integer_modulus(k)``, each ring-expression restricted class lifted
-    there once; None for any other problem.  Z/N -> W(k) is injective and
-    Whitney-product denominators lead with +-(odd), a unit of Z/N (over Z
-    the signature forces the quotient), so each division step stays in the
-    image of Z/N and maps to the only quotient over W(k).  Numerators must
-    be Whitney products or ring expressions whose coefficients read as
-    integers."""
-    g = p.group
-    if g.kind != "SL2n":
+def _integral_components(p: LocalizationProblem, base: PresentationId,
+                         carrier: PresentationId) -> Optional[List[FixedComponent]]:
+    """The components of an SL2n problem that can be summed in carrier,
+    (Z/N)[e_1..e_n], N = ``k.modulus``, each ring-expression restricted
+    class over base, BSL2n(n), lifted there once; None for any other
+    problem.  Z/N -> W(k) is injective and Whitney-product denominators
+    lead with +-(odd), a unit of Z/N (over Z the signature forces the
+    quotient), so each division step stays in the image of Z/N and maps to
+    the only quotient over W(k).  Numerators must be Whitney products or
+    ring expressions whose coefficients read as integers."""
+    if p.group.kind != "SL2n":
         return None
-    base, carrier = bsl2n(g.n, g.field), integral_bsl2n(g.n, g.field)
     out = []
     for c in p.components:
         r = c.restricted
@@ -387,13 +389,14 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     if (g.field.base or g.field).kind == FINITE_PRIME:  # F_p or F_p(sqrt a)
         flags["finite_char"] = True
     # an even M may kill an answer when <1> has finite order (M is N-only)
-    if p.M is not None and p.M % 2 == 0 and integer_modulus(g.field):
+    if p.M is not None and p.M % 2 == 0 and g.field.modulus:
         flags["potentially_vacuous"] = True
 
     # the N-engine has n = 1, and its base carrier is BSL2n(1) too
     carrier = bsl2n(g.n, g.field)
-    comps = _integral_components(p)
-    work = carrier if comps is None else integral_bsl2n(g.n, g.field)
+    integral = integral_bsl2n(g.n, g.field) if g.kind == "SL2n" else None
+    comps = _integral_components(p, carrier, integral)
+    work = carrier if comps is None else integral
     fractions = [_component_fraction(c, g, work) for c in comps or p.components]
     total, D, cleared = _sum_fractions(fractions, work)
     if cleared is None:

@@ -20,7 +20,7 @@ e1^2*e2, 1/2r = (1/2)*r.  Unary minus binds looser than '^': -e1^2 is
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
@@ -154,7 +154,6 @@ def _sum(values: list):
     return sum(values[1:], values[0])
 
 
-@lru_cache(maxsize=None)
 def _scalar_atoms(field: FieldDescriptor) -> _Atoms:
     name = None
     if field.kind == QUAD_EXT:

@@ -135,11 +135,12 @@ def is_prime(n: int) -> bool:
 class Canonical:
     """An immutable value, one object per value, so == and hash are
     identity.  A subclass lists its value attributes in ``_fields``; its
-    ``__new__`` checks its arguments and returns ``_canonical(*values)``.
-    The table is keyed by the values and their types, as with
-    ``lru_cache(typed=True)``: 2 and Fraction(2), or True and 1, make two
-    objects.  A copy or pickle goes through the constructor, so it is the
-    same object; ``_made`` sets derived attributes before it is shared."""
+    ``__new__`` returns ``_canonical(*values)``.  The table is keyed by the
+    values and their types, as with ``lru_cache(typed=True)``: True and 1
+    make two keys.  ``_made`` checks a new value and sets its derived
+    attributes before it is stored, so a lookup checks nothing and a
+    rejected value is never stored.  A copy or pickle goes through the
+    constructor, so it is the same object."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -176,12 +177,45 @@ class Canonical:
         return f"{type(self).__name__}({values})"
 
 
+# the values each field kind takes
+_TAKES = {RATIONALS: (), REALS: (), FINITE_PRIME: ("p",), QUAD_EXT: ("base", "a")}
+
+
 class FieldDescriptor(Canonical):
-    __slots__ = _fields = ("kind", "p", "base", "a")
+    """A supported field, checked once per value in ``_made``; ``__new__``
+    coerces a into the base first.  ``modulus`` is N, the additive order of
+    <1> in W(k), or 0 when it has none, and ``minus_one_square`` whether -1
+    is a square in k."""
+
+    _fields = ("kind", "p", "base", "a")
+    __slots__ = _fields + ("modulus", "minus_one_square")
 
     def __new__(cls, kind: str, p: Optional[int] = None,
                 base: Optional["FieldDescriptor"] = None, a: object = None):
+        if kind == QUAD_EXT and isinstance(base, FieldDescriptor):
+            a = coerce(base, a)
         return cls._canonical(kind, p, base, a)
+
+    def _made(self):
+        kind, p, base, a = self.kind, self.p, self.base, self.a
+        if kind not in _TAKES:
+            raise UnsupportedField(f"unknown field kind {kind!r}")
+        for name in ("p", "base", "a"):
+            if getattr(self, name) is not None and name not in _TAKES[kind]:
+                raise UnsupportedField(f"a {kind} field takes no {name}")
+        if kind == FINITE_PRIME and (type(p) is not int or p == 2 or not is_prime(p)):
+            raise UnsupportedField(f"need an odd prime, got {p!r}")
+        if kind == QUAD_EXT:
+            if not isinstance(base, FieldDescriptor):
+                raise UnsupportedField(f"need a base field, got {base!r}")
+            if base.kind == QUAD_EXT:
+                raise UnsupportedField("quadratic extensions may not be nested")
+            if is_square(base, a):  # 0 counts as a square
+                raise UnsupportedField(f"{scalar_repr(base, a)} is already a square in {base}")
+        # N is 0 for k formally real, else 2*level(k) (Lam, ch. XI), and the
+        # level is 1 exactly when -1 is a square
+        object.__setattr__(self, "modulus", _integer_modulus(self))
+        object.__setattr__(self, "minus_one_square", self.modulus == 2)
 
     def __str__(self) -> str:
         if self.kind == RATIONALS:
@@ -193,6 +227,28 @@ class FieldDescriptor(Canonical):
         return f"{self.base}(sqrt:{scalar_repr(self.base, self.a)})"
 
 
+def _integer_modulus(field: FieldDescriptor) -> int:
+    """N in closed form, nothing factored.  For Q(sqrt a), a < 0, it reads
+    the squarefree d with -a in d*Q*^2: x = |num(a)*den(a)| is d times a
+    square, so d = 1 (N = 2) when x is a square, and, as odd squares are 1
+    mod 8, d = 7 mod 8 (N = 8) when the 2-adic valuation of x is even and
+    its odd part is 7 mod 8; else N = 4."""
+    if field.kind in (RATIONALS, REALS):
+        return 0
+    if field.kind == FINITE_PRIME:
+        return 2 if field.p % 4 == 1 else 4
+    if field.base.kind != RATIONALS:
+        return 2  # F_{p^2}, or C
+    a = field.a
+    if a > 0:
+        return 0
+    x = abs(a.numerator * a.denominator)
+    if math.isqrt(x) ** 2 == x:
+        return 2
+    v = (x & -x).bit_length() - 1
+    return 8 if v % 2 == 0 and (x >> v) % 8 == 7 else 4
+
+
 def rationals() -> FieldDescriptor:
     return FieldDescriptor(RATIONALS)
 
@@ -202,26 +258,11 @@ def reals() -> FieldDescriptor:
 
 
 def finite_prime(p: int) -> FieldDescriptor:
-    if not isinstance(p, int) or p == 2 or not is_prime(p):
-        raise UnsupportedField(f"need an odd prime, got {p!r}")
     return FieldDescriptor(FINITE_PRIME, p=p)
 
 
 def quad_ext(base: FieldDescriptor, a) -> FieldDescriptor:
     """k(sqrt(a)) for a a nonzero non-square of the base field."""
-    if base.kind == QUAD_EXT:
-        raise UnsupportedField("quadratic extensions may not be nested")
-    return _quad_ext(base, coerce(base, a))
-
-
-@lru_cache(maxsize=None)
-def _quad_ext(base: FieldDescriptor, a) -> FieldDescriptor:
-    """``quad_ext`` for a coerced a: a is proved a non-square once per
-    (base, a); a rejected a raises each time, as no error is cached."""
-    if is_zero(base, a):
-        raise UnsupportedField("sqrt(0) does not generate an extension")
-    if is_square(base, a):
-        raise UnsupportedField(f"{scalar_repr(base, a)} is already a square in {base}")
     return FieldDescriptor(QUAD_EXT, base=base, a=a)
 
 
@@ -243,11 +284,9 @@ def coerce(field: FieldDescriptor, x):
         if not isinstance(x, int):
             raise UnsupportedField(f"cannot coerce {x!r} into {field}")
         return x % field.p
-    if field.kind == QUAD_EXT:
-        if isinstance(x, tuple) and len(x) == 2:
-            return (coerce(field.base, x[0]), coerce(field.base, x[1]))
-        return (coerce(field.base, x), coerce(field.base, 0))
-    raise UnsupportedField(field.kind)
+    if isinstance(x, tuple) and len(x) == 2:  # k(sqrt a), the last kind
+        return (coerce(field.base, x[0]), coerce(field.base, x[1]))
+    return (coerce(field.base, x), coerce(field.base, 0))
 
 
 def zero(field: FieldDescriptor):

@@ -96,14 +96,15 @@ def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _odd_primes(n: int) -> Tuple[int, ...]:
-    """The primes at which the nonzero integer n has odd valuation, read off
-    one factorization: those of the squarefree part of q when n = num*den(q)."""
+    """The primes at which the nonzero integer n has odd valuation.  Those
+    of a rational are those of its numerator and of its denominator, which
+    are coprime, so each is factored apart, never their longer product."""
     return tuple(p for p, e in _factor(abs(n)) if e % 2)
 
 
 def squarefree_part(q: Fraction) -> int:
     """Squarefree integer in the square class of a nonzero rational."""
-    return (-1 if q < 0 else 1) * math.prod(_odd_primes(q.numerator * q.denominator))
+    return (-1 if q < 0 else 1) * math.prod(_odd_primes(q.numerator) + _odd_primes(q.denominator))
 
 
 def vp(q: Fraction, p: int) -> int:
@@ -191,7 +192,7 @@ def wq_key(entries: Tuple[Fraction, ...]):
     residues: Dict[int, List[Tuple[bool, int]]] = {}
     for c in entries:
         sig += 1 if c > 0 else -1
-        for q in _odd_primes(c.numerator * c.denominator):
+        for q in _odd_primes(c.numerator) + _odd_primes(c.denominator):
             if q == 2:
                 dy ^= 1
                 continue
@@ -458,7 +459,7 @@ def ker_iota_rational(terms, a: Fraction) -> bool:
         return False
     support = {2}
     for c, _ in terms:
-        support.update(_odd_primes(c.numerator * c.denominator))
+        support.update(_odd_primes(c.numerator) + _odd_primes(c.denominator))
     return all(local_witt_zero(terms, v) for v in support if is_square_qv(a, v))
 
 

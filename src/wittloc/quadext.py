@@ -9,7 +9,7 @@ the scaled transfer twists by <sqrt(a)> first.  The ideal I_a is the kernel
 of multiplication by 1 - <a>, which equals the image of the transfer.  The
 kernel of base change is (1 - <a>)W(k); a class in it is certified by a
 multiplier, over Q solved for on the W(Q) keys, never searched for.  A
-``QuadExtContext`` is one object per value, like a field (``Canonical``).
+``QuadExtContext`` is one object per extension field (``Canonical``).
 """
 
 from __future__ import annotations
@@ -19,24 +19,31 @@ from typing import List, Optional
 
 from . import fields as F
 from . import places
-from .errors import FieldMismatch
-from .fields import FINITE_PRIME, RATIONALS, REALS, Canonical, FieldDescriptor
+from .errors import FieldMismatch, UnsupportedField
+from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, Canonical, FieldDescriptor
 from .witt import WittClass, _counted_class, integer_class, trace_class
 from .witt import sqrt_a_class  # noqa: F401  re-exported
 
 
 class QuadExtContext(Canonical):
-    """k(sqrt a) over k, one object per (base, a, ext)."""
+    """k(sqrt a) over k, one object per extension field ``ext``; ``base``
+    and ``a`` are read from it."""
 
-    __slots__ = _fields = ("base", "a", "ext")
+    _fields = ("ext",)
+    __slots__ = _fields + ("base", "a")
 
-    def __new__(cls, base: FieldDescriptor, a, ext: FieldDescriptor):
-        return cls._canonical(base, a, ext)
+    def __new__(cls, ext: FieldDescriptor):
+        return cls._canonical(ext)
+
+    def _made(self):
+        if not isinstance(self.ext, FieldDescriptor) or self.ext.kind != QUAD_EXT:
+            raise UnsupportedField(f"need a quadratic extension, got {self.ext!r}")
+        object.__setattr__(self, "base", self.ext.base)
+        object.__setattr__(self, "a", self.ext.a)
 
 
 def make_context(base: FieldDescriptor, a) -> QuadExtContext:
-    ext = F.quad_ext(base, a)
-    return QuadExtContext(base, ext.a, ext)
+    return QuadExtContext(F.quad_ext(base, a))
 
 
 def one_minus_a(ctx: QuadExtContext) -> WittClass:
@@ -118,11 +125,9 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
     if ctx.base.kind == REALS:
         (t,) = x.signatures()
         y = None if t % 2 else integer_class(t // 2, ctx.base)
-    elif ctx.base.kind == RATIONALS:
+    else:  # Q, the only other base of a quadratic extension
         key = places.wq_kernel_preimage(x.key, ctx.a)
         y = None if key is None else WittClass(ctx.base, key)
-    else:
-        raise FieldMismatch(f"unsupported base field {ctx.base}")
     return y if y is not None and gen * y == x else None
 
 

@@ -15,8 +15,8 @@ per value, like a field (``fields.Canonical``).
 
 A monomial key, in every presentation, is the flat tuple of exponents of
 ``key_generators(kind, n)``: e1..en; x1, e1, x2, e2, ...; y, e.  Only this
-module reads or writes keys, in the maps between presentations too: pi^*
-and pi_* between BN and a twisted point, and the localization of BN^n in
+module reads or writes keys, in the maps between presentations too: pi_*
+from a twisted point to BN, and the localization of BN^n in
 BSL2n(n).  Other modules name generators (``gen``, ``e_monomial``).
 """
 
@@ -28,10 +28,11 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import fields as F
-from .errors import BadParameters, FieldMismatch, PresentationMismatch, UnknownGenerator, ZeroInput
+from .errors import (BadParameters, FieldMismatch, InconsistentField, PresentationMismatch,
+                     UnknownGenerator, ZeroInput)
 from .fields import Canonical, FieldDescriptor
 from .quadext import QuadExtContext, in_Ia, one_minus_a
-from .witt import WittClass, integer_class, integer_modulus, zero_class
+from .witt import WittClass, integer_class, zero_class
 
 BSL2N = "BSL2n"
 BNN = "BNn"
@@ -40,18 +41,31 @@ TWISTED = "TwistedPoint"
 
 class PresentationId(Canonical):
     """A presented ring with n >= 1 factors; ``integral`` (BSL2n only) takes
-    coefficients in Z/N, N = ``modulus``, instead of W(field)."""
+    coefficients in Z/N, N = ``modulus``, instead of W(field).  Only a
+    twisted point has a context ``ctx``, over its field, and one factor."""
 
     _fields = ("kind", "n", "field", "ctx", "integral")
     __slots__ = _fields + ("modulus",)
 
     def __new__(cls, kind: str, n: int, field: FieldDescriptor,
                 ctx: Optional[QuadExtContext] = None, integral: bool = False):
-        check_factor_count(n)
         return cls._canonical(kind, n, field, ctx, integral)
 
-    def _made(self):  # N = ``integer_modulus``, or 0 over W(field)
-        object.__setattr__(self, "modulus", integer_modulus(self.field) if self.integral else 0)
+    def _made(self):
+        kind, field, ctx = self.kind, self.field, self.ctx
+        if kind not in _FACTOR_GENERATORS or not isinstance(field, FieldDescriptor):
+            raise BadParameters(f"no presentation {kind!r} over {field!r}")
+        check_factor_count(self.n)
+        if type(self.integral) is not bool or self.integral and kind != BSL2N:
+            raise BadParameters(f"integral is a bool, True only for {BSL2N}")
+        twisted = kind == TWISTED
+        if (ctx is not None) != twisted or twisted and (
+                self.n != 1 or not isinstance(ctx, QuadExtContext)):
+            raise BadParameters(f"a twisted point, and only it, has one factor and a context: "
+                                f"got {kind} with {self.n} and {ctx!r}")
+        if twisted and ctx.base is not field:
+            raise InconsistentField(f"{ctx.base} vs {field}")
+        object.__setattr__(self, "modulus", field.modulus if self.integral else 0)
 
     def __str__(self):
         if self.kind == BSL2N:
@@ -82,7 +96,7 @@ def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
 
 @lru_cache(maxsize=None, typed=True)
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
-    """(Z/N)[e_1..e_n] with N = ``integer_modulus(field)``, the image of
+    """(Z/N)[e_1..e_n] with N = ``field.modulus``, the image of
     Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
     return PresentationId(BSL2N, n, field, integral=True)
 
@@ -350,18 +364,6 @@ def e_monomial(pres: PresentationId, c, **powers: int) -> GradedElement:
 
 # ---------------------------------------------------------------------------
 # pi: the twisted point over k(sqrt a) -> BN over k
-
-
-def twisted_pullback(b: GradedElement, tp: PresentationId) -> GradedElement:
-    """pi^*: x maps to the scalar <a>, e to e."""
-    if tp.kind != TWISTED or b.pres != bn(tp.field):
-        raise PresentationMismatch(f"cannot pull {b.pres} back to {tp}")
-    a_cls = WittClass.from_entries(tp.field, (tp.ctx.a,))
-    out: Dict = {}
-    for (x, m), c in b.coeffs.items():
-        c = c * a_cls if x else c
-        out[0, m] = out[0, m] + c if (0, m) in out else c
-    return GradedElement(tp, out)
 
 
 @lru_cache(maxsize=None)

@@ -112,7 +112,7 @@ def suite_lam(field=None, a=None, samples: int = 200, seed: int = 0) -> Tuple[bo
     else:
         pairs = list(_DEFAULT_LAM)
     for base, aa in pairs:
-        ctx = make_context(base, F.coerce(base, aa))
+        ctx = make_context(base, aa)
         rep = lam_exactness_check(ctx, _lam_samples(ctx, samples, seed))
         ok = ok and rep.passed
         lines.extend(rep.lines())

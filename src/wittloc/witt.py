@@ -20,16 +20,12 @@ is scaled by a rational square to integral u, v with no common square
 factor once, in ``from_entries``, and stored as the int pair (u, v); its
 counted representative is the same pairs with ``Fraction`` coordinates.
 Sums merge counts and cancel hyperbolic pairs by count (counts mod
-``integer_modulus``), so t<1> is one entry of count t.  <r, s> is
-hyperbolic when -r*s is a square, decided in integers
-(``_hyperbolic_qext``): for a = A/B in lowest terms, B^2*(-r*s) = U +
-V*sqrt(a) has integral U and V, with B^2 | V, so its norm U^2 - a*V^2 is an
-integer, and the rule of ``fields.is_square`` (U or U*A*B a square when V =
-0, else the norm a square w^2 and 2*(U +- w) a square for one sign) needs
-no fraction.  That key is not a complete invariant: zero and equality are
-decided place by place (``places.qext_witt_zero``), and the hash reads
-Witt invariants, rank parity, the signatures and the W(Q) keys of the
-transfers of x and <sqrt a>x.
+``field.modulus``), so t<1> is one entry of count t.  <r, s> is
+hyperbolic when -r*s is a square, decided in integers (``_hyperbolic_qext``).
+That key is not a complete invariant: zero and equality are decided
+place by place (``places.qext_witt_zero``), and the hash reads Witt
+invariants, rank parity, the signatures and the W(Q) keys of the transfers
+of x and <sqrt a>x.
 
 Each field has one exact reader of t with x = t<1>, ``integer_value`` (the
 key decides, or one zero test per candidate t over Q(sqrt a)), and one of
@@ -42,19 +38,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fields as F
 from . import places
-from .errors import (
-    DegenerateForm,
-    FieldMismatch,
-    NonSymmetric,
-    UnsupportedField,
-    ZeroInput,
-)
+from .errors import DegenerateForm, FieldMismatch, NonSymmetric, ZeroInput
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 
 
@@ -148,14 +137,9 @@ class _Keyed(NamedTuple):
     rep: Callable
 
 
-@lru_cache(maxsize=None)
-def _minus_one_square(field: FieldDescriptor) -> bool:
-    return F.is_square(field, F.coerce(field, -1))
-
-
 def _finite_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
     squares = ((F.is_square(field, c), 1) for c in entries)
-    return places.wf_units(squares, _minus_one_square(field))
+    return places.wf_units(squares, field.minus_one_square)
 
 
 def _finite_rep(field: FieldDescriptor, key) -> Tuple:
@@ -167,7 +151,7 @@ def _finite_rep(field: FieldDescriptor, key) -> Tuple:
         return ((one if square else F.first_nonsquare(field), 1),)
     if square:
         return ()
-    return ((one, 1), (F.first_nonsquare(field), 1)) if _minus_one_square(field) else ((one, 2),)
+    return ((one, 1), (F.first_nonsquare(field), 1)) if field.minus_one_square else ((one, 2),)
 
 
 def _signed_ones(t: int) -> Tuple:
@@ -220,9 +204,9 @@ _REAL_KEYS = _Keyed(
 _FINITE_KEYS = _Keyed(
     places.WF_ZERO,
     _finite_key,
-    lambda field, k1, k2: places.wf_add(k1, k2, _minus_one_square(field)),
-    lambda field, k: places.wf_neg(k, _minus_one_square(field)),
-    lambda field, k, t: places.wf_scale(k, t, _minus_one_square(field)),
+    lambda field, k1, k2: places.wf_add(k1, k2, field.minus_one_square),
+    lambda field, k: places.wf_neg(k, field.minus_one_square),
+    lambda field, k, t: places.wf_scale(k, t, field.minus_one_square),
     lambda field, k1, k2: places.wf_mul(k1, k2),
     _finite_rep,
 )
@@ -236,40 +220,7 @@ def _is_qext_q(field: FieldDescriptor) -> bool:
 
 
 def _keyed(field: FieldDescriptor) -> _Keyed:
-    if _is_qext_q(field):
-        return _QEXT_KEYS
-    if field.kind not in _KEYED:
-        raise UnsupportedField(str(field))
-    return _KEYED[field.kind]
-
-
-@lru_cache(maxsize=None)
-def integer_modulus(field: FieldDescriptor) -> int:
-    """N with Z/N the image of Z in W(field): the additive order of <1>, or
-    0 when it has none.  It is 2*level(k) for k not formally real, and the
-    level of every supported field is 1, 2 or 4 (Lam, ch. XI):
-
-        0  Q, R, Q(sqrt a) with a > 0
-        2  F_q with q = 1 mod 4, C, Q(sqrt -1)
-        4  F_q with q = 3 mod 4, Q(sqrt -d) with d != 1, d != 7 mod 8
-        8  Q(sqrt -d) with d = 7 mod 8
-
-    (d squarefree; F_{p^2} has q = 1 mod 4).
-    """
-    if field.kind in (RATIONALS, REALS):
-        return 0
-    if field.kind == FINITE_PRIME:
-        return 2 if field.p % 4 == 1 else 4
-    if not _is_qext_q(field):
-        return 2
-    d = -places.squarefree_part(field.a)
-    return 0 if d < 0 else 2 if d == 1 else 8 if d % 8 == 7 else 4
-
-
-@lru_cache(maxsize=None)
-def _torsion_integer_keys(field: FieldDescriptor) -> Tuple:
-    """Keys of 0, <1>, ..., (N - 1)<1> over a field with N = integer_modulus > 0."""
-    return tuple(integer_class(t, field).key for t in range(integer_modulus(field)))
+    return _QEXT_KEYS if _is_qext_q(field) else _KEYED[field.kind]
 
 
 # --- Q(sqrt a): counted reduced form, zero decided place by place --------
@@ -324,7 +275,7 @@ def _qext_sorted(pairs) -> Tuple:
 def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
     """The key of the sum of (normalized entry, count) pairs: hyperbolic
     pairs <r, r'> (``_hyperbolic_qext``) cancelled by count, each entry
-    against the later ones, and counts taken mod N = ``integer_modulus``
+    against the later ones, and counts taken mod N = ``field.modulus``
     (N<c> = <c>*N<1> = 0)."""
     A, B = field.a.numerator, field.a.denominator
     counts: Dict = {}
@@ -339,7 +290,7 @@ def _cancel_qext(field: FieldDescriptor, pairs) -> Tuple:
                 m = min(rn[1], sm[1])
                 rn[1] -= m
                 sm[1] -= m
-    N = integer_modulus(field)
+    N = field.modulus
     kept = ((r, n % N if N else n) for r, n in work)
     return _qext_sorted((r, n) for r, n in kept if n)
 
@@ -354,7 +305,7 @@ def _scale_qext(field: FieldDescriptor, k, t: int) -> Tuple:
     new cancels and the order holds."""
     if t < 0:
         k, t = _neg_qext(field, k), -t
-    N = integer_modulus(field)
+    N = field.modulus
     scaled = ((r, n * t % N if N else n * t) for r, n in k)
     return tuple((r, n) for r, n in scaled if n)
 
@@ -484,7 +435,7 @@ class WittClass:
     def _int_scale(self, t: int) -> "WittClass":
         """The t-fold sum, read off the key in closed form (over Q(sqrt a)
         the counts scale, so t<1> is one entry of count t, mod
-        ``integer_modulus``)."""
+        ``field.modulus``)."""
         return WittClass(self.field, _keyed(self.field).scale(self.field, self.key, t))
 
     def __mul__(self, other):
@@ -500,9 +451,9 @@ class WittClass:
 
     def integer_value(self) -> Optional[int]:
         """t with self == t*<1>, or None when there is none, exact over every
-        supported field, t taken in 0..N - 1 when N = ``integer_modulus`` > 0.
+        supported field, t taken in 0..N - 1 when N = ``field.modulus`` > 0.
         The key decides over Q and R and, over Q(sqrt a), when it is one entry
-        <1> or <-1>; else ``==`` tests each t < N when N > 0 (one
+        <1> or <-1>; else ``==`` tests each t<1>, t < N, when N > 0 (one
         ``places.qext_witt_zero`` test over Q(sqrt a), failed at once by a
         rank of the other parity) and the common signature when a > 0."""
         field, key = self.field, self.key
@@ -511,13 +462,13 @@ class WittClass:
             return None if residues or dyadic else sig
         if field.kind == REALS:
             return key[0]
-        N = integer_modulus(field)
+        N = field.modulus
         t = _qext_integer(key) if _is_qext_q(field) else None
         if t is not None:
             return t % N if N else t
         if N:
-            keys = _torsion_integer_keys(field)
-            return next((t for t, k in enumerate(keys) if self == WittClass(field, k)), None)
+            one = integer_class(1, field)
+            return next((t for t in range(N) if self == t * one), None)
         sp, sm = self.signatures()  # Q(sqrt a) with a > 0
         return sp if sp == sm and self == integer_class(sp, field) else None
 

@@ -19,7 +19,8 @@ sums the fractions of a localization problem at random integer points,
 from the closed forms of the Euler classes, with no ring arithmetic.
 ``n_verdict_by_closed_forms`` runs the N-component checks on the Euler
 class polynomials c*e^K and c^2*e^(2K), then sums the fractions over the
-product of all denominators.
+product of all denominators.  ``twisted_pullback`` is pi^* from BN to a
+twisted point, against which the projection formula is checked.
 """
 
 import math
@@ -536,3 +537,13 @@ def n_verdict_by_closed_forms(problem):
     if cleared is None or not (cleared.is_zero() or cleared.degree() == 0):
         return None
     return cleared.constant_coefficient()
+
+
+def twisted_pullback(b, tp):
+    """pi^* from BN over k to the twisted point tp over k(sqrt a): x maps to
+    the scalar <a>, e to e, one monomial at a time."""
+    from wittloc.witt import WittClass
+
+    a_cls = WittClass.from_entries(tp.field, (tp.ctx.a,))
+    return sum_elements(tp, [e_monomial(tp, c * a_cls if x else c, e=m)
+                             for (x, m), c in b.coeffs.items()])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from oracles import bn_naive_mul, fp_witt_equivalent
+from oracles import bn_naive_mul, fp_witt_equivalent, twisted_pullback
 
 from wittloc import fields as F
 from wittloc.engine import (
@@ -38,7 +38,6 @@ from wittloc.rings import (
     gen,
     one_elem,
     twisted_point,
-    twisted_pullback,
     twisted_pushforward,
 )
 from wittloc.witt import WittClass, integer_class, square_class, witt

@@ -48,13 +48,12 @@ from wittloc.rings import (
     localize_element,
     one_elem,
     twisted_point,
-    twisted_pullback,
     twisted_pushforward,
     zero_elem,
 )
-from wittloc.witt import WittClass, integer_class, integer_modulus, square_class, witt, zero_class
+from wittloc.witt import WittClass, integer_class, square_class, witt, zero_class
 
-from oracles import residue_by_evaluation, witt_divide_candidates
+from oracles import residue_by_evaluation, twisted_pullback, witt_divide_candidates
 
 Q = F.rationals()
 
@@ -445,7 +444,7 @@ def test_odd_characteristic_flag_on_a_quadratic_extension():
     (Q, False), (F.reals(), False), (F.quad_ext(Q, 2), False),
     (F.quad_ext(Q, -1), True), (F.quad_ext(Q, -7), True), (F.finite_prime(7), True)], ids=str)
 def test_even_m_is_flagged_where_one_has_finite_order(field, vacuous):
-    """<1> has finite order exactly when integer_modulus(k) != 0; then an
+    """<1> has finite order exactly when k.modulus != 0; then an
     even M may kill the answer.  An odd M never does."""
     rho1 = n_rep([NIrrep(RHO, 1)])
     comps = (FixedComponent("pt", "rational", rho1, rho1),)
@@ -930,7 +929,7 @@ def test_z_mod_n_sum_equals_the_witt_sum(field):
         p = _random_integer_problem(rng, field)
         n = p.group.n
         zp, carrier = integral_bsl2n(n, field), bsl2n(n, field)
-        comps = engine._integral_components(p)
+        comps = engine._integral_components(p, carrier, zp)
         assert all(c.restricted.pres == zp for c in comps if not isinstance(c.restricted, RepSum))
         fractions = [engine._component_fraction(c, p.group, zp) for c in comps]
         images = [(engine.witt_image(num), den) for num, den in fractions]
@@ -1014,8 +1013,8 @@ def _over(p, field):
 
 
 def _reduced(t, field):
-    """t<1> in W(field), t read through Z/N, N = integer_modulus(field)."""
-    N = integer_modulus(field)
+    """t<1> in W(field), t read through Z/N, N = field.modulus."""
+    N = field.modulus
     return integer_class(t % N if N else t, field)
 
 

@@ -44,19 +44,68 @@ def test_equal_fields_compare_equal_and_hash_equal(make):
     assert parse_field(str(field)) is field
 
 
+class _Pair(F.Canonical):
+    """A canonical value whose constructor checks nothing."""
+
+    __slots__ = _fields = ("x", "y")
+
+    def __new__(cls, x, y):
+        return cls._canonical(x, y)
+
+
 def test_a_field_is_keyed_by_its_values_and_their_types():
-    """As lru_cache(typed=True) keys: equal values of one type make one
-    object, but an int a is not the Fraction a that quad_ext coerces to,
-    and True is not 1, though each pair is ==."""
-    raw = F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=1234567)  # made first
-    field = F.quad_ext(F.rationals(), 1234567)
-    assert field is not raw and raw.a == field.a
-    assert type(field.a) is Fraction and type(raw.a) is int
-    assert field is F.quad_ext(F.rationals(), Fraction(1234567))
-    assert F.quad_ext(F.rationals(), 2) is F.quad_ext(F.rationals(), Fraction(2))
-    assert F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=2) is not F.quad_ext(F.rationals(), 2)
-    assert F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=Fraction(2)) is F.quad_ext(F.rationals(), 2)
-    assert F.FieldDescriptor(F.FINITE_PRIME, p=True) is not F.FieldDescriptor(F.FINITE_PRIME, p=1)
+    """The canonical table is keyed as lru_cache(typed=True) keys are: equal
+    values of one type make one object, but True and 1, or 2 and
+    Fraction(2), make two, though each pair is ==.  FieldDescriptor
+    coerces a into its base first, so an int a and its Fraction make one
+    field, and it rejects a p that is not an int."""
+    assert _Pair(1, 2) is _Pair(1, 2)
+    assert _Pair(True, 2) is not _Pair(1, 2) and _Pair(True, 2).x == 1
+    assert _Pair(1, Fraction(2)) is not _Pair(1, 2)
+    field = F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=1234567)
+    assert type(field.a) is Fraction
+    assert field is F.quad_ext(F.rationals(), Fraction(1234567)) is F.quad_ext(F.rationals(), 1234567)
+    assert F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=2) is F.quad_ext(F.rationals(), Fraction(2))
+    f7 = F.finite_prime(7)
+    assert F.FieldDescriptor(F.QUAD_EXT, base=f7, a=10) is F.quad_ext(f7, 3)
+    for p in (True, 1, 7.0, Fraction(7)):
+        with pytest.raises(UnsupportedField):
+            F.FieldDescriptor(F.FINITE_PRIME, p=p)
+
+
+Q = F.rationals()
+F7 = F.finite_prime(7)
+Q2 = F.quad_ext(Q, 2)
+MALFORMED_FIELDS = {
+    "unknown kind": lambda: F.FieldDescriptor("junk"),
+    "p = 9": lambda: F.FieldDescriptor(F.FINITE_PRIME, p=9),
+    "p = 2": lambda: F.FieldDescriptor(F.FINITE_PRIME, p=2),
+    "p = True": lambda: F.FieldDescriptor(F.FINITE_PRIME, p=True),
+    "p = 7.0": lambda: F.FieldDescriptor(F.FINITE_PRIME, p=7.0),
+    "no p": lambda: F.FieldDescriptor(F.FINITE_PRIME),
+    "Q with p": lambda: F.FieldDescriptor(F.RATIONALS, p=7),
+    "R with a": lambda: F.FieldDescriptor(F.REALS, a=Fraction(2)),
+    "Fp with base": lambda: F.FieldDescriptor(F.FINITE_PRIME, p=7, base=Q),
+    "extension with p": lambda: F.FieldDescriptor(F.QUAD_EXT, p=7, base=Q, a=2),
+    "extension of nothing": lambda: F.FieldDescriptor(F.QUAD_EXT, a=Fraction(2)),
+    "nested": lambda: F.FieldDescriptor(F.QUAD_EXT, base=Q2, a=3),
+    "a = 0": lambda: F.FieldDescriptor(F.QUAD_EXT, base=Q, a=0),
+    "a = 4": lambda: F.FieldDescriptor(F.QUAD_EXT, base=Q, a=Fraction(4)),
+    "a = 2 in F_7": lambda: F.FieldDescriptor(F.QUAD_EXT, base=F7, a=2),
+    "a = 1 in R": lambda: F.FieldDescriptor(F.QUAD_EXT, base=F.reals(), a=1),
+}
+
+
+@pytest.mark.parametrize("make", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+def test_a_malformed_field_raises_each_time_and_is_not_stored(make):
+    """FieldDescriptor checks each value before it stores it, so a rejected
+    one raises UnsupportedField again on the next call and leaves the
+    table as it was."""
+    made = len(F.FieldDescriptor._table)
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            make()
+    assert len(F.FieldDescriptor._table) == made
 
 
 def test_finite_prime_rejects_bad_characteristic():
@@ -75,8 +124,8 @@ def test_quad_ext_rejects_square_a():
 
 def test_quad_ext_proves_a_non_square_once_and_keeps_no_error(monkeypatch):
     """k(sqrt a) is checked once per (base, a), however often it is made;
-    a square a is tested again on every call, as the error is not cached."""
-    F._quad_ext.cache_clear()
+    a square a is tested again on every call, as a rejected value is not
+    stored.  The two a are made by no other test."""
     calls = []
 
     def spy(field, x, real=F.is_square):
@@ -84,14 +133,15 @@ def test_quad_ext_proves_a_non_square_once_and_keeps_no_error(monkeypatch):
         return real(field, x)
 
     monkeypatch.setattr(F, "is_square", spy)
-    f7 = F.finite_prime(7)
+    f10007 = F.finite_prime(10007)  # -1 is not a square mod 10007 = 3 mod 4
+    a = Fraction(-104729, 1013)
     for _ in range(3):
-        assert F.quad_ext(F.rationals(), 3) == F.quad_ext(F.rationals(), Fraction(6, 2))
-        assert F.quad_ext(f7, 3).a == 3
-    assert calls == [(F.rationals(), 3), (f7, 3)]
+        assert F.quad_ext(F.rationals(), a) is F.quad_ext(F.rationals(), Fraction(-2 * 104729, 2026))
+        assert F.quad_ext(f10007, -1).a == 10006
+    assert calls == [(F.rationals(), a), (f10007, 10006)]
     for _ in range(2):
         with pytest.raises(UnsupportedField):
-            F.quad_ext(F.rationals(), 4)
+            F.quad_ext(F.rationals(), Fraction(104729 ** 2, 1013 ** 2))
     assert len(calls) == 4
 
 

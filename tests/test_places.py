@@ -12,7 +12,8 @@ from oracles import (
 )
 from sympy import factorint, nextprime, primefactors
 
-from wittloc.fields import least_nonresidue
+from wittloc import places
+from wittloc.fields import least_nonresidue, rationals
 from wittloc.places import (
     INF,
     WF_ZERO,
@@ -36,6 +37,7 @@ from wittloc.places import (
     _residue_forms_zero,
     sqrt_mod_prime_power,
 )
+from wittloc.witt import witt
 
 
 def _counted(entries):
@@ -364,3 +366,23 @@ def test_sqrt_mod_prime_power(p):
         for k in (1, 2, 5, 12):
             s = sqrt_mod_prime_power(d, p, k)
             assert (s * s - d) % p ** k == 0, (d, k, s)
+
+
+def test_a_rational_class_factors_no_integer_larger_than_its_entries(monkeypatch):
+    """The primes of odd valuation of c = num/den are those of num and of
+    den, which are coprime, so each is factored on its own: a W(Q) class at
+    height 10^12 with denominators, its sum, product and printed form hand
+    _factor no integer larger than its largest numerator or denominator."""
+    rng = random.Random("factor the numerator and the denominator apart")
+    entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(2, 10 ** 12))
+               for _ in range(6)]
+    bound = max(max(abs(c.numerator), c.denominator) for c in entries)
+    factored = []
+    real = places._factor
+    monkeypatch.setattr(places, "_factor", lambda n: factored.append(n) or real(n))
+    Q = rationals()
+    x, y = witt(Q, *entries[:3]), witt(Q, *entries[3:])
+    str(x + y), str(x * y)
+    assert factored and max(factored) <= bound
+    assert squarefree_part(entries[0]) == squarefree_part(Fraction(
+        entries[0].numerator * entries[0].denominator))

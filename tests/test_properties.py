@@ -16,7 +16,7 @@ from wittloc.euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, euler_rep, n
 from wittloc.exprs import parse_ring_expr, parse_witt_expr, ring_str, witt_str
 from wittloc.quadext import make_context
 from wittloc.rings import bnn, bsl2n, e_monomial, from_witt, gen, generator_names, twisted_point
-from wittloc.witt import WittClass, integer_class, integer_modulus, witt, zero_class
+from wittloc.witt import WittClass, integer_class, witt, zero_class
 
 from oracles import first_residue_by_terms, n_verdict_by_closed_forms, witt_product_by_terms
 
@@ -113,7 +113,7 @@ def test_integer_multiples_are_repeated_sums(field):
 def test_integer_classes_read_back(field):
     """integer_class(t).integer_value() is t over the keyed fields, taken
     mod N when <1> has additive order N."""
-    N = integer_modulus(field)
+    N = field.modulus
     for t in list(range(-40, 41)) + [BIG, -BIG]:
         assert integer_class(t, field).integer_value() == (t % N if N else t)
 

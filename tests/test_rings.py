@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc.errors import BadParameters, PresentationMismatch, UnknownGenerator
+from wittloc.errors import (BadParameters, InconsistentField, PresentationMismatch,
+                            UnknownGenerator, UnsupportedField)
 from wittloc.quadext import QuadExtContext, make_context
 from wittloc.rings import (
     BNN,
@@ -202,8 +203,7 @@ def test_witt_image_tests_no_image_for_zero(monkeypatch):
 def _context_apart():
     """Q(sqrt 3) over Q, built with the constructors, not quad_ext and
     make_context."""
-    q = F.rationals()
-    return QuadExtContext(q, Fraction(3), F.FieldDescriptor(F.QUAD_EXT, base=q, a=Fraction(3)))
+    return QuadExtContext(F.FieldDescriptor(F.QUAD_EXT, base=F.rationals(), a=3))
 
 
 @pytest.mark.parametrize("make, made", [
@@ -238,3 +238,50 @@ def test_presentation_builders_reject_a_non_integer_n(build, n):
     build(1, Q), build(2, Q)
     with pytest.raises(BadParameters, match=r"^n must be an integer"):
         build(n, Q)
+
+
+def _malformed_presentations():
+    ctx = make_context(F.finite_prime(5), 2)
+    q3 = make_context(Q, 3)
+    return {
+        "twisted over Q, context over F_5": (InconsistentField, lambda: PresentationId(TWISTED, 1, Q, ctx=ctx)),
+        "BSL2n with a context": (BadParameters, lambda: PresentationId(BSL2N, 2, Q, ctx=q3)),
+        "BN with a context": (BadParameters, lambda: PresentationId(BNN, 1, Q, ctx=q3)),
+        "BSL2n with a string for a context": (BadParameters, lambda: PresentationId(BSL2N, 1, Q, ctx="Q(sqrt:3)")),
+        "twisted with 3 factors": (BadParameters, lambda: PresentationId(TWISTED, 3, F.finite_prime(5), ctx=ctx)),
+        "twisted with no context": (BadParameters, lambda: PresentationId(TWISTED, 1, Q)),
+        "twisted with a field for a context": (BadParameters, lambda: PresentationId(TWISTED, 1, Q, ctx=q3.ext)),
+        "integral BN": (BadParameters, lambda: PresentationId(BNN, 1, Q, integral=True)),
+        "integral = 1": (BadParameters, lambda: PresentationId(BSL2N, 1, Q, integral=1)),
+        "unknown kind": (BadParameters, lambda: PresentationId("foo", 1, Q)),
+        "no field": (BadParameters, lambda: PresentationId(BSL2N, 1, "Q")),
+        "n = True": (BadParameters, lambda: PresentationId(BSL2N, True, Q)),
+        "n = 0": (BadParameters, lambda: PresentationId(BNN, 0, Q)),
+    }
+
+
+@pytest.mark.parametrize("name", _malformed_presentations())
+def test_a_presentation_that_names_no_ring_is_rejected_each_time(name):
+    """PresentationId checks each value before it stores it: a twisted point
+    has one factor and a context over its own field, only it has a context,
+    and only BSL2n is integral.  Each value here was accepted, as a second
+    object, before; a rejected one raises again and is not stored."""
+    error, make = _malformed_presentations()[name]
+    made = len(PresentationId._table)
+    for _ in range(2):
+        with pytest.raises(error):
+            make()
+    assert len(PresentationId._table) == made
+
+
+@pytest.mark.parametrize("ext", [Q, F.finite_prime(7), F.reals(), "Q(sqrt:3)", None], ids=str)
+def test_a_context_is_made_from_a_quadratic_extension_only(ext):
+    """A context is its extension field: base and a are read from it, and
+    anything but a quadratic extension raises UnsupportedField, each time."""
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            QuadExtContext(ext)
+    ctx = QuadExtContext(F.quad_ext(Q, 5))
+    assert (ctx.base, ctx.a, ctx.ext) == (Q, Fraction(5), F.quad_ext(Q, 5))
+    assert ctx is make_context(Q, 5)
+    assert str(twisted_point(ctx)) == "TwistedPoint(Q(sqrt:5))"

@@ -8,6 +8,7 @@ from oracles import (qext_nonzero_by_invariants, qext_reduce_pairwise, witt_prod
                      witt_quotient_reference)
 
 from wittloc import fields as F
+from wittloc import places
 from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
 from wittloc.places import ker_iota_rational
 from wittloc.quadext import base_change, make_context, scaled_transfer, transfer
@@ -15,7 +16,6 @@ from wittloc.witt import (
     WittClass,
     diagonalize,
     integer_class,
-    integer_modulus,
     square_class,
     witt,
     zero_class,
@@ -220,15 +220,51 @@ INTEGER_MODULI = [
     (F.finite_prime(5), 2), (F.finite_prime(13), 2), (F.quad_ext(F.finite_prime(3), -1), 2),
     (F.quad_ext(F.finite_prime(7), 3), 2), (F.quad_ext(Q, -1), 2),
     (F.quad_ext(Q, -7), 8), (F.quad_ext(Q, -15), 8),
+    (F.quad_ext(R, -1), 2), (F.quad_ext(Q, Fraction(1, 2)), 0),
+    (F.quad_ext(Q, Fraction(-1, 4)), 2), (F.quad_ext(Q, Fraction(-7, 4)), 8),
 ]
 
 
 @pytest.mark.parametrize("field, N", INTEGER_MODULI, ids=lambda x: str(x))
 def test_integer_modulus_is_the_order_of_one(field, N):
     """Z/N is the image of Z in W(k): twice the level, 0 over ordered k."""
-    assert integer_modulus(field) == N
+    assert field.modulus == N
+    assert field.minus_one_square == (N == 2)
     for t in range(1, 17):
         assert integer_class(t, field).is_zero() == (N > 0 and t % N == 0)
+
+
+def _order_of_one(field):
+    """The additive order of <1>, found by adding <1> until the sum is 0,
+    or 0 when 8<1> is not 0, as 8<1> = 0 over every k that is not
+    formally real."""
+    one, total = integer_class(1, field), zero_class(field)
+    for t in range(1, 9):
+        total = total + one
+        if total.is_zero():
+            return t
+    return 0
+
+
+def test_integer_modulus_of_seeded_quadratic_extensions_factors_nothing(monkeypatch):
+    """field.modulus is the additive order of <1> on 200 seeded Q(sqrt a),
+    a up to height 10^12 with denominators, and making those fields
+    factors no integer: N is read off a in closed form."""
+    rng = random.Random("modulus-of-Q(sqrt a)")
+    values = []
+    while len(values) < 200:
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12),
+                     rng.choice((1, rng.randint(1, 10 ** 12))))
+        if not F.is_square(Q, a):
+            values.append(a)
+    values += [Fraction(-7 * 4 ** 5 * 9, 25), Fraction(-9, 4), Fraction(-14)]  # 8, 2, 4
+    factored = []
+    monkeypatch.setattr(places, "_factor", lambda n: factored.append(n) or ())
+    made = [F.quad_ext(Q, a) for a in values]
+    assert factored == []
+    monkeypatch.undo()
+    for field in made:
+        assert field.modulus == _order_of_one(field), field
 
 
 @pytest.mark.parametrize("a", [2, 3, 5, -1, -2, -3, -7, -15])
@@ -385,7 +421,7 @@ def test_qext_integer_class_225_takes_under_a_second():
 
 @pytest.mark.parametrize("a, count", [(2, 2027025), (-7, 1), (-2, 1), (-1, 1)])
 def test_qext_integer_class_is_one_counted_entry(a, count):
-    """t<1> over Q(sqrt a) is the entry 1 with count t, mod integer_modulus."""
+    """t<1> over Q(sqrt a) is the entry 1 with count t, mod field.modulus."""
     field = F.quad_ext(Q, a)
     x = integer_class(2027025, field)
     assert x.key == ((F.one(field), count),)
@@ -522,7 +558,7 @@ def test_qext_integer_value_is_exact(field):
     random forms, integers written as sums of squares, t<1> plus a form
     minus an isometric one, and the written integers above."""
     rng = random.Random(f"qext-integer-value:{field}")
-    N = integer_modulus(field)
+    N = field.modulus
     classes = [WittClass.from_entries(field, random_qext_form(rng, field)) for _ in range(8)]
     classes += _integers_written_otherwise(rng, field)
     for _ in range(4):
