@@ -65,6 +65,7 @@ from .rings import (
     gen,
     integral_bsl2n,
     localize_element,
+    one_elem,
     sum_elements,
     twisted_point,
     twisted_push_unit,
@@ -249,14 +250,16 @@ def push_to_base(x, c: FixedComponent):
 
 def _component_fraction(
     c: FixedComponent, g: GroupDescriptor, carrier: PresentationId
-) -> Tuple[GradedElement, Mapping]:
+) -> Tuple[Optional[GradedElement], Mapping]:
     """(numerator over carrier, denominator as a mapping normal irrep ->
     multiplicity); carrier is the localized base ring, or for SL2n its
     integral form, where an SL2n ring-expression restricted class must
     already live (``_integral_components`` lifts it).  A restricted RepSum
     cancels against the normal irreps first, in one pass over its distinct
     irreps: what is left of it is the numerator, and what is left of them
-    the denominator, each in its RepSum's order."""
+    the denominator, each in its RepSum's order.  A numerator of 1, at a
+    rational point whose restricted RepSum cancels all of it, is None, so
+    that nothing is multiplied by it."""
     _check_residue(c.residue, g)
     if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
@@ -287,9 +290,9 @@ def _component_fraction(
                 den.pop(irrep, None)
                 if k > have:
                     left.append((irrep, k - have))
-        num = whitney(left, carrier)
+        num = whitney(left, carrier) if left else None
         if c.residue != RATIONAL_POINT:  # pi_*(pi^* r) = r * pi_*(1), the projection formula
-            num = num * localize_element(twisted_push_unit(c.residue), carrier)
+            num = _times(num, localize_element(twisted_push_unit(c.residue), carrier))
         return num, den
     if g.kind == "SL2n":
         return r, den  # over carrier already: see ``_integral_components``
@@ -358,13 +361,19 @@ def _integral_components(p: LocalizationProblem, base: PresentationId,
     return out
 
 
-def _sum_fractions(fractions: List[Tuple[GradedElement, Mapping]], carrier: PresentationId):
-    """(sum, e(L) or None, quotient or None) for fractions n_i / d_i, each d_i
-    a mapping irrep -> multiplicity, over carrier.  L takes each irrep's
-    maximum multiplicity; the n_i * e(L - d_i) are summed once (n_i itself
-    when d_i = L) and divided by e(L) once, or not at all when L is empty.
-    Any common multiple would do: e(L) leads with an odd integer, so the
-    quotient is unique."""
+def _times(x: Optional[GradedElement], y: Optional[GradedElement]) -> Optional[GradedElement]:
+    """x*y, where None stands for 1."""
+    return y if x is None else x if y is None else x * y
+
+
+def _sum_fractions(fractions: List[Tuple[Optional[GradedElement], Mapping]],
+                   carrier: PresentationId):
+    """(sum, e(L) or None, quotient or None) for fractions n_i / d_i over
+    carrier, each n_i an element or None for 1 and each d_i a mapping irrep
+    -> multiplicity.  L takes each irrep's maximum multiplicity; the
+    n_i * e(L - d_i) are summed once (n_i itself when d_i = L) and divided
+    by e(L) once, or not at all when L is empty.  Any common multiple would
+    do: e(L) leads with an odd integer, so the quotient is unique."""
     L: Dict = {}
     for _, den in fractions:
         for irrep, k in den.items():
@@ -374,8 +383,8 @@ def _sum_fractions(fractions: List[Tuple[GradedElement, Mapping]], carrier: Pres
     for _, den in fractions:
         rest = [(irrep, k - den.get(irrep, 0)) for irrep, k in L.items() if k > den.get(irrep, 0)]
         cofactors.append(whitney(rest, carrier) if rest else None)
-    total = sum_elements(carrier, [num if x is None else num * x
-                                   for (num, _), x in zip(fractions, cofactors)])
+    terms = (_times(num, x) for (num, _), x in zip(fractions, cofactors))
+    total = sum_elements(carrier, [one_elem(carrier) if t is None else t for t in terms])
     if not L:
         return total, None, total
     # e(L) = e(L - d_0) * e(d_0), as d_0 lies in L
@@ -569,13 +578,13 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
         normal_text = _json_value(cdoc, "normal", where, str)
         normal = parse_rep(normal_text, g.kind, g.n)
         restricted_text = _json_value(cdoc, "restricted", where, str, normal_text)
-        try:
-            restricted: Union[RepSum, GradedElement] = parse_rep(
-                restricted_text, g.kind, g.n
-            )
-        except ExprSyntaxError:
-            pres = component_presentation(residue, g)
-            restricted = parse_ring_expr(restricted_text, pres)
+        restricted: Union[RepSum, GradedElement] = normal
+        if restricted_text != normal_text:  # else the literal is read once
+            try:
+                restricted = parse_rep(restricted_text, g.kind, g.n)
+            except ExprSyntaxError:
+                pres = component_presentation(residue, g)
+                restricted = parse_ring_expr(restricted_text, pres)
         comps.append(FixedComponent(cid, residue, normal, restricted))
     invert = _json_value(doc, "invert", "problem", dict, {})
     _known_keys(invert, "invert", ("M",))

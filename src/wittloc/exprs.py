@@ -30,26 +30,20 @@ from .witt import WittClass, integer_class, square_class
 from .rings import (GradedElement, PresentationId, from_witt, gen,
                     key_generators, sum_elements)
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-]))")
+# one group per token kind; the last catches any other non-space character
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-])|(\S)")
+_TOKEN_KINDS = (None, "int", "name", "sym")
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """(kind, value, position) triples; kinds are 'int', 'name', 'sym'."""
+    """(kind, value, position) triples; kinds are 'int', 'name', 'sym'.
+    Whitespace separates tokens; any other character raises
+    ExprSyntaxError at its own offset."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1):
-            out.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            out.append(("name", m.group(2), m.start(2)))
-        else:
-            out.append(("sym", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 4:
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        out.append((_TOKEN_KINDS[m.lastindex], m.group(), m.start()))
     return out
 
 

@@ -386,6 +386,46 @@ def _legendre(u: int, p: int) -> int:
     return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
+def _is_square_int(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def integral_coordinates(x) -> Tuple[int, int]:
+    """u + v*sqrt(a) in Q(sqrt a) scaled by the rational square L^2, L the
+    lcm of the denominators of u and v: integral coordinates of an element
+    of the same square class, read off numerators and denominators."""
+    u, v = x
+    L = math.lcm(u.denominator, v.denominator)
+    return (u.numerator * (L // u.denominator) * L, v.numerator * (L // v.denominator) * L)
+
+
+def scaled_product(A: int, B: int, x, y) -> Tuple[int, int]:
+    """B^2*x*y for x, y in integral coordinates of Q(sqrt a), a = A/B in
+    lowest terms: x*y has rational part u*u' + a*v*v', and the square B^2
+    makes it an integer, so the product keeps its square class and stays
+    in integers."""
+    (u, v), (u2, v2) = x, y
+    return (B * (B * u * u2 + A * v * v2), B * B * (u * v2 + v * u2))
+
+
+def is_square_integral(A: int, B: int, u: int, v: int) -> bool:
+    """Whether u + v*sqrt(a), u and v integers and a = A/B in lowest terms,
+    is a square in Q(sqrt a), in integers.  For v = 0 it is one iff u or
+    u/a is a rational square, and u/a = u*A*B/A^2.  Else x = (p + q*sqrt a)^2
+    makes the norm u^2 - a*v^2 a square w^2 and p^2 one of (u +- w)/2, and
+    conversely.  Scaled by B^2 the norm is the integer M = B*(B*u^2 - A*v^2)
+    = (B*w)^2, and (u +- w)/2 = (B*u +- B*w)/(2B) is a rational square iff
+    2B*(B*u +- B*w) is a perfect square."""
+    if not v:
+        return _is_square_int(u) or _is_square_int(u * A * B)
+    M = B * (B * u * u - A * v * v)
+    if M < 0:
+        return False
+    w = math.isqrt(M)
+    return w * w == M and (_is_square_int(2 * B * (B * u + w))
+                           or _is_square_int(2 * B * (B * u - w)))
+
+
 def is_square(field: FieldDescriptor, x) -> bool:
     """Exact square test; zero counts as a square."""
     if field.kind == RATIONALS:
@@ -402,14 +442,9 @@ def is_square(field: FieldDescriptor, x) -> bool:
     if base.kind == REALS:
         # a < 0, so this is C: every element is a square.
         return True
-    # Q(sqrt a): a rational u is a square iff u or u/a is a rational square;
-    # else x = (p + q*sqrt a)^2 makes the norm a square w^2 and p^2 a root
-    # (u +- w)/2 of z^2 - u*z + a*v^2/4
-    u, v = x
-    if v == 0:
-        return _is_square_fraction(u) or _is_square_fraction(u / field.a)
-    w = _fraction_square_root(u * u - field.a * v * v)
-    return w is not None and any(_is_square_fraction((u + e) / 2) for e in (w, -w))
+    # Q(sqrt a): decided in integer coordinates of the same square class
+    a = field.a
+    return is_square_integral(a.numerator, a.denominator, *integral_coordinates(x))
 
 
 def real_sign(field: FieldDescriptor, x, positive_root: bool = True) -> int:
@@ -426,8 +461,10 @@ def real_sign(field: FieldDescriptor, x, positive_root: bool = True) -> int:
     su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
     if su * sv >= 0:
         return su or sv
-    # opposite signs: the larger of u^2 and a*v^2 (never equal) decides
-    return su if u * u > field.a * v * v else sv
+    # opposite signs: the larger of u^2 and a*v^2 (never equal) decides,
+    # compared as B*u^2 and A*v^2 for a = A/B, so int coordinates stay ints
+    a = field.a
+    return su if a.denominator * u * u > a.numerator * v * v else sv
 
 
 def elements(field: FieldDescriptor) -> Iterator:

@@ -15,7 +15,12 @@ after a quadratic base change.  That test is closed form: where a is not a
 square in Q_v, W(Q_v) -> W(Q_v(sqrt a)) kills exactly the even-rank forms
 of signed discriminant in {1, a} Q_v*^2, as restriction of Brauer groups
 kills the 2-torsion that holds the Hasse invariant.  Zero in W(Q(sqrt a)) is
-decided place by place as well (``qext_witt_zero``).
+decided place by place as well (``qext_witt_zero``), in integers: the
+entries are the int pairs of a ``WittClass`` key, and the discriminant, the
+Z[sqrt d] coordinates (``z_sqrt_d``), the norms and the split-place images
+are ints, each got by scaling with a rational square, which keeps every
+square class; ``vp``, ``unit_part_mod_p`` and ``local_witt_zero`` take ints
+as well as Fractions.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def wf_mul(c1, c2) -> Tuple[int, bool]:
 
 def wq_key(entries: Tuple[Fraction, ...]):
     """(signature, sorted nonzero second residues at odd primes, dyadic
-    parity) of a form."""
+    parity) of a form; an entry is a nonzero Fraction or int."""
     sig = 0
     dy = 0
     residues: Dict[int, List[Tuple[bool, int]]] = {}
@@ -501,21 +506,34 @@ def qext_signatures(field, terms):
             yield sum(n * F.real_sign(field, c, root) for c, n in terms)
 
 
+def z_sqrt_d(u: int, v: int, fn: int, fd: int) -> Tuple[int, int]:
+    """u + v*sqrt(a) = u + v*f*sqrt(d), for integers u, v and f = fn/fd in
+    lowest terms, scaled by the square L^2, L = fd/gcd(v, fd) the
+    denominator of v*f, into x + y*sqrt(d) in Z[sqrt d]: x = u*L^2 and
+    y = v*f*L^2 = (v/g)*fn*L."""
+    g = math.gcd(v, fd)
+    L = fd // g
+    return u * L * L, v // g * fn * L
+
+
 def qext_witt_zero(field, terms) -> bool:
     """Whether x = sum n*<c> over (entry, count) terms, the entries int
     pairs as in a ``WittClass`` key, is 0 in W(K), K = Q(sqrt a), a = d f^2
-    with d squarefree (Lam, ch. VI).
+    with d squarefree (Lam, ch. VI).  Everything below is done in integers:
+    the discriminant through ``fields.scaled_product``, the norms and the
+    images at split places.
 
     Even rank and a square signed discriminant put x in I^2 K.  If x dies
     at every finite place but one dyadic place, Hilbert reciprocity kills
     its Clifford invariant there too, so x lies in I^3 K, which is
     torsion-free and seen by the real signatures.  With entries scaled by
-    rational squares into Z[sqrt d], x dies at every odd place that divides
-    no norm (it is unimodular of square discriminant there).  A split place
-    is Q_p through a root s of d mod p^k, k past every norm's valuation by
-    3, and ``local_witt_zero`` decides; Springer's theorem decides every odd
-    place, split, inert (uniformizer p) or ramified (uniformizer sqrt d).
-    When 2 splits (d = 1 mod 8), one dyadic place is tested the split way.
+    rational squares into Z[sqrt d] (``z_sqrt_d``), x dies at every odd
+    place that divides no norm (it is unimodular of square discriminant
+    there).  A split place is Q_p through a root s of d mod p^k, k past
+    every norm's valuation by 3, and ``local_witt_zero`` decides; Springer's
+    theorem decides every odd place, split, inert (uniformizer p) or
+    ramified (uniformizer sqrt d).  When 2 splits (d = 1 mod 8), one dyadic
+    place is tested the split way.
     """
     if not terms:
         return True
@@ -524,34 +542,36 @@ def qext_witt_zero(field, terms) -> bool:
         return False
     if any(qext_signatures(field, terms)):  # stops at the first nonzero one
         return False
-    disc = F.coerce(field, (-1) ** (rank // 2 % 2))
+    A, B = field.a.numerator, field.a.denominator
+    disc = ((-1) ** (rank // 2 % 2), 0)
     for c, n in terms:
         if n % 2:
-            disc = F.mul(field, disc, c)
-    if not F.is_square(field, disc):
+            disc = F.scaled_product(A, B, disc, c)
+    if not F.is_square_integral(A, B, *disc):
         return False
     d = squarefree_part(field.a)
     f = F._fraction_square_root(field.a / d)
-    ints = []  # (u, v, norm, count) for u + v*sqrt(d) in Z[sqrt d]
+    ints = []  # (x, y, norm, count) for x + y*sqrt(d) in Z[sqrt d]
     for (u, v), n in terms:
-        L2 = (v * f).denominator ** 2
-        u, v = u * L2, int(v * f * L2)
-        ints.append((u, v, Fraction(u * u - d * v * v), n))
-    primes = {q for _, _, N, _ in ints for q, _ in _factor(abs(N.numerator)) if q != 2}
+        x, y = z_sqrt_d(u, v, f.numerator, f.denominator)
+        ints.append((x, y, x * x - d * y * y, n))
+    primes = {q for _, _, N, _ in ints for q, _ in _factor(abs(N)) if q != 2}
     for p in sorted(primes) + ([2] if d % 8 == 1 else []):
         if d % p == 0:
             residues = []
-            for u, v, N, n in ints:
+            for x, y, N, n in ints:
                 e = vp(N, p)  # the valuation at the place over p
-                w = Fraction(v if e % 2 else u, d ** (e // 2))
-                residues.append((e, unit_part_mod_p(w, p), n))
+                # the unit part of (y if e is odd else x) / d^(e//2), p || d
+                w = unit_part_mod_p(y if e % 2 else x, p) * pow(d // p, -(e // 2), p) % p
+                residues.append((e, w, n))
             if not _residue_forms_zero(residues, p, -1):
                 return False
         elif p == 2 or _legendre(d, p) == 1:
             k = max(vp(N, p) for _, _, N, _ in ints) + 3
+            M = p ** k
             s = sqrt_mod_prime_power(d, p, k)
             for r in (s,) if p == 2 else (s, -s):
-                images = [(Fraction((u + v * r) % p ** k), n) for u, v, _, n in ints]
+                images = [((x + y * r) % M, n) for x, y, _, n in ints]
                 if not local_witt_zero(images, p):
                     return False
         elif not _residue_forms_zero(

@@ -1,15 +1,17 @@
 """Quadratic extensions k(sqrt(a))/k: base change, transfer, and the
 three-term exact cycle W(k) -> W(k(sqrt a)) -> W(k) -> W(k).
 
-Base change and both transfers read the counted representative
-``WittClass.terms``, so they cost the distinct entries of a class, not its
-rank.  The transfer is computed per distinct entry from the closed-form
-diagonal of the trace form on the basis {1, sqrt(a)}, scaled by its count;
-the scaled transfer twists by <sqrt(a)> first.  The ideal I_a is the kernel
-of multiplication by 1 - <a>, which equals the image of the transfer.  The
-kernel of base change is (1 - <a>)W(k); a class in it is certified by a
-multiplier, over Q solved for on the W(Q) keys, never searched for.  A
-``QuadExtContext`` is one object per extension field (``Canonical``).
+Base change reads the counted representative ``WittClass.terms`` and both
+transfers read the distinct entries (over Q(sqrt a) the int pairs of the
+key), so they cost the distinct entries of a class, not its rank.  The
+transfer is computed per distinct entry from the closed-form diagonal of
+the trace form on the basis {1, sqrt(a)}, scaled by its count; the scaled
+transfer twists by <sqrt(a)> first (``witt.trace_class``).  The ideal I_a
+is the kernel of multiplication by 1 - <a>, which equals the image of the
+transfer.  The kernel of base change is (1 - <a>)W(k); a class in it is
+certified by a multiplier, over Q solved for on the W(Q) keys, never
+searched for.  A ``QuadExtContext`` is one object per extension field
+(``Canonical``).
 """
 
 from __future__ import annotations
@@ -59,24 +61,25 @@ def one_minus_a(ctx: QuadExtContext) -> WittClass:
 def base_change(x: WittClass, ctx: QuadExtContext) -> WittClass:
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
-    return _counted_class(ctx.ext, (((F.coerce(ctx.ext, c),), n) for c, n in x.terms))
+    zero = F.zero(ctx.base)
+    return _counted_class(ctx.ext, ((((c, zero),), n) for c, n in x.terms))
 
 
-def _ext_terms(x: WittClass, ctx: QuadExtContext):
+def _ext_class(x: WittClass, ctx: QuadExtContext) -> WittClass:
     if x.field != ctx.ext:
         raise FieldMismatch(f"expected class over {ctx.ext}, got {x.field}")
-    return x.terms
+    return x
 
 
 def transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
     """Scharlau trace transfer W(k(sqrt a)) -> W(k), one closed-form trace
     form per distinct entry (``witt.trace_class``)."""
-    return trace_class(ctx.ext, _ext_terms(x, ctx))
+    return trace_class(_ext_class(x, ctx))
 
 
 def scaled_transfer(x: WittClass, ctx: QuadExtContext) -> WittClass:
     """The transfer of <sqrt a>*x."""
-    return trace_class(ctx.ext, _ext_terms(x, ctx), F.coerce(ctx.ext, (0, 1)))
+    return trace_class(_ext_class(x, ctx), twist=True)
 
 
 def in_Ia(x: WittClass, ctx: QuadExtContext) -> bool:

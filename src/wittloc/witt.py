@@ -7,10 +7,11 @@ signature times t, each W(F_q) part t mod 4 times, each Q(sqrt a) count
 times t).  A product multiplies signatures over R, is ``places.wf_mul`` over
 F_p, F_{p^2} and C, and over Q is ``places.wq_key_mul``, which reads each
 first residue off the key, so nothing is factored.  Over Q(sqrt a) it sums
-the pairwise products of entries.  Base change, transfers and printing read
-the counted representative ``terms``, (entry, count) pairs built from the
-key on first use, so they cost the number of distinct entries, not the
-rank.  Over Q, R, F_p, F_{p^2} and C the key is the complete invariant:
+the pairwise products of entries.  Base change, printing and the transfers
+from F_p(sqrt a) read the counted representative ``terms``, (entry, count)
+pairs built from the key on first use, so they cost the number of distinct
+entries, not the rank; the transfers from Q(sqrt a) read the key itself.
+Over Q, R, F_p, F_{p^2} and C the key is the complete invariant:
 signature, second residues and dyadic slot over Q; signature over R; over
 F_p, F_{p^2} and C one record of (rank mod 2, signed discriminant is a
 square), added, negated, scaled and multiplied by the W(F_q) algebra of
@@ -20,8 +21,13 @@ is scaled by a rational square to integral u, v with no common square
 factor once, in ``from_entries``, and stored as the int pair (u, v); its
 counted representative is the same pairs with ``Fraction`` coordinates.
 Sums merge counts and cancel hyperbolic pairs by count (counts mod
-``field.modulus``), so t<1> is one entry of count t.  <r, s> is
-hyperbolic when -r*s is a square, decided in integers (``_hyperbolic_qext``).
+``field.modulus``), so t<1> is one entry of count t.  Every Q(sqrt a)
+kernel here runs on int coordinates, a = A/B in lowest terms, and scales
+only by rational squares, which keep each entry's square class: an entry
+enters times L^2 (L the lcm of its denominators), a product of entries is
+taken times B^2 (``fields.scaled_product``), <r, s> is hyperbolic when
+-r*s is a square (``fields.is_square_integral``, ``_hyperbolic_qext``),
+and a trace form is <2u, 2A*u*(B*u^2 - A*v^2)> (``trace_form_entries``).
 That key is not a complete invariant: zero and equality are decided
 place by place (``places.qext_witt_zero``), and the hash reads Witt
 invariants, rank parity, the signatures and the W(Q) keys of the transfers
@@ -36,7 +42,6 @@ divides by t<1>, t odd.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -98,22 +103,21 @@ def diagonalize(gram: Sequence[Sequence], field: FieldDescriptor) -> Tuple:
     return tuple(entries)
 
 
-def trace_form_entries(c, base: FieldDescriptor, a) -> Tuple:
-    """Diagonal entries over the base of (u,v) -> Tr_{k(sqrt a)/k}(c*u*v).
+def trace_form_entries(c, A, B) -> Tuple:
+    """Diagonal entries over the base of (s, t) -> Tr_{k(sqrt a)/k}(c*s*t),
+    for a = A/B in lowest terms (B = 1 and A = a over F_p).
 
-    The Gram matrix on the basis {1, sqrt(a)} is
-    [[2*c0, 2*c1*a], [2*c1*a, 2*c0*a]] for c = c0 + c1*sqrt(a).  For c0 != 0
-    it diagonalizes to <2*c0, 2*a*N(c)/c0>, that is <2*c0, 2*a*c0*N(c)> up
-    to the square c0^2 (N the norm); for c0 = 0 its diagonal is zero, so it
-    is hyperbolic, <1, -1>.
+    The Gram matrix on the basis {1, sqrt(a)} is [[2u, 2a*v], [2a*v, 2a*u]]
+    for c = u + v*sqrt(a).  For u != 0 it diagonalizes to <2u, 2a*N(c)/u>,
+    that is <2u, 2a*u*N(c)> up to the square u^2 (N(c) = u^2 - a*v^2 the
+    norm), and up to the square B^2 to <2u, 2A*u*(B*u^2 - A*v^2)>, integers
+    when u and v are; for u = 0 its diagonal is zero, so it is hyperbolic,
+    <1, -1>.
     """
-    c0, c1 = c
-    one = F.one(base)
-    if F.is_zero(base, c0):
-        return (one, F.neg(base, one))
-    two = F.coerce(base, 2)
-    norm = F.sub(base, F.mul(base, c0, c0), F.mul(base, a, F.mul(base, c1, c1)))
-    return (F.mul(base, two, c0), F.mul(base, F.mul(base, two, a), F.mul(base, c0, norm)))
+    u, v = c
+    if not u:
+        return (1, -1)
+    return (2 * u, 2 * A * u * (B * u * u - A * v * v))
 
 
 # ---------------------------------------------------------------------------
@@ -227,43 +231,21 @@ def _keyed(field: FieldDescriptor) -> _Keyed:
 
 
 def _normalize_qext_entry(c) -> Tuple[int, int]:
-    """c = u + v*sqrt(a) scaled by a rational square to integral u, v with
-    no common square factor, the same square class in Q(sqrt a): the int
-    pair (u, v)."""
-    u, v = c
-    L = math.lcm(u.denominator, v.denominator)
-    ui = int(u * L * L)
-    vi = int(v * L * L)
-    k = math.prod(q ** (e // 2) for q, e in places._factor(math.gcd(ui, vi)))
-    return (ui // (k * k), vi // (k * k))
-
-
-def _is_square_int(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
+    """c = u + v*sqrt(a) in integral coordinates of its square class
+    (``fields.integral_coordinates``, scaling by L^2), divided by the
+    largest square that divides both: the int pair (u, v)."""
+    u, v = F.integral_coordinates(c)
+    k = math.prod(q ** (e // 2) for q, e in places._factor(math.gcd(u, v)))
+    return (u // (k * k), v // (k * k))
 
 
 def _hyperbolic_qext(A: int, B: int, r, s) -> bool:
     """Whether <r, s> is hyperbolic, that is -r*s a square in Q(sqrt a), for
-    a = A/B in lowest terms and entries r, s of integral coordinates:
-    ``fields.is_square`` done in integers.  The square B^2 scales -r*s to
-
-        U + V*sqrt(a),  U = -B*(B*u*u' + A*v*v'),  V = -B^2*(u*v' + v*u'),
-
-    both integers.  For V = 0 it is a square iff U or U/a is a rational
-    square, and U/a = U*A*B / A^2.  Else its norm N = U^2 - a*V^2, an
-    integer as B^4 divides V^2, must be a square w^2, and then (U +- w)/2,
-    which are p^2 and a*q^2 for a root p + q*sqrt(a), must be a rational
-    square for one sign, that is 2*(U +- w) a perfect square."""
-    (u, v), (u2, v2) = r, s
-    U = -B * (B * u * u2 + A * v * v2)
-    S = u * v2 + v * u2  # V = -B^2 * S
-    if not S:
-        return _is_square_int(U) or _is_square_int(U * A * B)
-    N = U * U - A * B ** 3 * S * S
-    if N < 0:
-        return False
-    w = math.isqrt(N)
-    return w * w == N and (_is_square_int(2 * (U + w)) or _is_square_int(2 * (U - w)))
+    a = A/B in lowest terms and entries r, s of integral coordinates: -r*s
+    scaled by B^2 (``fields.scaled_product``) and tested in integers
+    (``fields.is_square_integral``)."""
+    u, v = F.scaled_product(A, B, r, s)
+    return F.is_square_integral(A, B, -u, -v)
 
 
 def _qext_sorted(pairs) -> Tuple:
@@ -321,22 +303,22 @@ def _qext_integer(k) -> Optional[int]:
 
 def _mul_qext(field: FieldDescriptor, k1, k2) -> Tuple:
     """The key of the product: the other key scaled when one key reads as
-    an integer (``_qext_integer``), else the pairwise products of entries
+    an integer (``_qext_integer``), else the pairwise products of entries,
+    each scaled by the square B^2 into integers (``fields.scaled_product``),
     with their counts multiplied, one canonicalization per distinct count."""
     for x, y in ((k1, k2), (k2, k1)):
         t = _qext_integer(y)
         if t is not None:
             return _scale_qext(field, x, t)
+    A, B = field.a.numerator, field.a.denominator
     return _counted_class(field, (
-        ((F.mul(field, c, d),), n * m) for c, n in k1 for d, m in k2
+        ((F.scaled_product(A, B, c, d),), n * m) for c, n in k1 for d, m in k2
     )).key
 
 
 _QEXT_KEYS = _Keyed(
     (),
-    lambda field, entries: _cancel_qext(
-        field, [(_normalize_qext_entry(c), n) for c, n in Counter(entries).items()]
-    ),
+    lambda field, entries: _cancel_qext(field, [(_normalize_qext_entry(c), 1) for c in entries]),
     lambda field, k1, k2: _cancel_qext(field, k1 + k2),
     _neg_qext,
     _scale_qext,
@@ -356,14 +338,23 @@ def _counted_class(field: FieldDescriptor, parts) -> WittClass:
                zero_class(field))
 
 
-def trace_class(field: FieldDescriptor, pairs, twist=None) -> WittClass:
-    """Tr_{k(sqrt a)/k}(<twist>*x) in W(k) for the class x of the (entry,
-    count) pairs over field = k(sqrt a): the closed-form trace form of each
-    distinct entry (``trace_form_entries``), scaled by its count."""
-    base = field.base
-    if twist is not None:
-        pairs = ((F.mul(field, twist, c), n) for c, n in pairs)
-    return _counted_class(base, ((trace_form_entries(c, base, field.a), n) for c, n in pairs))
+def trace_class(x: WittClass, twist: bool = False) -> WittClass:
+    """Tr_{k(sqrt a)/k}(x), or Tr(<sqrt a>*x) when twist, in W(k), for x
+    over k(sqrt a): the closed-form trace form of each distinct entry
+    (``trace_form_entries``), scaled by its count.  Over Q(sqrt a) the
+    entries are the int pairs of the key and <sqrt a> twists them by
+    ``fields.scaled_product``, so every trace form is made of integers;
+    over F_p(sqrt a) they are reduced mod p."""
+    field = x.field
+    base, A, B = field.base, field.a.numerator, field.a.denominator
+    pairs = x.key if _is_qext_q(field) else x.terms
+    if twist:
+        sqrt_a = (0, 1)
+        pairs = ((F.scaled_product(A, B, sqrt_a, c), n) for c, n in pairs)
+    forms = ((trace_form_entries(c, A, B), n) for c, n in pairs)
+    if base.kind == FINITE_PRIME:
+        forms = ((tuple(e % base.p for e in es), n) for es, n in forms)
+    return _counted_class(base, forms)
 
 
 def _canonicalize(field: FieldDescriptor, entries):
@@ -506,10 +497,8 @@ class WittClass:
         if _is_qext_q(self.field):
             # Witt invariants: rank parity, the signatures, and the W(Q) keys
             # of the transfers of x and of <sqrt a>x
-            sqrt_a = F.coerce(self.field, (0, 1))
             return hash((self.field, sum(n for _, n in self.key) % 2, self.signatures(),
-                         trace_class(self.field, self.terms).key,
-                         trace_class(self.field, self.terms, sqrt_a).key))
+                         trace_class(self).key, trace_class(self, twist=True).key))
         return hash((self.field, self.key))
 
     # -- inspection --------------------------------------------------------

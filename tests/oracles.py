@@ -7,7 +7,10 @@ multiplies monomials by literal relation rewriting.  Products of Witt
 classes are summed over the pairs of counted terms, and the first residue
 at an odd prime is read from the entries of even valuation.  The W(Q(sqrt a))
 references cancel hyperbolic pairs by a pairwise search and show a class
-nonzero by rank parity, signatures and the two transfers to W(Q).
+nonzero by rank parity, signatures and the two transfers to W(Q).  The
+W(Q(sqrt a)) kernels that run in integer coordinates have their Fraction
+formulas here: normalization (``clear_rational_squares``), the square test,
+the Z[sqrt d] scaling, the trace-form entries and the real sign.
 The W(k) division reference collects the verified quotients of a candidate
 search (every class over F_p, every solution of t*q = c over Q).  The local
 base-change kernel reference decides membership in <1,-a>*W(Q_v) by
@@ -195,9 +198,11 @@ def first_residue_by_terms(terms, p):
 # W(Q(sqrt a)) entries by brute force: pairwise cancellation
 
 
-def _clear_rational_squares(c):
+def clear_rational_squares(c):
     """c = u + v*sqrt(a) scaled by a rational square to integral u, v with
-    no common square factor, by trial division."""
+    no common square factor, in Fractions (u*L^2 and v*L^2, L the lcm of
+    the denominators) and by trial division: the reference of
+    ``witt._normalize_qext_entry``."""
     u, v = c
     L = math.lcm(u.denominator, v.denominator)
     ui = int(u * L * L)
@@ -214,7 +219,7 @@ def _clear_rational_squares(c):
 def qext_reduce_pairwise(field, entries):
     """Entries cleared of rational square factors; repeatedly delete the
     first pair (i, j) with -c_i/c_j a square; sort."""
-    work = [_clear_rational_squares(c) for c in entries]
+    work = [clear_rational_squares(c) for c in entries]
     changed = True
     while changed:
         changed = False
@@ -232,13 +237,50 @@ def qext_reduce_pairwise(field, entries):
     return tuple(work)
 
 
-def _sign_at_root(c, a, root):
-    """Sign of u + v*sqrt(a) when sqrt(a) goes to root*|sqrt(a)|, a > 0."""
+def sign_at_root(c, a, root):
+    """Sign of u + v*sqrt(a) when sqrt(a) goes to root*|sqrt(a)|, a > 0,
+    comparing u^2 with a*v^2 in Fractions: the reference of
+    ``fields.real_sign``."""
     u, v = c[0], c[1] * root
     if v == 0 or (u > 0) == (v > 0) or u == 0:
         return (u > 0) - (u < 0) or (v > 0) - (v < 0)
     big = u if u * u > a * v * v else v
     return (big > 0) - (big < 0)
+
+
+def is_square_qext_by_fractions(a, x):
+    """Whether x = u + v*sqrt(a) is a square in Q(sqrt a), in Fractions: a
+    rational u is one iff u or u/a is a rational square; else the norm
+    must be a square w^2 and (u +- w)/2 a rational square for one sign."""
+    u, v = Fraction(x[0]), Fraction(x[1])
+    if v == 0:
+        return F._is_square_fraction(u) or F._is_square_fraction(u / a)
+    w = F._fraction_square_root(u * u - a * v * v)
+    return w is not None and any(F._is_square_fraction((u + e) / 2) for e in (w, -w))
+
+
+def z_sqrt_d_by_fractions(a, u, v):
+    """u + v*sqrt(a) = u + v*f*sqrt(d), a = d*f^2 with d squarefree, scaled
+    by L^2, L the denominator of the Fraction v*f, into Z[sqrt d]: the
+    reference of ``places.z_sqrt_d``."""
+    a = Fraction(a)
+    d = places.squarefree_part(a)
+    f = F._fraction_square_root(a / d)
+    L2 = (v * f).denominator ** 2
+    return u * L2, int(v * f * L2)
+
+
+def trace_form_entries_by_fractions(c, base, a):
+    """<2*c0, 2*a*c0*N(c)>, or <1, -1> when c0 = 0, in the base field's own
+    arithmetic (Fractions over Q): the reference of
+    ``witt.trace_form_entries``."""
+    c0, c1 = c
+    one = F.one(base)
+    if F.is_zero(base, c0):
+        return (one, F.neg(base, one))
+    two = F.coerce(base, 2)
+    norm = F.sub(base, F.mul(base, c0, c0), F.mul(base, a, F.mul(base, c1, c1)))
+    return (F.mul(base, two, c0), F.mul(base, F.mul(base, two, a), F.mul(base, c0, norm)))
 
 
 def qext_nonzero_by_invariants(x):
@@ -252,7 +294,7 @@ def qext_nonzero_by_invariants(x):
     a = x.field.a
     if sum(n for _, n in x.terms) % 2:
         return True
-    if a > 0 and any(sum(n * _sign_at_root(c, a, root) for c, n in x.terms) for root in (1, -1)):
+    if a > 0 and any(sum(n * sign_at_root(c, a, root) for c, n in x.terms) for root in (1, -1)):
         return True
     for s0, s1 in ((1, 0), (0, 1)):
         total = zero_class(Q)

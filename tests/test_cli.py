@@ -123,6 +123,12 @@ def test_euler_rejects_a_factor_index_repeated_in_one_irrep(capsys):
     assert err.startswith("parse error: factor index 1 repeated in one irrep")
 
 
+def test_a_bad_character_is_named_at_its_own_offset(capsys):
+    code, out, err = run(capsys, "witt", "<2> + <3> ; 4", "--field", "Q")
+    assert code == 2 and out == ""
+    assert err == "parse error: unexpected character ';' (at offset 10)\n"
+
+
 def test_localize_prints_a_cleared_sum_once(capsys):
     argv = ["localize", "--builder", "gr", "--m", "2", "--ambient", "4", "--n", "2"]
     code, out, _ = run(capsys, *argv)

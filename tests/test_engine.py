@@ -1252,7 +1252,9 @@ def test_each_residue_holds_its_answer_once(field):
         L = Counter()
         for _, den in fractions:
             L |= den
-        total = sum((num * whitney((L - Counter(den)).items(), carrier) for num, den in fractions),
+        # a numerator of None stands for 1
+        total = sum(((one_elem(carrier) if num is None else num)
+                     * whitney((L - Counter(den)).items(), carrier) for num, den in fractions),
                     zero_elem(carrier))
         if res.cleared is None:
             assert res.value == LocalizedElement(carrier, total, whitney(L.items(), carrier))
@@ -1261,3 +1263,51 @@ def test_each_residue_holds_its_answer_once(field):
             assert res.cleared * whitney(L.items(), carrier) == total
         outcomes[res.cleared is None] += 1
     assert outcomes[True] >= 3 and outcomes[False] >= 3
+
+
+def test_problem_from_json_reads_each_representation_literal_once(monkeypatch):
+    """A restricted literal that is absent or equal to the normal one is the
+    normal RepSum itself; only a different literal is parsed again."""
+    import wittloc.exprs as X
+
+    calls = []
+    real = X.parse_rep
+    monkeypatch.setattr(X, "parse_rep", lambda *args: calls.append(args[0]) or real(*args))
+    doc = {"group": {"kind": "N", "n": 1, "field": "Q"}, "components": [
+        {"id": "a", "normal": "rho(1) + rho(3)"},
+        {"id": "b", "normal": "rho(3)", "restricted": "rho(3)",
+         "residue": {"twisted": {"a": "2"}}},
+        {"id": "c", "normal": "rho(5)", "restricted": "rho(1)"},
+        {"id": "d", "normal": "rho(1)", "restricted": "3*e"}]}
+    p = problem_from_json(doc)
+    assert calls == ["rho(1) + rho(3)", "rho(3)", "rho(5)", "rho(1)", "rho(1)", "3*e"]
+    assert p.components[0].restricted is p.components[0].normal_rep
+    assert p.components[1].restricted is p.components[1].normal_rep
+    assert p.components[2].restricted == n_rep([NIrrep(RHO, 1)])
+    assert isinstance(p.components[3].restricted, GradedElement)
+
+
+@pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)
+def test_a_cancelled_numerator_is_none_and_never_multiplied(monkeypatch, field):
+    """A restricted RepSum that cancels its whole normal class leaves the
+    numerator 1, carried as None: no <1> is built and nothing multiplied by
+    it, and the twisted numerator is the localized pi_*(1) itself."""
+    g = GroupDescriptor("N", 1, field)
+    carrier = bsl2n(1, field)
+    rep = n_rep([NIrrep(RHO, 1), NIrrep(RHO, 3)])
+    ctx = make_context(field, F.coerce(field, 3))
+    built = []
+    real = E.one_elem
+    monkeypatch.setattr(E, "one_elem", lambda pres: built.append(pres) or real(pres))
+    num, den = engine._component_fraction(FixedComponent("r", "rational", rep, rep), g, carrier)
+    assert num is None and dict(den) == {}
+    num, den = engine._component_fraction(FixedComponent("t", ctx, rep, rep), g, carrier)
+    assert built == [] and dict(den) == {}
+    assert num == localize_element(engine.twisted_push_unit(ctx), carrier)
+    monkeypatch.undo()
+    # the residue reads None as 1: <1> from the rational point, pi_*(1) = <2> - <2a>
+    res = bott_residue(LocalizationProblem(g, (FixedComponent("r", "rational", rep, rep),
+                                               FixedComponent("t", ctx, rep, rep))))
+    two = F.coerce(field, 2)
+    want = witt(field, 1, two) - witt(field, F.mul(field, two, ctx.a))
+    assert res.degree_zero == want

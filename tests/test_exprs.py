@@ -14,6 +14,7 @@ from wittloc.exprs import (
     parse_witt_expr,
     rep_str,
     ring_str,
+    tokenize,
     witt_str,
 )
 from wittloc.euler import RepSum
@@ -89,6 +90,24 @@ def test_syntax_errors_have_offsets():
         parse_witt_expr("<2", Q)
     with pytest.raises(ExprSyntaxError):
         parse_witt_expr("", Q)
+
+
+@pytest.mark.parametrize("text, char, pos", [
+    ("<2> + <3> ; 4", ";", 10), ("<2>;", ";", 3), ("  $<1>", "$", 2),
+    ("<1> +\t\n  ~", "~", 9), ("<1> + <2>   #", "#", 12)])
+def test_a_bad_character_is_reported_at_its_own_offset(text, char, pos):
+    """The error names the bad character and its offset, not the whitespace
+    in front of it."""
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_witt_expr(text, Q)
+    assert e.value.pos == pos and str(e.value) == f"unexpected character {char!r} (at offset {pos})"
+
+
+def test_tokenize_skips_whitespace_and_keeps_offsets():
+    assert tokenize("  rho(3) +\t2*e ") == [
+        ("name", "rho", 2), ("sym", "(", 5), ("int", "3", 6), ("sym", ")", 7),
+        ("sym", "+", 9), ("int", "2", 11), ("sym", "*", 12), ("name", "e", 13)]
+    assert tokenize("") == [] and tokenize(" \t\n") == []
 
 
 def test_ring_expr_and_round_trip():

@@ -47,8 +47,9 @@ def test_transfer_of_one():
     ids=str,
 )
 def test_closed_form_trace_form_matches_the_gram_matrix(base, a):
-    """<2c0, 2a c0 N(c)>, or <1, -1> when c0 = 0, is the class of the Gram
-    matrix [[2c0, 2a c1], [2a c1, 2a c0]] of (u, v) -> Tr(c u v)."""
+    """<2c0, 2A c0 (B c0^2 - A c1^2)> for a = A/B, or <1, -1> when c0 = 0,
+    is the class of the Gram matrix [[2c0, 2a c1], [2a c1, 2a c0]] of
+    (u, v) -> Tr(c u v)."""
     rng = random.Random(f"trace-form:{base}:{a}")
     a = F.coerce(base, a)
     for _ in range(40):
@@ -63,7 +64,8 @@ def test_closed_form_trace_form_matches_the_gram_matrix(base, a):
         g01 = F.mul(base, two, F.mul(base, a, c1))
         g11 = F.mul(base, two, F.mul(base, a, c0))
         gram = WittClass.from_entries(base, diagonalize([[g00, g01], [g01, g11]], base))
-        closed = WittClass.from_entries(base, trace_form_entries((c0, c1), base, a))
+        entries = trace_form_entries((c0, c1), a.numerator, a.denominator)
+        closed = WittClass.from_entries(base, [F.coerce(base, e) for e in entries])
         assert closed == gram, (c0, c1)
 
 

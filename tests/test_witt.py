@@ -4,8 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import (qext_nonzero_by_invariants, qext_reduce_pairwise, witt_product_by_terms,
-                     witt_quotient_reference)
+from oracles import (is_square_qext_by_fractions, qext_nonzero_by_invariants,
+                     qext_reduce_pairwise, witt_product_by_terms, witt_quotient_reference)
 
 from wittloc import fields as F
 from wittloc import places
@@ -376,8 +376,8 @@ def test_qext_canonicalization_is_idempotent(field):
 @pytest.mark.parametrize("field", QEXT_FIELDS + [F.quad_ext(Q, a) for a in (
     Fraction(3, 4), Fraction(5, 3), Fraction(-7, 9), Fraction(-2, 5))], ids=str)
 def test_qext_integer_pair_test_is_the_field_square_test(field):
-    """The integer test of <r, s> hyperbolic agrees with fields.is_square
-    of -r*s on normalized entries, half of the pairs built hyperbolic (s =
+    """The integer test of <r, s> hyperbolic agrees with the Fraction
+    square test of -r*s (``oracles``) on normalized entries, half of the pairs built hyperbolic (s =
     -r*t^2, t among them a multiple of sqrt(a), so that -r*s can be a
     rational non-square times a)."""
     A, B = field.a.numerator, field.a.denominator
@@ -394,7 +394,8 @@ def test_qext_integer_pair_test_is_the_field_square_test(field):
         else:
             d = random_qext_entry(rng, field)
         r, s = witt_module._normalize_qext_entry(c), witt_module._normalize_qext_entry(d)
-        want = F.is_square(field, F.neg(field, F.mul(field, F.coerce(field, r), F.coerce(field, s))))
+        want = is_square_qext_by_fractions(
+            field.a, F.neg(field, F.mul(field, F.coerce(field, r), F.coerce(field, s))))
         assert witt_module._hyperbolic_qext(A, B, r, s) == want, (r, s)
         outcomes.add((i % 2, want))
     assert outcomes >= {(1, True), (0, False)}
