@@ -544,7 +544,7 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
     required key, a key that nothing reads, or a value of the wrong kind
     (an ``n`` or ``M`` that is not an integer) raises ExprSyntaxError
     naming it; a component's ``twist`` raises UnsupportedIrrep."""
-    from .exprs import parse_field, parse_rep, parse_ring_expr, parse_scalar
+    from .exprs import is_rep_literal, parse_field, parse_rep, parse_ring_expr, parse_scalar
     from .quadext import make_context
 
     if not isinstance(doc, dict):
@@ -580,11 +580,11 @@ def problem_from_json(doc: dict) -> LocalizationProblem:
         restricted_text = _json_value(cdoc, "restricted", where, str, normal_text)
         restricted: Union[RepSum, GradedElement] = normal
         if restricted_text != normal_text:  # else the literal is read once
-            try:
+            # an irrep name first makes a representation literal, else a ring expression
+            if is_rep_literal(restricted_text):
                 restricted = parse_rep(restricted_text, g.kind, g.n)
-            except ExprSyntaxError:
-                pres = component_presentation(residue, g)
-                restricted = parse_ring_expr(restricted_text, pres)
+            else:
+                restricted = parse_ring_expr(restricted_text, component_presentation(residue, g))
         comps.append(FixedComponent(cid, residue, normal, restricted))
     invert = _json_value(doc, "invert", "problem", dict, {})
     _known_keys(invert, "invert", ("M",))

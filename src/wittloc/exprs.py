@@ -10,7 +10,12 @@ scalar := expr, evaluated in the field; its one name is r (the square
 
 One grammar, three atom rules (``_Atoms``): a scalar is evaluated in the
 field's own arithmetic (``_Scalar``), a Witt class reads '<' scalar '>' as
-<c>, and a ring element also reads the generators as names.  A bare factor
+<c>, and a ring element also reads the generators as names.  The Witt
+reader keeps an integer t as the int, t<1>, and literals as counted
+entries (``_Counted``), so sums, negations and integer multiples of them
+merge counts, and a parsed sum is keyed once; only a product of two
+values that are not integers keys its factors and multiplies the keys,
+so nothing is factored that the input did not contain.  A bare factor
 in a term must follow an integer token (a coefficient or an exponent) and
 is a '*' with its binding: 3<2> = 3*<2>, 2e^2 = 2*(e^2), e1^2e2 =
 e1^2*e2, 1/2r = (1/2)*r.  Unary minus binds looser than '^': -e1^2 is
@@ -21,29 +26,28 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import fields as F
-from .errors import BadParameters, ExprSyntaxError, UnknownGenerator
+from .errors import BadParameters, ExprSyntaxError, UnknownGenerator, ZeroInput
 from .fields import QUAD_EXT, FieldDescriptor, finite_prime, quad_ext, rationals, reals
-from .witt import WittClass, integer_class, square_class
+from .witt import WittClass, _canonicalize, integer_class, square_class
 from .rings import (GradedElement, PresentationId, from_witt, gen,
                     key_generators, sum_elements)
 
 # one group per token kind; the last catches any other non-space character
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([<>()@^*+,/-])|(\S)")
-_TOKEN_KINDS = (None, "int", "name", "sym")
+_TOKEN_KINDS = (None, "int", "name", "sym", None)
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
     """(kind, value, position) triples; kinds are 'int', 'name', 'sym'.
     Whitespace separates tokens; any other character raises
     ExprSyntaxError at its own offset."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 4:
-            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        out.append((_TOKEN_KINDS[m.lastindex], m.group(), m.start()))
+    out = [(_TOKEN_KINDS[m.lastindex], m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in out:
+        if kind is None:
+            raise ExprSyntaxError(f"unexpected character {value!r}", pos)
     return out
 
 
@@ -139,8 +143,8 @@ class _Atoms(NamedTuple):
     field: FieldDescriptor
     integer: Callable  # int -> value
     name: Optional[Callable]  # name -> value; None: names are not atoms
-    lift: Optional[Callable]  # a class <c> -> value; None in a scalar, which divides instead
-    squares: Optional[Dict]  # element c -> <c>: each distinct class literal is built once
+    literal: Optional[Callable]  # element c -> value of <c>; None in a scalar
+    scalars: Optional["_Atoms"]  # the atoms of c in <c>; None in a scalar, which divides instead
     total: Callable  # list of values -> their sum
 
 
@@ -161,15 +165,74 @@ def _scalar_atoms(field: FieldDescriptor) -> _Atoms:
     return _Atoms(field, lambda k: _Scalar(field, F.coerce(field, k)), name, None, None, _sum)
 
 
+class _Counted:
+    """A Witt-expression value: n<1> + the sum of k*<c> over the ``terms``,
+    (c, k) pairs with k >= 1, + ``cls``, a ``WittClass`` or None.  The
+    integer and the literals stay unkeyed until ``witt_class`` keys them
+    together, once; ``cls`` holds what a product has keyed."""
+
+    __slots__ = ("field", "n", "terms", "cls")
+
+    def __init__(self, field: FieldDescriptor, n: int = 0, terms: Tuple = (),
+                 cls: Optional[WittClass] = None):
+        self.field, self.n, self.terms, self.cls = field, n, terms, cls
+
+    @staticmethod
+    def literal(field: FieldDescriptor, c) -> "_Counted":
+        if F.is_zero(field, c):
+            raise ZeroInput("diagonal entries must be nonzero")
+        return _Counted(field, 0, ((c, 1),))
+
+    @staticmethod
+    def total(values: list) -> "_Counted":
+        classes = [v.cls for v in values if v.cls is not None]
+        return _Counted(values[0].field, sum(v.n for v in values),
+                        tuple(ck for v in values for ck in v.terms),
+                        _sum(classes) if classes else None)
+
+    def __neg__(self) -> "_Counted":
+        field = self.field
+        return _Counted(field, -self.n, tuple((F.neg(field, c), k) for c, k in self.terms),
+                        None if self.cls is None else -self.cls)
+
+    def __mul__(self, other: "_Counted") -> "_Counted":
+        """An integer factor scales the counts; else the keys multiply."""
+        for t, x in ((self, other), (other, self)):
+            if not t.terms and t.cls is None:  # the integer t.n
+                m = t.n
+                if m < 0:
+                    m, x = -m, -x
+                if not m:
+                    return _Counted(x.field)
+                return _Counted(x.field, m * x.n, tuple((c, m * k) for c, k in x.terms),
+                                None if x.cls is None else m * x.cls)
+        return _Counted(self.field, cls=self.witt_class() * other.witt_class())
+
+    def witt_class(self) -> WittClass:
+        """The class, the integer and the literals keyed in one
+        canonicalization; it replaces them, so a value is keyed once."""
+        field, n = self.field, self.n
+        if n or self.terms or self.cls is None:
+            pairs = list(self.terms)
+            if n:
+                one = F.one(field)
+                pairs.append((one if n > 0 else F.neg(field, one), abs(n)))
+            x = WittClass(field, _canonicalize(field, pairs))
+            self.n, self.terms, self.cls = 0, (), x if self.cls is None else self.cls + x
+        return self.cls
+
+
 def parse_witt_expr(text: str, field: FieldDescriptor) -> WittClass:
-    return _parse(text, _Atoms(field, partial(integer_class, field=field), None,
-                               lambda w: w, {}, _sum))
+    return _parse(text, _Atoms(field, partial(_Counted, field), None,
+                               partial(_Counted.literal, field), _scalar_atoms(field),
+                               _Counted.total)).witt_class()
 
 
 def parse_ring_expr(text: str, pres: PresentationId) -> GradedElement:
-    lift = partial(from_witt, pres)
-    return _parse(text, _Atoms(pres.field, lambda k: lift(integer_class(k, pres.field)),
-                               partial(gen, pres), lift, {}, partial(sum_elements, pres)))
+    field, lift = pres.field, partial(from_witt, pres)
+    return _parse(text, _Atoms(field, lambda k: lift(integer_class(k, field)),
+                               partial(gen, pres), lambda c: lift(square_class(field, c)),
+                               _scalar_atoms(field), partial(sum_elements, pres)))
 
 
 def _parse(text: str, atoms: _Atoms):
@@ -198,7 +261,7 @@ def _term(p: _Parser, atoms: _Atoms):
         if t[1] == "*":
             p.next()
             acc = acc * _factor(p, atoms)
-        elif t[1] == "/" and atoms.lift is None:
+        elif t[1] == "/" and atoms.scalars is None:
             p.next()
             den = _factor(p, atoms)
             try:
@@ -235,12 +298,10 @@ def _factor(p: _Parser, atoms: _Atoms):
 
 def _atom(t: Tuple[str, str, int], p: _Parser, atoms: _Atoms):
     """The atom that starts with the token t, just read."""
-    if t[1] == "<" and atoms.lift is not None:
-        c = _expr(p, _scalar_atoms(atoms.field)).x
+    if t[1] == "<" and atoms.scalars is not None:
+        c = _expr(p, atoms.scalars).x
         p.expect(">")
-        if c not in atoms.squares:
-            atoms.squares[c] = square_class(atoms.field, c)
-        return atoms.lift(atoms.squares[c])
+        return atoms.literal(c)
     if t[1] == "(":
         inner = _expr(p, atoms)
         p.expect(")")
@@ -257,6 +318,16 @@ def _atom(t: Tuple[str, str, int], p: _Parser, atoms: _Atoms):
 
 # ---------------------------------------------------------------------------
 # representation literals
+
+# the names an irrep literal starts with; no ring generator has one
+_IRREP_NAMES = frozenset(("Sym", "F", "rho", "rho0"))
+
+
+def is_rep_literal(text: str) -> bool:
+    """Whether the first name in text is an irrep name, so that text is a
+    representation literal (``parse_rep``) and not a ring expression."""
+    first = next((v for kind, v, _ in tokenize(text) if kind == "name"), None)
+    return first in _IRREP_NAMES
 
 
 def parse_rep(text: str, group_kind: str, n: int = 1):

@@ -273,6 +273,8 @@ def quad_ext(base: FieldDescriptor, a) -> FieldDescriptor:
 def coerce(field: FieldDescriptor, x):
     """Turn ints/Fractions/pairs into the canonical element representation."""
     if field.kind in (RATIONALS, REALS):
+        if type(x) is Fraction:  # already canonical, and immutable
+            return x
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise UnsupportedField(f"cannot coerce {x!r} into {field}")
         return Fraction(x)

@@ -6,8 +6,12 @@ pairs serves the keys of F_p, F_{p^2} and C, the second residues in W(Q)
 keys, and Springer's theorem at every odd place.  W(Q) equality is decided
 through the split residue decomposition (signature, second residues at odd
 primes valued in W(F_p), and a dyadic parity slot).  W(Q) keys are added,
-negated, scaled and multiplied in closed form; a product reads each first
-residue off the key (``wq_first_residue``) and factors nothing.  This module
+negated, scaled and multiplied in closed form.  ``wq_key`` keys counted
+(entry, count) pairs, so a sum of many terms is keyed once, reading the
+primes and exponents of each entry off ``_factor``.  A product reads each
+first residue off the key through the key's signed discriminant, one
+integer made once per key, so it costs the residue primes of the two keys,
+not their product, and factors nothing.  This module
 also carries the local machinery (Witt-triviality over Q_v: the signature
 at the real place, Springer at odd primes, Hilbert symbols and Hasse
 invariants only at 2) used to decide whether a rational Witt class dies
@@ -189,20 +193,31 @@ def wf_mul(c1, c2) -> Tuple[int, bool]:
 # W(Q) invariant bundle
 
 
-def wq_key(entries: Tuple[Fraction, ...]):
+def wq_key(terms):
     """(signature, sorted nonzero second residues at odd primes, dyadic
-    parity) of a form; an entry is a nonzero Fraction or int."""
-    sig = 0
-    dy = 0
+    parity) of sum n*<c> over (entry, count) terms, an entry a nonzero
+    Fraction or int and n >= 1.  The primes and their exponents e come from
+    ``_factor`` of the numerator and of the denominator.  At an odd prime q
+    of odd e, say in the numerator, the second residue of <c> is the unit
+    part sign(c)*(|num|/q^e)/den mod q, whose Legendre symbol is that of
+    sign(c)*(|num|/q^e)*den, as the symbol is multiplicative; it is taken
+    of the residue mod q.  An odd e at 2 flips the dyadic parity n times."""
+    sig = dy = 0
     residues: Dict[int, List[Tuple[bool, int]]] = {}
-    for c in entries:
-        sig += 1 if c > 0 else -1
-        for q in _odd_primes(c.numerator) + _odd_primes(c.denominator):
-            if q == 2:
-                dy ^= 1
-                continue
-            u = unit_part_mod_p(c, q)
-            residues.setdefault(q, []).append((_legendre(u, q) == 1, 1))
+    for c, n in terms:
+        num, den = c.numerator, c.denominator
+        sign = 1 if num > 0 else -1
+        sig += sign * n
+        top = sign * num
+        for part, other in ((top, den), (den, top)) if den != 1 else ((top, 1),):
+            for q, e in _factor(part):
+                if not e % 2:
+                    continue
+                if q == 2:
+                    dy ^= n & 1
+                    continue
+                u = sign * (part // q ** e) * other % q
+                residues.setdefault(q, []).append((_legendre(u, q) == 1, n))
     classes = ((q, wf_units(units, q % 4 == 1)) for q, units in residues.items())
     items = tuple(sorted((q, c) for q, c in classes if c != WF_ZERO))
     return (sig, items, dy)
@@ -222,38 +237,39 @@ def wq_key_neg(k):
     return (-k[0], tuple((q, wf_neg(c, q % 4 == 1)) for q, c in k[1]), k[2])
 
 
-def wq_first_residue(k, p: int) -> Tuple[int, bool]:
-    """The first residue s_p of the class of k at the odd prime p, in
-    W(F_p), read off the key.  Over Q_p a class is s + <p>*d with s, d
-    unimodular; s_p = s mod p and d mod p is the second residue.  With a, b
-    the rank parities of s and d (a = signature - b mod 2), the signed
-    discriminants satisfy D = (-1)^(ab) p^b d+-(s) d+-(d) up to squares.  D
-    is (-1)^(sig(sig-1)/2) 2^dyadic times the primes whose residue has odd
-    rank, so its unit part at p, times (-1)^(ab) and d+-(d), gives d+-(s)."""
-    sig, residues, dy = k
-    b, square = next((c for q, c in residues if q == p), WF_ZERO)
-    a = (sig - b) % 2
-    u = (-1) ** ((sig * (sig - 1) // 2 + a * b) % 2) * 2 ** dy
-    for q, (r2, _) in residues:
-        if r2 and q != p:
-            u = u * q % p
-    return (a, (_legendre(u, p) == 1) == square)
-
-
 def wq_key_mul(k1, k2):
     """The key of the product of the classes of k1 and k2, from the keys:
     the signatures multiply; the dyadic parity, the rank parity of the
     residue at 2, is d1*sig2 + sig1*d2 mod 2; and since W(Q_p) = W(F_p) +
     W(F_p)*<p> with <p>^2 = 1, the residue at each odd p is s_p(x)*d_p(y) +
-    d_p(x)*s_p(y) (``wq_first_residue``, ``wf_mul``; Lam, ch. VI).  Nothing
-    is factored."""
-    (sig1, res1, dy1), (sig2, res2, dy2) = k1, k2
-    residues = {}
-    for res, other in ((res1, k2), (res2, k1)):
+    d_p(x)*s_p(y) (``wf_mul``; Lam, ch. VI).  Nothing is factored.
+
+    The first residue s_p, in W(F_p), is read off the key.  Over Q_p a
+    class is s + <p>*d with s, d unimodular; s_p = s mod p and d mod p is
+    the second residue.  With a, b the rank parities of s and d (a =
+    signature - b mod 2), the signed discriminants satisfy D = (-1)^(ab)
+    p^b d+-(s) d+-(d) up to squares.  D is the integer (-1)^(sig(sig-1)/2)
+    2^dyadic times the primes whose residue has odd rank, made once per
+    key, so its unit part at p is D mod p, or (D/p) mod p when b = 1, and
+    times (-1)^(ab) and d+-(d) it gives d+-(s).  A product costs the number
+    of residue primes of the two keys, not their product."""
+    residues: Dict[int, Tuple[int, bool]] = {}
+    for (_, res, _), (sig, other, dy) in ((k1, k2), (k2, k1)):
+        if not res:
+            continue
+        D = (-1) ** (sig * (sig - 1) // 2 % 2) << dy
+        for q, (r2, _) in other:
+            if r2:
+                D *= q
+        other = dict(other)
         for p, d in res:
-            c = wf_mul(d, wq_first_residue(other, p))
+            b, square = other.get(p, WF_ZERO)
+            a = (sig - b) % 2
+            u = (D // p if b else D) * (-1 if a & b else 1) % p
+            c = wf_mul(d, (a, (_legendre(u, p) == 1) == square))
             residues[p] = wf_add(residues.get(p, WF_ZERO), c, p % 4 == 1)
     items = tuple(sorted((q, c) for q, c in residues.items() if c != WF_ZERO))
+    (sig1, _, dy1), (sig2, _, dy2) = k1, k2
     return (sig1 * sig2, items, (dy1 * sig2 + sig1 * dy2) % 2)
 
 

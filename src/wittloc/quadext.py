@@ -23,16 +23,17 @@ from . import fields as F
 from . import places
 from .errors import FieldMismatch, UnsupportedField
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, Canonical, FieldDescriptor
-from .witt import WittClass, _counted_class, integer_class, trace_class
+from .witt import WittClass, _canonicalize, integer_class, trace_class
 from .witt import sqrt_a_class  # noqa: F401  re-exported
 
 
 class QuadExtContext(Canonical):
     """k(sqrt a) over k, one object per extension field ``ext``; ``base``
-    and ``a`` are read from it."""
+    and ``a`` are read from it, and ``one_minus_a``, the class <1> - <a>
+    over the base that generates the kernel of base change, is made once."""
 
     _fields = ("ext",)
-    __slots__ = _fields + ("base", "a")
+    __slots__ = _fields + ("base", "a", "one_minus_a")
 
     def __new__(cls, ext: FieldDescriptor):
         return cls._canonical(ext)
@@ -40,19 +41,15 @@ class QuadExtContext(Canonical):
     def _made(self):
         if not isinstance(self.ext, FieldDescriptor) or self.ext.kind != QUAD_EXT:
             raise UnsupportedField(f"need a quadratic extension, got {self.ext!r}")
-        object.__setattr__(self, "base", self.ext.base)
-        object.__setattr__(self, "a", self.ext.a)
+        base, a = self.ext.base, self.ext.a
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "one_minus_a",
+                           WittClass.from_entries(base, (F.one(base), F.neg(base, a))))
 
 
 def make_context(base: FieldDescriptor, a) -> QuadExtContext:
     return QuadExtContext(F.quad_ext(base, a))
-
-
-def one_minus_a(ctx: QuadExtContext) -> WittClass:
-    """The class <1> - <a> = <1> + <-a> over the base."""
-    return WittClass.from_entries(
-        ctx.base, (F.one(ctx.base), F.neg(ctx.base, ctx.a))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +59,7 @@ def base_change(x: WittClass, ctx: QuadExtContext) -> WittClass:
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
     zero = F.zero(ctx.base)
-    return _counted_class(ctx.ext, ((((c, zero),), n) for c, n in x.terms))
+    return WittClass(ctx.ext, _canonicalize(ctx.ext, [((c, zero), n) for c, n in x.terms]))
 
 
 def _ext_class(x: WittClass, ctx: QuadExtContext) -> WittClass:
@@ -86,7 +83,7 @@ def in_Ia(x: WittClass, ctx: QuadExtContext) -> bool:
     """Membership in I_a = ker( * (1 - <a>) ) on W(base)."""
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
-    return (x * one_minus_a(ctx)).is_zero()
+    return (x * ctx.one_minus_a).is_zero()
 
 
 def iota_is_zero(x: WittClass, ctx: QuadExtContext) -> bool:
@@ -122,7 +119,7 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
     """
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
-    gen = one_minus_a(ctx)
+    gen = ctx.one_minus_a
     if ctx.base.kind == FINITE_PRIME:
         return next((y for y in all_witt_classes(ctx.base) if gen * y == x), None)
     if ctx.base.kind == REALS:

@@ -31,7 +31,7 @@ from . import fields as F
 from .errors import (BadParameters, FieldMismatch, InconsistentField, PresentationMismatch,
                      UnknownGenerator, ZeroInput)
 from .fields import Canonical, FieldDescriptor
-from .quadext import QuadExtContext, in_Ia, one_minus_a
+from .quadext import QuadExtContext, in_Ia
 from .witt import WittClass, integer_class, zero_class
 
 BSL2N = "BSL2n"
@@ -274,7 +274,7 @@ def _key_mul(pres: PresentationId, k1, k2) -> Tuple[tuple, Optional[WittClass]]:
     if pres.kind == TWISTED:
         if key[0] == 2:
             # y^2 = 2(<1> - <a>) = <1,1,-a,-a>
-            return (0, key[1]), 2 * one_minus_a(pres.ctx)
+            return (0, key[1]), 2 * pres.ctx.one_minus_a
         return tuple(key), None
     sign = 1
     for i in range(0, len(key), 2):

@@ -1,13 +1,19 @@
 """Exact arithmetic in Witt rings W(k) with canonical-form equality.
 
 Supported k: Q, R, F_p (p odd), and one quadratic step k0(sqrt(a)).  A class
-is a key of its field kind's ``_Keyed`` record; sums, negations, integer
-multiples and products work on keys, the multiples in closed form (the
-signature times t, each W(F_q) part t mod 4 times, each Q(sqrt a) count
-times t).  A product multiplies signatures over R, is ``places.wf_mul`` over
-F_p, F_{p^2} and C, and over Q is ``places.wq_key_mul``, which reads each
-first residue off the key, so nothing is factored.  Over Q(sqrt a) it sums
-the pairwise products of entries.  Base change, printing and the transfers
+is a key of its field kind's ``_Keyed`` record.  Every key is made by
+``_canonicalize`` from counted (entry, count) pairs, so a form given as
+counted terms (a parsed sum, a trace form, a base change, a product over
+Q(sqrt a)) is keyed in one call, whatever its rank.  Sums, negations,
+integer multiples and products work on keys, the multiples in closed form
+(the signature times t, each W(F_q) part t mod 4 times, each Q(sqrt a)
+count times t).  A product multiplies signatures over R, is
+``places.wf_mul`` over F_p, F_{p^2} and C, and over Q is
+``places.wq_key_mul``, which reads each first residue off the key through
+the key's signed discriminant, so it is linear in the residue primes and
+factors nothing.  Over Q(sqrt a) it sums the pairwise products of entries.
+Printing over Q builds the representative in one sweep over the unmet
+residues (``_reconstruct_rationals``).  Base change, printing and the transfers
 from F_p(sqrt a) read the counted representative ``terms``, (entry, count)
 pairs built from the key on first use, so they cost the number of distinct
 entries, not the rank; the transfers from Q(sqrt a) read the key itself.
@@ -42,6 +48,7 @@ divides by t<1>, t odd.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -131,7 +138,7 @@ class _Keyed(NamedTuple):
     """Witt-ring arithmetic of one keyed field kind, done on keys."""
 
     zero: Tuple
-    key: Callable  # (field, diagonal entries) -> key of the form
+    key: Callable  # (field, (entry, count) pairs) -> key of the form
     add: Callable  # (field, key, key) -> key of the sum
     neg: Callable  # (field, key) -> key of the negation
     scale: Callable  # (field, key, t) -> key of t times the class, in closed form
@@ -141,8 +148,8 @@ class _Keyed(NamedTuple):
     rep: Callable
 
 
-def _finite_key(field: FieldDescriptor, entries) -> Tuple[int, bool]:
-    squares = ((F.is_square(field, c), 1) for c in entries)
+def _finite_key(field: FieldDescriptor, terms) -> Tuple[int, bool]:
+    squares = ((F.is_square(field, c), n) for c, n in terms)
     return places.wf_units(squares, field.minus_one_square)
 
 
@@ -165,30 +172,50 @@ def _signed_ones(t: int) -> Tuple:
 
 def _reconstruct_rationals(key) -> Tuple:
     """Deterministic counted representative realizing a W(Q) invariant key:
-    entries that meet the residues, the largest unmet prime p first (the
-    entries made for p have no larger prime factor), then <2> for the dyadic
-    slot and +-<1> for the rest of the signature."""
-    out: List[Fraction] = []
-    unmet = key  # the key of the class minus that of out
-    while unmet[1]:
-        p, (r2, square) = unmet[1][-1]
+    entries that meet the residues, the largest unmet prime p first, then
+    <2> for the dyadic slot and +-<1> for the rest of the signature.
+
+    One descending sweep over a mutable map of the unmet residues.  With s
+    the least non-residue mod p, a prime below p, p's entries are <p> or
+    <s*p> for an odd rank and <p, p> or <p, s*p> for an even one.  Each
+    positive, each leaves the residue at p met, and <s*p> changes only one
+    other slot: the residue at s by <p mod s>, of rank 1, or the dyadic
+    slot when s = 2.  So every prime still unmet is below p."""
+    sig, items, dy = key
+    unmet = dict(items)
+    primes = sorted(unmet)
+    out: List[int] = []
+    while primes:
+        p = primes.pop()
+        r2, square = unmet.pop(p)
+        if (r2, square) == places.WF_ZERO:
+            continue
         s = F.least_nonresidue(p)
         if r2 == 1:
-            new = (Fraction((1 if square else s) * p),)
+            new = (p,) if square else (s * p,)
         else:
-            new = (Fraction(p), Fraction((s if p % 4 == 1 else 1) * p))
+            new = (p, (s if p % 4 == 1 else 1) * p)
         out += new
-        unmet = places.wq_key_add(unmet, places.wq_key_neg(places.wq_key(new)))
-    if unmet[2]:
-        out.append(Fraction(2))
+        sig -= len(new)
+        if new[-1] != p:  # the entry s*p is <p mod s> at s
+            if s == 2:
+                dy ^= 1
+            else:
+                if s not in unmet:
+                    insort(primes, s)
+                met = places.wf_neg((1, F._legendre(p % s, s) == 1), s % 4 == 1)
+                unmet[s] = places.wf_add(unmet.get(s, places.WF_ZERO), met, s % 4 == 1)
+    if dy:
+        out.append(2)
+        sig -= 1
     # the two entries <p, p> of one prime are the only equal ones
-    runs = tuple((c, len(list(g))) for c, g in groupby(out))
-    return runs + _signed_ones(unmet[0] - unmet[2])
+    runs = tuple((Fraction(c), len(list(g))) for c, g in groupby(out))
+    return runs + _signed_ones(sig)
 
 
 _RATIONAL_KEYS = _Keyed(
     places.WQ_ZERO,
-    lambda field, entries: places.wq_key(entries),
+    lambda field, terms: places.wq_key(terms),
     lambda field, k1, k2: places.wq_key_add(k1, k2),
     lambda field, k: places.wq_key_neg(k),
     lambda field, k, t: places.wq_key_scale(k, t),
@@ -197,7 +224,7 @@ _RATIONAL_KEYS = _Keyed(
 )
 _REAL_KEYS = _Keyed(
     (0,),
-    lambda field, entries: (sum(1 if c > 0 else -1 for c in entries),),
+    lambda field, terms: (sum(n if c > 0 else -n for c, n in terms),),
     lambda field, k1, k2: (k1[0] + k2[0],),
     lambda field, k: (-k[0],),
     lambda field, k, t: (k[0] * t,),
@@ -214,8 +241,7 @@ _FINITE_KEYS = _Keyed(
     lambda field, k1, k2: places.wf_mul(k1, k2),
     _finite_rep,
 )
-_KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FINITE_KEYS,
-          QUAD_EXT: _FINITE_KEYS}
+_KEYED = {RATIONALS: _RATIONAL_KEYS, REALS: _REAL_KEYS, FINITE_PRIME: _FINITE_KEYS}
 
 
 def _is_qext_q(field: FieldDescriptor) -> bool:
@@ -224,7 +250,10 @@ def _is_qext_q(field: FieldDescriptor) -> bool:
 
 
 def _keyed(field: FieldDescriptor) -> _Keyed:
-    return _QEXT_KEYS if _is_qext_q(field) else _KEYED[field.kind]
+    keyed = _KEYED.get(field.kind)
+    if keyed is None:  # k(sqrt a): F_{p^2} or C keyed as finite, Q(sqrt a) by entries
+        return _QEXT_KEYS if field.base.kind == RATIONALS else _FINITE_KEYS
+    return keyed
 
 
 # --- Q(sqrt a): counted reduced form, zero decided place by place --------
@@ -305,20 +334,19 @@ def _mul_qext(field: FieldDescriptor, k1, k2) -> Tuple:
     """The key of the product: the other key scaled when one key reads as
     an integer (``_qext_integer``), else the pairwise products of entries,
     each scaled by the square B^2 into integers (``fields.scaled_product``),
-    with their counts multiplied, one canonicalization per distinct count."""
+    with their counts multiplied, canonicalized once."""
     for x, y in ((k1, k2), (k2, k1)):
         t = _qext_integer(y)
         if t is not None:
             return _scale_qext(field, x, t)
     A, B = field.a.numerator, field.a.denominator
-    return _counted_class(field, (
-        ((F.scaled_product(A, B, c, d),), n * m) for c, n in k1 for d, m in k2
-    )).key
+    return _canonicalize(field, [(F.scaled_product(A, B, c, d), n * m)
+                                 for c, n in k1 for d, m in k2])
 
 
 _QEXT_KEYS = _Keyed(
     (),
-    lambda field, entries: _cancel_qext(field, [(_normalize_qext_entry(c), 1) for c in entries]),
+    lambda field, terms: _cancel_qext(field, [(_normalize_qext_entry(c), n) for c, n in terms]),
     lambda field, k1, k2: _cancel_qext(field, k1 + k2),
     _neg_qext,
     _scale_qext,
@@ -326,16 +354,6 @@ _QEXT_KEYS = _Keyed(
     # the int pairs of the key as field elements, Fraction pairs
     lambda field, k: tuple(((Fraction(u), Fraction(v)), n) for (u, v), n in k),
 )
-
-
-def _counted_class(field: FieldDescriptor, parts) -> WittClass:
-    """The sum of n*<entries> over (entries, n) parts, one canonicalization
-    per distinct count."""
-    by_count: Dict[int, List] = {}
-    for entries, n in parts:
-        by_count.setdefault(n, []).extend(entries)
-    return sum((n * WittClass.from_entries(field, es) for n, es in by_count.items()),
-               zero_class(field))
 
 
 def trace_class(x: WittClass, twist: bool = False) -> WittClass:
@@ -351,14 +369,20 @@ def trace_class(x: WittClass, twist: bool = False) -> WittClass:
     if twist:
         sqrt_a = (0, 1)
         pairs = ((F.scaled_product(A, B, sqrt_a, c), n) for c, n in pairs)
-    forms = ((trace_form_entries(c, A, B), n) for c, n in pairs)
+    terms = [(e, n) for c, n in pairs for e in trace_form_entries(c, A, B)]
     if base.kind == FINITE_PRIME:
-        forms = ((tuple(e % base.p for e in es), n) for es, n in forms)
-    return _counted_class(base, forms)
+        terms = [(e % base.p, n) for e, n in terms]
+    return WittClass(base, _canonicalize(base, terms))
 
 
-def _canonicalize(field: FieldDescriptor, entries):
-    return _keyed(field).key(field, entries)
+def _canonicalize(field: FieldDescriptor, terms):
+    """The key of sum n*<c> over (entry, count) terms, n >= 1, entries in
+    the field's representation: every class key is made here, once per
+    sum.  A zero entry raises ZeroInput."""
+    for c, _ in terms:
+        if F.is_zero(field, c):
+            raise ZeroInput("diagonal entries must be nonzero")
+    return _keyed(field).key(field, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +391,14 @@ def _canonicalize(field: FieldDescriptor, entries):
 class WittClass:
     """Element of W(k); immutable, compares by Witt equivalence.  The state
     is ``field`` and ``key`` (see the module docstring); ``terms``, the
-    counted representative, is built from the key on first use."""
+    counted representative, is built from the key on first use and kept in
+    the ``_terms`` slot, unset until then."""
 
     __slots__ = ("field", "key", "_terms")
 
     def __init__(self, field: FieldDescriptor, key):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WittClass is immutable")
@@ -383,10 +407,12 @@ class WittClass:
     def terms(self) -> Tuple:
         """(entry, count) pairs, count >= 1: the class is the sum of the
         count*<entry>."""
-        if self._terms is None:
+        try:
+            return self._terms
+        except AttributeError:
             rep = _keyed(self.field).rep(self.field, self.key)
             object.__setattr__(self, "_terms", rep)
-        return self._terms
+            return rep
 
     @property
     def entries(self) -> Tuple:
@@ -400,10 +426,7 @@ class WittClass:
     def from_entries(field: FieldDescriptor, entries) -> "WittClass":
         """The class of the diagonal form <entries>, entries in the field's
         representation; a zero entry raises ZeroInput."""
-        entries = tuple(entries)
-        if any(F.is_zero(field, c) for c in entries):
-            raise ZeroInput("diagonal entries must be nonzero")
-        return WittClass(field, _canonicalize(field, entries))
+        return WittClass(field, _canonicalize(field, [(c, 1) for c in entries]))
 
     # -- ring structure ----------------------------------------------------
 
@@ -525,8 +548,8 @@ class WittClass:
 
 def witt(field: FieldDescriptor, *entries) -> WittClass:
     """Convenience constructor: witt(Q, 1, -2) = <1> + <-2>, the entries
-    coerced into the field (``from_entries`` rejects a zero one)."""
-    return WittClass.from_entries(field, (F.coerce(field, c) for c in entries))
+    coerced into the field (a zero one raises ZeroInput)."""
+    return WittClass(field, _canonicalize(field, [(F.coerce(field, c), 1) for c in entries]))
 
 
 def zero_class(field: FieldDescriptor) -> WittClass:
@@ -534,7 +557,7 @@ def zero_class(field: FieldDescriptor) -> WittClass:
 
 
 def square_class(field: FieldDescriptor, c) -> WittClass:
-    return witt(field, c)
+    return WittClass(field, _canonicalize(field, ((F.coerce(field, c), 1),)))
 
 
 def sqrt_a_class(field: FieldDescriptor) -> WittClass:

@@ -5,7 +5,10 @@ explicit isotropic-vector search and hyperbolic splitting, using only
 hand-rolled modular linear algebra.  The naive presented-ring oracle
 multiplies monomials by literal relation rewriting.  Products of Witt
 classes are summed over the pairs of counted terms, and the first residue
-at an odd prime is read from the entries of even valuation.  The W(Q(sqrt a))
+at an odd prime is read from the entries of even valuation.  The W(Q) key
+kernels keep their first forms: a key by valuation loops, a product that
+rescans the other key per residue prime, and a representative re-keyed at
+each prime.  The W(Q(sqrt a))
 references cancel hyperbolic pairs by a pairwise search and show a class
 nonzero by rank parity, signatures and the two transfers to W(Q).  The
 W(Q(sqrt a)) kernels that run in integer coordinates have their Fraction
@@ -29,7 +32,7 @@ twisted point, against which the projection formula is checked.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 from wittloc import fields as F
 from wittloc import places
@@ -192,6 +195,82 @@ def first_residue_by_terms(terms, p):
     units = ((pow(places.unit_part_mod_p(c, p), (p - 1) // 2, p) == 1, n)
              for c, n in terms if places.vp(c, p) % 2 == 0)
     return places.wf_units(units, p % 4 == 1)
+
+
+# ---------------------------------------------------------------------------
+# W(Q) key kernels as first written: valuations by division loops, a first
+# residue that rescans the key, and a representative re-keyed at each prime
+
+
+def wq_key_by_valuations(entries):
+    """The W(Q) key of the diagonal form <entries>: the signature, the
+    second residue at each odd prime of odd valuation from the unit part mod
+    p (``places.unit_part_mod_p``, by division loops and a modular inverse),
+    and the dyadic parity."""
+    sig = dy = 0
+    residues = {}
+    for c in entries:
+        c = Fraction(c)
+        sig += 1 if c > 0 else -1
+        for q in places._odd_primes(c.numerator) + places._odd_primes(c.denominator):
+            if q == 2:
+                dy ^= 1
+                continue
+            u = places.unit_part_mod_p(c, q)
+            residues.setdefault(q, []).append((F._legendre(u, q) == 1, 1))
+    classes = ((q, places.wf_units(units, q % 4 == 1)) for q, units in residues.items())
+    return (sig, tuple(sorted((q, c) for q, c in classes if c != places.WF_ZERO)), dy)
+
+
+def wq_first_residue(k, p):
+    """The first residue s_p of the class of k at the odd prime p, in
+    W(F_p), read off the key by a scan of all its residues: with a, b the
+    rank parities of the unimodular parts s and d of x = s + <p>*d over Q_p,
+    D = (-1)^(ab) p^b d+-(s) d+-(d) up to squares, and D is (-1)^(sig(sig-1)/2)
+    2^dyadic times the primes whose residue has odd rank."""
+    sig, residues, dy = k
+    b, square = next((c for q, c in residues if q == p), places.WF_ZERO)
+    a = (sig - b) % 2
+    u = (-1) ** ((sig * (sig - 1) // 2 + a * b) % 2) * 2 ** dy
+    for q, (r2, _) in residues:
+        if r2 and q != p:
+            u = u * q % p
+    return (a, (F._legendre(u, p) == 1) == square)
+
+
+def wq_key_mul_by_rescans(k1, k2):
+    """The product key, each first residue from ``wq_first_residue``, which
+    rescans the other key once per residue prime."""
+    (sig1, res1, dy1), (sig2, res2, dy2) = k1, k2
+    residues = {}
+    for res, other in ((res1, k2), (res2, k1)):
+        for p, d in res:
+            c = places.wf_mul(d, wq_first_residue(other, p))
+            residues[p] = places.wf_add(residues.get(p, places.WF_ZERO), c, p % 4 == 1)
+    items = tuple(sorted((q, c) for q, c in residues.items() if c != places.WF_ZERO))
+    return (sig1 * sig2, items, (dy1 * sig2 + sig1 * dy2) % 2)
+
+
+def rationals_by_rekeying(key):
+    """The counted representative of a W(Q) key: the largest unmet prime's
+    entries first, the unmet key re-made from the whole key at each prime
+    (``wq_key_by_valuations``), then <2> and +-<1>."""
+    out = []
+    unmet = key
+    while unmet[1]:
+        p, (r2, square) = unmet[1][-1]
+        s = F.least_nonresidue(p)
+        if r2 == 1:
+            new = (Fraction((1 if square else s) * p),)
+        else:
+            new = (Fraction(p), Fraction((s if p % 4 == 1 else 1) * p))
+        out += new
+        unmet = places.wq_key_add(unmet, places.wq_key_neg(wq_key_by_valuations(new)))
+    if unmet[2]:
+        out.append(Fraction(2))
+    runs = [(c, len(list(g))) for c, g in groupby(out)]
+    t = unmet[0] - unmet[2]
+    return tuple(runs) + (((Fraction(1 if t > 0 else -1), abs(t)),) if t else ())
 
 
 # ---------------------------------------------------------------------------

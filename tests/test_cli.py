@@ -432,3 +432,16 @@ def test_localize_rejects_a_misspelled_component_key(tmp_path, capsys):
     code, out, err = _localize_doc(tmp_path, capsys, doc)
     assert code == 2 and out == ""
     assert err == "parse error: component 0 has unknown key 'restricetd'\n"
+
+
+def test_localize_reports_a_mistyped_restricted_representation(tmp_path, capsys):
+    """An irrep name first makes a representation literal, so its own parse
+    error is reported, not one from reading it as a ring expression."""
+    doc = {"group": {"kind": "N", "field": "Q"},
+           "components": [{"normal": "rho(3)", "restricted": "rho(3"}]}
+    code, out, err = _localize_doc(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert err == "parse error: unexpected end of expression (at offset 5)\n"
+    doc["components"][0]["restricted"] = "rho(3) + e"
+    code, out, err = _localize_doc(tmp_path, capsys, doc)
+    assert code == 2 and err == "parse error: unknown irrep 'e' (at offset 9)\n"

@@ -1280,11 +1280,30 @@ def test_problem_from_json_reads_each_representation_literal_once(monkeypatch):
         {"id": "c", "normal": "rho(5)", "restricted": "rho(1)"},
         {"id": "d", "normal": "rho(1)", "restricted": "3*e"}]}
     p = problem_from_json(doc)
-    assert calls == ["rho(1) + rho(3)", "rho(3)", "rho(5)", "rho(1)", "rho(1)", "3*e"]
+    # "3*e" names no irrep first, so it is read as a ring expression only
+    assert calls == ["rho(1) + rho(3)", "rho(3)", "rho(5)", "rho(1)", "rho(1)"]
     assert p.components[0].restricted is p.components[0].normal_rep
     assert p.components[1].restricted is p.components[1].normal_rep
     assert p.components[2].restricted == n_rep([NIrrep(RHO, 1)])
     assert isinstance(p.components[3].restricted, GradedElement)
+
+
+@pytest.mark.parametrize("restricted, message", [
+    ("rho(3", "unexpected end of expression (at offset 5)"),
+    ("rho(3) + e", "unknown irrep 'e' (at offset 9)"),
+    ("2*F@1", "unknown irrep 'F' (at offset 2)"),
+    ("3*rho", "unexpected end of expression (at offset 5)"),
+    ("e + rho(1)", "unknown generator 'rho' (at offset 4)"),
+])
+def test_the_restricted_reader_is_chosen_by_the_first_name(restricted, message):
+    """An irrep name first (rho, rho0, Sym, F) makes a representation
+    literal, whose own parse error is reported; any other text is a ring
+    expression.  F is an SL2n irrep, so over N it is an unknown irrep."""
+    doc = {"group": {"kind": "N", "field": "Q"},
+           "components": [{"normal": "rho(3)", "restricted": restricted}]}
+    with pytest.raises(ExprSyntaxError) as err:
+        problem_from_json(doc)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("field", [Q, F.finite_prime(7)], ids=str)

@@ -388,3 +388,78 @@ def test_sl2n_representations_need_n_at_least_one(n):
         parse_rep("no literal", "SL2n", n)
     with pytest.raises(BadParameters, match=r"^n must be >= 1$"):
         RepSum(("SL2n", n), ())
+
+
+# -- the Witt reader against the same tree evaluated by WittClass operations ---
+
+
+def _witt_tree(rng, field, depth):
+    """A random Witt expression tree: literals, integers (0, -k and
+    2027025 among them), sums, differences, negations, products and powers
+    (^0 included)."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.7:
+            c = _random_element(rng, field)
+            while F.is_zero(field, c):
+                c = _random_element(rng, field)
+            return ("lit", c)
+        return ("int", rng.choice((0, 1, 2, 3, -1, -2, -5, 2027025)))
+    op = rng.choices(("add", "sub", "mul", "neg", "pow"), (30, 15, 30, 10, 15))[0]
+    if op == "neg":
+        return (op, _witt_tree(rng, field, depth - 1))
+    if op == "pow":
+        return (op, _witt_tree(rng, field, depth - 1), rng.choice((0, 1, 2, 3)))
+    return (op, _witt_tree(rng, field, depth - 1), _witt_tree(rng, field, depth - 1))
+
+
+def _render(field, t, rng):
+    op = t[0]
+    if op == "lit":
+        return f"<{F.scalar_repr(field, t[1])}>"
+    if op == "int":
+        return str(t[1])
+    if op == "neg":
+        return f"-({_render(field, t[1], rng)})"
+    if op == "pow":
+        return f"({_render(field, t[1], rng)})^{t[2]}"
+    a, b = _render(field, t[1], rng), _render(field, t[2], rng)
+    if op == "mul" and t[1][0] == "int" and t[1][1] >= 0 and t[2][0] == "lit" \
+            and rng.random() < 0.5:
+        return f"{a}{b}"  # juxtaposition: 3<2>
+    return f"({a} {dict(add='+', sub='-', mul='*')[op]} {b})"
+
+
+def _evaluate(field, t):
+    op = t[0]
+    if op == "lit":
+        return square_class(field, t[1])
+    if op == "int":
+        return integer_class(t[1], field)
+    if op == "neg":
+        return -_evaluate(field, t[1])
+    if op == "pow":
+        x, out = _evaluate(field, t[1]), integer_class(1, field)
+        for _ in range(t[2]):
+            out = out * x
+        return out
+    a, b = _evaluate(field, t[1]), _evaluate(field, t[2])
+    return a + b if op == "add" else a - b if op == "sub" else a * b
+
+
+@pytest.mark.parametrize("tag", ["Q", "R", "Fp:7", "Fp:7(sqrt:3)", "Q(sqrt:2)", "Q(sqrt:-7)"])
+def test_parsed_witt_trees_match_their_evaluation(tag):
+    """parse_witt_expr of a rendered random tree equals the tree evaluated
+    by WittClass operations, whatever mix of integers, literals, sums and
+    keyed products meets in a product, such as (<2> + <3>) * <5>; and
+    printing then parsing is a fixed point of the printed string."""
+    field = parse_field(tag)
+    rng = random.Random(f"witt trees {tag}")
+    for _ in range(150):
+        tree = _witt_tree(rng, field, 4)
+        text = _render(field, tree, rng)
+        x = parse_witt_expr(text, field)
+        assert x == _evaluate(field, tree), text
+        printed = witt_str(x)
+        assert witt_str(parse_witt_expr(printed, field)) == printed, text
+    assert witt_str(parse_witt_expr("(<2> + <3>) * <5>", field)) == witt_str(
+        (witt(field, 2) + witt(field, 3)) * witt(field, 5))

