@@ -1,7 +1,8 @@
 """Fixed-point localization problems and the Bott residue evaluator.
 
 A problem is a group (SL2^n or N over a base field) plus a list of
-0-dimensional fixed components.  Each component contributes the fraction
+0-dimensional fixed components, checked once, when it is built; the group
+carries the rings the solve works in.  Each component contributes the fraction
 push(i^*(class)) / e(normal), whose denominator is kept as the multiset of
 normal irreps, and the fractions sum to a polynomial (Bott's residue
 formula).  They are summed once over a common multiple L of their
@@ -51,11 +52,12 @@ from .euler import (
     rep_group,
     whitney,
 )
-from .fields import FINITE_PRIME, REALS, FieldDescriptor
+from .fields import FINITE_PRIME, REALS, Canonical, FieldDescriptor
 from .quadext import QuadExtContext
 from .rings import (
     BNN,
     BSL2N,
+    TWISTED,
     GradedElement,
     LocalizedElement,
     PresentationId,
@@ -77,14 +79,25 @@ from .witt import WittClass
 RATIONAL_POINT = "rational"
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    kind: str  # "SL2n" or "N"
-    n: int
-    field: FieldDescriptor
+class GroupDescriptor(Canonical):
+    """SL2^n or N (n = 1) over a field, one object per value, carrying its
+    rings, made once with it: ``carrier``, BSL2n(n) over W(field), and for
+    SL2^n ``integral``, the carrier over Z/N (None for N)."""
 
-    def __post_init__(self):
-        rep_group(self.kind, self.n)
+    _fields = ("kind", "n", "field")
+    __slots__ = _fields + ("carrier", "integral")
+
+    def __new__(cls, kind: str, n: int, field: FieldDescriptor):
+        # checked before the lookup, where an n or a field that does not hash would raise
+        rep_group(kind, n)
+        if not isinstance(field, FieldDescriptor):
+            raise BadParameters(f"a group needs a field, got {field!r}")
+        return cls._canonical(kind, n, field)
+
+    def _made(self):
+        object.__setattr__(self, "carrier", bsl2n(self.n, self.field))
+        integral = integral_bsl2n(self.n, self.field) if self.kind == "SL2n" else None
+        object.__setattr__(self, "integral", integral)
 
 
 @dataclass(frozen=True)
@@ -102,25 +115,41 @@ class LocalizationProblem:
     M: Optional[int] = None
 
     def __post_init__(self):
-        if self.M is not None and (type(self.M) is not int or self.M == 0):
-            raise BadParameters(f"M must be a nonzero integer when provided, got {self.M!r}")
-        if self.M is not None and self.group.kind == "SL2n":
-            raise BadParameters(
-                "M is the N-engine's localization multiplier; SL2n does not read it"
-            )
+        """Checks all that the solve reads but the Euler classes: M; that each
+        RepSum is a representation of the group and each restricted class a
+        RepSum or a ring element (BadParameters); that each residue is a
+        rational point, or for N a twisted point, over the group's field
+        (UnsupportedResidueField, InconsistentField); and that a ring
+        element lives in its component's ring, or in BN at a twisted point
+        (PresentationMismatch)."""
+        g, M = self.group, self.M
+        if not isinstance(g, GroupDescriptor):
+            raise BadParameters(f"a problem needs a GroupDescriptor, got {g!r}")
+        # M is the N-engine's localization multiplier; SL2n does not read it
+        if M is not None and (type(M) is not int or M == 0 or g.kind == "SL2n"):
+            raise BadParameters(f"M must be a nonzero integer, given to N only, got {M!r}")
+        group = rep_group(g.kind, g.n)
         for c in self.components:
-            _check_groups(c, self.group)
-
-
-def _check_groups(c: FixedComponent, g: GroupDescriptor) -> None:
-    """BadParameters unless the normal RepSum, and a restricted one, are
-    representations of g: of N, or of SL2^n with g's n."""
-    group = rep_group(g.kind, g.n)
-    for role, rep in (("normal", c.normal_rep), ("restricted", c.restricted)):
-        if isinstance(rep, RepSum) and rep.group != group:
-            raise BadParameters(
-                f"component {c.id}: {role} representation of {rep.group} in a {group} problem"
-            )
+            r, residue = c.restricted, c.residue
+            for role, rep in (("normal", c.normal_rep), ("restricted", r)):
+                if isinstance(rep, RepSum) and rep.group != group:
+                    raise BadParameters(
+                        f"component {c.id}: {role} representation of {rep.group}, not {group}"
+                    )
+            if residue != RATIONAL_POINT:
+                if g.kind == "SL2n":
+                    raise UnsupportedResidueField("SL2n components must be rational points")
+                if not isinstance(residue, QuadExtContext):
+                    raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
+                if residue.base != g.field:
+                    raise InconsistentField(f"{residue.base} vs {g.field}")
+            if isinstance(r, RepSum):
+                continue
+            if not isinstance(r, GradedElement):
+                raise BadParameters(f"component {c.id}: restricted {r!r} is no ring element")
+            ring = component_presentation(residue, g)
+            if r.pres is not ring and (ring.kind != TWISTED or r.pres is not bnn(1, g.field)):
+                raise PresentationMismatch(f"component {c.id}: restricted in {r.pres}, not {ring}")
 
 
 @dataclass
@@ -205,25 +234,11 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
 # component rings and pushforwards
 
 
-def _check_residue(residue, g: GroupDescriptor) -> None:
-    """UnsupportedResidueField or InconsistentField unless residue is a
-    rational point, or for N a twisted point over g's field."""
-    if residue == RATIONAL_POINT:
-        return
-    if g.kind == "SL2n":
-        raise UnsupportedResidueField("SL2n components must be rational points")
-    if not isinstance(residue, QuadExtContext):
-        raise UnsupportedResidueField(f"unsupported residue data {residue!r}")
-    if residue.base != g.field:
-        raise InconsistentField(f"{residue.base} vs {g.field}")
-
-
 def component_presentation(residue, g: GroupDescriptor) -> PresentationId:
-    """The ring of a component with this residue data: BSL2n, BN or the
-    twisted point."""
-    _check_residue(residue, g)
+    """The ring of a component with this residue data, which
+    ``LocalizationProblem`` checks: BSL2n, BN or the twisted point."""
     if g.kind == "SL2n":
-        return bsl2n(g.n, g.field)
+        return g.carrier
     return bnn(1, g.field) if residue == RATIONAL_POINT else twisted_point(residue)
 
 
@@ -252,15 +267,14 @@ def _component_fraction(
     c: FixedComponent, g: GroupDescriptor, carrier: PresentationId
 ) -> Tuple[Optional[GradedElement], Mapping]:
     """(numerator over carrier, denominator as a mapping normal irrep ->
-    multiplicity); carrier is the localized base ring, or for SL2n its
-    integral form, where an SL2n ring-expression restricted class must
-    already live (``_integral_components`` lifts it).  A restricted RepSum
-    cancels against the normal irreps first, in one pass over its distinct
-    irreps: what is left of it is the numerator, and what is left of them
-    the denominator, each in its RepSum's order.  A numerator of 1, at a
+    multiplicity) of a checked component; carrier is the group's, or for
+    SL2n its integral form, where an SL2n ring-expression restricted class
+    must already live (``_integral_components``).  A restricted RepSum cancels
+    against the normal irreps first, in one pass over its distinct irreps:
+    what is left of it is the numerator, and what is left of them the
+    denominator, each in its RepSum's order.  A numerator of 1, at a
     rational point whose restricted RepSum cancels all of it, is None, so
     that nothing is multiplied by it."""
-    _check_residue(c.residue, g)
     if _normal_class_vanishes(c.normal_rep, g.field):
         raise NonInvertibleNormalEuler(
             f"component {c.id}: generic Euler class of the normal bundle vanishes"
@@ -296,10 +310,7 @@ def _component_fraction(
         return num, den
     if g.kind == "SL2n":
         return r, den  # over carrier already: see ``_integral_components``
-    r = push_to_base(r, c)
-    if r.pres.kind != BNN:
-        raise BadParameters("restricted class must live over BN")
-    return localize_element(r, carrier), den
+    return localize_element(push_to_base(r, c), carrier), den  # r is in BN or on the twisted point
 
 
 @lru_cache(maxsize=None)
@@ -325,38 +336,27 @@ def _normal_class_vanishes(rep: RepSum, field: FieldDescriptor) -> bool:
     return c == 0 or modulus != 0 and c * c % modulus == 0
 
 
-def _integral_lift(x: GradedElement, carrier: PresentationId) -> Optional[GradedElement]:
-    """The preimage in the integral carrier of a W(k) polynomial whose
-    coefficients are all integer classes (``WittClass.integer_value``), or None."""
-    out: Dict = {}
-    for k, c in x.coeffs.items():
-        t = c.integer_value()
-        if t is None:
-            return None
-        out[k] = t
-    return GradedElement(carrier, out)
-
-
-def _integral_components(p: LocalizationProblem, base: PresentationId,
-                         carrier: PresentationId) -> Optional[List[FixedComponent]]:
-    """The components of an SL2n problem that can be summed in carrier,
-    (Z/N)[e_1..e_n], N = ``k.modulus``, each ring-expression restricted
-    class over base, BSL2n(n), lifted there once; None for any other
-    problem.  Z/N -> W(k) is injective and Whitney-product denominators
+def _integral_components(p: LocalizationProblem) -> Optional[List[FixedComponent]]:
+    """The components of an SL2n problem that can be summed in its group's
+    ``integral`` ring, (Z/N)[e_1..e_n], N = ``k.modulus``, each
+    ring-expression restricted class lifted there once, or None when a
+    coefficient is no integer class (``WittClass.integer_value``) or the
+    group is N.  Z/N -> W(k) is injective and Whitney-product denominators
     lead with +-(odd), a unit of Z/N (over Z the signature forces the
     quotient), so each division step stays in the image of Z/N and maps to
-    the only quotient over W(k).  Numerators must be Whitney products or
-    ring expressions whose coefficients read as integers."""
-    if p.group.kind != "SL2n":
+    the only quotient over W(k)."""
+    integral = p.group.integral
+    if integral is None:
         return None
     out = []
     for c in p.components:
-        r = c.restricted
-        if not isinstance(r, RepSum):
-            r = _integral_lift(r, carrier) if r.pres == base else None
-            if r is None:
-                return None
-            c = FixedComponent(c.id, c.residue, c.normal_rep, r)
+        if not isinstance(c.restricted, RepSum):
+            lifted: Dict = {}
+            for k, x in c.restricted.coeffs.items():
+                lifted[k] = x.integer_value()
+                if lifted[k] is None:
+                    return None
+            c = FixedComponent(c.id, c.residue, c.normal_rep, GradedElement(integral, lifted))
         out.append(c)
     return out
 
@@ -401,15 +401,12 @@ def bott_residue(p: LocalizationProblem) -> ResidueResult:
     if p.M is not None and p.M % 2 == 0 and g.field.modulus:
         flags["potentially_vacuous"] = True
 
-    # the N-engine has n = 1, and its base carrier is BSL2n(1) too
-    carrier = bsl2n(g.n, g.field)
-    integral = integral_bsl2n(g.n, g.field) if g.kind == "SL2n" else None
-    comps = _integral_components(p, carrier, integral)
-    work = carrier if comps is None else integral
+    comps = _integral_components(p)
+    work = g.carrier if comps is None else g.integral
     fractions = [_component_fraction(c, g, work) for c in comps or p.components]
     total, D, cleared = _sum_fractions(fractions, work)
     if cleared is None:
-        value = LocalizedElement(carrier, witt_image(total), witt_image(D))
+        value = LocalizedElement(g.carrier, witt_image(total), witt_image(D))
         return ResidueResult(value, None, None, flags)
     cleared = witt_image(cleared)
     scalar = cleared.is_zero() or cleared.degree() == 0
@@ -474,7 +471,8 @@ def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> Localiza
     if type(N) is not int or N < 3 or N % 2 == 0:
         raise BadParameters(f"N must be odd and at least 3, got {N}")
     m = (N + 1) // 2
-    pres = bsl2n(m, field)
+    g = GroupDescriptor("SL2n", m, field)
+    pres = g.carrier
     comps = []
     for i in range(1, m + 1):
         normal = RepSum(("SL2n", m),
@@ -482,7 +480,7 @@ def build_hypersurface_lines_problem(N: int, field: FieldDescriptor) -> Localiza
         num = from_int(pres, (-1) ** (i - 1) * double_factorial(2 * N - 3))
         num = num * gen(pres, f"e{i}") ** (N - 1)
         comps.append(FixedComponent(f"F{i}", RATIONAL_POINT, normal, num))
-    return LocalizationProblem(GroupDescriptor("SL2n", m, field), tuple(comps))
+    return LocalizationProblem(g, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class BadDimension(WittlocError):
 
 
 class BadParameters(WittlocError):
-    """Grassmannian builder parameters out of range."""
+    """An argument of the wrong type or out of range, in any module."""
 
 
 class InconsistentField(WittlocError):

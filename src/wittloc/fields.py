@@ -7,7 +7,7 @@ and ``(u, v)`` pairs meaning u + v*sqrt(a) for quadratic extensions.
 The characteristic of F_p is checked by ``is_prime``, an exact test.
 
 ``Canonical`` is the base of every immutable key of the library (fields,
-presentations, quadratic-extension contexts, irreps and RepSums): one
+presentations, quadratic-extension contexts, irreps, RepSums and groups): one
 object per value, so == and hash are identity, and a copy or pickle is
 that object again.  Every value made is kept for the life of the process.
 """
@@ -380,7 +380,6 @@ def _is_square_fraction(q: Fraction) -> bool:
     return _fraction_square_root(q) is not None
 
 
-@lru_cache(maxsize=None)
 def _legendre(u: int, p: int) -> int:
     u %= p
     if u == 0:

@@ -103,7 +103,6 @@ def _factor(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(exps.items()))
 
 
-@lru_cache(maxsize=None)
 def _odd_primes(n: int) -> Tuple[int, ...]:
     """The primes at which the nonzero integer n has odd valuation.  Those
     of a rational are those of its numerator and of its denominator, which

@@ -41,11 +41,12 @@ TWISTED = "TwistedPoint"
 
 class PresentationId(Canonical):
     """A presented ring with n >= 1 factors; ``integral`` (BSL2n only) takes
-    coefficients in Z/N, N = ``modulus``, instead of W(field).  Only a
+    coefficients in Z/N, N = ``modulus``, instead of W(field), and maps into
+    its ``image``, BSL2n(n) over W(field) (None when not integral).  Only a
     twisted point has a context ``ctx``, over its field, and one factor."""
 
     _fields = ("kind", "n", "field", "ctx", "integral")
-    __slots__ = _fields + ("modulus",)
+    __slots__ = _fields + ("modulus", "image")
 
     def __new__(cls, kind: str, n: int, field: FieldDescriptor,
                 ctx: Optional[QuadExtContext] = None, integral: bool = False):
@@ -66,6 +67,7 @@ class PresentationId(Canonical):
         if twisted and ctx.base is not field:
             raise InconsistentField(f"{ctx.base} vs {field}")
         object.__setattr__(self, "modulus", field.modulus if self.integral else 0)
+        object.__setattr__(self, "image", bsl2n(self.n, field) if self.integral else None)
 
     def __str__(self):
         if self.kind == BSL2N:
@@ -87,14 +89,10 @@ def check_factor_count(n) -> None:
         raise BadParameters("n must be >= 1")
 
 
-# cached for speed (a presentation is one object per value anyway); typed,
-# so True and 2.0 are checked, not answered from the slot of 1 or 2
-@lru_cache(maxsize=None, typed=True)
 def bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     return PresentationId(BSL2N, n, field)
 
 
-@lru_cache(maxsize=None, typed=True)
 def integral_bsl2n(n: int, field: FieldDescriptor) -> PresentationId:
     """(Z/N)[e_1..e_n] with N = ``field.modulus``, the image of
     Z[e_1..e_n] in BSL2n(n) over field, which ``witt_image`` maps into it."""
@@ -385,7 +383,8 @@ def twisted_pushforward(t: GradedElement) -> GradedElement:
         raise PresentationMismatch(f"cannot push {t.pres} to BN")
     # the key (0, m) is e^m in BN too; a stored coefficient is not in I_a, so not 0
     y_free = {k: c for k, c in t.coeffs.items() if not k[0]}
-    return GradedElement._nonzero(bn(t.pres.field), y_free) * twisted_push_unit(t.pres.ctx)
+    unit = twisted_push_unit(t.pres.ctx)
+    return GradedElement._nonzero(unit.pres, y_free) * unit
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def witt_image(x: GradedElement) -> GradedElement:
         if c not in classes:
             classes[c] = integer_class(c, field)
         out[k] = classes[c]
-    return GradedElement._nonzero(bsl2n(x.pres.n, field), out)
+    return GradedElement._nonzero(x.pres.image, out)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,10 @@ class WittClass:
     def __setattr__(self, *_):
         raise AttributeError("WittClass is immutable")
 
+    def __reduce__(self):
+        # the state is (field, key); ``terms`` is rebuilt on first use
+        return WittClass, (self.field, self.key)
+
     @property
     def terms(self) -> Tuple:
         """(entry, count) pairs, count >= 1: the class is the sum of the

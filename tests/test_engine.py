@@ -36,8 +36,10 @@ from wittloc.euler import (NIrrep, RHO, RHO0, RHO0_MINUS, RepSum, SL2nIrrep, eul
                            fundamental, generic_euler, n_rep, whitney)
 from wittloc.exprs import parse_rep, parse_ring_expr, rep_str
 from wittloc.quadext import make_context
+from wittloc import rings
 from wittloc.rings import (
     GradedElement,
+    PresentationId,
     LocalizedElement,
     bnn,
     bsl2n,
@@ -49,6 +51,7 @@ from wittloc.rings import (
     one_elem,
     twisted_point,
     twisted_pushforward,
+    witt_image,
     zero_elem,
 )
 from wittloc.witt import WittClass, integer_class, square_class, witt, zero_class
@@ -123,7 +126,7 @@ def test_n_problem_with_a_non_integer_rho_is_rejected():
 
 
 @pytest.mark.parametrize("kind, n", [("SL2n", True), ("SL2n", 1.0), ("SL2n", 2.0),
-                                     ("N", True), ("N", 1.0)], ids=str)
+                                     ("N", True), ("N", 1.0), ("SL2n", [2])], ids=str)
 def test_group_n_is_an_integer(kind, n):
     with pytest.raises(BadParameters, match=r"^n must be an integer"):
         GroupDescriptor(kind, n, Q)
@@ -470,11 +473,12 @@ def test_json_twisted_round_trip():
 
 
 def test_unsupported_residue_rejected():
+    """The residue is checked once, when the problem is built."""
     g = GroupDescriptor("N", 1, Q)
     rep = n_rep([NIrrep(RHO, 1)])
     comp = FixedComponent("bad", "cubic", rep, rep)
     with pytest.raises(UnsupportedResidueField):
-        engine._component_fraction(comp, g, bsl2n(1, Q))
+        LocalizationProblem(g, (comp,))
 
 
 @pytest.mark.parametrize("kind, n, normal", [
@@ -489,8 +493,6 @@ def test_normal_representation_of_another_group_is_rejected(kind, n, normal):
     g = GroupDescriptor(kind, n, Q)
     with pytest.raises(BadParameters, match="normal representation"):
         LocalizationProblem(g, (comp,))
-    with pytest.raises(BadParameters, match="normal representation"):
-        engine._check_groups(comp, g)
 
 
 @pytest.mark.parametrize("kind, n, normal", [("N", 1, "F@1"), ("SL2n", 1, "rho(1)"),
@@ -929,7 +931,7 @@ def test_z_mod_n_sum_equals_the_witt_sum(field):
         p = _random_integer_problem(rng, field)
         n = p.group.n
         zp, carrier = integral_bsl2n(n, field), bsl2n(n, field)
-        comps = engine._integral_components(p, carrier, zp)
+        comps = engine._integral_components(p)
         assert all(c.restricted.pres == zp for c in comps if not isinstance(c.restricted, RepSum))
         fractions = [engine._component_fraction(c, p.group, zp) for c in comps]
         images = [(engine.witt_image(num), den) for num, den in fractions]
@@ -1330,3 +1332,94 @@ def test_a_cancelled_numerator_is_none_and_never_multiplied(monkeypatch, field):
     two = F.coerce(field, 2)
     want = witt(field, 1, two) - witt(field, F.mul(field, two, ctx.a))
     assert res.degree_zero == want
+
+
+def test_group_field_must_be_a_field_descriptor():
+    """GroupDescriptor("SL2n", 2, "Q") was accepted until the solve."""
+    for field in ("Q", ["Q"]):
+        with pytest.raises(BadParameters, match="field"):
+            GroupDescriptor("SL2n", 2, field)
+    with pytest.raises(BadParameters, match="GroupDescriptor"):
+        LocalizationProblem(("SL2n", 2, Q), ())
+    g = GroupDescriptor("SL2n", 2, Q)
+    assert g is GroupDescriptor("SL2n", 2, Q) and g.carrier is bsl2n(2, Q)
+    assert g.integral is integral_bsl2n(2, Q) and g.integral.image is g.carrier
+    assert GroupDescriptor("N", 1, Q).carrier is bsl2n(1, Q)
+    assert GroupDescriptor("N", 1, Q).integral is None
+
+
+def _other_ring_components():
+    """(label, group, component) whose ring-element restricted class lives
+    in a ring other than its component's."""
+    f7 = F.finite_prime(7)
+    bn2 = bnn(2, Q)
+    f12 = parse_rep("F@1*F@2", "SL2n", 2)
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    tw3 = make_context(Q, Fraction(3))
+    return [
+        # summed as if BN^2's keys were BSL2n's: e1*x2 was read as e2, and
+        # the answer was (e2) / (e1^2 - e2^2)
+        ("BN^2 in SL2n(2)", GroupDescriptor("SL2n", 2, Q),
+         FixedComponent("c", "rational", f12, gen(bn2, "e1") * gen(bn2, "x2"))),
+        # summed as if F_7 classes were Q's: cleared to <1> in BSL2n(1) over Q
+        ("F_7 in a Q problem", GroupDescriptor("SL2n", 1, Q),
+         FixedComponent("c", "rational", parse_rep("F@1", "SL2n", 1), gen(bsl2n(1, f7), "e"))),
+        # caught only when solved, by push_to_base
+        ("another twisted point", GroupDescriptor("N", 1, Q),
+         FixedComponent("tw", tw3, rho1, gen(twisted_point(make_context(Q, Fraction(5))), "e"))),
+        ("BSL2n at an N rational point", GroupDescriptor("N", 1, Q),
+         FixedComponent("pt", "rational", rho1, gen(bsl2n(1, Q), "e"))),
+    ]
+
+
+@pytest.mark.parametrize("label, g, comp", _other_ring_components(),
+                         ids=[c[0] for c in _other_ring_components()])
+def test_restricted_class_in_another_ring_is_rejected_when_built(label, g, comp):
+    with pytest.raises(PresentationMismatch, match=f"component {comp.id}: restricted in"):
+        LocalizationProblem(g, (comp,))
+
+
+def test_restricted_class_that_is_no_ring_element_is_rejected_when_built():
+    rep = parse_rep("F@1", "SL2n", 1)
+    with pytest.raises(BadParameters, match="restricted"):
+        LocalizationProblem(GroupDescriptor("SL2n", 1, Q), (FixedComponent("c", "rational", rep, "e"),))
+
+
+def test_a_built_problem_is_solved_in_the_rings_its_group_carries(monkeypatch):
+    """bott_residue and witt_image construct no presentation and call no
+    ring builder: the group carries the carrier and its integral form, and
+    an integral ring its image.  A first solve fills the Euler-class and
+    pi_*(1) memos, which build their rings once per field."""
+    f7, ctx = F.finite_prime(7), make_context(Q, Fraction(3))
+    rho1 = n_rep([NIrrep(RHO, 1)])
+    problems = [
+        build_grassmannian_problem(2, 5, 2, Q),
+        build_grassmannian_problem(4, 9, 4, f7),
+        engine.build_hypersurface_lines_problem(5, F.quad_ext(Q, -7)),
+        _minus_e1_squared_problem(Q),
+        LocalizationProblem(GroupDescriptor("SL2n", 2, Q), (FixedComponent(
+            "pt", "rational", parse_rep("F@1*F@2", "SL2n", 2), parse_rep("Sym(3)@1", "SL2n", 2)),)),
+        LocalizationProblem(GroupDescriptor("SL2n", 1, Q), (FixedComponent(
+            "a", "rational", parse_rep("F@1", "SL2n", 1), parse_ring_expr("<2>*e", bsl2n(1, Q))),)),
+        LocalizationProblem(GroupDescriptor("N", 1, Q), (
+            FixedComponent("pt", "rational", rho1, rho1),
+            FixedComponent("tw", ctx, rho1, gen(twisted_point(ctx), "e")),
+            FixedComponent("bn", ctx, rho1, gen(bnn(1, Q), "e"))), M=3),
+    ]
+    want = [bott_residue(p) for p in problems]
+    zp = integral_bsl2n(2, Q)
+    image = witt_image(3 * gen(zp, "e1"))
+    built = []
+    new = PresentationId.__new__
+    monkeypatch.setattr(PresentationId, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for module in (rings, engine, E):
+        for name in ("bsl2n", "integral_bsl2n", "bnn", "bn", "twisted_point"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name):
+                                    built.append(name) or real(*args))
+    got = [bott_residue(p) for p in problems]
+    assert witt_image(3 * gen(zp, "e1")) == image
+    assert built == []
+    assert [(r.value, r.cleared, r.degree_zero) for r in got] == \
+        [(r.value, r.cleared, r.degree_zero) for r in want]

@@ -1,4 +1,5 @@
 import importlib
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -670,3 +671,25 @@ def test_qext_zero_agrees_with_the_rational_kernel(a):
         assert base_change(x, ctx).is_zero() == dead, x
         outcomes.add(dead)
     assert outcomes == {True, False}
+
+
+PICKLED_CLASSES = [
+    (Q, (3, 5, -7)),
+    (R, (2, -3, -5)),
+    (F.finite_prime(7), (3,)),
+    (F.quad_ext(F.finite_prime(7), 3), ((1, 1), (2, 0), (2, 0))),
+    (F.quad_ext(Q, -7), ((1, 1), (3, 0), (0, 2))),
+]
+
+
+@pytest.mark.parametrize("field, entries", PICKLED_CLASSES, ids=lambda x: str(x))
+def test_witt_class_pickles_by_field_and_key(field, entries):
+    """A pickle is (field, key): it loads equal, before and after the
+    counted representative ``terms`` is first read.  Unpickling raised
+    AttributeError (WittClass is immutable)."""
+    x = WittClass.from_entries(field, [F.coerce(field, e) for e in entries])
+    assert not x.is_zero()
+    for _ in range(2):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.field is field and y.key == x.key
+        assert y.terms == x.terms
