@@ -74,7 +74,7 @@ from .rings import (
     twisted_pushforward,
     witt_image,
 )
-from .witt import WittClass
+from .witt import WittClass, check_odd_divisor
 
 RATIONAL_POINT = "rational"
 
@@ -175,12 +175,7 @@ def _coefficient_divider(d, pres: PresentationId) -> Callable:
     if pres.integral and not modulus:
         return lambda c: c // d if c % d == 0 else None
     t = d if pres.integral else d.integer_value()
-    # Z/N has no ordering, so an even t is a zero divisor there too
-    if t is None or (t % 2 == 0 and pres.field.kind != REALS):
-        raise BadParameters(
-            f"cannot divide by the leading coefficient {d!r}: a quotient is "
-            "unique and certified only for t<1> with t odd"
-        )
+    check_odd_divisor(t, pres.field, d)
     if pres.integral:
         inverse = pow(t, -1, modulus)
         return lambda c: c * inverse % modulus
@@ -197,7 +192,8 @@ def exact_divide(num: GradedElement, den: GradedElement) -> Optional[GradedEleme
     over W(k)) and subtracts that multiple of den, reducing mod N over Z/N.  The
     quotient is unique, so a failed step means den does not divide num.
     Over W(k) and Z/N den's leading coefficient must be t<1> with t odd (any
-    t != 0 over R); any other one raises BadParameters.
+    t != 0 over R, ``witt.check_odd_divisor``); any other one raises
+    BadParameters.
     """
     if den.pres != num.pres or den.pres.kind != BSL2N:
         raise BadParameters("exact division works in the polynomial carrier")

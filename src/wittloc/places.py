@@ -11,20 +11,17 @@ negated, scaled and multiplied in closed form.  ``wq_key`` keys counted
 primes and exponents of each entry off ``_factor``.  A product reads each
 first residue off the key through the key's signed discriminant, one
 integer made once per key, so it costs the residue primes of the two keys,
-not their product, and factors nothing.  This module
-also carries the local machinery (Witt-triviality over Q_v: the signature
-at the real place, Springer at odd primes, Hilbert symbols and Hasse
-invariants only at 2) used to decide whether a rational Witt class dies
-after a quadratic base change.  That test is closed form: where a is not a
-square in Q_v, W(Q_v) -> W(Q_v(sqrt a)) kills exactly the even-rank forms
-of signed discriminant in {1, a} Q_v*^2, as restriction of Brauer groups
-kills the 2-torsion that holds the Hasse invariant.  Zero in W(Q(sqrt a)) is
-decided place by place as well (``qext_witt_zero``), in integers: the
-entries are the int pairs of a ``WittClass`` key, and the discriminant, the
-Z[sqrt d] coordinates (``z_sqrt_d``), the norms and the split-place images
-are ints, each got by scaling with a rational square, which keeps every
-square class; ``vp``, ``unit_part_mod_p`` and ``local_witt_zero`` take ints
-as well as Fractions.
+not their product, and factors nothing.  This module also carries the
+local machinery (Witt-triviality over Q_v: the signature at the real place,
+Springer at odd primes, Hilbert symbols and Hasse invariants only at 2).
+Zero in W(Q(sqrt a)) is decided place by place with it
+(``qext_witt_zero``), and so is whether a W(Q) class dies after the base
+change to Q(sqrt a).  That test runs in integers: the entries are the int
+pairs of a ``WittClass`` key, and the discriminant, the Z[sqrt d]
+coordinates (``z_sqrt_d``), the norms and the split-place images are ints,
+each got by scaling with a rational square, which keeps every square class;
+``vp``, ``unit_part_mod_p`` and ``local_witt_zero`` take ints as well as
+Fractions.
 """
 
 from __future__ import annotations
@@ -448,39 +445,6 @@ def local_witt_zero(terms, v) -> bool:
     entries = tuple(c for c, n in terms for _ in range(n))
     hyp = tuple([Fraction(1), Fraction(-1)] * (len(entries) // 2))
     return hasse_invariant(entries, 2) == hasse_invariant(hyp, 2)
-
-
-def ker_iota_rational(terms, a: Fraction) -> bool:
-    """Decide whether the W(Q) class sum n*<c> of (entry, count) terms dies
-    in W(Q(sqrt(a))).
-
-    Local-global: the base-changed class is hyperbolic iff it is so at every
-    completion.  Where a is not a square in Q_v, the kernel of W(Q_v) ->
-    W(Q_v(sqrt a)) is the even-rank forms whose signed discriminant lies in
-    {1, a} Q_v*^2: base change then leaves an even-rank form of trivial
-    discriminant, whose Hasse invariant dies because restriction Br(Q_v) ->
-    Br(Q_v(sqrt a)) multiplies local invariants by 2 and so kills the
-    2-torsion (Lam, ch. VI), and I^3 of a local field is 0.  Even rank and
-    signed discriminant in {1, a} Q*^2, tested globally below, give that at
-    every such place.  Where a is a local square the condition is local
-    Witt-triviality: at the real place (a > 0) the signature, elsewhere
-    ``local_witt_zero``, needed only at 2 and the primes of the entries (a
-    is not a square at the primes of its squarefree part, and at every other
-    odd prime the form is unimodular of square discriminant, so trivial).
-    """
-    if sum(n for _, n in terms) % 2:
-        return False
-    if not terms:
-        return True
-    sfd = squarefree_part(signed_disc(terms))
-    if sfd != 1 and sfd != squarefree_part(a):
-        return False
-    if a > 0 and not local_witt_zero(terms, INF):
-        return False
-    support = {2}
-    for c, _ in terms:
-        support.update(_odd_primes(c.numerator) + _odd_primes(c.denominator))
-    return all(local_witt_zero(terms, v) for v in support if is_square_qv(a, v))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ transfer is computed per distinct entry from the closed-form diagonal of
 the trace form on the basis {1, sqrt(a)}, scaled by its count; the scaled
 transfer twists by <sqrt(a)> first (``witt.trace_class``).  The ideal I_a
 is the kernel of multiplication by 1 - <a>, which equals the image of the
-transfer.  The kernel of base change is (1 - <a>)W(k); a class in it is
-certified by a multiplier, over Q solved for on the W(Q) keys, never
-searched for.  A ``QuadExtContext`` is one object per extension field
-(``Canonical``).
+transfer.  The kernel of base change is (1 - <a>)W(k) (Lam, ch. VII).
+Whether x lies in it is read off its base change, by the zero test of
+W(k(sqrt a)) (``places.qext_witt_zero`` over Q); a class in it is certified
+by a multiplier, over Q solved for on the W(Q) keys, never searched for.
+A ``QuadExtContext`` is one object per extension field (``Canonical``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional
 from . import fields as F
 from . import places
 from .errors import FieldMismatch, UnsupportedField
-from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, Canonical, FieldDescriptor
+from .fields import FINITE_PRIME, QUAD_EXT, REALS, Canonical, FieldDescriptor
 from .witt import WittClass, _canonicalize, integer_class, trace_class
 from .witt import sqrt_a_class  # noqa: F401  re-exported
 
@@ -86,15 +87,6 @@ def in_Ia(x: WittClass, ctx: QuadExtContext) -> bool:
     return (x * ctx.one_minus_a).is_zero()
 
 
-def iota_is_zero(x: WittClass, ctx: QuadExtContext) -> bool:
-    """Whether x dies under base change (sound and complete per base field)."""
-    if x.field != ctx.base:
-        raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
-    if ctx.base.kind == RATIONALS:
-        return places.ker_iota_rational(x.terms, ctx.a)
-    return base_change(x, ctx).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # certified membership in the principal ideal (1 - <a>) W(k)
 
@@ -115,7 +107,8 @@ def principal_ideal_certificate(x: WittClass, ctx: QuadExtContext) -> Optional[W
     signature decides, and over Q the product rule is solved on the keys
     (``places.wq_kernel_preimage``); every y is checked by multiplying back.
     Over Q it is ``verify lam``'s witness for ker(iota) = (1 - <a>)W(Q), and
-    shares no code with the kernel test ``iota_is_zero``.
+    shares no code with the zero test of the base change,
+    ``places.qext_witt_zero``, that decides whether x dies.
     """
     if x.field != ctx.base:
         raise FieldMismatch(f"expected class over {ctx.base}, got {x.field}")
@@ -158,8 +151,9 @@ class LamReport:
 def lam_exactness_check(ctx: QuadExtContext, samples) -> LamReport:
     """Check the three-term exactness relations on each sample class.
 
-    Base-field samples are run through ker(iota) = (1-<a>)W(k) (with a
-    certified multiplier), scaled_transfer o base_change = 0, and
+    Base-field samples are run through ker(iota) = (1-<a>)W(k), with
+    iota(x) = 0 read off the base change and a certified multiplier on the
+    other side, scaled_transfer o base_change = 0, and
     in_Ia(transfer(base_change(x))).  Extension-field samples check that
     their transfer lands in I_a.
     """
@@ -172,7 +166,7 @@ def lam_exactness_check(ctx: QuadExtContext, samples) -> LamReport:
                 rep.violations.append(f"scaled_transfer(iota({s!r})) != 0")
             if not in_Ia(transfer(t, ctx), ctx):
                 rep.violations.append(f"transfer(iota({s!r})) not in I_a")
-            dead = iota_is_zero(s, ctx)
+            dead = t.is_zero()
             y = principal_ideal_certificate(s, ctx)
             if dead and y is None:
                 rep.violations.append(f"{s!r} in ker(iota) but not in (1-<a>)W(k)")

@@ -427,12 +427,13 @@ class LocalizedElement:
 
 
 def localize_element(x: GradedElement, carrier: PresentationId) -> GradedElement:
-    """Image of x under the localization map into the carrier BSL2n(n): x
-    itself over BSL2n, and over BN^n each x_i maps to -1."""
-    if x.pres.kind == BSL2N:
-        return x
-    if x.pres.kind != BNN:
-        raise PresentationMismatch(f"cannot localize {x.pres}")
+    """Image of x in BN^n over k under the localization map into the carrier
+    BSL2n(n) over W(k): each x_i maps to -1.  Any other x or carrier raises
+    PresentationMismatch."""
+    pres = x.pres
+    if pres.kind != BNN or (carrier.kind, carrier.n, carrier.field, carrier.integral) != (
+            BSL2N, pres.n, pres.field, False):
+        raise PresentationMismatch(f"cannot localize {pres} into {carrier}")
     out: Dict = {}
     for key, c in x.coeffs.items():
         newkey = key[1::2]

@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fields as F
 from . import places
-from .errors import DegenerateForm, FieldMismatch, NonSymmetric, ZeroInput
+from .errors import BadParameters, DegenerateForm, FieldMismatch, NonSymmetric, ZeroInput
 from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 
 
@@ -66,9 +66,9 @@ from .fields import FINITE_PRIME, QUAD_EXT, RATIONALS, REALS, FieldDescriptor
 def diagonalize(gram: Sequence[Sequence], field: FieldDescriptor) -> Tuple:
     """The diagonal entries of a form isometric to the symmetric Gram matrix."""
     n = len(gram)
-    M = [[F.coerce(field, gram[i][j]) for j in range(n)] for i in range(n)]
     if any(len(row) != n for row in gram):
         raise NonSymmetric("matrix is not square")
+    M = [[F.coerce(field, gram[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if not F.is_zero(field, F.sub(field, M[i][j], M[j][i])):
@@ -491,7 +491,8 @@ class WittClass:
         return sp if sp == sm and self == integer_class(sp, field) else None
 
     def odd_quotient(self, t: int) -> Optional["WittClass"]:
-        """The q with t*q = self, for t odd (any t != 0 over R), or None.
+        """The q with t*q = self, or None; BadParameters unless
+        ``check_odd_divisor`` admits t.
 
         z has signature sig/t at every ordering of k (``signatures``; z = 0
         when k has none), so self - t*z is torsion (Pfister) and 8 kills it
@@ -499,6 +500,7 @@ class WittClass:
         so t*(z + r*(self - t*z)) = self.  Over R, self - t*z is 0, so the
         quotient is z for an even t too.  Two quotients differ by torsion
         that t kills, so q is the only one.  No equality is tested."""
+        check_odd_divisor(t, self.field, t)
         sigs = self.signatures()
         if any(s % t for s in sigs):
             return None
@@ -572,3 +574,14 @@ def sqrt_a_class(field: FieldDescriptor) -> WittClass:
 def integer_class(n: int, field: FieldDescriptor) -> WittClass:
     """n<1>: the class of <1>, scaled by n."""
     return WittClass.from_entries(field, (F.one(field),))._int_scale(n)
+
+
+def check_odd_divisor(t: Optional[int], field: FieldDescriptor, divisor) -> None:
+    """BadParameters unless t is an int that is odd, or nonzero over R.
+    Only then does t<1> divide with one quotient, in W(k) and in its image
+    Z/N: W(R) = Z, but every other supported W(k) has 2-torsion (over Q,
+    2(<1> - <2>) = 0, as <1, 1> = <2, 2>), so an even t leaves the quotient
+    unique only up to it.  ``divisor`` is what the message names."""
+    if t is None or t == 0 or t % 2 == 0 and field.kind != REALS:
+        raise BadParameters(f"cannot divide by {divisor!r}: a quotient is unique and "
+                            "certified only for t<1> with t odd (t != 0 over R)")

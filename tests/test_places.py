@@ -24,7 +24,6 @@ from wittloc.places import (
     hasse_invariant,
     hilbert,
     is_square_qv,
-    ker_iota_rational,
     local_witt_zero,
     signed_disc,
     squarefree_part,
@@ -43,7 +42,8 @@ from wittloc.places import (
     _residue_forms_zero,
     sqrt_mod_prime_power,
 )
-from wittloc.witt import WittClass, witt
+from wittloc.quadext import base_change, make_context, principal_ideal_certificate
+from wittloc.witt import WittClass, integer_class, witt
 
 
 def _counted(entries):
@@ -234,15 +234,25 @@ def test_wq_key_group_laws():
             assert wq_key_add(x, y) == wq_key_add(y, x)
 
 
+def _kernel_tests(x, a):
+    """Whether the W(Q) class x dies in W(Q(sqrt a)), read off the zero test
+    of its base change (``places.qext_witt_zero``), and whether
+    ``principal_ideal_certificate`` finds y with (1 - <a>)*y = x, a solve
+    on the W(Q) keys that shares no code with that zero test."""
+    ctx = make_context(rationals(), Fraction(a))
+    return base_change(x, ctx).is_zero(), principal_ideal_certificate(x, ctx) is not None
+
+
 def test_ker_iota_rational_examples():
     # x in ker(W(Q) -> W(Q(sqrt 2))) iff x is a multiple of <1> + <-2>
-    a = Fraction(2)
-    assert ker_iota_rational(_counted((Fraction(1), Fraction(-2))), a)
-    assert ker_iota_rational(_counted(()), a)
-    assert not ker_iota_rational(_counted((Fraction(1),)), a)
-    assert not ker_iota_rational(_counted((Fraction(1), Fraction(-3))), a)
-    # (1 - <2>)*<5> dies as well
-    assert ker_iota_rational(_counted((Fraction(5), Fraction(-10))), a)
+    for entries, dead in (
+        ((1, -2), True),
+        ((), True),
+        ((1,), False),
+        ((1, -3), False),
+        ((5, -10), True),  # (1 - <2>)*<5> dies as well
+    ):
+        assert _kernel_tests(witt(rationals(), *entries), 2) == (dead, dead), entries
 
 
 def test_signed_disc_and_hasse():
@@ -290,8 +300,9 @@ def _kernel_by_enumeration(entries, a, support):
 @pytest.mark.parametrize("a", KERNEL_A_VALUES)
 def test_local_kernel_closed_form_matches_the_enumeration(a):
     """Where a is not a square in Q_v, <1,-a>W(Q_v) is the even-rank forms of
-    signed discriminant in {1, a} Q_v*^2; ker_iota_rational agrees with the
-    place-by-place test that enumerates that kernel."""
+    signed discriminant in {1, a} Q_v*^2.  The zero test of the base change
+    agrees with the place-by-place test that enumerates that kernel and
+    with the certificate solve."""
     rng = random.Random(f"local-kernel:{a}")
     a = Fraction(a)
     outcomes = set()
@@ -312,7 +323,8 @@ def test_local_kernel_closed_form_matches_the_enumeration(a):
             closed = len(entries) % 2 == 0 and (is_square_qv(d, v) or is_square_qv(d * a, v))
             assert local_in_ideal_by_enumeration(entries, a, v) == closed, (entries, a, v)
             outcomes.add(closed)
-        assert ker_iota_rational(_counted(entries), a) == _kernel_by_enumeration(entries, a, support)
+        dead = _kernel_by_enumeration(entries, a, support)
+        assert _kernel_tests(witt(rationals(), *entries), a) == (dead, dead), entries
     assert outcomes == {True, False}
 
 
@@ -321,15 +333,14 @@ def test_integer_classes_in_the_kernel_follow_the_level(d, N):
     """t<1> dies in W(Q(sqrt -d)) iff N | t, N twice the level; for
     d = 7, 15, 23 the prime 2 splits and Q_2 needs the local test."""
     for t in range(-16, 17):
-        entries = (Fraction(1 if t > 0 else -1),) * abs(t)
-        assert ker_iota_rational(_counted(entries), Fraction(-d)) == (t % N == 0), t
+        dead = t % N == 0
+        assert _kernel_tests(integer_class(t, rationals()), -d) == (dead, dead), t
 
 
 @pytest.mark.parametrize("a", [2, 5, 17])
 def test_integer_classes_survive_a_real_quadratic_extension(a):
     for t in range(-16, 17):
-        entries = (Fraction(1 if t > 0 else -1),) * abs(t)
-        assert ker_iota_rational(_counted(entries), Fraction(a)) == (t == 0), t
+        assert _kernel_tests(integer_class(t, rationals()), a) == (t == 0, t == 0), t
 
 
 def test_springer_test_reads_both_residue_forms():

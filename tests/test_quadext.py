@@ -11,7 +11,6 @@ from wittloc.quadext import (
     all_witt_classes,
     base_change,
     in_Ia,
-    iota_is_zero,
     lam_exactness_check,
     make_context,
     principal_ideal_certificate,
@@ -144,23 +143,24 @@ def test_lam_exactness_exhaustive_finite(p, a):
 @pytest.mark.parametrize("p,a", [(3, -1), (5, 2), (7, 3)])
 def test_iota_is_zero_over_prime_fields(p, a):
     """Every element of F_p is a square in F_{p^2}, so base change kills
-    exactly the classes of even rank."""
+    exactly the classes of even rank, and those have a multiplier."""
     ctx = make_context(F.finite_prime(p), a)
     for x in all_witt_classes(ctx.base):
-        dead = iota_is_zero(x, ctx)
-        assert dead == base_change(x, ctx).is_zero()
+        dead = base_change(x, ctx).is_zero()
         assert dead == (sum(n for _, n in x.terms) % 2 == 0)
+        assert dead == (principal_ideal_certificate(x, ctx) is not None)
 
 
 def test_iota_is_zero_over_the_reals():
-    """W(R) -> W(C) kills exactly the classes of even signature."""
+    """W(R) -> W(C) kills exactly the classes of even signature, and those
+    have a multiplier."""
     ctx = make_context(F.reals(), -1)
     rng = random.Random(17)
     for _ in range(100):
         x = witt(ctx.base, *(rng.choice([1, -1, 2, -3]) for _ in range(rng.randint(0, 6))))
-        dead = iota_is_zero(x, ctx)
-        assert dead == base_change(x, ctx).is_zero()
+        dead = base_change(x, ctx).is_zero()
         assert dead == (x.signatures()[0] % 2 == 0)
+        assert dead == (principal_ideal_certificate(x, ctx) is not None)
 
 
 def test_lam_exactness_sampled_rational():
@@ -194,15 +194,15 @@ def test_large_counts_cost_their_distinct_entries():
 
 
 def test_kernel_tests_read_counts():
-    """iota_is_zero and principal_ideal_certificate read (entry, count)
-    pairs, so 2,027,025<1> costs what <1> costs there."""
+    """The zero test of a base change and principal_ideal_certificate read
+    (entry, count) pairs, so 2,027,025<1> costs what <1> costs there."""
     ctx = ctx_q2()
     t = 2027025
     kernel = ctx.one_minus_a * (integer_class(t, Q) * witt(Q, 3))
     for call, want in (
-        (lambda: iota_is_zero(integer_class(t, Q) + witt(Q, 3), ctx), False),
+        (lambda: base_change(integer_class(t, Q) + witt(Q, 3), ctx).is_zero(), False),
         (lambda: principal_ideal_certificate(integer_class(t + 1, Q), ctx), None),
-        (lambda: iota_is_zero(kernel, ctx), True),
+        (lambda: base_change(kernel, ctx).is_zero(), True),
     ):
         t0 = time.perf_counter()
         assert call() == want
@@ -252,10 +252,10 @@ _PRIMES_TO_43 = [p for p in range(2, 44) if all(p % q for q in range(2, p))]
 def test_kernel_preimage_is_exactly_the_kernel():
     """3,200 seeded classes: half (1 - <a>)*y for y of rank 1-6 with
     entries +-{1, 2}*p*q (p, q primes <= 43, q may be 1), half such a
-    class plus a random form.  Each class that the closed-form kernel test
-    ``ker_iota_rational`` puts in ker(iota) gets a key y with
-    (1 - <a>)*y = x; each other class gets None.  The two procedures share
-    no code."""
+    class plus a random form.  Each class whose base change the zero test
+    of W(Q(sqrt a)) (``places.qext_witt_zero``) finds to be 0 gets a key y
+    with (1 - <a>)*y = x; each other class gets None.  The two procedures
+    share no code."""
     rng = random.Random("kernel-preimage")
     a_values = [-1, 2, -2, -3, 5, -7, 10, 17, 2310, -2310, 1001, -1001,
                 3 * 5 * 7 * 11 * 13 * 17, -3 * 5 * 7 * 11 * 13 * 17 * 19]
@@ -272,7 +272,7 @@ def test_kernel_preimage_is_exactly_the_kernel():
         if i % 2:
             x = x + rng.choice((1, 2, 4)) * form(rng.choice((0, 1, 2, 2, 4)))
         key = places.wq_kernel_preimage(x.key, a)
-        dead = places.ker_iota_rational(x.terms, a)
+        dead = base_change(x, make_context(Q, a)).is_zero()
         counts[dead] += 1
         if dead:
             assert key is not None and gen * WittClass(Q, key) == x, (a, x)

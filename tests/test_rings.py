@@ -160,6 +160,24 @@ def test_localize_bn_sends_x_to_minus_one():
         localize_element(gen(tp, "e"), carrier)
 
 
+@pytest.mark.parametrize("x, carrier", [
+    (gen(bsl2n(2, F.finite_prime(7)), "e2"), bsl2n(1, Q)),
+    (gen(bsl2n(1, Q), "e"), bsl2n(1, Q)),
+    (gen(bnn(2, Q), "e2"), bsl2n(1, Q)),
+    (gen(bnn(1, Q), "e"), bsl2n(2, Q)),
+    (gen(bnn(1, F.finite_prime(7)), "e"), bsl2n(1, Q)),
+    (gen(bnn(1, Q), "e"), integral_bsl2n(1, Q)),
+    (gen(bnn(1, Q), "e"), bnn(1, Q)),
+], ids=["BSL2n(2)/F7", "BSL2n(1)/Q", "BN^2 into BSL2n(1)", "BN^1 into BSL2n(2)",
+        "BN/F7 into BSL2n/Q", "into Z/N", "into BN"])
+def test_localize_takes_bn_n_over_k_into_bsl2n_n_over_w_k_only(x, carrier):
+    """Only BN^n over k localizes, and only into BSL2n(n) over W(k).  A
+    BSL2n element came back unchanged, over its own field, and BN^2's e2
+    in BSL2n(1) came out as <1>."""
+    with pytest.raises(PresentationMismatch):
+        localize_element(x, carrier)
+
+
 def test_mixed_presentation_product_rejected():
     a = gen(bsl2n(1, Q), "e")
     b = gen(bnn(1, Q), "e")

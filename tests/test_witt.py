@@ -10,9 +10,9 @@ from oracles import (is_square_qext_by_fractions, qext_nonzero_by_invariants,
 
 from wittloc import fields as F
 from wittloc import places
-from wittloc.errors import DegenerateForm, NonSymmetric, ZeroInput
-from wittloc.places import ker_iota_rational
-from wittloc.quadext import base_change, make_context, scaled_transfer, transfer
+from wittloc.errors import BadParameters, DegenerateForm, NonSymmetric, ZeroInput
+from wittloc.quadext import (base_change, make_context, principal_ideal_certificate,
+                             scaled_transfer, transfer)
 from wittloc.witt import (
     WittClass,
     diagonalize,
@@ -80,6 +80,14 @@ def test_diagonalize_rejects_singular_and_asymmetric():
         diagonalize([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]], Q)
     with pytest.raises(NonSymmetric):
         diagonalize([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]], Q)
+
+
+@pytest.mark.parametrize("gram", [[[1, 2], [2]], [[1], [2, 3]], [[1, 2, 3], [2, 1, 0]]], ids=str)
+def test_diagonalize_rejects_a_ragged_matrix(gram):
+    """The shape is checked before any entry is read: a short or long row
+    raised IndexError."""
+    with pytest.raises(NonSymmetric, match="not square"):
+        diagonalize(gram, Q)
 
 
 def test_signature_over_reals():
@@ -612,6 +620,22 @@ def test_odd_quotient_agrees_with_the_field_by_field_reference(field):
             assert (t * x).odd_quotient(t) == x
 
 
+@pytest.mark.parametrize("field, entries, t", [
+    (F.finite_prime(5), (1,), 2),      # gave 0, and 2*0 != <1>
+    (Q, (1, 1, 3, 3), 2),              # gave 2<1>, and 2*2<1> = 4<1> != <1,1,3,3>
+    (Q, (1, 1), 2),
+    (F.quad_ext(Q, -7), (1, 1), -4),
+    (Q, (1,), 0),                      # raised ZeroDivisionError
+    (R, (1,), 0),
+], ids=str)
+def test_odd_quotient_rejects_a_divisor_it_cannot_certify(field, entries, t):
+    """t must be odd, or nonzero over R, the engine's rule for a leading
+    coefficient: an even t left quotients unique only up to torsion, and the
+    one returned could be wrong."""
+    with pytest.raises(BadParameters, match="t odd"):
+        witt(field, *entries).odd_quotient(t)
+
+
 @pytest.mark.parametrize("field, want", [
     (Q, 1), (R, 1), (F.finite_prime(7), 0), (F.quad_ext(F.finite_prime(7), 3), 0),
     (F.quad_ext(Q, 2), 2), (F.quad_ext(Q, Fraction(1, 2)), 2), (F.quad_ext(Q, -7), 0)], ids=str)
@@ -656,8 +680,10 @@ def test_qext_zero_agrees_with_the_invariant_reference(a):
 
 @pytest.mark.parametrize("a", DECISION_A, ids=str)
 def test_qext_zero_agrees_with_the_rational_kernel(a):
-    """A W(Q) class dies in W(Q(sqrt a)) exactly when ker_iota_rational says
-    so: classes with counts, and constructed kernel members (1 - <a>)*y."""
+    """A W(Q) class dies in W(Q(sqrt a)) exactly when it is (1 - <a>)*y for
+    some y, which ``principal_ideal_certificate`` solves for on the W(Q)
+    keys, sharing no code with the zero test: classes with counts, and
+    constructed kernel members (1 - <a>)*y."""
     ctx = make_context(Q, a)
     rng = random.Random(f"qext-kernel:{a}")
     outcomes = set()
@@ -667,7 +693,7 @@ def test_qext_zero_agrees_with_the_rational_kernel(a):
         x = sum((rng.choice([1, 1, 2, 3, 4, 8]) * witt(Q, c) for c in es), zero_class(Q))
         if rng.random() < 0.5:
             x = x * witt(Q, 1, -ctx.a) + rng.choice([0, 0, 4, 8]) * witt(Q, rng.choice(es or [1]))
-        dead = ker_iota_rational(x.terms, ctx.a)
+        dead = principal_ideal_certificate(x, ctx) is not None
         assert base_change(x, ctx).is_zero() == dead, x
         outcomes.add(dead)
     assert outcomes == {True, False}
